@@ -34,5 +34,6 @@ var RuntimeOrder = []Annotation{
 	{File: "remoteedge.go", Kind: "field", Owner: "peerConn.mu", Class: "peermu", Rank: 90},
 	{File: "runtime.go", Kind: "field", Owner: "Runtime.pmu", Class: "pausemap", Rank: 95},
 	{File: "runtime.go", Kind: "returns", Owner: "func pauseFor", Class: "pause", Rank: -1},
-	{File: "remoteedge.go", Kind: "locked", Owner: "func rebuildPeerLocked", Class: "netmu", Rank: -1},
+	{File: "remoteedge.go", Kind: "locked", Owner: "func peerQueue", Class: "netmu", Rank: -1},
+	{File: "remoteedge.go", Kind: "locked", Owner: "func resetPeerLocked", Class: "netmu", Rank: -1},
 }

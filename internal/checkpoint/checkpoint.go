@@ -371,19 +371,17 @@ func (b *Backup) Latest(se string) (Meta, bool) {
 	return m, ok
 }
 
-// ShouldDelta reports whether the next epoch of the SE instance may be
-// incremental under the policy: a chain must exist, and neither compaction
-// trigger (delta count, cumulative delta bytes) may have fired.
-func (b *Backup) ShouldDelta(se string, p Policy) bool {
-	if !p.Delta {
+// ShouldDelta reports whether the epoch after chain may be incremental
+// under the policy: the chain must start at a base, and neither compaction
+// trigger (delta count, cumulative delta bytes) may have fired. Both sinks
+// decide with it — the backup store over its manifest chain, the
+// coordinator over the chain it retains per SE instance.
+func ShouldDelta(p Policy, chain []EpochRef) bool {
+	if !p.Delta || len(chain) == 0 || chain[0].Delta {
 		return false
 	}
 	p = p.withDefaults()
-	m, ok := b.Latest(se)
-	if !ok || len(m.Chain) == 0 || m.Chain[0].Delta {
-		return false
-	}
-	deltas := m.Chain[1:]
+	deltas := chain[1:]
 	if len(deltas) >= p.CompactEvery {
 		return false
 	}
@@ -391,7 +389,7 @@ func (b *Backup) ShouldDelta(se string, p Policy) bool {
 	for _, d := range deltas {
 		deltaBytes += d.Bytes
 	}
-	return float64(deltaBytes) < p.CompactRatio*float64(m.Chain[0].Bytes)
+	return float64(deltaBytes) < p.CompactRatio*float64(chain[0].Bytes)
 }
 
 // RestoreSet holds the ordered chunk groups one recovering instance

@@ -278,8 +278,12 @@ func TestDeltaSaveAbort(t *testing.T) {
 // TestShouldDeltaPolicy checks both compaction triggers.
 func TestShouldDeltaPolicy(t *testing.T) {
 	_, b := newBackupEnv(t, 1, 0)
+	should := func(p Policy) bool {
+		m, _ := b.Latest("kv/0")
+		return ShouldDelta(p, m.Chain)
+	}
 	pol := Policy{Delta: true, CompactEvery: 2, CompactRatio: 100} // count-triggered
-	if b.ShouldDelta("kv/0", pol) {
+	if should(pol) {
 		t.Fatal("no chain yet: must take a base")
 	}
 	st := mkTracked("kvmap", 1000, []byte("value"))
@@ -287,7 +291,7 @@ func TestShouldDeltaPolicy(t *testing.T) {
 	if _, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, 1, b); err != nil {
 		t.Fatal(err)
 	}
-	if !b.ShouldDelta("kv/0", pol) {
+	if !should(pol) {
 		t.Fatal("fresh chain should allow deltas")
 	}
 	for e := uint64(2); e <= 3; e++ {
@@ -296,10 +300,10 @@ func TestShouldDeltaPolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b.ShouldDelta("kv/0", pol) {
+	if should(pol) {
 		t.Fatal("CompactEvery=2 reached: must compact")
 	}
-	if !b.ShouldDelta("kv/0", Policy{Delta: true, CompactEvery: 100, CompactRatio: 100}) {
+	if !should(Policy{Delta: true, CompactEvery: 100, CompactRatio: 100}) {
 		t.Fatal("relaxed policy should still allow deltas")
 	}
 
@@ -310,10 +314,10 @@ func TestShouldDeltaPolicy(t *testing.T) {
 	if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 4}, 1, b); err != nil {
 		t.Fatal(err)
 	}
-	if b.ShouldDelta("kv/0", Policy{Delta: true, CompactEvery: 100, CompactRatio: 0.5}) {
+	if should(Policy{Delta: true, CompactEvery: 100, CompactRatio: 0.5}) {
 		t.Fatal("cumulative delta bytes exceed half the base: must compact")
 	}
-	if b.ShouldDelta("kv/0", Policy{}) {
+	if should(Policy{}) {
 		t.Fatal("zero policy must never choose delta")
 	}
 }

@@ -7,16 +7,8 @@ import (
 	"repro/internal/state"
 )
 
-// tracked returns the store's delta tracker when changed-key tracking is
-// live, so the full-checkpoint procedures can cut/commit it and keep the
-// tracker bounded even on epochs that serialise the whole base.
-func tracked(st state.Store) (state.DeltaStore, bool) {
-	ds, ok := st.(state.DeltaStore)
-	return ds, ok && ds.DeltaTracking()
-}
-
 // Async executes the five-step asynchronous checkpoint of §5 on one SE
-// instance:
+// instance, as the modelled-disk sink of a ChunkStream:
 //
 //	(1) flag the SE dirty (BeginDirty) — writers divert to the overlay;
 //	(2..3) serialise the now-consistent base into nChunks chunks while
@@ -32,95 +24,67 @@ func tracked(st state.Store) (state.DeltaStore, bool) {
 // tracker (committing on success, aborting on failure), so a compaction
 // epoch resets the delta chain exactly at this snapshot's cut point.
 func Async(st state.Store, meta Meta, nChunks int, b *Backup) (Result, error) {
-	start := time.Now()
-	if err := st.BeginDirty(); err != nil {
-		return Result{}, fmt.Errorf("checkpoint: begin dirty: %w", err)
-	}
-	snapStart := time.Now()
-	chunks, err := st.Checkpoint(nChunks)
-	snapDur := time.Since(snapStart)
-	if err != nil {
-		// Leave dirty mode before reporting.
-		_, _ = st.MergeDirty()
-		return Result{}, fmt.Errorf("checkpoint: serialise: %w", err)
-	}
-	ds, isTracked := tracked(st)
-	if isTracked {
-		ds.CutDelta()
-	}
-	meta.StoreType = st.Type()
-	meta.Delta = false
-	bytes, err := b.Save(meta, chunks)
-	if err != nil {
-		_, _ = st.MergeDirty()
-		if isTracked {
-			ds.AbortDelta()
-		}
-		return Result{}, err
-	}
-	lockStart := time.Now()
-	merged, err := st.MergeDirty()
-	lockDur := time.Since(lockStart)
-	if err != nil {
-		return Result{}, fmt.Errorf("checkpoint: merge dirty: %w", err)
-	}
-	if isTracked {
-		ds.CommitDelta()
-	}
-	return Result{
-		Meta:         meta,
-		Bytes:        bytes,
-		StateBytes:   st.SizeBytes(),
-		Duration:     time.Since(start),
-		LockTime:     lockDur,
-		MergedDirty:  merged,
-		SnapshotTime: snapDur,
-	}, nil
+	return saveAsync(st, meta, b, false, func() ([]state.Chunk, error) {
+		return st.Checkpoint(nChunks)
+	})
 }
 
 // AsyncDelta executes the asynchronous protocol but serialises only the
-// keys changed since the last committed epoch cut: BeginDirty freezes the
-// base, DeltaCheckpoint encodes the changed keys (updates + tombstones)
-// and opens a pending cut, the delta is appended to the backup chain, and
-// MergeDirty retains the window's overlay for the next epoch before the
-// cut commits. On any failure the cut is aborted, folding the keys back
-// into the tracker so no change is ever dropped from the chain.
+// keys changed since the last committed epoch cut (updates + tombstones)
+// and appends them to the backup chain; the window's overlay is retained
+// for the next epoch by the merge. On any failure the cut is aborted,
+// folding the keys back into the tracker so no change is ever dropped from
+// the chain.
 func AsyncDelta(st state.DeltaStore, meta Meta, nChunks int, b *Backup) (Result, error) {
+	return saveAsync(st, meta, b, true, func() ([]state.Chunk, error) {
+		return st.DeltaCheckpoint(nChunks)
+	})
+}
+
+// saveAsync drains one stream of hash-partitioned chunks into the backup
+// store and settles the tracker cut by whether the save committed.
+func saveAsync(st state.Store, meta Meta, b *Backup, delta bool, serialise func() ([]state.Chunk, error)) (Result, error) {
 	start := time.Now()
-	if err := st.BeginDirty(); err != nil {
-		return Result{}, fmt.Errorf("checkpoint: begin dirty: %w", err)
-	}
-	snapStart := time.Now()
-	chunks, err := st.DeltaCheckpoint(nChunks)
-	snapDur := time.Since(snapStart)
+	s, err := openStream(st, delta, func() (state.ChunkIter, error) {
+		chunks, err := serialise()
+		return (*chunkSlice)(&chunks), err
+	})
 	if err != nil {
-		_, _ = st.MergeDirty()
-		st.AbortDelta()
-		return Result{}, fmt.Errorf("checkpoint: serialise delta: %w", err)
-	}
-	meta.StoreType = st.Type()
-	meta.Delta = true
-	bytes, err := b.Save(meta, chunks)
-	if err != nil {
-		_, _ = st.MergeDirty()
-		st.AbortDelta()
 		return Result{}, err
 	}
-	lockStart := time.Now()
-	merged, err := st.MergeDirty()
-	lockDur := time.Since(lockStart)
-	if err != nil {
-		st.AbortDelta()
-		return Result{}, fmt.Errorf("checkpoint: merge dirty: %w", err)
+	var chunks []state.Chunk
+	for {
+		c, ok, nerr := s.Next()
+		if nerr != nil {
+			err = fmt.Errorf("checkpoint: serialise: %w", nerr)
+		}
+		if !ok {
+			break
+		}
+		chunks = append(chunks, c)
 	}
-	st.CommitDelta()
+	snapDur := time.Since(start)
+	var bytes int64
+	if err == nil {
+		meta.StoreType = st.Type()
+		meta.Delta = delta
+		bytes, err = b.Save(meta, chunks)
+	}
+	if cerr := s.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		s.Abort()
+		return Result{}, err
+	}
+	s.Commit()
 	return Result{
 		Meta:         meta,
 		Bytes:        bytes,
 		StateBytes:   st.SizeBytes(),
 		Duration:     time.Since(start),
-		LockTime:     lockDur,
-		MergedDirty:  merged,
+		LockTime:     s.lockTime,
+		MergedDirty:  s.merged,
 		SnapshotTime: snapDur,
 	}, nil
 }

@@ -88,3 +88,96 @@ func TestStreamAsyncErrorMerges(t *testing.T) {
 		t.Fatalf("MergeDirty: %v", err)
 	}
 }
+
+// drain pulls every chunk out of a stream.
+func drain(t *testing.T, cs *ChunkStream) []state.Chunk {
+	t.Helper()
+	var chunks []state.Chunk
+	for {
+		ck, ok, err := cs.Next()
+		if err != nil {
+			t.Fatalf("Next: %v", err)
+		}
+		if !ok {
+			return chunks
+		}
+		chunks = append(chunks, ck)
+	}
+}
+
+// TestStreamAsyncDeltaSettle drives the coordinator sink's shape of the
+// shared producer: a base stream cuts the tracker, a delta stream serves
+// only what changed since, and the cut's fate is decided after Close —
+// Commit drops it, Abort makes the next epoch cover the same keys again.
+func TestStreamAsyncDeltaSettle(t *testing.T) {
+	for _, backend := range []string{"kvmap", "sharded"} {
+		t.Run(backend, func(t *testing.T) {
+			st := mkTracked(backend, 500, []byte("value"))
+			kv := st.(state.KV)
+			if _, err := StreamAsyncDelta(state.NewKVMap(), 1024); err == nil {
+				t.Fatal("delta stream on an untracked store accepted")
+			}
+
+			base, err := StreamAsync(st, 1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseChunks := drain(t, base)
+			if err := base.Close(); err != nil {
+				t.Fatal(err)
+			}
+			base.Commit()
+			if n := st.DeltaSize(); n != 0 {
+				t.Fatalf("tracker holds %d keys after a committed base", n)
+			}
+
+			kv.Put(3, []byte("three"))
+			kv.Delete(4)
+			lost, err := StreamAsyncDelta(st, 1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kv.Put(5, []byte("during the stream"))
+			drain(t, lost)
+			if err := lost.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// The sink never retained this epoch.
+			lost.Abort()
+			if n := st.DeltaSize(); n != 3 {
+				t.Fatalf("tracker holds %d keys after the abort, want keys 3, 4 and 5", n)
+			}
+
+			kept, err := StreamAsyncDelta(st, 1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deltaChunks := drain(t, kept)
+			if err := kept.Close(); err != nil {
+				t.Fatal(err)
+			}
+			kept.Commit()
+			kept.Abort() // settled: must not resurrect the cut
+			if n := st.DeltaSize(); n != 0 {
+				t.Fatalf("tracker holds %d keys after the commit", n)
+			}
+
+			dst := state.NewKVMap()
+			if err := dst.Restore(baseChunks); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.ApplyDelta(deltaChunks); err != nil {
+				t.Fatal(err)
+			}
+			if n := dst.NumEntries(); n != kv.NumEntries() {
+				t.Fatalf("base+delta has %d keys, want %d", n, kv.NumEntries())
+			}
+			kv.ForEach(func(k uint64, v []byte) bool {
+				if got, ok := dst.Get(k); !ok || !bytes.Equal(got, v) {
+					t.Fatalf("key %d: base+delta %q ok=%v, want %q", k, got, ok, v)
+				}
+				return true
+			})
+		})
+	}
+}

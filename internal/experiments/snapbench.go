@@ -52,7 +52,6 @@ type SnapBenchResult struct {
 	PeakFrameBytes  int64   `json:"peak_frame_bytes"`   // largest single snapshot-path frame
 	MonolithicBytes int64   `json:"monolithic_bytes"`   // the v1 MsgSnapshot reply for the same state
 	PeakVsMonolith  float64 `json:"peak_vs_monolithic"` // PeakFrameBytes / MonolithicBytes
-	V1Fallbacks     int     `json:"v1_fallbacks"`
 }
 
 // RunSnapBench loads one worker, checkpoints it over the streaming
@@ -117,7 +116,6 @@ func RunSnapBench(cfg SnapBenchConfig) (SnapBenchResult, error) {
 	res.RawBytes = stats.RawBytes
 	res.StoredBytes = stats.StoredBytes
 	res.PeakFrameBytes = stats.PeakFrameBytes
-	res.V1Fallbacks = stats.V1Fallbacks
 	if res.MonolithicBytes > 0 {
 		res.PeakVsMonolith = float64(res.PeakFrameBytes) / float64(res.MonolithicBytes)
 	}
@@ -130,9 +128,6 @@ func RunSnapBench(cfg SnapBenchConfig) (SnapBenchResult, error) {
 	}
 	if res.RawBytes <= 0 {
 		return res, fmt.Errorf("snap bench: streamed 0 bytes")
-	}
-	if res.V1Fallbacks != 0 {
-		return res, fmt.Errorf("snap bench: coordinator fell back to the monolithic protocol %d time(s)", res.V1Fallbacks)
 	}
 	if res.PeakFrameBytes >= res.MonolithicBytes {
 		return res, fmt.Errorf("snap bench: peak streamed frame %d B not below monolithic %d B",

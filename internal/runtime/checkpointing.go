@@ -116,7 +116,8 @@ func (r *Runtime) deltaEligible(si *seInstance) (state.DeltaStore, bool) {
 	if !ok || !ds.DeltaTracking() {
 		return nil, false
 	}
-	if !r.bk.ShouldDelta(si.instName(), r.deltaPolicy()) {
+	latest, _ := r.bk.Latest(si.instName())
+	if !checkpoint.ShouldDelta(r.deltaPolicy(), latest.Chain) {
 		return nil, false
 	}
 	return ds, true

@@ -94,14 +94,10 @@ type coordWorker struct {
 	mu    sync.Mutex // guards ep and hbStop swaps across recoveries
 	ep    WorkerEndpoint
 	alive atomic.Bool
-	// snap is the last snapshot pulled from this worker, retained as
-	// compressed part records; guarded by the coordinator's injMu (all
-	// snapshot/recovery flows hold it).
-	snap *retainedSnap
-	// v1 is sticky once the worker rejects a streaming-snapshot message:
-	// every later pull and push uses the monolithic protocol. Guarded by
-	// injMu.
-	v1     bool
+	// snap is the checkpoint chain pulled from this worker, retained as
+	// compressed part records (nil until its first checkpoint); guarded by
+	// the coordinator's injMu (all snapshot/recovery flows hold it).
+	snap   *retainedSnap
 	hbStop chan struct{}
 }
 
@@ -533,41 +529,84 @@ func (c *Coordinator) WorkerAlive(w int) bool {
 // Workers reports the deployment width.
 func (c *Coordinator) Workers() int { return len(c.workers) }
 
-// Checkpoint pulls a consistent snapshot from every live worker, stores it
-// as that worker's recovery point, and trims the replay logs the snapshot
+// Checkpoint pulls a consistent snapshot from every live worker, folds it
+// into that worker's retained chain, and trims the replay logs the snapshot
 // covers (§5: upstream buffers drop items older than all downstream
 // checkpoints). Held under the injection mutex so the snapshot's
 // watermarks and the log contents cannot shear. Snapshots stream in chunk
 // by chunk (pullSnapshot), so no worker's whole state ever crosses as one
-// frame or sits uncompressed in coordinator memory.
+// frame or sits uncompressed in coordinator memory, and after a worker's
+// first checkpoint each epoch carries only the keys that changed.
+//
+// Workers are pulled concurrently, one goroutine per control link: each
+// worker serialises while the coordinator compresses another's previous
+// record. The pulls share nothing; their results are folded in worker
+// order after the join, so the first error reported is the lowest
+// worker's.
 func (c *Coordinator) Checkpoint() error {
 	c.injMu.Lock()
 	defer c.injMu.Unlock()
-	var firstErr error
-	c.stats.Workers, c.stats.Chunks = 0, 0
-	c.stats.RawBytes, c.stats.StoredBytes = 0, 0
-	fresh := make(map[int]*retainedSnap)
+	type pull struct {
+		pe  *pulledEpoch
+		err error
+	}
+	pulls := make([]*pull, len(c.workers))
+	var wg sync.WaitGroup
 	for w, cw := range c.workers {
 		if !cw.alive.Load() {
 			continue
 		}
-		rs, err := c.pullSnapshot(w, cw)
-		if err != nil {
-			if !errors.Is(err, cluster.ErrRemote) {
+		c.snapStreams++
+		stream, tr := c.snapStreams, cw.endpoint().Control
+		var have uint64
+		var rebase []wire.SEInst
+		if cw.snap != nil {
+			have, rebase = cw.snap.epoch, cw.snap.rebase()
+		}
+		p := &pull{}
+		pulls[w] = p
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.pe, p.err = c.pullSnapshot(tr, stream, have, rebase)
+		}()
+	}
+	wg.Wait()
+
+	var firstErr error
+	c.stats.Workers, c.stats.Chunks = 0, 0
+	c.stats.RawBytes, c.stats.StoredBytes = 0, 0
+	fresh := make(map[int]*retainedSnap)
+	for w, p := range pulls {
+		if p == nil {
+			continue
+		}
+		cw := c.workers[w]
+		if p.err == nil {
+			rs := cw.snap
+			if rs == nil {
+				rs = &retainedSnap{ses: map[seKey]*seChain{}}
+			}
+			if p.err = rs.fold(p.pe); p.err == nil {
+				cw.snap = rs
+			}
+		}
+		if p.err != nil {
+			if !errors.Is(p.err, cluster.ErrRemote) {
 				c.markDead(w)
 			}
 			if firstErr == nil {
-				firstErr = fmt.Errorf("coordinator: snapshot worker %d: %w", w, err)
+				firstErr = fmt.Errorf("coordinator: snapshot worker %d: %w", w, p.err)
 			}
 			continue
 		}
-		cw.snap = rs
-		fresh[w] = rs
-		c.trimLogs(w, rs.tes)
+		fresh[w] = cw.snap
+		c.trimLogs(w, cw.snap.tes)
 		c.stats.Workers++
-		c.stats.Chunks += len(rs.recs)
-		c.stats.RawBytes += rs.rawBytes
-		c.stats.StoredBytes += rs.storedBytes
+		c.stats.Chunks += p.pe.chunks
+		c.stats.RawBytes += p.pe.rawBytes
+		c.stats.StoredBytes += p.pe.storedBytes
+		c.notePeak(p.pe.peakFrame)
 	}
 	c.trimCovered(fresh)
 	return firstErr
@@ -706,7 +745,7 @@ func (c *Coordinator) RecoverWorker(w int, ep WorkerEndpoint) error {
 		return fail(fmt.Errorf("coordinator: redeploy worker %d: %w", w, err))
 	}
 	if cw.snap != nil {
-		if err := c.pushSnapshot(w, cw, ep); err != nil {
+		if err := c.pushSnapshot(cw.snap, ep); err != nil {
 			return fail(fmt.Errorf("coordinator: restore worker %d: %w", w, err))
 		}
 	}

@@ -101,6 +101,11 @@ type remoteNet struct {
 	// sealed rejects inbound RemoteEmit until ImportSnapshot completes, so
 	// replayed frames cannot land on pre-restore state.
 	sealed atomic.Bool
+
+	// resetHook, when set (tests only), runs inside ResetPeer after the
+	// rebuilt queue exists and before it is installed — the window in which
+	// a sender is free to run an iteration against the peer's old state.
+	resetHook func()
 }
 
 func newRemoteNet(r *Runtime, cfg *ShardConfig) *remoteNet {
@@ -242,8 +247,12 @@ func (n *remoteNet) sender(p *peerConn) {
 				}
 				continue
 			}
+			// The dial ran unlocked. A reset that landed meanwhile rebuilt
+			// the queue, and ent is no longer its head: sending it to the
+			// restored peer would lift that peer's dedup watermark past
+			// every lower seq the rebuilt queue is about to re-send.
 			p.mu.Lock()
-			if p.closed || p.addr != addr {
+			if p.closed || p.addr != addr || p.gen != gen {
 				p.mu.Unlock()
 				t.Close()
 				continue
@@ -302,22 +311,22 @@ func decodeReply(frame []byte, want byte, out any) error {
 	return wire.Unmarshal(payload, out)
 }
 
-// rebuildPeerLocked reconstructs a peer's send queue from the logs it owns
-// and bumps the generation. Callers hold n.mu. Entries across all of the
-// peer's logs are merged in (origin, seq) order: a TE with two edges to the
-// same destination shares one seq space across both logs, and replaying one
-// log after the other would let the receiver's per-origin watermark drop
-// the lower-seq tail for good.
+// peerQueue reconstructs a peer's send queue from the logs it owns.
+// Callers hold n.mu. Entries across all of the peer's logs are merged in
+// (origin, seq) order: a TE with two edges to the same destination shares
+// one seq space across both logs, and replaying one log after the other
+// would let the receiver's per-origin watermark drop the lower-seq tail
+// for good.
 //
 //sdg:locked netmu
-func (n *remoteNet) rebuildPeerLocked(p *peerConn) {
+func (n *remoteNet) peerQueue(worker int) []outEntry {
 	type flatEnt struct {
 		edge, inst int
 		it         core.Item
 	}
 	var ents []flatEnt
 	for k, buf := range n.logs {
-		if n.ownerOf(k.edge, k.inst) != p.worker {
+		if n.ownerOf(k.edge, k.inst) != worker {
 			continue
 		}
 		for _, it := range buf.Replay() {
@@ -338,7 +347,32 @@ func (n *remoteNet) rebuildPeerLocked(p *peerConn) {
 		}
 		q = append(q, outEntry{edge: e.edge, inst: e.inst, items: []core.Item{e.it}})
 	}
+	return q
+}
+
+// resetPeerLocked replaces a peer's pending queue with one rebuilt from the
+// send logs — which replays everything a restarted peer may have lost — and,
+// when addr is non-nil, moves the peer to that address. Callers hold n.mu.
+//
+// Address, transport, queue and generation change in one p.mu section.
+// Split in two, a sender waking from backoff in between would pair the new
+// address with the old queue's head, and the restored peer's dedup
+// watermark would swallow the rebuilt queue.
+//
+//sdg:locked netmu
+func (n *remoteNet) resetPeerLocked(p *peerConn, addr *string) {
+	q := n.peerQueue(p.worker)
+	if n.resetHook != nil {
+		n.resetHook()
+	}
 	p.mu.Lock()
+	if addr != nil {
+		p.addr = *addr
+		if p.tr != nil {
+			p.tr.Close()
+			p.tr = nil
+		}
+	}
 	old := queueItems(p.queue)
 	p.queue = q
 	p.gen++
@@ -349,27 +383,17 @@ func (n *remoteNet) rebuildPeerLocked(p *peerConn) {
 
 // ResetPeer installs a worker's (possibly new) address after recovery,
 // drops the cached transport and rebuilds the pending queue from the send
-// logs — which replays everything the restarted peer may have lost.
+// logs.
 func (r *Runtime) ResetPeer(worker int, addr string) {
 	n := r.net
 	if n == nil {
 		return
 	}
 	n.mu.Lock()
-	p := n.peers[worker]
-	if p == nil {
-		n.mu.Unlock()
-		return
+	defer n.mu.Unlock()
+	if p := n.peers[worker]; p != nil {
+		n.resetPeerLocked(p, &addr)
 	}
-	p.mu.Lock()
-	p.addr = addr
-	if p.tr != nil {
-		p.tr.Close()
-		p.tr = nil
-	}
-	p.mu.Unlock()
-	n.rebuildPeerLocked(p)
-	n.mu.Unlock()
 }
 
 // TrimEdgeLogs applies coordinator-distributed trim points: each entry is

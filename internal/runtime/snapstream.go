@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
@@ -19,6 +20,13 @@ import (
 // TE/edge metadata — the state bytes then stream out of the frozen bases
 // while processing continues against the overlays, which is what removes
 // the frame cap as a ceiling on per-worker state.
+//
+// Every capture is one epoch of a checkpoint chain the coordinator retains
+// (DESIGN.md "Distributed checkpoint chain"): per SE instance it serves
+// either a full base or only the keys changed since the epoch the
+// coordinator last retained. The changed-key cut a capture opens is settled
+// by the next SnapBegin, not by the end of the stream — only then does the
+// worker know whether the coordinator kept the epoch.
 
 const (
 	// defaultSnapChunkBytes bounds one streamed part's payload when the
@@ -31,9 +39,35 @@ const (
 
 // seStream is one SE instance's open streaming checkpoint.
 type seStream struct {
-	name  string
-	index int
-	cs    *checkpoint.ChunkStream
+	si *seInstance
+	cs *checkpoint.ChunkStream
+}
+
+// snapDelta decides whether the instance's next epoch is incremental. It
+// is a base when the coordinator retains no epoch of this instance (fresh
+// deploy, or just restored), when the coordinator asks for one, when the
+// store cannot track changed keys, and when a delta would not be smaller:
+// more than half the keys changed, so tombstones and per-key overhead make
+// the delta the larger stream and every later restore the slower one.
+//
+// A store starts tracking here, at its first epoch, not at deploy: until
+// something is retained there is nothing for a delta to extend, and
+// recording a preload or a restore key by key would cost time and memory
+// for nothing. The caller holds the processing pause, so tracking starts
+// exactly at the cut.
+func (si *seInstance) snapDelta(rebase bool) (state.DeltaStore, bool) {
+	ds, ok := si.store.(state.DeltaStore)
+	if !ok {
+		return nil, false
+	}
+	if !ds.DeltaTracking() {
+		ds.EnableDeltaTracking()
+		return nil, false
+	}
+	if rebase || !si.chained.Load() || ds.DeltaSize()*2 > ds.NumEntries() {
+		return nil, false
+	}
+	return ds, true
 }
 
 // snapCapture is an open snapshot stream over one runtime: the eagerly
@@ -73,7 +107,7 @@ func appendItemParts(dst *[]wire.SnapPart, tmpl wire.SnapPart, items []core.Item
 // newSnapCapture cuts a consistent snapshot and returns the open stream.
 // The pause covers only the cut: flipping every SE store into dirty mode
 // and capturing TE watermarks, replay logs and cross-worker edge logs.
-func (r *Runtime) newSnapCapture(maxBytes int) (*snapCapture, error) {
+func (r *Runtime) newSnapCapture(maxBytes int, rebase []wire.SEInst) (*snapCapture, error) {
 	if maxBytes <= 0 || maxBytes > maxSnapChunkBytes {
 		maxBytes = defaultSnapChunkBytes
 	}
@@ -82,9 +116,8 @@ func (r *Runtime) newSnapCapture(maxBytes int) (*snapCapture, error) {
 	defer unpause()
 
 	fail := func(err error) (*snapCapture, error) {
-		for _, s := range c.ses {
-			_ = s.cs.Close()
-		}
+		c.close()
+		c.settle(false)
 		return nil, err
 	}
 	for _, ss := range r.ses {
@@ -92,11 +125,17 @@ func (r *Runtime) newSnapCapture(maxBytes int) (*snapCapture, error) {
 		insts := append([]*seInstance(nil), ss.insts...)
 		ss.mu.RUnlock()
 		for _, si := range insts {
-			cs, err := checkpoint.StreamAsync(si.store, maxBytes)
+			var cs *checkpoint.ChunkStream
+			var err error
+			if ds, ok := si.snapDelta(slices.Contains(rebase, wire.SEInst{Name: ss.def.Name, Index: si.idx})); ok {
+				cs, err = checkpoint.StreamAsyncDelta(ds, maxBytes)
+			} else {
+				cs, err = checkpoint.StreamAsync(si.store, maxBytes)
+			}
 			if err != nil {
 				return fail(fmt.Errorf("runtime: snapshot %s: %w", si.instName(), err))
 			}
-			c.ses = append(c.ses, &seStream{name: ss.def.Name, index: si.idx, cs: cs})
+			c.ses = append(c.ses, &seStream{si: si, cs: cs})
 		}
 	}
 	for _, ts := range r.tes {
@@ -146,11 +185,11 @@ func (c *snapCapture) next() (wire.SnapPart, bool, error) {
 		s := c.ses[c.cur]
 		ck, ok, err := s.cs.Next()
 		if err != nil {
-			return wire.SnapPart{}, false, fmt.Errorf("runtime: snapshot %s/%d: %w", s.name, s.index, err)
+			return wire.SnapPart{}, false, fmt.Errorf("runtime: snapshot %s: %w", s.si.instName(), err)
 		}
 		if !ok {
 			if err := s.cs.Close(); err != nil {
-				return wire.SnapPart{}, false, fmt.Errorf("runtime: snapshot %s/%d: %w", s.name, s.index, err)
+				return wire.SnapPart{}, false, fmt.Errorf("runtime: snapshot %s: %w", s.si.instName(), err)
 			}
 			c.cur++
 			continue
@@ -159,8 +198,8 @@ func (c *snapCapture) next() (wire.SnapPart, bool, error) {
 		c.bytes += uint64(len(ck.Data))
 		return wire.SnapPart{
 			Kind:       wire.PartSE,
-			Name:       s.name,
-			Index:      s.index,
+			Name:       s.si.se.def.Name,
+			Index:      s.si.idx,
 			Store:      ck.Type,
 			ChunkIndex: ck.Index,
 			ChunkOf:    ck.Of,
@@ -172,7 +211,7 @@ func (c *snapCapture) next() (wire.SnapPart, bool, error) {
 }
 
 // close releases the capture: every still-open store stream merges its
-// overlay back. Idempotent.
+// overlay back. Idempotent. The changed-key cuts stay open until settle.
 func (c *snapCapture) close() {
 	if c.closed {
 		return
@@ -182,6 +221,22 @@ func (c *snapCapture) close() {
 		_ = c.ses[c.cur].cs.Close()
 	}
 	c.queue = nil
+}
+
+// settle resolves the capture's changed-key cuts once the epoch's fate is
+// known. Retained: the cuts commit and every instance now has an epoch at
+// the coordinator to extend. Not retained: the cuts fold back, so the next
+// epoch covers the same keys again and nothing is lost however late the
+// pull died. Idempotent.
+func (c *snapCapture) settle(retained bool) {
+	for _, s := range c.ses {
+		if retained {
+			s.cs.Commit()
+			s.si.chained.Store(true)
+		} else {
+			s.cs.Abort()
+		}
+	}
 }
 
 // beginRestoreStream prepares the runtime for a chunk-by-chunk restore:
@@ -198,9 +253,11 @@ func (r *Runtime) beginRestoreStream() {
 	n.mu.Unlock()
 }
 
-// applySnapPart applies one restored part. Parts may arrive in any order;
-// replay-log and edge-log parts append, so the coordinator must deliver
-// each exactly once (the worker's seq protocol enforces that).
+// applySnapPart applies one restored part. Parts may arrive in any order
+// except that an SE instance's base parts precede its delta parts and
+// those arrive in epoch order; replay-log and edge-log parts append, so the
+// coordinator must deliver each exactly once (the worker's seq protocol
+// enforces that).
 func (r *Runtime) applySnapPart(p wire.SnapPart) error {
 	switch p.Kind {
 	case wire.PartSE:
@@ -216,8 +273,13 @@ func (r *Runtime) applySnapPart(p wire.SnapPart) error {
 		}
 		si := ss.insts[p.Index]
 		ss.mu.RUnlock()
-		ck := state.Chunk{Type: p.Store, Index: p.ChunkIndex, Of: p.ChunkOf, Delta: p.Delta, Data: p.Data}
-		if err := si.store.Restore([]state.Chunk{ck}); err != nil {
+		ck := []state.Chunk{{Type: p.Store, Index: p.ChunkIndex, Of: p.ChunkOf, Delta: p.Delta, Data: p.Data}}
+		if p.Delta {
+			err = checkpoint.ApplyDeltas(si.store, [][]state.Chunk{ck})
+		} else {
+			err = si.store.Restore(ck)
+		}
+		if err != nil {
 			return fmt.Errorf("runtime: restore %s: %w", si.instName(), err)
 		}
 	case wire.PartTE:
@@ -267,7 +329,7 @@ func (r *Runtime) finishRestoreStream() {
 	n := r.net
 	n.mu.Lock()
 	for _, p := range n.peers {
-		n.rebuildPeerLocked(p)
+		n.resetPeerLocked(p, nil)
 	}
 	n.mu.Unlock()
 	n.sealed.Store(false)

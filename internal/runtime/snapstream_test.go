@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/apps/counter"
 	_ "repro/internal/apps/kv"
 	"repro/internal/cluster"
 	"repro/internal/runtime"
@@ -398,9 +397,6 @@ func TestDistributedStreamSnapshotBigState(t *testing.T) {
 	if stats.Workers != 2 {
 		t.Fatalf("checkpoint covered %d workers, want 2", stats.Workers)
 	}
-	if stats.V1Fallbacks != 0 {
-		t.Fatalf("streaming checkpoint fell back to v1 %d time(s)", stats.V1Fallbacks)
-	}
 	if stats.Chunks < 20 {
 		t.Fatalf("state split into only %d chunks; expected far more at a %d-byte bound", stats.Chunks, chunkBytes)
 	}
@@ -473,100 +469,5 @@ func TestDistributedStreamSnapshotBigState(t *testing.T) {
 		if n := seen[mt]; n > frameCap {
 			t.Fatalf("%s frame of %d bytes exceeds the %d-byte bound", wire.MsgName(mt), n, frameCap)
 		}
-	}
-}
-
-// legacyHandler mimics a worker built before the streaming protocol: every
-// snapshot-stream message is rejected exactly the way the wire layer
-// rejects an unknown type.
-func legacyHandler(h cluster.Handler) cluster.Handler {
-	return func(req []byte) ([]byte, error) {
-		if len(req) > 0 && req[0] >= wire.MsgSnapBegin && req[0] <= wire.MsgRestoreEndAck {
-			return nil, fmt.Errorf("wire: unknown message type 0x%02x", req[0])
-		}
-		return h(req)
-	}
-}
-
-// TestDistributedSnapshotV1Fallback: a worker that rejects the streaming
-// messages downgrades the coordinator to the monolithic v1 exchange —
-// checkpoint and kill-recovery still work, exactly.
-func TestDistributedSnapshotV1Fallback(t *testing.T) {
-	w0 := runtime.NewWorker()
-	defer w0.Close()
-	ep0 := runtime.WorkerEndpoint{
-		Data:    cluster.Local(legacyHandler(w0.Handler()), 0),
-		Control: cluster.Local(legacyHandler(w0.Handler()), 0),
-	}
-	failed := make(chan int, 2)
-	coord, err := runtime.NewCoordinator("counter", []runtime.WorkerEndpoint{ep0}, runtime.CoordOptions{
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatMisses:   2,
-		OnFailure:         func(w int) { failed <- w },
-	})
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	defer coord.Close()
-
-	const keys = 10
-	const perPhase = 200
-	for i := 0; i < perPhase; i++ {
-		if err := coord.Inject("inc", uint64(i%keys), nil); err != nil {
-			t.Fatalf("inject: %v", err)
-		}
-	}
-	if err := coord.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	if got := coord.SnapshotStats().V1Fallbacks; got != 1 {
-		t.Fatalf("V1Fallbacks = %d, want 1", got)
-	}
-	for i := 0; i < perPhase; i++ {
-		if err := coord.Inject("inc", uint64(i%keys), nil); err != nil {
-			t.Fatalf("inject: %v", err)
-		}
-	}
-
-	w0.Close()
-	ep0.Data.Close()
-	ep0.Control.Close()
-	select {
-	case <-failed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("failure detector never fired")
-	}
-
-	w0b := runtime.NewWorker()
-	defer w0b.Close()
-	ep0b := runtime.WorkerEndpoint{
-		Data:    cluster.Local(legacyHandler(w0b.Handler()), 0),
-		Control: cluster.Local(legacyHandler(w0b.Handler()), 0),
-	}
-	if err := coord.RecoverWorker(0, ep0b); err != nil {
-		t.Fatalf("RecoverWorker: %v", err)
-	}
-	if !coord.Drain(10 * time.Second) {
-		t.Fatal("did not quiesce after recovery")
-	}
-	// The fallback is sticky: a later checkpoint goes straight to v1
-	// without a second probe/fallback.
-	if err := coord.Checkpoint(); err != nil {
-		t.Fatalf("post-recovery checkpoint: %v", err)
-	}
-	if got := coord.SnapshotStats().V1Fallbacks; got != 1 {
-		t.Fatalf("V1Fallbacks after sticky downgrade = %d, want 1", got)
-	}
-
-	dump, err := coord.DumpKV("counts")
-	if err != nil {
-		t.Fatalf("dump: %v", err)
-	}
-	var sum uint64
-	for k := uint64(0); k < keys; k++ {
-		sum += counter.Count(dump[k])
-	}
-	if sum != 2*perPhase {
-		t.Fatalf("counted %d increments, want exactly %d", sum, 2*perPhase)
 	}
 }

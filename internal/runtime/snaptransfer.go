@@ -6,8 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
+	"math"
 
+	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/wire"
 )
@@ -18,11 +19,10 @@ import (
 // wire.Snapshot on this path — it retains the stream as independently
 // compressed part records plus the small TE metadata the log trims need,
 // so its peak memory per worker is the retained records plus one in-flight
-// frame, not the worker's whole state. Workers that predate the streaming
-// protocol reject SnapBegin/RestoreBegin as an unknown or wrong-version
-// message; the coordinator detects that, falls back to the monolithic v1
-// MsgSnapshotReq/MsgRestore exchange, and remembers the downgrade per
-// worker so every later round skips the probe.
+// frame, not the worker's whole state. What it retains per worker is a
+// checkpoint chain (DESIGN.md "Distributed checkpoint chain"): per SE
+// instance one base epoch and the delta epochs since, so every pull after
+// a worker's first moves only the keys that changed.
 
 const (
 	// snapPullRetries bounds transport-level retries per chunk request. The
@@ -34,35 +34,154 @@ const (
 	snapCompressMin = 512
 )
 
-// retainedSnap is one worker's recovery point: the pulled part stream (one
-// compressed record per part, in stream order) plus the TE watermark
-// metadata the replay-log and edge trims read. Guarded by the
-// coordinator's injMu, like the *wire.Snapshot it replaces.
-type retainedSnap struct {
-	recs [][]byte      // encodeSnapRecord output, one per part
-	tes  []wire.TESnap // metadata only (Watermarks/OutSeq; no Buffered)
+// snapPolicy decides when a retained chain is compacted into a fresh base:
+// when its delta bytes pass half its base bytes. Bytes, not epoch count,
+// are what bound the coordinator's memory and a restore's length when the
+// chain lives in RAM, so the count trigger is off.
+var snapPolicy = checkpoint.Policy{Delta: true, CompactEvery: math.MaxInt, CompactRatio: 0.5}
 
-	rawBytes    int64 // sum of encoded part sizes before compression
-	storedBytes int64 // sum of retained record sizes
-	v1          bool  // pulled via the monolithic fallback
+// seKey names one SE instance of one worker (worker-local index).
+type seKey struct {
+	name  string
+	index int
+}
+
+// seChain is the retained chain of one SE instance: the part records of
+// its newest base epoch, then those of every delta epoch since, in the
+// order a restore applies them.
+type seChain struct {
+	recs [][]byte
+	refs []checkpoint.EpochRef // refs[0] is the base; Bytes are retained bytes
+}
+
+// retainedSnap is one worker's recovery point: per SE instance a chain,
+// plus the newest epoch's metadata parts (TE watermarks, replay-log and
+// edge-log slices — always shipped whole) and the TE watermark metadata the
+// replay-log and edge trims read. Guarded by the coordinator's injMu.
+type retainedSnap struct {
+	epoch uint64             // newest retained epoch: the next SnapBegin's Have
+	meta  [][]byte           // encodeSnapRecord output, one per metadata part
+	ses   map[seKey]*seChain // per SE instance
+	order []seKey            // ses in first-seen order, for a stable push order
+	tes   []wire.TESnap      // metadata only (Watermarks/OutSeq; no Buffered)
+}
+
+// rebase lists the SE instances whose retained chain has outgrown
+// snapPolicy: their next epoch should be a full base.
+func (rs *retainedSnap) rebase() []wire.SEInst {
+	var out []wire.SEInst
+	for _, k := range rs.order {
+		if !checkpoint.ShouldDelta(snapPolicy, rs.ses[k].refs) {
+			out = append(out, wire.SEInst{Name: k.name, Index: k.index})
+		}
+	}
+	return out
+}
+
+// pulledSE is one SE instance's share of a pulled epoch.
+type pulledSE struct {
+	delta bool
+	recs  [][]byte
+	bytes int64 // retained (post-compression) bytes
+}
+
+// pulledEpoch is one successful pull, not yet folded into the worker's
+// retained chain. A pull goroutine owns it exclusively; the counters are
+// folded into the coordinator's stats after the join.
+type pulledEpoch struct {
+	epoch uint64
+	meta  [][]byte
+	ses   map[seKey]*pulledSE
+	order []seKey
+	tes   []wire.TESnap
+
+	chunks      int
+	rawBytes    int64 // encoded part sizes before compression
+	storedBytes int64 // retained record sizes
+	peakFrame   int64 // largest reply frame
+}
+
+// add retains one pulled part.
+func (pe *pulledEpoch) add(p *wire.SnapPart) error {
+	rec, raw := encodeSnapRecord(p)
+	pe.chunks++
+	pe.rawBytes += int64(raw)
+	pe.storedBytes += int64(len(rec))
+	if p.Kind != wire.PartSE {
+		if p.Kind == wire.PartTE {
+			pe.tes = append(pe.tes, wire.TESnap{
+				TE:         p.Name,
+				Index:      p.Index,
+				Watermarks: p.Watermarks,
+				OutSeq:     p.OutSeq,
+			})
+		}
+		pe.meta = append(pe.meta, rec)
+		return nil
+	}
+	k := seKey{p.Name, p.Index}
+	se := pe.ses[k]
+	if se == nil {
+		se = &pulledSE{delta: p.Delta}
+		pe.ses[k] = se
+		pe.order = append(pe.order, k)
+	}
+	if se.delta != p.Delta {
+		return fmt.Errorf("coordinator: epoch %d mixes base and delta parts of SE %s/%d", pe.epoch, p.Name, p.Index)
+	}
+	se.recs = append(se.recs, rec)
+	se.bytes += int64(len(rec))
+	return nil
+}
+
+// fold makes a pulled epoch the worker's newest retained one. Retention is
+// garbage-collected per SE instance: a base supersedes everything retained
+// for that instance — dictionary Restore merges and never clears, so a
+// stale base under a new one would resurrect deleted keys — a delta appends
+// to the instance's chain, and an instance the epoch says nothing about
+// (nothing changed) keeps its chain as is. The metadata parts are replaced
+// whole.
+func (rs *retainedSnap) fold(pe *pulledEpoch) error {
+	for _, k := range pe.order {
+		if se := pe.ses[k]; se.delta && rs.ses[k] == nil {
+			return fmt.Errorf("coordinator: epoch %d is a delta of SE %s/%d, which has no retained base", pe.epoch, k.name, k.index)
+		}
+	}
+	for _, k := range pe.order {
+		se := pe.ses[k]
+		ref := checkpoint.EpochRef{Epoch: pe.epoch, Chunks: len(se.recs), Bytes: se.bytes, Delta: se.delta}
+		ch := rs.ses[k]
+		if ch == nil {
+			ch = &seChain{}
+			rs.ses[k] = ch
+			rs.order = append(rs.order, k)
+		}
+		if se.delta {
+			ch.recs = append(ch.recs, se.recs...)
+			ch.refs = append(ch.refs, ref)
+		} else {
+			ch.recs, ch.refs = se.recs, []checkpoint.EpochRef{ref}
+		}
+	}
+	rs.epoch, rs.meta, rs.tes = pe.epoch, pe.meta, pe.tes
+	return nil
 }
 
 // SnapStats describes the coordinator's side of the last checkpoint round.
-// Workers/Chunks/RawBytes/StoredBytes reset every Checkpoint;
-// PeakFrameBytes and V1Fallbacks accumulate for the coordinator's life.
+// Workers/Chunks/RawBytes/StoredBytes reset every Checkpoint and count what
+// that round pulled (not what is retained); PeakFrameBytes accumulates for
+// the coordinator's life.
 type SnapStats struct {
 	// Workers and Chunks count the last round's successful pulls.
 	Workers int
 	Chunks  int
 	// RawBytes is the last round's total encoded part bytes; StoredBytes is
-	// what the coordinator actually retains after per-record compression.
+	// what the coordinator retained of them after per-record compression.
 	RawBytes    int64
 	StoredBytes int64
 	// PeakFrameBytes is the largest single snapshot-path frame observed in
 	// either direction — the coordinator's in-flight buffering bound.
 	PeakFrameBytes int64
-	// V1Fallbacks counts downgrades to the monolithic protocol.
-	V1Fallbacks int
 }
 
 // SnapshotStats reports the streaming-transfer counters.
@@ -115,20 +234,6 @@ func decodeSnapRecord(rec []byte) (wire.SnapPart, error) {
 	}
 }
 
-// isVersionReject reports whether a worker's application-level error means
-// "I do not speak this message" rather than "the request failed": the wire
-// package's unknown-type and version-mismatch errors, surfaced through the
-// transport as a RemoteError string. This is the negotiation shim that
-// keeps old workers on the monolithic protocol.
-func isVersionReject(err error) bool {
-	if !errors.Is(err, cluster.ErrRemote) {
-		return false
-	}
-	s := err.Error()
-	return strings.Contains(s, "unknown message type") ||
-		strings.Contains(s, "protocol version mismatch")
-}
-
 // callRetry is call with bounded retries on transport errors. Application
 // errors (the worker answered and said no) return immediately: retrying
 // them re-asks a question that was already answered.
@@ -148,43 +253,38 @@ func callRetry(tr cluster.Transport, frame []byte, want byte, out any) error {
 }
 
 // notePeak folds one observed frame length into the buffering bound.
-func (c *Coordinator) notePeak(n int) {
-	if int64(n) > c.stats.PeakFrameBytes {
-		c.stats.PeakFrameBytes = int64(n)
+func (c *Coordinator) notePeak(n int64) {
+	if n > c.stats.PeakFrameBytes {
+		c.stats.PeakFrameBytes = n
 	}
 }
 
-// pullSnapshot pulls one worker's snapshot over the streaming protocol
-// (or the monolithic fallback once the worker proved it cannot stream).
-// Called under injMu.
-func (c *Coordinator) pullSnapshot(w int, cw *coordWorker) (*retainedSnap, error) {
-	if cw.v1 {
-		return c.pullSnapshotV1(cw)
-	}
-	c.snapStreams++
-	stream := c.snapStreams
-	tr := cw.endpoint().Control
+// pullSnapshot pulls one epoch from one worker over its control link.
+// have and rebase describe what the coordinator retains of that worker
+// (see wire.SnapBegin). It touches no coordinator state, so Checkpoint runs
+// one per live worker concurrently and folds the results after the join.
+func (c *Coordinator) pullSnapshot(tr cluster.Transport, stream, have uint64, rebase []wire.SEInst) (*pulledEpoch, error) {
 	frame, err := wire.Encode(wire.MsgSnapBegin, wire.SnapBegin{
 		Stream:   stream,
 		Chunks:   c.opts.SnapshotChunks,
 		MaxBytes: c.opts.SnapChunkBytes,
+		Have:     have,
+		Rebase:   rebase,
 	})
 	if err != nil {
 		return nil, err
 	}
 	var bAck wire.SnapBeginAck
 	if err := call(tr, frame, wire.MsgSnapBeginAck, &bAck); err != nil {
-		if isVersionReject(err) {
-			cw.v1 = true
-			c.stats.V1Fallbacks++
-			return c.pullSnapshotV1(cw)
-		}
 		return nil, err
 	}
 	if bAck.Stream != stream {
 		return nil, fmt.Errorf("coordinator: snapshot stream %d: worker opened %d", stream, bAck.Stream)
 	}
-	rs := &retainedSnap{}
+	if bAck.Epoch <= have {
+		return nil, fmt.Errorf("coordinator: snapshot stream %d: worker serves epoch %d, not above retained epoch %d", stream, bAck.Epoch, have)
+	}
+	pe := &pulledEpoch{epoch: bAck.Epoch, ses: map[seKey]*pulledSE{}}
 	for seq := uint64(1); ; seq++ {
 		next, err := wire.Encode(wire.MsgSnapNext, wire.SnapNext{Stream: stream, Seq: seq})
 		if err != nil {
@@ -200,7 +300,7 @@ func (c *Coordinator) pullSnapshot(w int, cw *coordWorker) (*retainedSnap, error
 		if err != nil {
 			return nil, err
 		}
-		c.notePeak(len(resp))
+		pe.peakFrame = max(pe.peakFrame, int64(len(resp)))
 		t, payload, err := wire.Decode(resp)
 		if err != nil {
 			return nil, err
@@ -215,81 +315,34 @@ func (c *Coordinator) pullSnapshot(w int, cw *coordWorker) (*retainedSnap, error
 				return nil, fmt.Errorf("coordinator: snapshot stream %d: got chunk %d/%d, want %d/%d",
 					stream, ck.Stream, ck.Seq, stream, seq)
 			}
-			if ck.Part.Kind == wire.PartTE {
-				rs.tes = append(rs.tes, wire.TESnap{
-					TE:         ck.Part.Name,
-					Index:      ck.Part.Index,
-					Watermarks: ck.Part.Watermarks,
-					OutSeq:     ck.Part.OutSeq,
-				})
+			if err := pe.add(&ck.Part); err != nil {
+				return nil, err
 			}
-			rec, raw := encodeSnapRecord(&ck.Part)
-			rs.recs = append(rs.recs, rec)
-			rs.rawBytes += int64(raw)
-			rs.storedBytes += int64(len(rec))
 		case wire.MsgSnapEnd:
 			var end wire.SnapEnd
 			if err := wire.Unmarshal(payload, &end); err != nil {
 				return nil, err
 			}
-			if end.Stream != stream {
-				return nil, fmt.Errorf("coordinator: snapshot stream %d: end for stream %d", stream, end.Stream)
+			if end.Stream != stream || end.Epoch != pe.epoch {
+				return nil, fmt.Errorf("coordinator: snapshot stream %d epoch %d: end for stream %d epoch %d",
+					stream, pe.epoch, end.Stream, end.Epoch)
 			}
-			if end.Chunks != uint64(len(rs.recs)) {
+			if end.Chunks != uint64(pe.chunks) {
 				return nil, fmt.Errorf("coordinator: snapshot stream %d truncated: pulled %d chunk(s), worker served %d",
-					stream, len(rs.recs), end.Chunks)
+					stream, pe.chunks, end.Chunks)
 			}
-			return rs, nil
+			return pe, nil
 		default:
 			return nil, fmt.Errorf("%w: got %s in snapshot stream", wire.ErrUnexpectedType, wire.MsgName(t))
 		}
 	}
 }
 
-// pullSnapshotV1 pulls the whole snapshot as one monolithic gob frame (the
-// pre-streaming protocol) and retains it in the same part-record form, so
-// recovery has a single shape regardless of how the snapshot arrived.
-func (c *Coordinator) pullSnapshotV1(cw *coordWorker) (*retainedSnap, error) {
-	frame, err := wire.Encode(wire.MsgSnapshotReq, wire.SnapshotReq{Chunks: c.opts.SnapshotChunks})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := cw.endpoint().Control.Call(frame)
-	if err != nil {
-		return nil, err
-	}
-	c.notePeak(len(resp))
-	var snap wire.Snapshot
-	if err := wire.Expect(resp, wire.MsgSnapshot, &snap); err != nil {
-		return nil, err
-	}
-	rs := &retainedSnap{v1: true}
-	for _, p := range wire.SplitSnapshot(&snap) {
-		if p.Kind == wire.PartTE {
-			rs.tes = append(rs.tes, wire.TESnap{
-				TE:         p.Name,
-				Index:      p.Index,
-				Watermarks: p.Watermarks,
-				OutSeq:     p.OutSeq,
-			})
-		}
-		rec, raw := encodeSnapRecord(&p)
-		rs.recs = append(rs.recs, rec)
-		rs.rawBytes += int64(raw)
-		rs.storedBytes += int64(len(rec))
-	}
-	return rs, nil
-}
-
-// pushSnapshot restores a retained snapshot into a freshly deployed worker,
-// part by part. Called under injMu, before replay. A worker that rejects
-// RestoreBegin as unknown downgrades to the monolithic push, mirroring the
-// pull side.
-func (c *Coordinator) pushSnapshot(w int, cw *coordWorker, ep WorkerEndpoint) error {
-	rs := cw.snap
-	if cw.v1 || rs.v1 {
-		return c.pushSnapshotV1(w, rs, ep)
-	}
+// pushSnapshot restores a worker's retained chain into its freshly
+// deployed replacement, part by part: the newest epoch's metadata parts,
+// then per SE instance its base parts followed by its delta parts in epoch
+// order. Called under injMu, before replay.
+func (c *Coordinator) pushSnapshot(rs *retainedSnap, ep WorkerEndpoint) error {
 	c.snapStreams++
 	stream := c.snapStreams
 	frame, err := wire.Encode(wire.MsgRestoreBegin, wire.RestoreBegin{Stream: stream})
@@ -298,66 +351,46 @@ func (c *Coordinator) pushSnapshot(w int, cw *coordWorker, ep WorkerEndpoint) er
 	}
 	var bAck wire.RestoreBeginAck
 	if err := call(ep.Data, frame, wire.MsgRestoreBeginAck, &bAck); err != nil {
-		if isVersionReject(err) {
-			cw.v1 = true
-			c.stats.V1Fallbacks++
-			return c.pushSnapshotV1(w, rs, ep)
-		}
 		return err
 	}
-	for i, rec := range rs.recs {
-		part, err := decodeSnapRecord(rec)
-		if err != nil {
-			return err
+	var seq uint64
+	push := func(recs [][]byte) error {
+		for _, rec := range recs {
+			part, err := decodeSnapRecord(rec)
+			if err != nil {
+				return err
+			}
+			seq++
+			frame, err := wire.Encode(wire.MsgRestoreChunk, wire.RestoreChunk{Stream: stream, Seq: seq, Part: part})
+			if err != nil {
+				return err
+			}
+			c.notePeak(int64(len(frame)))
+			var ack wire.RestoreChunkAck
+			if err := callRetry(ep.Data, frame, wire.MsgRestoreChunkAck, &ack); err != nil {
+				return err
+			}
+			if ack.Stream != stream || ack.Seq != seq {
+				return fmt.Errorf("coordinator: restore stream %d: acked %d/%d, want %d/%d",
+					stream, ack.Stream, ack.Seq, stream, seq)
+			}
 		}
-		seq := uint64(i + 1)
-		frame, err := wire.Encode(wire.MsgRestoreChunk, wire.RestoreChunk{Stream: stream, Seq: seq, Part: part})
-		if err != nil {
+		return nil
+	}
+	if err := push(rs.meta); err != nil {
+		return err
+	}
+	for _, k := range rs.order {
+		if err := push(rs.ses[k].recs); err != nil {
 			return err
-		}
-		c.notePeak(len(frame))
-		var ack wire.RestoreChunkAck
-		if err := callRetry(ep.Data, frame, wire.MsgRestoreChunkAck, &ack); err != nil {
-			return err
-		}
-		if ack.Stream != stream || ack.Seq != seq {
-			return fmt.Errorf("coordinator: restore stream %d: acked %d/%d, want %d/%d",
-				stream, ack.Stream, ack.Seq, stream, seq)
 		}
 	}
-	end, err := wire.Encode(wire.MsgRestoreEnd, wire.RestoreEnd{Stream: stream, Chunks: uint64(len(rs.recs))})
+	end, err := wire.Encode(wire.MsgRestoreEnd, wire.RestoreEnd{Stream: stream, Chunks: seq})
 	if err != nil {
 		return err
 	}
 	var eAck wire.RestoreEndAck
-	if err := callRetry(ep.Data, end, wire.MsgRestoreEndAck, &eAck); err != nil {
-		return err
-	}
-	return nil
-}
-
-// pushSnapshotV1 reassembles the retained parts into one monolithic
-// wire.Snapshot and pushes it over the pre-streaming MsgRestore exchange.
-func (c *Coordinator) pushSnapshotV1(w int, rs *retainedSnap, ep WorkerEndpoint) error {
-	parts := make([]wire.SnapPart, 0, len(rs.recs))
-	for _, rec := range rs.recs {
-		p, err := decodeSnapRecord(rec)
-		if err != nil {
-			return err
-		}
-		parts = append(parts, p)
-	}
-	snap, err := wire.AssembleSnapshot(parts)
-	if err != nil {
-		return fmt.Errorf("coordinator: reassemble snapshot for worker %d: %w", w, err)
-	}
-	frame, err := wire.Encode(wire.MsgRestore, wire.Restore{Snap: snap})
-	if err != nil {
-		return err
-	}
-	c.notePeak(len(frame))
-	var ack wire.RestoreAck
-	return call(ep.Data, frame, wire.MsgRestoreAck, &ack)
+	return callRetry(ep.Data, end, wire.MsgRestoreEndAck, &eAck)
 }
 
 // localTrims builds the per-TE watermark floors that let workers trim

@@ -40,10 +40,12 @@ type Worker struct {
 	done     chan struct{}
 }
 
-// snapServe is one open snapshot pull stream. last caches the most recent
-// reply frame so a retried SnapNext re-serves identical bytes.
+// snapServe is one snapshot pull stream, kept after its last chunk until
+// the next SnapBegin settles its epoch. last caches the most recent reply
+// frame so a retried SnapNext re-serves identical bytes.
 type snapServe struct {
 	id      uint64
+	epoch   uint64
 	sc      *snapCapture
 	lastSeq uint64
 	last    []byte
@@ -117,16 +119,23 @@ func (w *Worker) Close() {
 
 // closeSnapStreams abandons any open snapshot/restore stream — on shutdown
 // and on re-deploy, where the stream's runtime is going away. An abandoned
-// capture merges its dirty overlays back; an abandoned restore stays
-// sealed until the coordinator starts over.
+// restore stays sealed until the coordinator starts over.
 func (w *Worker) closeSnapStreams() {
 	w.snapMu.Lock()
 	defer w.snapMu.Unlock()
+	w.dropServing()
+	w.restore = nil
+}
+
+// dropServing abandons the pull stream, if any: its capture merges the
+// dirty overlays back and folds its changed-key cuts back, since an epoch
+// that did not finish cannot have been retained. Callers hold snapMu.
+func (w *Worker) dropServing() {
 	if w.serving != nil {
 		w.serving.sc.close()
+		w.serving.sc.settle(false)
 		w.serving = nil
 	}
-	w.restore = nil
 }
 
 // runtime returns the deployed runtime or an error before deployment.
@@ -346,9 +355,14 @@ func (w *Worker) handle(req []byte) ([]byte, error) {
 	}
 }
 
-// snapBegin opens a snapshot pull stream: cut now, stream later. A new
-// stream supersedes any previous one — the coordinator abandoned it (its
-// retries moved on), so its capture is released here.
+// snapBegin opens a snapshot pull stream: cut now, stream later. It first
+// settles the previous stream's epoch, which is the earliest moment the
+// worker can know its fate: the coordinator retained it exactly when Have
+// names it. Anything else — the coordinator abandoned the stream midway,
+// or lost the reply to its very last request — folds the epoch's
+// changed-key cut back, so this epoch covers those keys again. The new
+// epoch is numbered above both Have and the previous one, so no epoch this
+// worker slot ever served, in any incarnation, can be mistaken for it.
 func (w *Worker) snapBegin(m wire.SnapBegin) ([]byte, error) {
 	rt, err := w.runtime()
 	if err != nil {
@@ -356,16 +370,20 @@ func (w *Worker) snapBegin(m wire.SnapBegin) ([]byte, error) {
 	}
 	w.snapMu.Lock()
 	defer w.snapMu.Unlock()
-	if w.serving != nil {
-		w.serving.sc.close()
+	epoch := m.Have
+	if prev := w.serving; prev != nil {
+		prev.sc.close()
+		prev.sc.settle(prev.done && prev.epoch == m.Have)
+		epoch = max(epoch, prev.epoch)
 		w.serving = nil
 	}
-	sc, err := rt.newSnapCapture(m.MaxBytes)
+	epoch++
+	sc, err := rt.newSnapCapture(m.MaxBytes, m.Rebase)
 	if err != nil {
 		return nil, err
 	}
-	w.serving = &snapServe{id: m.Stream, sc: sc}
-	return wire.Encode(wire.MsgSnapBeginAck, wire.SnapBeginAck{Stream: m.Stream})
+	w.serving = &snapServe{id: m.Stream, epoch: epoch, sc: sc}
+	return wire.Encode(wire.MsgSnapBeginAck, wire.SnapBeginAck{Stream: m.Stream, Epoch: epoch})
 }
 
 // snapNext serves chunk Seq of the open stream. The dense seq makes retry
@@ -382,14 +400,12 @@ func (w *Worker) snapNext(m wire.SnapNext) ([]byte, error) {
 		return s.last, nil
 	}
 	if m.Seq != s.lastSeq+1 || s.done {
-		s.sc.close()
-		w.serving = nil
+		w.dropServing()
 		return nil, fmt.Errorf("worker: snapshot stream %d: seq %d out of order", m.Stream, m.Seq)
 	}
 	p, ok, err := s.sc.next()
 	if err != nil {
-		s.sc.close()
-		w.serving = nil
+		w.dropServing()
 		return nil, err
 	}
 	var frame []byte
@@ -398,11 +414,10 @@ func (w *Worker) snapNext(m wire.SnapNext) ([]byte, error) {
 	} else {
 		s.sc.close()
 		s.done = true
-		frame, err = wire.Encode(wire.MsgSnapEnd, wire.SnapEnd{Stream: s.id, Chunks: s.sc.parts, Bytes: s.sc.bytes})
+		frame, err = wire.Encode(wire.MsgSnapEnd, wire.SnapEnd{Stream: s.id, Chunks: s.sc.parts, Bytes: s.sc.bytes, Epoch: s.epoch})
 	}
 	if err != nil {
-		s.sc.close()
-		w.serving = nil
+		w.dropServing()
 		return nil, err
 	}
 	s.lastSeq = m.Seq

@@ -39,8 +39,16 @@ import (
 
 // deltaTrack is the changed-key tracker embedded in each dictionary store
 // (one per shard in ShardedKVMap). The `on` flag is read on every base
-// write, so it is atomic and checked before the mutex is touched; when
-// tracking is off the hot path pays a single atomic load.
+// write, so it is atomic and checked first; when tracking is off the hot
+// path pays a single atomic load.
+//
+// Locking. The live set is guarded by the owning store's base lock: record,
+// which runs once per base write, is called with that lock held exclusively
+// and takes nothing else. Every other method that touches the live set is
+// called with the base lock held too — shared is enough, it excludes record
+// — and additionally takes mu, which orders those methods against each
+// other and guards the pending cut. commit touches only the pending cut and
+// needs no base lock.
 type deltaTrack struct {
 	on      atomic.Bool
 	mu      sync.Mutex
@@ -59,20 +67,17 @@ func (t *deltaTrack) enable() {
 
 func (t *deltaTrack) enabled() bool { return t.on.Load() }
 
-// record notes one mutated key. Callers hold the store's base lock, so a
-// record can never race a cut (which runs under the base read lock while
-// writers are diverted, or on a quiescent store).
+// record notes one mutated key. The caller holds the store's base lock
+// exclusively, which is what keeps every other method out (see deltaTrack).
 func (t *deltaTrack) record(key uint64) {
 	if !t.on.Load() {
 		return
 	}
-	t.mu.Lock()
 	t.changed[key] = struct{}{}
-	t.mu.Unlock()
 }
 
 // noteMerge retains a merged dirty overlay: every overlay key and tombstone
-// becomes part of the next epoch's delta.
+// becomes part of the next epoch's delta. Base lock held exclusively.
 func (t *deltaTrack) noteMerge(ovl map[uint64][]byte, tomb map[uint64]struct{}) {
 	if !t.on.Load() {
 		return
@@ -88,7 +93,8 @@ func (t *deltaTrack) noteMerge(ovl map[uint64][]byte, tomb map[uint64]struct{}) 
 }
 
 // noteBase records every key of a base map, used before wholesale wipes
-// (Clear, Split) so the next delta tombstones the removed keys.
+// (Clear, Split) so the next delta tombstones the removed keys. Base lock
+// held exclusively.
 func (t *deltaTrack) noteBase(base map[uint64][]byte) {
 	if !t.on.Load() {
 		return
@@ -103,7 +109,8 @@ func (t *deltaTrack) noteBase(base map[uint64][]byte) {
 // drain steals the full change window — live set plus any pending cut — and
 // resets the tracker. Merge uses it to move a retiring store's window into
 // the absorber; the pending set is folded in defensively so a cut whose save
-// was never resolved cannot drop keys across the merge.
+// was never resolved cannot drop keys across the merge. Base lock held
+// exclusively.
 func (t *deltaTrack) drain() map[uint64]struct{} {
 	if !t.on.Load() {
 		return nil
@@ -119,7 +126,7 @@ func (t *deltaTrack) drain() map[uint64]struct{} {
 	return out
 }
 
-// noteKeys folds a drained change window into the live set.
+// noteKeys folds a drained change window into the live set. Base lock held.
 func (t *deltaTrack) noteKeys(keys map[uint64]struct{}) {
 	if !t.on.Load() || len(keys) == 0 {
 		return
@@ -131,21 +138,12 @@ func (t *deltaTrack) noteKeys(keys map[uint64]struct{}) {
 	t.mu.Unlock()
 }
 
-// noteKey folds a single key into the live set.
-func (t *deltaTrack) noteKey(key uint64) {
-	if !t.on.Load() {
-		return
-	}
-	t.mu.Lock()
-	t.changed[key] = struct{}{}
-	t.mu.Unlock()
-}
-
 // cut snapshots the tracked keys into the pending set and resets the live
-// set. An uncommitted earlier cut (a delta save that was never committed or
+// set. An uncommitted earlier cut (a save that was never committed or
 // aborted) is folded in defensively so no change can be dropped. The caller
-// serialises cuts (KVMap via mu, ShardedKVMap via lifecycle) and owns the
-// returned set until commit or abort.
+// holds the base lock (shared: cuts run while writers are diverted to the
+// overlay, or on a quiescent store) and owns the returned set until commit
+// or abort.
 func (t *deltaTrack) cut() map[uint64]struct{} {
 	if !t.on.Load() {
 		return nil
@@ -157,7 +155,9 @@ func (t *deltaTrack) cut() map[uint64]struct{} {
 		eff[k] = struct{}{}
 	}
 	t.pending = eff
-	t.changed = make(map[uint64]struct{})
+	// Sized for a window like the last one, so a busy store does not
+	// regrow the set from nothing after every cut.
+	t.changed = make(map[uint64]struct{}, len(eff))
 	return eff
 }
 
@@ -170,7 +170,7 @@ func (t *deltaTrack) commit() {
 }
 
 // abort folds the pending cut back into the live set: the save failed, so
-// the next epoch must cover these keys again.
+// the next epoch must cover these keys again. Base lock held.
 func (t *deltaTrack) abort() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -187,6 +187,7 @@ func (t *deltaTrack) abort() {
 	t.pending = nil
 }
 
+// size reports the live set's key count. Base lock held.
 func (t *deltaTrack) size() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -215,6 +216,9 @@ func (e *deltaEnc) tombstone(k uint64) {
 	e.tmb.uvarint(k)
 	e.tcnt++
 }
+
+// size is the encoded payload accumulated so far.
+func (e *deltaEnc) size() int { return len(e.upd.buf) + len(e.tmb.buf) }
 
 // assembleDeltaChunks stitches per-shard-per-partition delta encoders into
 // n self-describing delta chunks. groups[g][p] is shard g's contribution to
@@ -313,7 +317,11 @@ func (m *KVMap) EnableDeltaTracking() { m.delta.enable() }
 func (m *KVMap) DeltaTracking() bool { return m.delta.enabled() }
 
 // DeltaSize reports the number of keys changed since the last cut.
-func (m *KVMap) DeltaSize() int { return m.delta.size() }
+func (m *KVMap) DeltaSize() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.delta.size()
+}
 
 // CutDelta snapshots and resets the changed-key tracker without
 // serialising, marking a full checkpoint's cut point. Call between
@@ -330,7 +338,11 @@ func (m *KVMap) CommitDelta() { m.delta.commit() }
 
 // AbortDelta restores the pending cut into the live tracker after a failed
 // save.
-func (m *KVMap) AbortDelta() { m.delta.abort() }
+func (m *KVMap) AbortDelta() {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	m.delta.abort()
+}
 
 // DeltaCheckpoint serialises the keys changed since the last committed cut
 // into n hash-partitioned delta chunks and begins a pending cut. Like
@@ -396,7 +408,9 @@ func (m *ShardedKVMap) DeltaTracking() bool { return m.shards[0].delta.enabled()
 func (m *ShardedKVMap) DeltaSize() int {
 	n := 0
 	for _, s := range m.shards {
+		s.mu.RLock()
 		n += s.delta.size()
+		s.mu.RUnlock()
 	}
 	return n
 }
@@ -406,7 +420,9 @@ func (m *ShardedKVMap) CutDelta() {
 	m.lifecycle.Lock()
 	defer m.lifecycle.Unlock()
 	for _, s := range m.shards {
+		s.mu.RLock()
 		s.delta.cut()
+		s.mu.RUnlock()
 	}
 }
 
@@ -420,7 +436,9 @@ func (m *ShardedKVMap) CommitDelta() {
 // AbortDelta restores every shard's pending cut into its live tracker.
 func (m *ShardedKVMap) AbortDelta() {
 	for _, s := range m.shards {
+		s.mu.RLock()
 		s.delta.abort()
+		s.mu.RUnlock()
 	}
 }
 
@@ -442,8 +460,8 @@ func (m *ShardedKVMap) DeltaCheckpoint(n int) ([]Chunk, error) {
 		for p := range encs {
 			encs[p] = newDeltaEnc(64)
 		}
-		keys := s.delta.cut()
 		s.mu.RLock()
+		keys := s.delta.cut()
 		for k := range keys {
 			p := PartitionKey(k, n)
 			if v, ok := s.base[k]; ok {

@@ -20,7 +20,9 @@ import (
 // checkpointing. The subtle case is a writer that loads dirty=false just as
 // BeginDirty runs: it takes mu and re-checks the flag under the lock, and
 // since BeginDirty also holds mu exclusively, either the write lands in the
-// base before the snapshot begins or it is redirected to the overlay.
+// base before the snapshot begins or it is redirected to the overlay. The
+// mirror case — a writer that loads dirty=true just as MergeDirty runs —
+// re-checks under dmu the same way (see baseWriteOrDirty).
 //
 // The single-lock KVMap embeds one dirtyCtl for the whole store; the
 // lock-striped ShardedKVMap embeds one per shard and flips all flags under
@@ -71,17 +73,30 @@ func (c *dirtyCtl) lockMerge() (unlock func(), err error) {
 // for writing when the caller must update the overlay, or false with mu
 // held for writing when the caller may update the base. The caller unlocks
 // the corresponding lock.
+//
+// The flag is re-checked under whichever lock was taken, in both
+// directions. A writer that saw dirty=true can lose dmu to MergeDirty: by
+// the time it gets the lock the store has left dirty mode, and a write into
+// the fresh overlay would sit there unseen — readers of a clean store go
+// straight to the base — until the next checkpoint's merge folds the stale
+// value over everything written since. Under dmu the flag cannot clear
+// (MergeDirty needs dmu), under mu it cannot flip at all.
 func (c *dirtyCtl) baseWriteOrDirty() bool {
-	if c.dirty.Load() {
-		c.dmu.Lock()
-		return true
-	}
-	c.mu.Lock()
-	if c.dirty.Load() {
+	for {
+		if c.dirty.Load() {
+			c.dmu.Lock()
+			if c.dirty.Load() {
+				return true
+			}
+			// MergeDirty won the race; take the base path.
+			c.dmu.Unlock()
+			continue
+		}
+		c.mu.Lock()
+		if !c.dirty.Load() {
+			return false
+		}
 		// BeginDirty won the race; redirect to the overlay.
 		c.mu.Unlock()
-		c.dmu.Lock()
-		return true
 	}
-	return false
 }

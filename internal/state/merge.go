@@ -125,7 +125,9 @@ func (m *KVMap) Merge(src Store) error {
 	}
 	// The drained window adds the keys deleted on the source since its last
 	// cut, which become tombstones at the next delta cut.
+	m.mu.Lock()
 	m.delta.noteKeys(window)
+	m.mu.Unlock()
 	return nil
 }
 
@@ -174,7 +176,10 @@ func (m *ShardedKVMap) Merge(src Store) error {
 	}
 	// Tombstoned keys fold into the shard that owns them.
 	for k := range window {
-		m.shard(k).delta.noteKey(k)
+		s := m.shard(k)
+		s.mu.Lock()
+		s.delta.record(k)
+		s.mu.Unlock()
 	}
 	return nil
 }

@@ -137,6 +137,10 @@ type DeltaStore interface {
 	// delta chunks and opens a pending cut. Same consistency contract as
 	// Checkpoint: call while dirty mode is active or on a quiescent store.
 	DeltaCheckpoint(n int) ([]Chunk, error)
+	// DeltaStream is DeltaCheckpoint as a stream of chunks of at most
+	// maxBytes each (best effort, like StreamCheckpointer): it opens the
+	// same pending cut, and peak extra memory is one chunk.
+	DeltaStream(maxBytes int) (ChunkIter, error)
 	// ApplyDelta replays delta chunks (puts + tombstone deletes) onto the
 	// store. Chunks of different epochs must be applied in epoch order.
 	ApplyDelta(chunks []Chunk) error

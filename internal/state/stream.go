@@ -8,7 +8,15 @@ package state
 // active or the store quiescent — from the first Next until the caller is
 // done, and the emitted chunks restore correctly through the ordinary
 // Restore path (dictionary Restore merges chunks and ignores Index/Of, so
-// a sequential stream uses Index = emission order, Of = 0).
+// a sequential stream uses Index = emission order, Of = 0). A dictionary
+// base stream always yields at least one chunk — an empty store yields one
+// empty chunk — so a consumer retaining a chain per store can tell "this
+// epoch is a base, and it is empty" from "nothing changed".
+//
+// DeltaStream is the incremental counterpart: it opens a pending cut of the
+// changed-key tracker exactly like DeltaCheckpoint and yields the cut keys
+// as bounded delta chunks (updates and tombstones, applied with ApplyDelta
+// in stream order), or nothing at all when no key changed.
 
 // ChunkIter yields checkpoint chunks one at a time. Next returns the next
 // chunk and ok=true, or ok=false when the stream is exhausted (err != nil
@@ -88,7 +96,7 @@ func (m *KVMap) CheckpointStream(maxBytes int) (ChunkIter, error) {
 }
 
 func (it *kvStreamIter) Next() (Chunk, bool, error) {
-	if it.pos >= len(it.keys) {
+	if it.pos >= len(it.keys) && it.emitted > 0 {
 		return Chunk{}, false, nil
 	}
 	body := newEncoder(it.maxBytes + 64)
@@ -108,14 +116,21 @@ func (it *kvStreamIter) Next() (Chunk, bool, error) {
 		count++
 	}
 	it.m.mu.RUnlock()
-	if count == 0 {
+	return baseChunk(&it.emitted, count, body)
+}
+
+// baseChunk assembles one streamed base chunk from an entry count and the
+// encoded entries, or ends the stream. Only a stream's first chunk may be
+// empty (see the file comment).
+func baseChunk(emitted *int, count uint64, body *encoder) (Chunk, bool, error) {
+	if count == 0 && *emitted > 0 {
 		return Chunk{}, false, nil
 	}
 	head := newEncoder(len(body.buf) + 10)
 	head.uvarint(count)
 	head.buf = append(head.buf, body.buf...)
-	c := Chunk{Type: TypeKVMap, Index: it.emitted, Of: 0, Data: head.buf}
-	it.emitted++
+	c := Chunk{Type: TypeKVMap, Index: *emitted, Of: 0, Data: head.buf}
+	*emitted++
 	return c, true, nil
 }
 
@@ -171,13 +186,132 @@ func (it *shardedStreamIter) Next() (Chunk, bool, error) {
 			it.keys = nil
 		}
 	}
-	if count == 0 {
+	return baseChunk(&it.emitted, count, body)
+}
+
+// kvDeltaIter streams one KVMap's pending cut as bounded delta chunks: the
+// cut's keys are captured when the stream opens, values are read from the
+// frozen base lazily per chunk.
+type kvDeltaIter struct {
+	m        *KVMap
+	keys     []uint64
+	pos      int
+	maxBytes int
+	emitted  int
+}
+
+// deltaChunkHint caps a streamed delta chunk's initial buffer: most deltas
+// are far smaller than the chunk bound, and the encoder grows on demand.
+const deltaChunkHint = 64 << 10
+
+// cutKeys flattens a cut set for positional iteration (8 bytes per key).
+func cutKeys(set map[uint64]struct{}) []uint64 {
+	keys := make([]uint64, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// DeltaStream implements DeltaStore; same freeze contract as
+// DeltaCheckpoint.
+func (m *KVMap) DeltaStream(maxBytes int) (ChunkIter, error) {
+	if maxBytes < 1 {
+		return nil, ErrBadSplit
+	}
+	if !m.delta.enabled() {
+		return nil, ErrDeltaInactive
+	}
+	m.mu.RLock()
+	set := m.delta.cut()
+	m.mu.RUnlock()
+	return &kvDeltaIter{m: m, keys: cutKeys(set), maxBytes: maxBytes}, nil
+}
+
+func (it *kvDeltaIter) Next() (Chunk, bool, error) {
+	enc := newDeltaEnc(min(it.maxBytes, deltaChunkHint) + 64)
+	it.m.mu.RLock()
+	it.pos = enc.fill(it.m.base, it.keys, it.pos, it.maxBytes)
+	it.m.mu.RUnlock()
+	return enc.chunk(&it.emitted)
+}
+
+// fill encodes keys[pos:] against base — present keys as updates, absent
+// ones as tombstones — until the encoded size reaches maxBytes, and returns
+// the new position.
+func (e *deltaEnc) fill(base map[uint64][]byte, keys []uint64, pos, maxBytes int) int {
+	for pos < len(keys) && e.size() < maxBytes {
+		k := keys[pos]
+		pos++
+		if v, ok := base[k]; ok {
+			e.update(k, v)
+		} else {
+			e.tombstone(k)
+		}
+	}
+	return pos
+}
+
+// chunk assembles one streamed delta chunk, or ends the stream when the
+// encoder is empty.
+func (e *deltaEnc) chunk(emitted *int) (Chunk, bool, error) {
+	if e.ucnt+e.tcnt == 0 {
 		return Chunk{}, false, nil
 	}
-	head := newEncoder(len(body.buf) + 10)
-	head.uvarint(count)
-	head.buf = append(head.buf, body.buf...)
-	c := Chunk{Type: TypeKVMap, Index: it.emitted, Of: 0, Data: head.buf}
-	it.emitted++
+	c := assembleDeltaChunks(1, [][]*deltaEnc{{e}})[0]
+	c.Index, c.Of = *emitted, 0
+	*emitted++
 	return c, true, nil
+}
+
+// shardedDeltaIter streams a ShardedKVMap's pending cut shard by shard.
+// Every shard's tracker is cut when the stream opens (one instant, under
+// the lifecycle lock); keys flatten lazily per shard.
+type shardedDeltaIter struct {
+	m        *ShardedKVMap
+	sets     []map[uint64]struct{}
+	shard    int
+	keys     []uint64
+	pos      int
+	maxBytes int
+	emitted  int
+}
+
+// DeltaStream implements DeltaStore; same freeze contract as
+// DeltaCheckpoint.
+func (m *ShardedKVMap) DeltaStream(maxBytes int) (ChunkIter, error) {
+	if maxBytes < 1 {
+		return nil, ErrBadSplit
+	}
+	if !m.DeltaTracking() {
+		return nil, ErrDeltaInactive
+	}
+	m.lifecycle.Lock()
+	defer m.lifecycle.Unlock()
+	sets := make([]map[uint64]struct{}, len(m.shards))
+	for i, s := range m.shards {
+		s.mu.RLock()
+		sets[i] = s.delta.cut()
+		s.mu.RUnlock()
+	}
+	return &shardedDeltaIter{m: m, sets: sets, maxBytes: maxBytes}, nil
+}
+
+func (it *shardedDeltaIter) Next() (Chunk, bool, error) {
+	enc := newDeltaEnc(min(it.maxBytes, deltaChunkHint) + 64)
+	for enc.size() < it.maxBytes && it.shard < len(it.m.shards) {
+		s := it.m.shards[it.shard]
+		if it.keys == nil {
+			it.keys = cutKeys(it.sets[it.shard])
+			it.pos = 0
+		}
+		s.mu.RLock()
+		it.pos = enc.fill(s.base, it.keys, it.pos, it.maxBytes)
+		s.mu.RUnlock()
+		if it.pos >= len(it.keys) {
+			it.shard++
+			it.keys = nil
+		}
+	}
+	return enc.chunk(&it.emitted)
 }

@@ -168,3 +168,132 @@ func TestStreamChunksBadBudget(t *testing.T) {
 		t.Fatal("negative budget accepted")
 	}
 }
+
+// drainIter pulls every chunk out of an iterator.
+func drainIter(t *testing.T, iter ChunkIter) []Chunk {
+	t.Helper()
+	var chunks []Chunk
+	for {
+		ck, ok, err := iter.Next()
+		if err != nil {
+			t.Fatalf("Next: %v", err)
+		}
+		if !ok {
+			return chunks
+		}
+		chunks = append(chunks, ck)
+	}
+}
+
+// TestEmptyBaseStreamYieldsOneChunk: a dictionary base stream of an empty
+// store is one empty chunk, never nothing — a retained chain must be able
+// to tell "this epoch is an empty base" from "nothing changed".
+func TestEmptyBaseStreamYieldsOneChunk(t *testing.T) {
+	for _, impl := range kvImpls {
+		t.Run(impl.name, func(t *testing.T) {
+			chunks := drainStream(t, impl.new(), 1024)
+			if len(chunks) != 1 || chunks[0].Delta {
+				t.Fatalf("empty store streamed %d chunk(s): %+v", len(chunks), chunks)
+			}
+			dst := impl.new()
+			dst.Put(1, []byte("kept"))
+			if err := dst.Restore(chunks); err != nil {
+				t.Fatalf("Restore of the empty chunk: %v", err)
+			}
+			if n := dst.NumEntries(); n != 1 {
+				t.Fatalf("restoring an empty chunk changed the store: %d entries", n)
+			}
+		})
+	}
+}
+
+// TestDeltaStreamMatchesDeltaCheckpoint: the streamed delta carries the
+// same updates and tombstones DeltaCheckpoint would, in chunks that respect
+// the byte budget to within one entry, and opens the same pending cut.
+func TestDeltaStreamMatchesDeltaCheckpoint(t *testing.T) {
+	const budget = 256
+	for _, impl := range kvImpls {
+		t.Run(impl.name, func(t *testing.T) {
+			m := impl.new()
+			ds := m.(DeltaStore)
+			ds.EnableDeltaTracking()
+			fillStreamKV(m.Put, 400)
+			ds.CutDelta()
+			ds.CommitDelta()
+
+			// Nothing changed: the stream is empty.
+			iter, err := ds.DeltaStream(budget)
+			if err != nil {
+				t.Fatalf("DeltaStream: %v", err)
+			}
+			if chunks := drainIter(t, iter); len(chunks) != 0 {
+				t.Fatalf("unchanged store streamed %d delta chunk(s)", len(chunks))
+			}
+			ds.CommitDelta()
+
+			for i := uint64(0); i < 120; i += 3 {
+				m.Put(i, []byte(fmt.Sprintf("rewritten-%d", i)))
+			}
+			for i := uint64(1); i < 60; i += 3 {
+				m.Delete(i)
+			}
+			m.Put(9999, []byte("new"))
+			if err := m.BeginDirty(); err != nil {
+				t.Fatal(err)
+			}
+			m.Put(2, []byte("after the cut")) // diverted: next epoch's
+			iter, err = ds.DeltaStream(budget)
+			if err != nil {
+				t.Fatalf("DeltaStream: %v", err)
+			}
+			chunks := drainIter(t, iter)
+			if _, err := m.MergeDirty(); err != nil {
+				t.Fatal(err)
+			}
+			if len(chunks) < 2 {
+				t.Fatalf("%d delta chunk(s), expected a split at a %d-byte budget", len(chunks), budget)
+			}
+			for i, c := range chunks {
+				if !c.Delta || c.Index != i {
+					t.Fatalf("chunk %d: Delta=%v Index=%d", i, c.Delta, c.Index)
+				}
+				if len(c.Data) > budget+64 {
+					t.Fatalf("chunk %d is %d bytes, budget %d + one entry", i, len(c.Data), budget)
+				}
+			}
+			if n := ds.DeltaSize(); n != 1 {
+				t.Fatalf("live set holds %d keys after the cut, want only the diverted write", n)
+			}
+
+			// Base at the previous cut + streamed delta == the store at this cut.
+			ref := impl.new()
+			fillStreamKV(ref.Put, 400)
+			if err := ref.(DeltaStore).ApplyDelta(chunks); err != nil {
+				t.Fatalf("ApplyDelta: %v", err)
+			}
+			want := impl.new()
+			m.ForEach(func(k uint64, v []byte) bool { want.Put(k, v); return true })
+			want.Put(2, []byte(fmt.Sprintf("value-%04d-%s", 2, string(make([]byte, 2)))))
+			if ref.NumEntries() != want.NumEntries() {
+				t.Fatalf("base+delta has %d keys, want %d", ref.NumEntries(), want.NumEntries())
+			}
+			want.ForEach(func(k uint64, v []byte) bool {
+				if got, ok := ref.Get(k); !ok || !bytes.Equal(got, v) {
+					t.Fatalf("key %d: base+delta %q ok=%v, want %q", k, got, ok, v)
+				}
+				return true
+			})
+
+			// Aborting folds the cut back: the next stream covers it again.
+			ds.AbortDelta()
+			iter, err = ds.DeltaStream(1 << 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again := drainIter(t, iter); len(again) != 1 {
+				t.Fatalf("after abort the cut streamed as %d chunk(s), want 1", len(again))
+			}
+			ds.CommitDelta()
+		})
+	}
+}

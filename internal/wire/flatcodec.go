@@ -28,11 +28,13 @@ import (
 // The streaming snapshot transfer (wire/snapstream.go) is flat end to end
 // — state bytes are the other large payload besides items:
 //
-//	SnapBegin:       fixed64 stream, uvarint chunks, uvarint maxBytes
-//	SnapBeginAck:    fixed64 stream
+//	SnapBegin:       fixed64 stream, uvarint chunks, uvarint maxBytes,
+//	                 uvarint have, uvarint n, n× (str name, uvarint index)
+//	SnapBeginAck:    fixed64 stream, uvarint epoch
 //	SnapNext:        fixed64 stream, fixed64 seq
 //	SnapChunk:       fixed64 stream, fixed64 seq, part
-//	SnapEnd:         fixed64 stream, uvarint chunks, uvarint bytes
+//	SnapEnd:         fixed64 stream, uvarint chunks, uvarint bytes,
+//	                 uvarint epoch
 //	RestoreBegin:    fixed64 stream
 //	RestoreBeginAck: fixed64 stream
 //	RestoreChunk:    fixed64 stream, fixed64 seq, part
@@ -154,6 +156,12 @@ func encodeFlat(e *flat.Encoder, msgType byte, v any) (ok bool, err error) {
 		e.Fixed64(m.Stream)
 		e.Uvarint(uint64(m.Chunks))
 		e.Uvarint(uint64(m.MaxBytes))
+		e.Uvarint(m.Have)
+		e.Uvarint(uint64(len(m.Rebase)))
+		for _, r := range m.Rebase {
+			e.Str(r.Name)
+			e.Uvarint(uint64(r.Index))
+		}
 	case SnapBeginAck:
 		if msgType != MsgSnapBeginAck {
 			return false, nil
@@ -161,6 +169,7 @@ func encodeFlat(e *flat.Encoder, msgType byte, v any) (ok bool, err error) {
 		e.Byte(msgType)
 		e.Byte(VersionFlat)
 		e.Fixed64(m.Stream)
+		e.Uvarint(m.Epoch)
 	case SnapNext:
 		if msgType != MsgSnapNext {
 			return false, nil
@@ -187,6 +196,7 @@ func encodeFlat(e *flat.Encoder, msgType byte, v any) (ok bool, err error) {
 		e.Fixed64(m.Stream)
 		e.Uvarint(m.Chunks)
 		e.Uvarint(m.Bytes)
+		e.Uvarint(m.Epoch)
 	case RestoreBegin:
 		if msgType != MsgRestoreBegin {
 			return false, nil
@@ -298,8 +308,18 @@ func decodeFlat(body []byte, v any) (ok bool, err error) {
 		m.Stream = d.Fixed64()
 		m.Chunks = int(d.Uvarint())
 		m.MaxBytes = int(d.Uvarint())
+		m.Have = d.Uvarint()
+		n := d.Uvarint()
+		// Every entry costs at least two bytes (name length + index).
+		if d.Err() == nil && n > uint64(d.Remaining())/2 {
+			return true, fmt.Errorf("%w: rebase count %d exceeds payload", ErrBadPayload, n)
+		}
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
+			m.Rebase = append(m.Rebase, SEInst{Name: d.Str(), Index: int(d.Uvarint())})
+		}
 	case *SnapBeginAck:
 		m.Stream = d.Fixed64()
+		m.Epoch = d.Uvarint()
 	case *SnapNext:
 		m.Stream = d.Fixed64()
 		m.Seq = d.Fixed64()
@@ -315,6 +335,7 @@ func decodeFlat(body []byte, v any) (ok bool, err error) {
 		m.Stream = d.Fixed64()
 		m.Chunks = d.Uvarint()
 		m.Bytes = d.Uvarint()
+		m.Epoch = d.Uvarint()
 	case *RestoreBegin:
 		m.Stream = d.Fixed64()
 	case *RestoreBeginAck:

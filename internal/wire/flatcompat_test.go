@@ -250,7 +250,8 @@ func FuzzFlatRoundTrip(f *testing.F) {
 	seed(MsgRemoteEmit, RemoteEmit{Items: []core.Item{{Value: fuzzPayload{N: 8, S: "gob"}}}})
 	seed(MsgRemoteEmitAck, RemoteEmitAck{Accepted: 64})
 	seed(MsgSnapBegin, SnapBegin{Stream: 7, Chunks: 2, MaxBytes: 4096})
-	seed(MsgSnapBeginAck, SnapBeginAck{Stream: 7})
+	seed(MsgSnapBegin, SnapBegin{Stream: 8, MaxBytes: 1 << 20, Have: 6, Rebase: []SEInst{{"store", 1}, {"counts", 0}}})
+	seed(MsgSnapBeginAck, SnapBeginAck{Stream: 7, Epoch: 7})
 	seed(MsgSnapNext, SnapNext{Stream: 7, Seq: 3})
 	seed(MsgSnapChunk, SnapChunk{Stream: 7, Seq: 3, Part: SnapPart{
 		Kind: PartSE, Name: "store", Index: 1, Store: 1, ChunkIndex: 2, ChunkOf: 4,
@@ -259,11 +260,19 @@ func FuzzFlatRoundTrip(f *testing.F) {
 	seed(MsgSnapChunk, SnapChunk{Stream: 7, Seq: 4, Part: SnapPart{
 		Kind: PartTE, Name: "put", Watermarks: map[uint64]uint64{1: 9, ^uint64(0): 3}, OutSeq: 11,
 	}})
-	seed(MsgSnapEnd, SnapEnd{Stream: 7, Chunks: 12, Bytes: 1 << 20})
+	// A delta part as the worker serves it: two updates, one tombstone.
+	deltaChunk := []byte{2, 5, 1, 'a', 9, 2, 'b', 'c', 1, 7}
+	seed(MsgSnapChunk, SnapChunk{Stream: 7, Seq: 5, Part: SnapPart{
+		Kind: PartSE, Name: "store", Store: 1, ChunkIndex: 0, Delta: true, Data: deltaChunk,
+	}})
+	seed(MsgSnapEnd, SnapEnd{Stream: 7, Chunks: 12, Bytes: 1 << 20, Epoch: 7})
 	seed(MsgRestoreBegin, RestoreBegin{Stream: 8})
 	seed(MsgRestoreBeginAck, RestoreBeginAck{Stream: 8})
 	seed(MsgRestoreChunk, RestoreChunk{Stream: 8, Seq: 1, Part: SnapPart{
 		Kind: PartEdge, Edge: 2, Inst: 3, Data: []byte("items"),
+	}})
+	seed(MsgRestoreChunk, RestoreChunk{Stream: 8, Seq: 2, Part: SnapPart{
+		Kind: PartSE, Name: "store", Index: 1, Store: 1, ChunkIndex: 3, Delta: true, Data: deltaChunk,
 	}})
 	seed(MsgRestoreChunkAck, RestoreChunkAck{Stream: 8, Seq: 1})
 	seed(MsgRestoreEnd, RestoreEnd{Stream: 8, Chunks: 2})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/state"
 	"repro/internal/wire/flat"
 )
@@ -14,9 +13,14 @@ import (
 // frame: it is split into self-describing SnapParts, each well under the
 // frame cap, and pulled (SnapBegin/SnapNext -> SnapChunk*/SnapEnd) or
 // pushed (RestoreBegin/RestoreChunk*/RestoreEnd) one part per frame with a
-// per-stream id and a dense chunk seq for idempotent retry. SplitSnapshot
-// and AssembleSnapshot convert between the part stream and the v1
-// monolithic Snapshot, which stays as the version-negotiation fallback.
+// per-stream id and a dense chunk seq for idempotent retry. Every pull is
+// one epoch of the worker's checkpoint chain: SnapBegin says which epoch
+// the coordinator last retained (Have) and whether it wants full bases
+// of which SE instances (Rebase), and each SE instance's parts are either a
+// base (Delta false)
+// or the keys changed since the retained epoch (Delta true). SplitSnapshot
+// flattens the v1 monolithic Snapshot into the same parts for the worker's
+// MsgRestore handler.
 
 // SnapPart kinds. Each part carries exactly one unit of a worker's
 // snapshot; the Kind decides which fields are meaningful.
@@ -67,11 +71,29 @@ type SnapBegin struct {
 	// (0 = worker default). One oversized entry may still exceed it;
 	// the bound is per-part best effort, never per-frame exact.
 	MaxBytes int
+	// Have is the last epoch of this worker the coordinator durably
+	// retained (0 = none). It settles the previous pull: the worker commits
+	// that epoch's changed-key cut when Have names it and folds the cut
+	// back otherwise, so a pull that died after its last chunk loses
+	// nothing.
+	Have uint64
+	// Rebase lists the SE instances the coordinator wants a full base of:
+	// their retained deltas have outgrown its compaction policy.
+	Rebase []SEInst
 }
 
-// SnapBeginAck confirms the stream is open and the cut is taken.
+// SEInst names one SE instance of a worker by its worker-local index.
+type SEInst struct {
+	Name  string
+	Index int
+}
+
+// SnapBeginAck confirms the stream is open and the cut is taken. Epoch
+// numbers the epoch being served, above Have and every epoch this worker
+// served before.
 type SnapBeginAck struct {
 	Stream uint64
+	Epoch  uint64
 }
 
 // SnapNext requests chunk Seq (1-based, dense) of an open stream. Repeating
@@ -90,11 +112,13 @@ type SnapChunk struct {
 }
 
 // SnapEnd answers the SnapNext past the last part: the stream is complete
-// and closed. Chunks and Bytes let the puller verify it saw everything.
+// and closed. Chunks and Bytes let the puller verify it saw everything;
+// Epoch repeats SnapBeginAck's.
 type SnapEnd struct {
 	Stream uint64
 	Chunks uint64
 	Bytes  uint64
+	Epoch  uint64
 }
 
 // RestoreBegin opens a restore push stream on a freshly deployed worker.
@@ -281,128 +305,4 @@ func SplitSnapshot(snap *Snapshot) []SnapPart {
 		}
 	}
 	return parts
-}
-
-type snapKey struct {
-	name  string
-	index int
-}
-
-// AssembleSnapshot reconstructs a v1 monolithic Snapshot from a part
-// stream — the back-compat push path toward a pre-streaming worker. Split
-// replay-log blobs for the same (TE, Index, Edge) or (Edge, Inst) are
-// merged by decoding and re-encoding their items (the EncodeItems format
-// has a leading count, so raw concatenation would be invalid). Buffered
-// edge slots a TE never filled get a valid empty-items blob, matching what
-// an old worker's decode loop expects.
-func AssembleSnapshot(parts []SnapPart) (Snapshot, error) {
-	var snap Snapshot
-	teIdx := make(map[snapKey]int)
-	seIdx := make(map[snapKey]int)
-	type bufKey struct {
-		name  string
-		index int
-		edge  int
-	}
-	type edgeKey struct {
-		edge int
-		inst int
-	}
-	bufs := make(map[bufKey][]core.Item)
-	edges := make(map[edgeKey][]core.Item)
-	var bufOrder []bufKey
-	var edgeOrder []edgeKey
-
-	for i := range parts {
-		p := &parts[i]
-		switch p.Kind {
-		case PartTE:
-			k := snapKey{p.Name, p.Index}
-			if _, dup := teIdx[k]; dup {
-				return snap, fmt.Errorf("wire: duplicate TE part %s/%d", p.Name, p.Index)
-			}
-			teIdx[k] = len(snap.TEs)
-			snap.TEs = append(snap.TEs, TESnap{
-				TE:         p.Name,
-				Index:      p.Index,
-				Watermarks: p.Watermarks,
-				OutSeq:     p.OutSeq,
-			})
-		case PartTEBuf:
-			items, err := DecodeItems(p.Data)
-			if err != nil {
-				return snap, fmt.Errorf("wire: TE buffer part %s/%d edge %d: %w", p.Name, p.Index, p.Edge, err)
-			}
-			k := bufKey{p.Name, p.Index, p.Edge}
-			if _, seen := bufs[k]; !seen {
-				bufOrder = append(bufOrder, k)
-			}
-			bufs[k] = append(bufs[k], items...)
-		case PartEdge:
-			items, err := DecodeItems(p.Data)
-			if err != nil {
-				return snap, fmt.Errorf("wire: edge log part %d/%d: %w", p.Edge, p.Inst, err)
-			}
-			k := edgeKey{p.Edge, p.Inst}
-			if _, seen := edges[k]; !seen {
-				edgeOrder = append(edgeOrder, k)
-			}
-			edges[k] = append(edges[k], items...)
-		case PartSE:
-			k := snapKey{p.Name, p.Index}
-			idx, seen := seIdx[k]
-			if !seen {
-				idx = len(snap.SEs)
-				seIdx[k] = idx
-				snap.SEs = append(snap.SEs, SESnap{SE: p.Name, Index: p.Index})
-			}
-			snap.SEs[idx].Chunks = append(snap.SEs[idx].Chunks, state.Chunk{
-				Type:  p.Store,
-				Index: p.ChunkIndex,
-				Of:    p.ChunkOf,
-				Delta: p.Delta,
-				Data:  p.Data,
-			})
-		default:
-			return snap, fmt.Errorf("wire: unknown snapshot part kind %d", p.Kind)
-		}
-	}
-
-	for _, k := range bufOrder {
-		idx, seen := teIdx[snapKey{k.name, k.index}]
-		if !seen {
-			return snap, fmt.Errorf("wire: TE buffer part %s/%d without TE part", k.name, k.index)
-		}
-		te := &snap.TEs[idx]
-		for len(te.Buffered) <= k.edge {
-			empty, err := EncodeItems(nil)
-			if err != nil {
-				return snap, err
-			}
-			te.Buffered = append(te.Buffered, empty)
-		}
-		data, err := EncodeItems(bufs[k])
-		if err != nil {
-			return snap, fmt.Errorf("wire: TE buffer part %s/%d edge %d: %w", k.name, k.index, k.edge, err)
-		}
-		te.Buffered[k.edge] = data
-	}
-	sort.Slice(edgeOrder, func(i, j int) bool {
-		if edgeOrder[i].edge != edgeOrder[j].edge {
-			return edgeOrder[i].edge < edgeOrder[j].edge
-		}
-		return edgeOrder[i].inst < edgeOrder[j].inst
-	})
-	for _, k := range edgeOrder {
-		data, err := EncodeItems(edges[k])
-		if err != nil {
-			return snap, fmt.Errorf("wire: edge log part %d/%d: %w", k.edge, k.inst, err)
-		}
-		snap.Edges = append(snap.Edges, EdgeLogSnap{
-			Edge: k.edge,
-			Inst: k.inst,
-			Data: data,
-		})
-	}
-	return snap, nil
 }

@@ -50,13 +50,14 @@ func TestSnapStreamRoundTrips(t *testing.T) {
 	}
 
 	var sb SnapBegin
-	roundTripFlat(t, MsgSnapBegin, SnapBegin{Stream: 9, Chunks: 2, MaxBytes: 4096}, &sb)
-	if sb.Stream != 9 || sb.Chunks != 2 || sb.MaxBytes != 4096 {
+	rebase := []SEInst{{"store", 3}, {"counts", 0}}
+	roundTripFlat(t, MsgSnapBegin, SnapBegin{Stream: 9, Chunks: 2, MaxBytes: 4096, Have: 8, Rebase: rebase}, &sb)
+	if sb.Stream != 9 || sb.Chunks != 2 || sb.MaxBytes != 4096 || sb.Have != 8 || !reflect.DeepEqual(sb.Rebase, rebase) {
 		t.Fatalf("SnapBegin round trip: %+v", sb)
 	}
 	var sba SnapBeginAck
-	roundTripFlat(t, MsgSnapBeginAck, SnapBeginAck{Stream: 9}, &sba)
-	if sba.Stream != 9 {
+	roundTripFlat(t, MsgSnapBeginAck, SnapBeginAck{Stream: 9, Epoch: 10}, &sba)
+	if sba.Stream != 9 || sba.Epoch != 10 {
 		t.Fatalf("SnapBeginAck round trip: %+v", sba)
 	}
 	var sn SnapNext
@@ -72,8 +73,8 @@ func TestSnapStreamRoundTrips(t *testing.T) {
 		}
 	}
 	var se SnapEnd
-	roundTripFlat(t, MsgSnapEnd, SnapEnd{Stream: 9, Chunks: 40, Bytes: 1 << 30}, &se)
-	if se.Stream != 9 || se.Chunks != 40 || se.Bytes != 1<<30 {
+	roundTripFlat(t, MsgSnapEnd, SnapEnd{Stream: 9, Chunks: 40, Bytes: 1 << 30, Epoch: 10}, &se)
+	if se.Stream != 9 || se.Chunks != 40 || se.Bytes != 1<<30 || se.Epoch != 10 {
 		t.Fatalf("SnapEnd round trip: %+v", se)
 	}
 	var rb RestoreBegin
@@ -204,113 +205,44 @@ func buildSnapshot(t *testing.T) Snapshot {
 	}
 }
 
-// TestSplitAssembleEquivalence: splitting a snapshot into parts and
-// assembling them back must reproduce the snapshot, including when bounded
-// chunking split a replay log or edge log across several parts.
-func TestSplitAssembleEquivalence(t *testing.T) {
+// TestSplitSnapshotParts: a monolithic snapshot flattens into one part per
+// TE instance, per non-empty replay log, per edge log and per SE chunk,
+// each carrying the source's fields and bytes.
+func TestSplitSnapshotParts(t *testing.T) {
 	snap := buildSnapshot(t)
-	parts := SplitSnapshot(&snap)
-	got, err := AssembleSnapshot(parts)
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
+	byKind := map[byte][]SnapPart{}
+	for _, p := range SplitSnapshot(&snap) {
+		byKind[p.Kind] = append(byKind[p.Kind], p)
 	}
-	assertSnapshotEqual(t, snap, got)
-
-	// Now re-split the buffered logs into single-item parts, the shape the
-	// bounded streaming capture produces, and assemble again.
-	var split []SnapPart
-	for _, p := range parts {
-		if (p.Kind != PartTEBuf && p.Kind != PartEdge) || len(p.Data) == 0 {
-			split = append(split, p)
-			continue
-		}
-		items, err := DecodeItems(p.Data)
-		if err != nil {
-			t.Fatalf("decode items: %v", err)
-		}
-		if len(items) == 0 {
-			split = append(split, p)
-			continue
-		}
-		for _, it := range items {
-			sub := p
-			data, err := EncodeItems([]core.Item{it})
-			if err != nil {
-				t.Fatalf("re-encode item: %v", err)
-			}
-			sub.Data = data
-			split = append(split, sub)
+	if len(byKind) != 4 {
+		t.Fatalf("split produced %d part kinds, want 4", len(byKind))
+	}
+	var wantSE []SnapPart
+	for _, se := range snap.SEs {
+		for _, c := range se.Chunks {
+			wantSE = append(wantSE, SnapPart{Kind: PartSE, Name: se.SE, Index: se.Index,
+				Store: c.Type, ChunkIndex: c.Index, ChunkOf: c.Of, Delta: c.Delta, Data: c.Data})
 		}
 	}
-	got2, err := AssembleSnapshot(split)
-	if err != nil {
-		t.Fatalf("assemble split blobs: %v", err)
+	if !reflect.DeepEqual(byKind[PartSE], wantSE) {
+		t.Fatalf("SE parts diverged:\n got %+v\nwant %+v", byKind[PartSE], wantSE)
 	}
-	assertSnapshotEqual(t, snap, got2)
-}
-
-// assertSnapshotEqual compares snapshots semantically: SE chunks and TE
-// metadata structurally, buffered/edge logs by their decoded items.
-func assertSnapshotEqual(t *testing.T, want, got Snapshot) {
-	t.Helper()
-	if !reflect.DeepEqual(want.SEs, got.SEs) {
-		t.Fatalf("SEs diverged:\n got %+v\nwant %+v", got.SEs, want.SEs)
-	}
-	if len(want.TEs) != len(got.TEs) {
-		t.Fatalf("TE count %d, want %d", len(got.TEs), len(want.TEs))
-	}
-	decode := func(b []byte) []core.Item {
-		if len(b) == 0 {
-			return nil
-		}
-		items, err := DecodeItems(b)
-		if err != nil {
-			t.Fatalf("decode items: %v", err)
-		}
-		if len(items) == 0 {
-			return nil
-		}
-		return items
-	}
-	for i, wt := range want.TEs {
-		gt := got.TEs[i]
-		if wt.TE != gt.TE || wt.Index != gt.Index || wt.OutSeq != gt.OutSeq ||
-			!reflect.DeepEqual(wt.Watermarks, gt.Watermarks) {
-			t.Fatalf("TE %d metadata diverged:\n got %+v\nwant %+v", i, gt, wt)
-		}
-		if len(wt.Buffered) != len(gt.Buffered) {
-			t.Fatalf("TE %d buffered edges %d, want %d", i, len(gt.Buffered), len(wt.Buffered))
-		}
-		for e := range wt.Buffered {
-			if !reflect.DeepEqual(decode(wt.Buffered[e]), decode(gt.Buffered[e])) {
-				t.Fatalf("TE %d edge %d replay log diverged", i, e)
-			}
+	var wantTE, wantBuf []SnapPart
+	for _, te := range snap.TEs {
+		wantTE = append(wantTE, SnapPart{Kind: PartTE, Name: te.TE, Index: te.Index,
+			Watermarks: te.Watermarks, OutSeq: te.OutSeq})
+		for edge, data := range te.Buffered {
+			wantBuf = append(wantBuf, SnapPart{Kind: PartTEBuf, Name: te.TE, Index: te.Index, Edge: edge, Data: data})
 		}
 	}
-	if len(want.Edges) != len(got.Edges) {
-		t.Fatalf("edge log count %d, want %d", len(got.Edges), len(want.Edges))
+	if !reflect.DeepEqual(byKind[PartTE], wantTE) {
+		t.Fatalf("TE parts diverged:\n got %+v\nwant %+v", byKind[PartTE], wantTE)
 	}
-	for i, we := range want.Edges {
-		ge := got.Edges[i]
-		if we.Edge != ge.Edge || we.Inst != ge.Inst ||
-			!reflect.DeepEqual(decode(we.Data), decode(ge.Data)) {
-			t.Fatalf("edge log %d diverged", i)
-		}
+	if !reflect.DeepEqual(byKind[PartTEBuf], wantBuf) {
+		t.Fatalf("replay-log parts diverged:\n got %+v\nwant %+v", byKind[PartTEBuf], wantBuf)
 	}
-}
-
-// TestAssembleSnapshotRejects covers the assembly error paths: duplicate TE
-// metadata, a replay-log part with no TE part, and an unknown kind.
-func TestAssembleSnapshotRejects(t *testing.T) {
-	te := SnapPart{Kind: PartTE, Name: "t", Index: 0}
-	if _, err := AssembleSnapshot([]SnapPart{te, te}); err == nil {
-		t.Fatal("duplicate PartTE accepted")
-	}
-	buf := SnapPart{Kind: PartTEBuf, Name: "t", Index: 0, Edge: 0, Data: []byte{0}}
-	if _, err := AssembleSnapshot([]SnapPart{buf}); err == nil {
-		t.Fatal("PartTEBuf without PartTE accepted")
-	}
-	if _, err := AssembleSnapshot([]SnapPart{{Kind: 99}}); err == nil {
-		t.Fatal("unknown part kind accepted")
+	wantEdge := []SnapPart{{Kind: PartEdge, Edge: 0, Inst: 2, Data: snap.Edges[0].Data}}
+	if !reflect.DeepEqual(byKind[PartEdge], wantEdge) {
+		t.Fatalf("edge-log parts diverged:\n got %+v\nwant %+v", byKind[PartEdge], wantEdge)
 	}
 }
