@@ -38,15 +38,9 @@ func main() {
 		elOut     = flag.String("elastic-out", "BENCH_elasticity.json", "JSON output path for -elastic-bench (empty = stdout table only)")
 		elItems   = flag.Int("elastic-items", 2_000, "items per flood phase for -elastic-bench")
 		elCycles  = flag.Int("elastic-cycles", 2, "sawtooth cycles for -elastic-bench")
-		wireB     = flag.Bool("wire-bench", false, "measure gob vs flat wire codec cost (bytes, allocs, ns per message) and exit")
-		wireOut   = flag.String("wire-out", "BENCH_wire.json", "JSON output path for -wire-bench (empty = stdout table only)")
-		wireIters = flag.Int("wire-iters", 2_000, "codec round trips per scenario for -wire-bench")
 		distEdge  = flag.Bool("distedge-bench", false, "measure cross-worker edge throughput and wire cost (local and TCP transports) and exit")
 		distOut   = flag.String("distedge-out", "BENCH_distedge.json", "JSON output path for -distedge-bench (empty = stdout table only)")
 		distItems = flag.Int("distedge-items", 20_000, "items injected per transport variant for -distedge-bench")
-		snapB     = flag.Bool("snap-bench", false, "measure streamed vs monolithic snapshot transfer (chunks, frame sizes, coordinator buffering) and exit")
-		snapOut   = flag.String("snap-out", "BENCH_snapshot.json", "JSON output path for -snap-bench (empty = stdout table only)")
-		snapKeys  = flag.Int("snap-keys", 20_000, "store size in keys for -snap-bench")
 		ledger    = flag.String("ledger", "", "update this rolling perf ledger from the BENCH_*.json records in -ledger-dir and exit")
 		ledgerPR  = flag.Int("ledger-pr", 0, "PR number the ledger entry records (required with -ledger)")
 		ledgerDir = flag.String("ledger-dir", ".", "directory holding the BENCH_*.json records -ledger folds in")
@@ -66,29 +60,9 @@ func main() {
 		return
 	}
 
-	if *wireB {
-		err := experiments.WriteWireBench(os.Stdout,
-			experiments.WireBenchConfig{Iters: *wireIters}, *wireOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdg-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *distEdge {
 		err := experiments.WriteDistEdgeBench(os.Stdout,
 			experiments.DistEdgeBenchConfig{Items: *distItems}, *distOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdg-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *snapB {
-		err := experiments.WriteSnapBench(os.Stdout,
-			experiments.SnapBenchConfig{Keys: *snapKeys}, *snapOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sdg-bench:", err)
 			os.Exit(1)

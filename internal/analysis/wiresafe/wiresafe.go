@@ -9,8 +9,9 @@
 // runtime walk stays as defense-in-depth for interface-typed fields, whose
 // dynamic contents no static check can see.
 //
-// It also flags direct gob.Register calls outside repro/internal/wire:
-// they register a type for the wire while skipping CheckWireSafe entirely.
+// It also flags direct gob.Register calls outside repro/internal/wire/flat
+// (the one package that encodes with gob, behind wire.Register): they
+// register a type for the wire while skipping CheckWireSafe entirely.
 package wiresafe
 
 import (
@@ -28,7 +29,10 @@ var Analyzer = &anz.Analyzer{
 	Run: run,
 }
 
-const wirePkg = "repro/internal/wire"
+const (
+	wirePkg = "repro/internal/wire"
+	flatPkg = wirePkg + "/flat"
+)
 
 func run(pass *anz.Pass) error {
 	for _, f := range pass.Files {
@@ -43,7 +47,7 @@ func run(pass *anz.Pass) error {
 				return true
 			}
 			switch fn.Pkg().Path() {
-			case wirePkg:
+			case wirePkg, flatPkg:
 				tv, ok := pass.TypesInfo.Types[call.Args[0]]
 				if !ok {
 					return true
@@ -54,7 +58,7 @@ func run(pass *anz.Pass) error {
 					pass.Reportf(call.Args[0].Pos(), "wire-registered type is not wire-safe: %s", p)
 				}
 			case "encoding/gob":
-				if pass.Pkg.Path() != wirePkg {
+				if pass.Pkg.Path() != flatPkg {
 					pass.Reportf(call.Pos(), "direct gob.Register bypasses the wire-safety gate; use wire.Register so CheckWireSafe applies")
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,8 +58,6 @@ type CoordOptions struct {
 	// (default 3).
 	HeartbeatInterval time.Duration
 	HeartbeatMisses   int
-	// SnapshotChunks is the checkpoint parallelism per store (default 2).
-	SnapshotChunks int
 	// SnapChunkBytes bounds the encoded payload of one streamed snapshot
 	// part (default 1 MiB). Explicit values must lie in
 	// [512, cluster.MaxFrameSize/4]: big enough to amortise the part
@@ -79,9 +78,6 @@ func (o *CoordOptions) defaults() {
 	}
 	if o.HeartbeatMisses <= 0 {
 		o.HeartbeatMisses = 3
-	}
-	if o.SnapshotChunks <= 0 {
-		o.SnapshotChunks = 2
 	}
 	if o.SnapChunkBytes == 0 {
 		o.SnapChunkBytes = 1 << 20
@@ -627,7 +623,7 @@ func (c *Coordinator) trimCovered(fresh map[int]*retainedSnap) {
 			for w, rs := range fresh {
 				sh := c.teShards[w][dst]
 				for _, t := range rs.tes {
-					if t.TE != dst || len(t.Watermarks) == 0 {
+					if t.Name != dst || len(t.Watermarks) == 0 {
 						continue
 					}
 					trims = append(trims, wire.EdgeTrimEntry{Edge: gi, Inst: sh.First + t.Index, Watermarks: t.Watermarks})
@@ -654,40 +650,39 @@ func (c *Coordinator) trimCovered(fresh map[int]*retainedSnap) {
 	}
 }
 
-// trimLogs drops replay-log items the worker's snapshot durably covers:
-// for each entry task, the per-origin minimum watermark across every one
-// of the worker's instances of that task (an origin missing from any
-// instance's map cannot be trimmed — that instance may still need those
-// items replayed, mirroring the in-process trim rule).
-func (c *Coordinator) trimLogs(w int, tes []wire.TESnap) {
-	byTask := map[string][]wire.TESnap{}
+// minWatermarks folds the PartTE parts of task te into the per-origin
+// minimum watermark — the seqs every one of those instances has snapshotted
+// past — and counts the instances folded. An origin missing from any
+// instance's map is dropped: that instance may still need those items
+// replayed, mirroring the in-process trim rule.
+func minWatermarks(tes []wire.SnapPart, te string) (floor map[uint64]uint64, n int) {
 	for _, t := range tes {
-		byTask[t.TE] = append(byTask[t.TE], t)
-	}
-	for task, bufs := range c.logs {
-		snaps := byTask[task]
-		if len(snaps) == 0 {
+		if t.Name != te {
 			continue
 		}
-		var min map[uint64]uint64
-		for i, t := range snaps {
-			if i == 0 {
-				min = make(map[uint64]uint64, len(t.Watermarks))
-				for o, s := range t.Watermarks {
-					min[o] = s
-				}
-				continue
-			}
-			for o := range min {
-				s, ok := t.Watermarks[o]
-				if !ok {
-					delete(min, o)
-				} else if s < min[o] {
-					min[o] = s
-				}
+		n++
+		if n == 1 {
+			floor = make(map[uint64]uint64, len(t.Watermarks))
+			maps.Copy(floor, t.Watermarks)
+			continue
+		}
+		for o, s := range floor {
+			if ts, ok := t.Watermarks[o]; !ok {
+				delete(floor, o)
+			} else if ts < s {
+				floor[o] = ts
 			}
 		}
-		if len(min) > 0 {
+	}
+	return floor, n
+}
+
+// trimLogs drops replay-log items the worker's snapshot durably covers:
+// for each entry task, everything below the minimum watermark across the
+// worker's instances of that task.
+func (c *Coordinator) trimLogs(w int, tes []wire.SnapPart) {
+	for task, bufs := range c.logs {
+		if min, _ := minWatermarks(tes, task); len(min) > 0 {
 			bufs[w].Trim(min)
 		}
 	}

@@ -8,13 +8,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/state"
-	"repro/internal/wire"
 )
 
 // This file is the worker-process surface of the distributed deployment
-// mode: injection with coordinator-assigned timestamps, whole-runtime
-// snapshot/restore, and the state/watermark dumps the equivalence checks
-// read. The coordinator owns the external seq space and the replay logs;
+// mode: injection with coordinator-assigned timestamps and the
+// state/watermark dumps the equivalence checks read (snapshot and restore
+// live in snapstream.go). The coordinator owns the external seq space and the replay logs;
 // a worker runtime only executes its slice of the graph (checkpoint mode
 // off) and must treat inbound (Origin, Seq) timestamps as opaque truth.
 
@@ -131,70 +130,6 @@ func (r *Runtime) CallItem(teName string, it core.Item, timeout time.Duration) (
 	}
 }
 
-// SnapshotAll captures a consistent cut of the whole runtime: every SE
-// instance's checkpoint chunks plus every TE instance's recovery metadata
-// (dedup watermarks, output seq counters, out-edge replay buffers), all
-// under a full processing pause so the state and the watermarks describe
-// the same instant. Items still queued at the cut are above the captured
-// watermarks and will re-arrive via coordinator replay after a failure.
-//
-// It requires checkpoint mode off (the worker deployment default): a
-// concurrent dirty-mode checkpoint would split updates between base and
-// overlay and break the cut.
-func (r *Runtime) SnapshotAll(chunks int) (wire.Snapshot, error) {
-	if chunks <= 0 {
-		chunks = r.opts.Chunks
-	}
-	unpause := r.pauseAll()
-	defer unpause()
-
-	var snap wire.Snapshot
-	for _, ss := range r.ses {
-		ss.mu.RLock()
-		insts := append([]*seInstance(nil), ss.insts...)
-		ss.mu.RUnlock()
-		for _, si := range insts {
-			cks, err := si.store.Checkpoint(chunks)
-			if err != nil {
-				return wire.Snapshot{}, fmt.Errorf("runtime: snapshot %s: %w", si.instName(), err)
-			}
-			snap.SEs = append(snap.SEs, wire.SESnap{SE: ss.def.Name, Index: si.idx, Chunks: cks})
-		}
-	}
-	for _, ts := range r.tes {
-		for _, ti := range ts.instances() {
-			t := wire.TESnap{
-				TE:         ts.def.Name,
-				Index:      ti.idx,
-				Watermarks: ti.dedup.Watermarks(),
-				OutSeq:     ti.seqCtr.Load(),
-			}
-			if len(ts.out) > 0 {
-				t.Buffered = make([][]byte, len(ti.outBufs))
-				for i, b := range ti.outBufs {
-					data, err := wire.EncodeItems(b.Replay())
-					if err != nil {
-						return wire.Snapshot{}, fmt.Errorf("runtime: snapshot %s/%d edge %d: %w", ts.def.Name, ti.idx, i, err)
-					}
-					t.Buffered[i] = data
-				}
-			}
-			snap.TEs = append(snap.TEs, t)
-		}
-	}
-	// Cross-worker edge logs join the cut: an item a peer received but has
-	// not snapshotted past is still in a log here, so coordinator recovery
-	// can always replay it.
-	if r.net != nil {
-		edges, err := r.net.edgeSnaps()
-		if err != nil {
-			return wire.Snapshot{}, err
-		}
-		snap.Edges = edges
-	}
-	return snap, nil
-}
-
 // pauseAll write-locks the pause mutex of every node hosting a TE instance,
 // in node-id order, and returns the matching unlock. In-flight batches
 // finish first (workers hold the read side while processing), so with all
@@ -234,24 +169,6 @@ func (r *Runtime) pauseForID(nodeID int) *sync.RWMutex {
 	}
 	r.pmu.Unlock()
 	return mu
-}
-
-// ImportSnapshot loads a snapshot into a freshly deployed runtime: SE
-// stores restore their chunks, TE instances restore dedup watermarks and
-// continue the output numbering of their predecessors (same origin ids).
-// The topology must match the snapshot's — same graph, same partition
-// counts — which the coordinator guarantees by deploying before restoring.
-func (r *Runtime) ImportSnapshot(snap wire.Snapshot) error {
-	// One apply implementation for both transfer protocols: the monolithic
-	// v1 snapshot splits into the same parts the streaming path delivers.
-	r.beginRestoreStream()
-	for _, p := range wire.SplitSnapshot(&snap) {
-		if err := r.applySnapPart(p); err != nil {
-			return err
-		}
-	}
-	r.finishRestoreStream()
-	return nil
 }
 
 // DumpKV returns the full contents of a dictionary SE across its

@@ -98,7 +98,7 @@ type remoteNet struct {
 	// into backpressure and drain the way parked overflow is.
 	pending atomic.Int64
 
-	// sealed rejects inbound RemoteEmit until ImportSnapshot completes, so
+	// sealed rejects inbound RemoteEmit until finishRestoreStream, so
 	// replayed frames cannot land on pre-restore state.
 	sealed atomic.Bool
 
@@ -460,34 +460,8 @@ func (r *Runtime) RemoteDeliver(edge, inst int, items []core.Item) error {
 	return nil
 }
 
-// edgeSnaps captures every non-empty send log for the coordinator's
-// consistent cut, items flat-encoded. Sorted for determinism.
-func (n *remoteNet) edgeSnaps() ([]wire.EdgeLogSnap, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var out []wire.EdgeLogSnap
-	for k, buf := range n.logs {
-		items := buf.Replay()
-		if len(items) == 0 {
-			continue
-		}
-		data, err := wire.EncodeItems(items)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, wire.EdgeLogSnap{Edge: k.edge, Inst: k.inst, Data: data})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Edge != out[j].Edge {
-			return out[i].Edge < out[j].Edge
-		}
-		return out[i].Inst < out[j].Inst
-	})
-	return out, nil
-}
-
-// edgeParts captures every non-empty send log as bounded PartEdge stream
-// parts — edgeSnaps' shape for the streaming snapshot protocol. Long logs
+// edgeParts captures every non-empty send log for the snapshot's consistent
+// cut as bounded PartEdge stream parts, in (edge, inst) order. Long logs
 // split into several parts of at most maxBytes each.
 func (n *remoteNet) edgeParts(dst *[]wire.SnapPart, maxBytes int) error {
 	n.mu.Lock()

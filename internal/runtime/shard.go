@@ -24,9 +24,9 @@ type ShardConfig struct {
 	Peers []string
 	// Dialer opens a transport to a peer address. Defaults to cluster.Dial.
 	Dialer func(addr string) (cluster.Transport, error)
-	// AwaitRestore starts the runtime sealed against RemoteEmit until
-	// ImportSnapshot runs (set by the coordinator when recovering a worker
-	// that has a snapshot to load first).
+	// AwaitRestore starts the runtime sealed against RemoteEmit until a
+	// restore stream completes (set by the coordinator when recovering a
+	// worker that has a snapshot to load first).
 	AwaitRestore bool
 }
 

@@ -12,14 +12,13 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the worker half of the streaming snapshot transfer: cutting
-// a consistent snapshot whose state leaves the node chunk by chunk instead
-// of as one materialised wire.Snapshot, and applying a restore the same
-// way. The cut itself still pauses processing (exactly like SnapshotAll),
-// but only long enough to flip every SE store dirty and capture the small
-// TE/edge metadata — the state bytes then stream out of the frozen bases
-// while processing continues against the overlays, which is what removes
-// the frame cap as a ceiling on per-worker state.
+// This file is the worker half of the snapshot transfer: cutting a
+// consistent snapshot whose state leaves the node chunk by chunk, never as
+// one materialised whole, and applying a restore the same way. The cut
+// pauses processing, but only long enough to flip every SE store dirty and
+// capture the small TE/edge metadata — the state bytes then stream out of
+// the frozen bases while processing continues against the overlays, which
+// is what keeps the frame cap from being a ceiling on per-worker state.
 //
 // Every capture is one epoch of a checkpoint chain the coordinator retains
 // (DESIGN.md "Distributed checkpoint chain"): per SE instance it serves
@@ -335,8 +334,7 @@ func (r *Runtime) finishRestoreStream() {
 	n.sealed.Store(false)
 }
 
-// teInstanceAt resolves one TE instance by worker-local index with the
-// monolithic restore path's bounds error.
+// teInstanceAt resolves one TE instance by worker-local index.
 func (r *Runtime) teInstanceAt(name string, index int) (*teInstance, error) {
 	ts, err := r.te(name)
 	if err != nil {

@@ -232,57 +232,6 @@ func TestRestoreStreamApplyProtocol(t *testing.T) {
 	}
 }
 
-// TestV1MonolithicRestoreCompat: a monolithic gob MsgSnapshot pulled from
-// one worker restores into a fresh worker over the pre-streaming
-// MsgRestore exchange — the back-compat path old coordinators (and
-// retained v1 snapshots) depend on.
-func TestV1MonolithicRestoreCompat(t *testing.T) {
-	_, coordA, trA := deployLocalWorker(t, "kv", runtime.CoordOptions{Partitions: map[string]int{"store": 2}})
-	for i := 0; i < 150; i++ {
-		if err := coordA.Inject("put", uint64(i), []byte(fmt.Sprintf("val-%d", i))); err != nil {
-			t.Fatalf("inject: %v", err)
-		}
-	}
-	if !coordA.Drain(10 * time.Second) {
-		t.Fatal("did not quiesce")
-	}
-	resp, err := trA.Call(mustEncode(t, wire.MsgSnapshotReq, wire.SnapshotReq{Chunks: 2}))
-	if err != nil {
-		t.Fatalf("monolithic snapshot: %v", err)
-	}
-	var snap wire.Snapshot
-	if err := wire.Expect(resp, wire.MsgSnapshot, &snap); err != nil {
-		t.Fatalf("decode snapshot: %v", err)
-	}
-
-	_, coordB, trB := deployLocalWorker(t, "kv", runtime.CoordOptions{Partitions: map[string]int{"store": 2}})
-	ackResp, err := trB.Call(mustEncode(t, wire.MsgRestore, wire.Restore{Snap: snap}))
-	if err != nil {
-		t.Fatalf("monolithic restore: %v", err)
-	}
-	var ack wire.RestoreAck
-	if err := wire.Expect(ackResp, wire.MsgRestoreAck, &ack); err != nil {
-		t.Fatalf("RestoreAck: %v", err)
-	}
-
-	want, err := coordA.DumpKV("store")
-	if err != nil {
-		t.Fatalf("dump source: %v", err)
-	}
-	got, err := coordB.DumpKV("store")
-	if err != nil {
-		t.Fatalf("dump restored: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("restored %d keys, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if !bytes.Equal(got[k], v) {
-			t.Fatalf("key %d: restored %q, want %q", k, got[k], v)
-		}
-	}
-}
-
 // TestLocalBufTrimAfterCheckpoint: a coordinator checkpoint must shrink the
 // worker-local replay buffers (entry source buffer and in-process out-edge
 // buffers) via the broadcast local trim floors — without it they grow for
@@ -343,9 +292,9 @@ func (t *cappingTransport) Close() error { return t.inner.Close() }
 
 // TestDistributedStreamSnapshotBigState checkpoints and kill-recovers a
 // two-worker kv deployment whose per-worker state is far larger than the
-// in-test frame bound, and requires (a) exact state after recovery, (b) no
-// monolithic MsgSnapshot/MsgRestore frame anywhere on the path, and (c)
-// every streamed snapshot frame within the bound.
+// in-test frame bound, and requires (a) exact state after recovery, (b)
+// snapshot and restore chunks on the path, and (c) every streamed snapshot
+// frame within the bound.
 func TestDistributedStreamSnapshotBigState(t *testing.T) {
 	const chunkBytes = 4096
 	var mu sync.Mutex
@@ -451,12 +400,6 @@ func TestDistributedStreamSnapshotBigState(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if n, ok := seen[wire.MsgSnapshot]; ok {
-		t.Fatalf("a monolithic MsgSnapshot frame (%d bytes) crossed the wire", n)
-	}
-	if n, ok := seen[wire.MsgRestore]; ok {
-		t.Fatalf("a monolithic MsgRestore frame (%d bytes) crossed the wire", n)
-	}
 	if _, ok := seen[wire.MsgSnapChunk]; !ok {
 		t.Fatal("no streamed snapshot chunk observed")
 	}

@@ -16,8 +16,8 @@ import (
 // This file is the coordinator half of the streaming snapshot transfer:
 // pulling a worker's snapshot part by part (Checkpoint) and pushing it
 // back the same way (RecoverWorker). The coordinator never materialises a
-// wire.Snapshot on this path — it retains the stream as independently
-// compressed part records plus the small TE metadata the log trims need,
+// worker's snapshot — it retains the stream as independently compressed
+// part records plus the small TE metadata the log trims need,
 // so its peak memory per worker is the retained records plus one in-flight
 // frame, not the worker's whole state. What it retains per worker is a
 // checkpoint chain (DESIGN.md "Distributed checkpoint chain"): per SE
@@ -63,7 +63,7 @@ type retainedSnap struct {
 	meta  [][]byte           // encodeSnapRecord output, one per metadata part
 	ses   map[seKey]*seChain // per SE instance
 	order []seKey            // ses in first-seen order, for a stable push order
-	tes   []wire.TESnap      // metadata only (Watermarks/OutSeq; no Buffered)
+	tes   []wire.SnapPart    // the newest epoch's PartTE parts, decoded
 }
 
 // rebase lists the SE instances whose retained chain has outgrown
@@ -93,7 +93,7 @@ type pulledEpoch struct {
 	meta  [][]byte
 	ses   map[seKey]*pulledSE
 	order []seKey
-	tes   []wire.TESnap
+	tes   []wire.SnapPart
 
 	chunks      int
 	rawBytes    int64 // encoded part sizes before compression
@@ -109,12 +109,7 @@ func (pe *pulledEpoch) add(p *wire.SnapPart) error {
 	pe.storedBytes += int64(len(rec))
 	if p.Kind != wire.PartSE {
 		if p.Kind == wire.PartTE {
-			pe.tes = append(pe.tes, wire.TESnap{
-				TE:         p.Name,
-				Index:      p.Index,
-				Watermarks: p.Watermarks,
-				OutSeq:     p.OutSeq,
-			})
+			pe.tes = append(pe.tes, *p)
 		}
 		pe.meta = append(pe.meta, rec)
 		return nil
@@ -266,7 +261,6 @@ func (c *Coordinator) notePeak(n int64) {
 func (c *Coordinator) pullSnapshot(tr cluster.Transport, stream, have uint64, rebase []wire.SEInst) (*pulledEpoch, error) {
 	frame, err := wire.Encode(wire.MsgSnapBegin, wire.SnapBegin{
 		Stream:   stream,
-		Chunks:   c.opts.SnapshotChunks,
 		MaxBytes: c.opts.SnapChunkBytes,
 		Have:     have,
 		Rebase:   rebase,
@@ -406,42 +400,19 @@ func (c *Coordinator) localTrims() []wire.LocalTrim {
 			return nil
 		}
 	}
-	byTask := map[string][]wire.TESnap{}
+	var tes []wire.SnapPart
 	for _, cw := range c.workers {
-		for _, t := range cw.snap.tes {
-			byTask[t.TE] = append(byTask[t.TE], t)
-		}
+		tes = append(tes, cw.snap.tes...)
 	}
 	var out []wire.LocalTrim
 	for _, te := range c.g.TEs {
-		snaps := byTask[te.Name]
-		if len(snaps) == 0 {
-			continue
-		}
+		min, n := minWatermarks(tes, te.Name)
 		// Every instance of the task must be covered, or an uncovered
 		// instance could still need the buffered items. A single-worker
 		// deployment always covers all instances once its snapshot exists;
 		// a sharded one must see the full global instance set.
-		if c.shard && len(snaps) != c.teShards[0][te.Name].Total {
+		if c.shard && n != c.teShards[0][te.Name].Total {
 			continue
-		}
-		var min map[uint64]uint64
-		for i, t := range snaps {
-			if i == 0 {
-				min = make(map[uint64]uint64, len(t.Watermarks))
-				for o, s := range t.Watermarks {
-					min[o] = s
-				}
-				continue
-			}
-			for o := range min {
-				s, ok := t.Watermarks[o]
-				if !ok {
-					delete(min, o)
-				} else if s < min[o] {
-					min[o] = s
-				}
-			}
 		}
 		if len(min) > 0 {
 			out = append(out, wire.LocalTrim{TE: te.Name, Watermarks: min})

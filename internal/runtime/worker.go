@@ -202,33 +202,6 @@ func (w *Worker) handle(req []byte) ([]byte, error) {
 			ack.Queued = rt.QueuedTotal()
 		}
 		return wire.Encode(wire.MsgHeartbeatAck, ack)
-	case wire.MsgSnapshotReq:
-		var m wire.SnapshotReq
-		if err := wire.Unmarshal(payload, &m); err != nil {
-			return nil, err
-		}
-		rt, err := w.runtime()
-		if err != nil {
-			return nil, err
-		}
-		snap, err := rt.SnapshotAll(m.Chunks)
-		if err != nil {
-			return nil, err
-		}
-		return wire.Encode(wire.MsgSnapshot, snap)
-	case wire.MsgRestore:
-		var m wire.Restore
-		if err := wire.Unmarshal(payload, &m); err != nil {
-			return nil, err
-		}
-		rt, err := w.runtime()
-		if err != nil {
-			return nil, err
-		}
-		if err := rt.ImportSnapshot(m.Snap); err != nil {
-			return nil, err
-		}
-		return wire.Encode(wire.MsgRestoreAck, wire.RestoreAck{})
 	case wire.MsgDumpReq:
 		var m wire.DumpReq
 		if err := wire.Unmarshal(payload, &m); err != nil {
@@ -248,6 +221,10 @@ func (w *Worker) handle(req []byte) ([]byte, error) {
 		}
 		return wire.Encode(wire.MsgDump, dump)
 	case wire.MsgStatsReq:
+		var m wire.StatsReq
+		if err := wire.Unmarshal(payload, &m); err != nil {
+			return nil, err
+		}
 		rt, err := w.runtime()
 		if err != nil {
 			return nil, err
@@ -348,6 +325,10 @@ func (w *Worker) handle(req []byte) ([]byte, error) {
 		}
 		return w.restoreEnd(m)
 	case wire.MsgStop:
+		var m wire.Stop
+		if err := wire.Unmarshal(payload, &m); err != nil {
+			return nil, err
+		}
 		w.Close()
 		return wire.Encode(wire.MsgStopAck, wire.StopAck{})
 	default:

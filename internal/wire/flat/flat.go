@@ -1,15 +1,14 @@
-// Package flat is the hand-rolled binary codec behind wire format v2: the
-// data-plane messages (Inject, Call, heartbeats) and the core.Item payload
-// encode as uvarint/fixed fields and length-prefixed bytes, the same
-// discipline as the state chunk codec, instead of paying gob's reflection
-// walk and per-frame type dictionary.
+// Package flat is the hand-rolled binary codec behind the wire format:
+// every message and the core.Item payload encode as uvarint/fixed fields
+// and length-prefixed bytes, the same discipline as the state chunk codec,
+// with no reflection walk and no per-frame type dictionary.
 //
 // The value scheme is a single tag byte followed by the payload for the
 // common Item.Value types (nil, bool, uint64, int64, int, float64, string,
-// []byte, core.Collection). Any other type falls back to a gob-encoded
-// sub-payload behind TagGob, validated by CheckWireSafe first, so arbitrary
-// registered application values keep working at gob speed while the common
-// path never touches reflection.
+// []byte, core.Collection). Any other type — an application's own struct
+// payload — rides as a gob-encoded sub-payload behind TagGob, validated by
+// CheckWireSafe first. That is the only use of gob on the wire, and the
+// reason such types must be registered (Register).
 //
 // Encoders append into a caller-supplied or pooled buffer and are reusable;
 // Decoders never panic on hostile input (length and count fields are
@@ -356,6 +355,20 @@ func (d *Decoder) take(n uint64) []byte {
 // Blob reads a length-prefixed byte slice (borrow/copy per mode).
 func (d *Decoder) Blob() []byte { return d.take(d.Uvarint()) }
 
+// Count reads an element count and fails the decode unless the remaining
+// input could hold that many elements of at least minBytes each, so a
+// hostile count never sizes an allocation.
+func (d *Decoder) Count(minBytes int) int {
+	n := d.Uvarint()
+	if d.err == nil && n > uint64(d.Remaining()/minBytes) {
+		d.fail(ErrMalformed)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
 // Str reads a length-prefixed string (always a copy: string conversion).
 func (d *Decoder) Str() string {
 	n := d.Uvarint()
@@ -485,6 +498,17 @@ func RoundTripValue(v any) (any, error) {
 		return nil, d.err
 	}
 	return out, nil
+}
+
+// Register makes v's type known to the TagGob fallback, so values of it can
+// travel as Item.Value. It panics on types gob would corrupt silently —
+// registration happens in init functions, where failing loudly at startup
+// beats diverging state at runtime.
+func Register(v any) {
+	if err := CheckWireSafe(v); err != nil {
+		panic(err)
+	}
+	gob.Register(v)
 }
 
 // checkResult caches the verdict for one type: err is the static rejection

@@ -2,34 +2,47 @@ package wire
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/wire/flat"
 )
 
-// This file binds the flat codec to the data-plane message types. A type
-// is on the fast path when it dominates steady-state traffic: every
-// injected item, every request/reply call and every liveness probe crosses
-// here, while Deploy/Snapshot/Stats stay on gob (rare, structurally rich,
-// not worth a hand-rolled layout).
+// This file holds the one layout of every message type. Layouts (after the
+// two-byte envelope header; an int is a uvarint unless marked varint, a map
+// is a uvarint count then its entries in ascending key order, a bool is one
+// byte):
 //
-// Layouts (after the two-byte envelope header):
-//
-//	Inject:        str task, uvarint count, count× item
-//	InjectAck:     varint accepted
-//	Call:          str task, varint timeoutMs, item
-//	CallReply:     value
-//	Heartbeat:     fixed64 seq
-//	HeartbeatAck:  fixed64 seq, fixed64 queued
-//	RemoteEmit:    uvarint edge, uvarint inst, uvarint count, count× item
-//	RemoteEmitAck: varint accepted
-//	item:          uvarint origin/seq/key/reqID, varint parts, value
-//
-// The streaming snapshot transfer (wire/snapstream.go) is flat end to end
-// — state bytes are the other large payload besides items:
-//
-//	SnapBegin:       fixed64 stream, uvarint chunks, uvarint maxBytes,
-//	                 uvarint have, uvarint n, n× (str name, uvarint index)
+//	Deploy:          str graph, map partitions (str name, varint n),
+//	                 varint queueLen/overflowLen/batchSize/kvShards,
+//	                 bool wireCheck, uvarint worker/workers,
+//	                 map teShards, map seShards (str name, shard),
+//	                 uvarint n, n× str peer, bool awaitRestore
+//	DeployAck:       str graph, uvarint tes, uvarint ses
+//	Inject:          str task, items
+//	InjectAck:       varint accepted
+//	Call:            str task, varint timeoutMs, item
+//	CallReply:       value
+//	Heartbeat:       fixed64 seq
+//	HeartbeatAck:    fixed64 seq, fixed64 queued
+//	DumpReq:         str se
+//	Dump:            uvarint n, n× (uvarint key, blob value)
+//	StatsReq:        (empty)
+//	Stats:           map processed (str task, varint n),
+//	                 map watermarks (str task, watermarks)
+//	DrainReq:        varint timeoutMs
+//	DrainAck:        bool quiesced, varint processed
+//	Stop, StopAck:   (empty)
+//	RemoteEmit:      uvarint edge, uvarint inst, items
+//	RemoteEmitAck:   varint accepted
+//	Peers:           uvarint worker, str addr
+//	PeersAck:        (empty)
+//	EdgeTrim:        uvarint n, n× (uvarint edge, uvarint inst, watermarks),
+//	                 uvarint n, n× (str te, watermarks)
+//	EdgeTrimAck:     (empty)
+//	SnapBegin:       fixed64 stream, uvarint maxBytes, uvarint have,
+//	                 uvarint n, n× (str name, uvarint index)
 //	SnapBeginAck:    fixed64 stream, uvarint epoch
 //	SnapNext:        fixed64 stream, fixed64 seq
 //	SnapChunk:       fixed64 stream, fixed64 seq, part
@@ -41,120 +54,151 @@ import (
 //	RestoreChunkAck: fixed64 stream, fixed64 seq
 //	RestoreEnd:      fixed64 stream, uvarint chunks
 //	RestoreEndAck:   fixed64 stream
+//
+//	items:           uvarint count, count× item
+//	item:            uvarint origin/seq/key/reqID, varint parts, value
+//	shard:           uvarint first, uvarint count, uvarint total
+//	watermarks:      map (uvarint origin, uvarint seq)
 //	part:            byte kind, str name, uvarint index, byte store,
-//	                 uvarint chunkIndex/chunkOf, byte delta,
-//	                 uvarint wmCount, wmCount× (uvarint origin, uvarint seq),
+//	                 uvarint chunkIndex/chunkOf, bool delta, watermarks,
 //	                 uvarint outSeq, uvarint edge/inst, blob data
 //
 // Heartbeats use fixed-width seqs so the frame size is constant: the
 // coordinator pre-encodes the frame once and patches the seq bytes in
 // place every beat.
+//
+// Maps encode in sorted key order so identical messages encode to identical
+// bytes (retry caches and tests compare frames byte-for-byte). Every count
+// is checked against the remaining bytes before it sizes an allocation
+// (flat.Decoder.Count).
 
-// flatCapable reports whether this peer flat-encodes the message type — and
-// therefore whether it can parse a VersionFlat envelope carrying it.
-func flatCapable(msgType byte) bool {
-	switch msgType {
-	case MsgInject, MsgInjectAck, MsgCall, MsgCallReply, MsgHeartbeat, MsgHeartbeatAck,
-		MsgRemoteEmit, MsgRemoteEmitAck:
-		return true
-	case MsgSnapBegin, MsgSnapBeginAck, MsgSnapNext, MsgSnapChunk, MsgSnapEnd,
-		MsgRestoreBegin, MsgRestoreBeginAck, MsgRestoreChunk, MsgRestoreChunkAck,
-		MsgRestoreEnd, MsgRestoreEndAck:
-		return true
+// encodeFlat appends the envelope (header + layout) for v, which must be
+// the struct msgType names.
+func encodeFlat(e *flat.Encoder, msgType byte, v any) error {
+	if _, ok := msgNames[msgType]; !ok {
+		return fmt.Errorf("%w: 0x%02x", ErrUnknownType, msgType)
 	}
-	return false
-}
-
-// encodeFlat appends the full envelope (header + flat payload) for v when
-// its concrete type matches a fast-path message type; ok=false defers to
-// gob. A mismatched msgType/value pair falls through too — the gob path's
-// validation owns that rejection.
-func encodeFlat(e *flat.Encoder, msgType byte, v any) (ok bool, err error) {
+	e.Byte(msgType)
+	e.Byte(Version)
+	var is byte // the message type v's struct belongs to
+	var err error
 	switch m := v.(type) {
+	case Deploy:
+		is = MsgDeploy
+		e.Str(m.Graph)
+		e.Uvarint(uint64(len(m.Partitions)))
+		for _, name := range slices.Sorted(maps.Keys(m.Partitions)) {
+			e.Str(name)
+			e.Varint(int64(m.Partitions[name]))
+		}
+		e.Varint(int64(m.QueueLen))
+		e.Varint(int64(m.OverflowLen))
+		e.Varint(int64(m.BatchSize))
+		e.Varint(int64(m.KVShards))
+		encodeBool(e, m.WireCheck)
+		e.Uvarint(uint64(m.Worker))
+		e.Uvarint(uint64(m.Workers))
+		encodeShards(e, m.TEShards)
+		encodeShards(e, m.SEShards)
+		e.Uvarint(uint64(len(m.Peers)))
+		for _, p := range m.Peers {
+			e.Str(p)
+		}
+		encodeBool(e, m.AwaitRestore)
+	case DeployAck:
+		is = MsgDeployAck
+		e.Str(m.Graph)
+		e.Uvarint(uint64(m.TEs))
+		e.Uvarint(uint64(m.SEs))
 	case Inject:
-		if msgType != MsgInject {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		is = MsgInject
 		e.Str(m.Task)
-		e.Uvarint(uint64(len(m.Items)))
-		for i := range m.Items {
-			if err := e.Item(m.Items[i]); err != nil {
-				return false, err
-			}
-		}
+		err = encodeItems(e, m.Items)
 	case InjectAck:
-		if msgType != MsgInjectAck {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		is = MsgInjectAck
 		e.Varint(int64(m.Accepted))
 	case Call:
-		if msgType != MsgCall {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		is = MsgCall
 		e.Str(m.Task)
 		e.Varint(m.TimeoutMs)
-		if err := e.Item(m.Item); err != nil {
-			return false, err
-		}
+		err = e.Item(m.Item)
 	case CallReply:
-		if msgType != MsgCallReply {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
-		if err := e.Value(m.Value); err != nil {
-			return false, err
-		}
+		is = MsgCallReply
+		err = e.Value(m.Value)
 	case Heartbeat:
-		if msgType != MsgHeartbeat {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		is = MsgHeartbeat
 		e.Fixed64(m.Seq)
 	case HeartbeatAck:
-		if msgType != MsgHeartbeatAck {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		is = MsgHeartbeatAck
 		e.Fixed64(m.Seq)
 		e.Fixed64(uint64(m.Queued))
-	case RemoteEmit:
-		if msgType != MsgRemoteEmit {
-			return false, nil
+	case DumpReq:
+		is = MsgDumpReq
+		e.Str(m.SE)
+	case Dump:
+		is = MsgDump
+		e.Uvarint(uint64(len(m.Entries)))
+		for _, kv := range m.Entries {
+			e.Uvarint(kv.Key)
+			e.Blob(kv.Value)
 		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+	case StatsReq:
+		is = MsgStatsReq
+	case Stats:
+		is = MsgStats
+		e.Uvarint(uint64(len(m.Processed)))
+		for _, task := range slices.Sorted(maps.Keys(m.Processed)) {
+			e.Str(task)
+			e.Varint(m.Processed[task])
+		}
+		e.Uvarint(uint64(len(m.Watermarks)))
+		for _, task := range slices.Sorted(maps.Keys(m.Watermarks)) {
+			e.Str(task)
+			encodeWatermarks(e, m.Watermarks[task])
+		}
+	case DrainReq:
+		is = MsgDrainReq
+		e.Varint(m.TimeoutMs)
+	case DrainAck:
+		is = MsgDrainAck
+		encodeBool(e, m.Quiesced)
+		e.Varint(m.Processed)
+	case Stop:
+		is = MsgStop
+	case StopAck:
+		is = MsgStopAck
+	case RemoteEmit:
+		is = MsgRemoteEmit
 		e.Uvarint(uint64(m.Edge))
 		e.Uvarint(uint64(m.Inst))
-		e.Uvarint(uint64(len(m.Items)))
-		for i := range m.Items {
-			if err := e.Item(m.Items[i]); err != nil {
-				return false, err
-			}
-		}
+		err = encodeItems(e, m.Items)
 	case RemoteEmitAck:
-		if msgType != MsgRemoteEmitAck {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		is = MsgRemoteEmitAck
 		e.Varint(int64(m.Accepted))
-	case SnapBegin:
-		if msgType != MsgSnapBegin {
-			return false, nil
+	case Peers:
+		is = MsgPeers
+		e.Uvarint(uint64(m.Worker))
+		e.Str(m.Addr)
+	case PeersAck:
+		is = MsgPeersAck
+	case EdgeTrim:
+		is = MsgEdgeTrim
+		e.Uvarint(uint64(len(m.Trims)))
+		for _, t := range m.Trims {
+			e.Uvarint(uint64(t.Edge))
+			e.Uvarint(uint64(t.Inst))
+			encodeWatermarks(e, t.Watermarks)
 		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		e.Uvarint(uint64(len(m.Locals)))
+		for _, l := range m.Locals {
+			e.Str(l.TE)
+			encodeWatermarks(e, l.Watermarks)
+		}
+	case EdgeTrimAck:
+		is = MsgEdgeTrimAck
+	case SnapBegin:
+		is = MsgSnapBegin
 		e.Fixed64(m.Stream)
-		e.Uvarint(uint64(m.Chunks))
 		e.Uvarint(uint64(m.MaxBytes))
 		e.Uvarint(m.Have)
 		e.Uvarint(uint64(len(m.Rebase)))
@@ -163,116 +207,93 @@ func encodeFlat(e *flat.Encoder, msgType byte, v any) (ok bool, err error) {
 			e.Uvarint(uint64(r.Index))
 		}
 	case SnapBeginAck:
-		if msgType != MsgSnapBeginAck {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		is = MsgSnapBeginAck
 		e.Fixed64(m.Stream)
 		e.Uvarint(m.Epoch)
 	case SnapNext:
-		if msgType != MsgSnapNext {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		is = MsgSnapNext
 		e.Fixed64(m.Stream)
 		e.Fixed64(m.Seq)
 	case SnapChunk:
-		if msgType != MsgSnapChunk {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		is = MsgSnapChunk
 		e.Fixed64(m.Stream)
 		e.Fixed64(m.Seq)
 		encodePartFields(e, &m.Part)
 	case SnapEnd:
-		if msgType != MsgSnapEnd {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		is = MsgSnapEnd
 		e.Fixed64(m.Stream)
 		e.Uvarint(m.Chunks)
 		e.Uvarint(m.Bytes)
 		e.Uvarint(m.Epoch)
 	case RestoreBegin:
-		if msgType != MsgRestoreBegin {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		is = MsgRestoreBegin
 		e.Fixed64(m.Stream)
 	case RestoreBeginAck:
-		if msgType != MsgRestoreBeginAck {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		is = MsgRestoreBeginAck
 		e.Fixed64(m.Stream)
 	case RestoreChunk:
-		if msgType != MsgRestoreChunk {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		is = MsgRestoreChunk
 		e.Fixed64(m.Stream)
 		e.Fixed64(m.Seq)
 		encodePartFields(e, &m.Part)
 	case RestoreChunkAck:
-		if msgType != MsgRestoreChunkAck {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		is = MsgRestoreChunkAck
 		e.Fixed64(m.Stream)
 		e.Fixed64(m.Seq)
 	case RestoreEnd:
-		if msgType != MsgRestoreEnd {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		is = MsgRestoreEnd
 		e.Fixed64(m.Stream)
 		e.Uvarint(m.Chunks)
 	case RestoreEndAck:
-		if msgType != MsgRestoreEndAck {
-			return false, nil
-		}
-		e.Byte(msgType)
-		e.Byte(VersionFlat)
+		is = MsgRestoreEndAck
 		e.Fixed64(m.Stream)
-	default:
-		return false, nil
 	}
-	return true, nil
+	if is != msgType {
+		return fmt.Errorf("wire: encode %s: value is a %T", MsgName(msgType), v)
+	}
+	return err
 }
 
-// decodeFlat parses a flat payload body into v; ok=false means v's type has
-// no flat layout (the payload came from an incompatible peer — Decode
-// normally catches this earlier via flatCapable). Trailing bytes after a
-// complete payload are malformed: they would mean a layout disagreement.
+// decodeFlat parses a payload body into v, a pointer to a message struct.
+// Trailing bytes after a complete payload are malformed: they would mean a
+// layout disagreement.
 //
 //sdg:ignore borrowcopy -- Unmarshal's documented aliasing contract: decoded Items/Value alias the caller's buffer, and every handler consumes the message before the pooled frame is reused
-func decodeFlat(body []byte, v any) (ok bool, err error) {
+func decodeFlat(body []byte, v any) error {
 	d := flat.NewBorrowDecoder(body)
 	switch m := v.(type) {
-	case *Inject:
-		m.Task = d.Str()
-		n := d.Uvarint()
-		if d.Err() == nil && n > uint64(d.Remaining()) {
-			return true, fmt.Errorf("%w: item count %d exceeds payload", ErrBadPayload, n)
-		}
-		if d.Err() == nil {
-			m.Items = make([]core.Item, 0, n)
-			for i := uint64(0); i < n; i++ {
-				m.Items = append(m.Items, d.Item())
-				if d.Err() != nil {
-					break
-				}
+	case *Deploy:
+		m.Graph = d.Str()
+		if n := d.Count(2); n > 0 {
+			m.Partitions = make(map[string]int, n)
+			for i := 0; i < n && d.Err() == nil; i++ {
+				name := d.Str()
+				m.Partitions[name] = int(d.Varint())
 			}
 		}
+		m.QueueLen = int(d.Varint())
+		m.OverflowLen = int(d.Varint())
+		m.BatchSize = int(d.Varint())
+		m.KVShards = int(d.Varint())
+		m.WireCheck = d.Byte() != 0
+		m.Worker = int(d.Uvarint())
+		m.Workers = int(d.Uvarint())
+		m.TEShards = decodeShards(d)
+		m.SEShards = decodeShards(d)
+		if n := d.Count(1); n > 0 {
+			m.Peers = make([]string, 0, n)
+			for i := 0; i < n && d.Err() == nil; i++ {
+				m.Peers = append(m.Peers, d.Str())
+			}
+		}
+		m.AwaitRestore = d.Byte() != 0
+	case *DeployAck:
+		m.Graph = d.Str()
+		m.TEs = int(d.Uvarint())
+		m.SEs = int(d.Uvarint())
+	case *Inject:
+		m.Task = d.Str()
+		m.Items = decodeItems(d)
 	case *InjectAck:
 		m.Accepted = int(d.Varint())
 	case *Call:
@@ -286,36 +307,66 @@ func decodeFlat(body []byte, v any) (ok bool, err error) {
 	case *HeartbeatAck:
 		m.Seq = d.Fixed64()
 		m.Queued = int64(d.Fixed64())
+	case *DumpReq:
+		m.SE = d.Str()
+	case *Dump:
+		if n := d.Count(2); n > 0 {
+			m.Entries = make([]KVEntry, 0, n)
+			for i := 0; i < n && d.Err() == nil; i++ {
+				m.Entries = append(m.Entries, KVEntry{Key: d.Uvarint(), Value: d.Blob()})
+			}
+		}
+	case *Stats:
+		if n := d.Count(2); n > 0 {
+			m.Processed = make(map[string]int64, n)
+			for i := 0; i < n && d.Err() == nil; i++ {
+				task := d.Str()
+				m.Processed[task] = d.Varint()
+			}
+		}
+		if n := d.Count(2); n > 0 {
+			m.Watermarks = make(map[string]map[uint64]uint64, n)
+			for i := 0; i < n && d.Err() == nil; i++ {
+				task := d.Str()
+				m.Watermarks[task] = decodeWatermarks(d)
+			}
+		}
+	case *DrainReq:
+		m.TimeoutMs = d.Varint()
+	case *DrainAck:
+		m.Quiesced = d.Byte() != 0
+		m.Processed = d.Varint()
 	case *RemoteEmit:
 		m.Edge = int(d.Uvarint())
 		m.Inst = int(d.Uvarint())
-		n := d.Uvarint()
-		if d.Err() == nil && n > uint64(d.Remaining()) {
-			return true, fmt.Errorf("%w: item count %d exceeds payload", ErrBadPayload, n)
-		}
-		if d.Err() == nil {
-			m.Items = make([]core.Item, 0, n)
-			for i := uint64(0); i < n; i++ {
-				m.Items = append(m.Items, d.Item())
-				if d.Err() != nil {
-					break
-				}
-			}
-		}
+		m.Items = decodeItems(d)
 	case *RemoteEmitAck:
 		m.Accepted = int(d.Varint())
+	case *Peers:
+		m.Worker = int(d.Uvarint())
+		m.Addr = d.Str()
+	case *EdgeTrim:
+		if n := d.Count(3); n > 0 {
+			m.Trims = make([]EdgeTrimEntry, 0, n)
+			for i := 0; i < n && d.Err() == nil; i++ {
+				m.Trims = append(m.Trims, EdgeTrimEntry{Edge: int(d.Uvarint()), Inst: int(d.Uvarint()), Watermarks: decodeWatermarks(d)})
+			}
+		}
+		if n := d.Count(2); n > 0 {
+			m.Locals = make([]LocalTrim, 0, n)
+			for i := 0; i < n && d.Err() == nil; i++ {
+				m.Locals = append(m.Locals, LocalTrim{TE: d.Str(), Watermarks: decodeWatermarks(d)})
+			}
+		}
 	case *SnapBegin:
 		m.Stream = d.Fixed64()
-		m.Chunks = int(d.Uvarint())
 		m.MaxBytes = int(d.Uvarint())
 		m.Have = d.Uvarint()
-		n := d.Uvarint()
-		// Every entry costs at least two bytes (name length + index).
-		if d.Err() == nil && n > uint64(d.Remaining())/2 {
-			return true, fmt.Errorf("%w: rebase count %d exceeds payload", ErrBadPayload, n)
-		}
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			m.Rebase = append(m.Rebase, SEInst{Name: d.Str(), Index: int(d.Uvarint())})
+		if n := d.Count(2); n > 0 {
+			m.Rebase = make([]SEInst, 0, n)
+			for i := 0; i < n && d.Err() == nil; i++ {
+				m.Rebase = append(m.Rebase, SEInst{Name: d.Str(), Index: int(d.Uvarint())})
+			}
 		}
 	case *SnapBeginAck:
 		m.Stream = d.Fixed64()
@@ -326,11 +377,7 @@ func decodeFlat(body []byte, v any) (ok bool, err error) {
 	case *SnapChunk:
 		m.Stream = d.Fixed64()
 		m.Seq = d.Fixed64()
-		part, err := decodePartFields(d)
-		if err != nil {
-			return true, err
-		}
-		m.Part = part
+		m.Part = decodePartFields(d)
 	case *SnapEnd:
 		m.Stream = d.Fixed64()
 		m.Chunks = d.Uvarint()
@@ -343,11 +390,7 @@ func decodeFlat(body []byte, v any) (ok bool, err error) {
 	case *RestoreChunk:
 		m.Stream = d.Fixed64()
 		m.Seq = d.Fixed64()
-		part, err := decodePartFields(d)
-		if err != nil {
-			return true, err
-		}
-		m.Part = part
+		m.Part = decodePartFields(d)
 	case *RestoreChunkAck:
 		m.Stream = d.Fixed64()
 		m.Seq = d.Fixed64()
@@ -356,14 +399,98 @@ func decodeFlat(body []byte, v any) (ok bool, err error) {
 		m.Chunks = d.Uvarint()
 	case *RestoreEndAck:
 		m.Stream = d.Fixed64()
+	case *StatsReq, *Stop, *StopAck, *PeersAck, *EdgeTrimAck:
+		// Empty body: finish rejects any byte.
 	default:
-		return false, nil
+		return fmt.Errorf("%w: no layout for %T", ErrBadPayload, v)
 	}
+	return finish(d)
+}
+
+// finish closes a decode: the first field error, or bytes left over after
+// the last field, make the whole payload malformed.
+func finish(d *flat.Decoder) error {
 	if err := d.Err(); err != nil {
-		return true, fmt.Errorf("%w: %v", ErrBadPayload, err)
+		return fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
 	if !d.Done() {
-		return true, fmt.Errorf("%w: %d trailing byte(s)", ErrBadPayload, d.Remaining())
+		return fmt.Errorf("%w: %d trailing byte(s)", ErrBadPayload, d.Remaining())
 	}
-	return true, nil
+	return nil
+}
+
+func encodeBool(e *flat.Encoder, b bool) {
+	if b {
+		e.Byte(1)
+	} else {
+		e.Byte(0)
+	}
+}
+
+// minItemBytes is the smallest encoded item: four uvarints, one varint and
+// a value tag.
+const minItemBytes = 6
+
+func encodeItems(e *flat.Encoder, items []core.Item) error {
+	e.Uvarint(uint64(len(items)))
+	for i := range items {
+		if err := e.Item(items[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func decodeItems(d *flat.Decoder) []core.Item {
+	n := d.Count(minItemBytes)
+	items := make([]core.Item, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		items = append(items, d.Item())
+	}
+	return items
+}
+
+func encodeWatermarks(e *flat.Encoder, wm map[uint64]uint64) {
+	e.Uvarint(uint64(len(wm)))
+	for _, origin := range slices.Sorted(maps.Keys(wm)) {
+		e.Uvarint(origin)
+		e.Uvarint(wm[origin])
+	}
+}
+
+func decodeWatermarks(d *flat.Decoder) map[uint64]uint64 {
+	n := d.Count(2)
+	if n == 0 {
+		return nil
+	}
+	wm := make(map[uint64]uint64, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		origin := d.Uvarint()
+		wm[origin] = d.Uvarint()
+	}
+	return wm
+}
+
+func encodeShards(e *flat.Encoder, shards map[string]Shard) {
+	e.Uvarint(uint64(len(shards)))
+	for _, name := range slices.Sorted(maps.Keys(shards)) {
+		sh := shards[name]
+		e.Str(name)
+		e.Uvarint(uint64(sh.First))
+		e.Uvarint(uint64(sh.Count))
+		e.Uvarint(uint64(sh.Total))
+	}
+}
+
+func decodeShards(d *flat.Decoder) map[string]Shard {
+	n := d.Count(4)
+	if n == 0 {
+		return nil
+	}
+	shards := make(map[string]Shard, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		name := d.Str()
+		shards[name] = Shard{First: int(d.Uvarint()), Count: int(d.Uvarint()), Total: int(d.Uvarint())}
+	}
+	return shards
 }

@@ -1,25 +1,18 @@
 package wire
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/wire/flat"
 )
 
-// EncodeItems flat-encodes an item batch for embedding inside gob-framed
-// control messages (snapshot replay logs, edge logs). Layout: uvarint count,
-// count× item — the same item layout the RemoteEmit data plane uses, so log
-// bytes reported by the benches reflect what actually crosses the wire
-// instead of gob's per-entry type dictionary.
+// EncodeItems flat-encodes an item batch on its own (no envelope), for the
+// Data of replay-log and edge-log snapshot parts. Layout: uvarint count,
+// count× item — the same items layout Inject and RemoteEmit carry.
 func EncodeItems(items []core.Item) ([]byte, error) {
 	e := flat.GetEncoder()
 	defer flat.PutEncoder(e)
-	e.Uvarint(uint64(len(items)))
-	for i := range items {
-		if err := e.Item(items[i]); err != nil {
-			return nil, err
-		}
+	if err := encodeItems(e, items); err != nil {
+		return nil, err
 	}
 	out := make([]byte, e.Len())
 	copy(out, e.Bytes())
@@ -65,22 +58,9 @@ func EncodeItemsBounded(items []core.Item, maxBytes int) ([]byte, int, error) {
 // same hostile-count guard as the frame decoders.
 func DecodeItems(data []byte) ([]core.Item, error) {
 	d := flat.NewDecoder(data)
-	n := d.Uvarint()
-	if d.Err() == nil && n > uint64(d.Remaining()) {
-		return nil, fmt.Errorf("%w: item count %d exceeds payload", ErrBadPayload, n)
-	}
-	items := make([]core.Item, 0, n)
-	for i := uint64(0); i < n; i++ {
-		items = append(items, d.Item())
-		if d.Err() != nil {
-			break
-		}
-	}
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
-	if !d.Done() {
-		return nil, fmt.Errorf("%w: %d trailing byte(s)", ErrBadPayload, d.Remaining())
+	items := decodeItems(d)
+	if err := finish(d); err != nil {
+		return nil, err
 	}
 	return items, nil
 }

@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"repro/internal/core"
-	"repro/internal/state"
-)
+import "repro/internal/core"
 
 // Message type bytes. Requests flow coordinator -> worker; each has one
 // reply type the worker answers with (application failures come back as
@@ -18,18 +15,16 @@ const (
 	MsgCallReply    byte = 0x06 // CallReply
 	MsgHeartbeat    byte = 0x07 // Heartbeat     -> MsgHeartbeatAck
 	MsgHeartbeatAck byte = 0x08 // HeartbeatAck
-	MsgSnapshotReq  byte = 0x09 // SnapshotReq   -> MsgSnapshot
-	MsgSnapshot     byte = 0x0a // Snapshot
-	MsgRestore      byte = 0x0b // Restore       -> MsgRestoreAck
-	MsgRestoreAck   byte = 0x0c // RestoreAck
-	MsgDumpReq      byte = 0x0d // DumpReq       -> MsgDump
-	MsgDump         byte = 0x0e // Dump
-	MsgStatsReq     byte = 0x0f // StatsReq      -> MsgStats
-	MsgStats        byte = 0x10 // Stats
-	MsgDrainReq     byte = 0x11 // DrainReq      -> MsgDrainAck
-	MsgDrainAck     byte = 0x12 // DrainAck
-	MsgStop         byte = 0x13 // Stop          -> MsgStopAck
-	MsgStopAck      byte = 0x14 // StopAck
+	// 0x09-0x0c are retired and must never be reassigned: a peer that still
+	// sends them has to fail as ErrUnknownType, not misparse.
+	MsgDumpReq  byte = 0x0d // DumpReq       -> MsgDump
+	MsgDump     byte = 0x0e // Dump
+	MsgStatsReq byte = 0x0f // StatsReq      -> MsgStats
+	MsgStats    byte = 0x10 // Stats
+	MsgDrainReq byte = 0x11 // DrainReq      -> MsgDrainAck
+	MsgDrainAck byte = 0x12 // DrainAck
+	MsgStop     byte = 0x13 // Stop          -> MsgStopAck
+	MsgStopAck  byte = 0x14 // StopAck
 	// Worker-to-worker data plane (cross-worker dataflow edges).
 	MsgRemoteEmit    byte = 0x15 // RemoteEmit    -> MsgRemoteEmitAck
 	MsgRemoteEmitAck byte = 0x16 // RemoteEmitAck
@@ -37,7 +32,7 @@ const (
 	MsgPeersAck      byte = 0x18 // PeersAck
 	MsgEdgeTrim      byte = 0x19 // EdgeTrim      -> MsgEdgeTrimAck
 	MsgEdgeTrimAck   byte = 0x1a // EdgeTrimAck
-	// Streaming snapshot transfer (v2 protocol; see wire/snapstream.go).
+	// Snapshot transfer (see wire/snapstream.go).
 	MsgSnapBegin       byte = 0x1b // SnapBegin     -> MsgSnapBeginAck
 	MsgSnapBeginAck    byte = 0x1c // SnapBeginAck
 	MsgSnapNext        byte = 0x1d // SnapNext      -> MsgSnapChunk or MsgSnapEnd
@@ -62,10 +57,6 @@ var msgNames = map[byte]string{
 	MsgCallReply:     "CallReply",
 	MsgHeartbeat:     "Heartbeat",
 	MsgHeartbeatAck:  "HeartbeatAck",
-	MsgSnapshotReq:   "SnapshotReq",
-	MsgSnapshot:      "Snapshot",
-	MsgRestore:       "Restore",
-	MsgRestoreAck:    "RestoreAck",
 	MsgDumpReq:       "DumpReq",
 	MsgDump:          "Dump",
 	MsgStatsReq:      "StatsReq",
@@ -129,7 +120,8 @@ type Deploy struct {
 	SEShards map[string]Shard
 	Peers    []string
 	// AwaitRestore seals the worker against peer RemoteEmit traffic until a
-	// Restore arrives, so replayed frames cannot land on pre-restore state.
+	// restore stream completes (RestoreEnd), so replayed frames cannot land
+	// on pre-restore state.
 	AwaitRestore bool
 }
 
@@ -179,63 +171,6 @@ type HeartbeatAck struct {
 	Seq    uint64
 	Queued int64
 }
-
-// SnapshotReq asks the worker for a consistent snapshot of its state and
-// recovery metadata.
-type SnapshotReq struct {
-	// Chunks is the checkpoint parallelism m per store (default 2).
-	Chunks int
-}
-
-// SESnap is one SE instance's checkpoint chunks.
-type SESnap struct {
-	SE     string
-	Index  int
-	Chunks []state.Chunk
-}
-
-// TESnap is one TE instance's recovery metadata, captured in the same
-// consistent cut as the SE chunks: the dedup watermarks decide which
-// replayed items the restored instance must drop, OutSeq continues the
-// output numbering under the same origin identity, and Buffered carries the
-// per-out-edge replay log for graphs with dataflow edges.
-type TESnap struct {
-	TE         string
-	Index      int
-	Watermarks map[uint64]uint64
-	OutSeq     uint64
-	// Buffered carries the per-out-edge replay log, each edge's items
-	// flat-encoded with EncodeItems (gob would re-send the type dictionary
-	// per log entry; the flat item codec is the honest size).
-	Buffered [][]byte
-}
-
-// EdgeLogSnap is one cross-worker edge send log: the un-trimmed items this
-// worker has emitted toward global instance Inst over graph edge Edge,
-// flat-encoded with EncodeItems. Part of the consistent cut: an item a peer
-// received but has not folded into a snapshotted watermark is always still
-// present in its sender's edge log.
-type EdgeLogSnap struct {
-	Edge int
-	Inst int
-	Data []byte
-}
-
-// Snapshot is a worker's full state: every SE instance's chunks plus every
-// TE instance's recovery metadata, plus in-flight cross-worker edge logs.
-type Snapshot struct {
-	SEs   []SESnap
-	TEs   []TESnap
-	Edges []EdgeLogSnap
-}
-
-// Restore loads a snapshot into a freshly deployed worker.
-type Restore struct {
-	Snap Snapshot
-}
-
-// RestoreAck confirms a restore.
-type RestoreAck struct{}
 
 // DumpReq asks for the full contents of a dictionary SE.
 type DumpReq struct {
@@ -329,8 +264,7 @@ type LocalTrim struct {
 
 // EdgeTrim distributes post-checkpoint trim points: per-destination trims
 // for cross-worker edge send logs, plus per-TE floors for worker-local
-// output buffers. Old peers gob-decode the message without Locals and
-// simply skip the local trim.
+// output buffers.
 type EdgeTrim struct {
 	Trims  []EdgeTrimEntry
 	Locals []LocalTrim

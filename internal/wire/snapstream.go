@@ -1,26 +1,20 @@
 package wire
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/state"
 	"repro/internal/wire/flat"
 )
 
-// This file defines the v2 streaming snapshot transfer protocol. A worker's
-// state no longer crosses the wire as one monolithic gob Snapshot/Restore
-// frame: it is split into self-describing SnapParts, each well under the
-// frame cap, and pulled (SnapBegin/SnapNext -> SnapChunk*/SnapEnd) or
-// pushed (RestoreBegin/RestoreChunk*/RestoreEnd) one part per frame with a
-// per-stream id and a dense chunk seq for idempotent retry. Every pull is
-// one epoch of the worker's checkpoint chain: SnapBegin says which epoch
-// the coordinator last retained (Have) and whether it wants full bases
-// of which SE instances (Rebase), and each SE instance's parts are either a
-// base (Delta false)
-// or the keys changed since the retained epoch (Delta true). SplitSnapshot
-// flattens the v1 monolithic Snapshot into the same parts for the worker's
-// MsgRestore handler.
+// This file defines the snapshot transfer protocol. A worker's state never
+// crosses the wire as one frame: it is split into self-describing
+// SnapParts, each well under the frame cap, and pulled (SnapBegin/SnapNext
+// -> SnapChunk*/SnapEnd) or pushed (RestoreBegin/RestoreChunk*/RestoreEnd)
+// one part per frame with a per-stream id and a dense chunk seq for
+// idempotent retry. Every pull is one epoch of the worker's checkpoint
+// chain: SnapBegin says which epoch the coordinator last retained (Have)
+// and which SE instances it wants a full base of (Rebase), and each SE
+// instance's parts are either a base (Delta false) or the keys changed
+// since the retained epoch (Delta true).
 
 // SnapPart kinds. Each part carries exactly one unit of a worker's
 // snapshot; the Kind decides which fields are meaningful.
@@ -64,9 +58,6 @@ type SnapPart struct {
 // transfer) and serves it chunk by chunk via SnapNext.
 type SnapBegin struct {
 	Stream uint64
-	// Chunks is the per-store checkpoint parallelism hint (mirrors
-	// SnapshotReq.Chunks; 0 = default).
-	Chunks int
 	// MaxBytes bounds the encoded payload of each served part
 	// (0 = worker default). One oversized entry may still exceed it;
 	// the bound is per-part best effort, never per-frame exact.
@@ -166,23 +157,8 @@ func encodePartFields(e *flat.Encoder, p *SnapPart) {
 	e.Byte(byte(p.Store))
 	e.Uvarint(uint64(p.ChunkIndex))
 	e.Uvarint(uint64(p.ChunkOf))
-	if p.Delta {
-		e.Byte(1)
-	} else {
-		e.Byte(0)
-	}
-	e.Uvarint(uint64(len(p.Watermarks)))
-	// Sorted origin order so identical parts encode to identical bytes
-	// (retry caches and tests compare frames byte-for-byte).
-	origins := make([]uint64, 0, len(p.Watermarks))
-	for o := range p.Watermarks {
-		origins = append(origins, o)
-	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-	for _, o := range origins {
-		e.Uvarint(o)
-		e.Uvarint(p.Watermarks[o])
-	}
+	encodeBool(e, p.Delta)
+	encodeWatermarks(e, p.Watermarks)
 	e.Uvarint(p.OutSeq)
 	e.Uvarint(uint64(p.Edge))
 	e.Uvarint(uint64(p.Inst))
@@ -190,7 +166,7 @@ func encodePartFields(e *flat.Encoder, p *SnapPart) {
 }
 
 // decodePartFields parses the flat layout of a part.
-func decodePartFields(d *flat.Decoder) (SnapPart, error) {
+func decodePartFields(d *flat.Decoder) SnapPart {
 	var p SnapPart
 	p.Kind = d.Byte()
 	p.Name = d.Str()
@@ -199,25 +175,12 @@ func decodePartFields(d *flat.Decoder) (SnapPart, error) {
 	p.ChunkIndex = int(d.Uvarint())
 	p.ChunkOf = int(d.Uvarint())
 	p.Delta = d.Byte() != 0
-	n := d.Uvarint()
-	if d.Err() == nil && n > uint64(d.Remaining())/2 {
-		return p, fmt.Errorf("%w: watermark count %d exceeds payload", ErrBadPayload, n)
-	}
-	if d.Err() == nil && n > 0 {
-		p.Watermarks = make(map[uint64]uint64, n)
-		for i := uint64(0); i < n; i++ {
-			o := d.Uvarint()
-			p.Watermarks[o] = d.Uvarint()
-			if d.Err() != nil {
-				break
-			}
-		}
-	}
+	p.Watermarks = decodeWatermarks(d)
 	p.OutSeq = d.Uvarint()
 	p.Edge = int(d.Uvarint())
 	p.Inst = int(d.Uvarint())
 	p.Data = d.Blob()
-	return p, nil
+	return p
 }
 
 // EncodeSnapPart flat-encodes one part on its own (no envelope) — the
@@ -236,73 +199,6 @@ func EncodeSnapPart(p *SnapPart) []byte {
 // bytes out of b, so b may be reused afterwards.
 func DecodeSnapPart(b []byte) (SnapPart, error) {
 	d := flat.NewDecoder(b)
-	p, err := decodePartFields(d)
-	if err != nil {
-		return p, err
-	}
-	if err := d.Err(); err != nil {
-		return p, fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
-	if !d.Done() {
-		return p, fmt.Errorf("%w: %d trailing byte(s)", ErrBadPayload, d.Remaining())
-	}
-	return p, nil
-}
-
-// SplitSnapshot flattens a v1 monolithic Snapshot into the equivalent part
-// stream: per TE instance one PartTE plus one PartTEBuf per non-empty
-// replay log, per cross-worker edge log one PartEdge, per SE chunk one
-// PartSE. Parts reference (not copy) the snapshot's backing bytes.
-func SplitSnapshot(snap *Snapshot) []SnapPart {
-	var parts []SnapPart
-	for i := range snap.TEs {
-		te := &snap.TEs[i]
-		parts = append(parts, SnapPart{
-			Kind:       PartTE,
-			Name:       te.TE,
-			Index:      te.Index,
-			Watermarks: te.Watermarks,
-			OutSeq:     te.OutSeq,
-		})
-		for edge, data := range te.Buffered {
-			if len(data) == 0 {
-				continue
-			}
-			parts = append(parts, SnapPart{
-				Kind:  PartTEBuf,
-				Name:  te.TE,
-				Index: te.Index,
-				Edge:  edge,
-				Data:  data,
-			})
-		}
-	}
-	for i := range snap.Edges {
-		es := &snap.Edges[i]
-		if len(es.Data) == 0 {
-			continue
-		}
-		parts = append(parts, SnapPart{
-			Kind: PartEdge,
-			Edge: es.Edge,
-			Inst: es.Inst,
-			Data: es.Data,
-		})
-	}
-	for i := range snap.SEs {
-		se := &snap.SEs[i]
-		for _, c := range se.Chunks {
-			parts = append(parts, SnapPart{
-				Kind:       PartSE,
-				Name:       se.SE,
-				Index:      se.Index,
-				Store:      c.Type,
-				ChunkIndex: c.Index,
-				ChunkOf:    c.Of,
-				Delta:      c.Delta,
-				Data:       c.Data,
-			})
-		}
-	}
-	return parts
+	p := decodePartFields(d)
+	return p, finish(d)
 }

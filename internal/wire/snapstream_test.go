@@ -3,29 +3,22 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/state"
 )
 
-// roundTripFlat encodes a message, requires the flat version byte, decodes
-// it back into out, and returns the frame.
-func roundTripFlat(t *testing.T, msgType byte, in, out any) []byte {
+// roundTripFlat encodes a message and decodes it back into out.
+func roundTripFlat(t *testing.T, msgType byte, in, out any) {
 	t.Helper()
 	frame, err := Encode(msgType, in)
 	if err != nil {
 		t.Fatalf("%s: encode: %v", MsgName(msgType), err)
 	}
-	if frame[1] != VersionFlat {
-		t.Fatalf("%s: encoded version %d, want flat", MsgName(msgType), frame[1])
-	}
 	if err := Expect(frame, msgType, out); err != nil {
 		t.Fatalf("%s: decode: %v", MsgName(msgType), err)
 	}
-	return frame
 }
 
 // TestSnapStreamRoundTrips covers every streaming snapshot message through
@@ -51,8 +44,8 @@ func TestSnapStreamRoundTrips(t *testing.T) {
 
 	var sb SnapBegin
 	rebase := []SEInst{{"store", 3}, {"counts", 0}}
-	roundTripFlat(t, MsgSnapBegin, SnapBegin{Stream: 9, Chunks: 2, MaxBytes: 4096, Have: 8, Rebase: rebase}, &sb)
-	if sb.Stream != 9 || sb.Chunks != 2 || sb.MaxBytes != 4096 || sb.Have != 8 || !reflect.DeepEqual(sb.Rebase, rebase) {
+	roundTripFlat(t, MsgSnapBegin, SnapBegin{Stream: 9, MaxBytes: 4096, Have: 8, Rebase: rebase}, &sb)
+	if sb.Stream != 9 || sb.MaxBytes != 4096 || sb.Have != 8 || !reflect.DeepEqual(sb.Rebase, rebase) {
 		t.Fatalf("SnapBegin round trip: %+v", sb)
 	}
 	var sba SnapBeginAck
@@ -165,84 +158,5 @@ func TestSnapPartHostileDecode(t *testing.T) {
 	}
 	if !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("hostile watermark count error = %v, want ErrBadPayload", err)
-	}
-}
-
-// buildSnapshot assembles a representative monolithic snapshot: two SE
-// instances with multiple chunks, TEs with and without replay logs, and a
-// cross-worker edge log.
-func buildSnapshot(t *testing.T) Snapshot {
-	t.Helper()
-	mkItems := func(n int, origin uint64) []byte {
-		items := make([]core.Item, n)
-		for i := range items {
-			items[i] = core.Item{Origin: origin, Seq: uint64(i + 1), Key: uint64(i), Value: []byte(fmt.Sprintf("v%d", i))}
-		}
-		data, err := EncodeItems(items)
-		if err != nil {
-			t.Fatalf("encode items: %v", err)
-		}
-		return data
-	}
-	return Snapshot{
-		SEs: []SESnap{
-			{SE: "store", Index: 0, Chunks: []state.Chunk{
-				{Type: state.TypeKVMap, Index: 0, Of: 2, Data: []byte("c0")},
-				{Type: state.TypeKVMap, Index: 1, Of: 2, Data: []byte("c1")},
-			}},
-			{SE: "store", Index: 1, Chunks: []state.Chunk{
-				{Type: state.TypeKVMap, Index: 0, Of: 1, Delta: true, Data: []byte("d0")},
-			}},
-		},
-		TEs: []TESnap{
-			{TE: "put", Index: 0, Watermarks: map[uint64]uint64{1: 5, 2: 9}, OutSeq: 14,
-				Buffered: [][]byte{mkItems(3, 100), mkItems(0, 0)}},
-			{TE: "get", Index: 0, Watermarks: map[uint64]uint64{1: 2}, OutSeq: 2},
-		},
-		Edges: []EdgeLogSnap{
-			{Edge: 0, Inst: 2, Data: mkItems(4, 200)},
-		},
-	}
-}
-
-// TestSplitSnapshotParts: a monolithic snapshot flattens into one part per
-// TE instance, per non-empty replay log, per edge log and per SE chunk,
-// each carrying the source's fields and bytes.
-func TestSplitSnapshotParts(t *testing.T) {
-	snap := buildSnapshot(t)
-	byKind := map[byte][]SnapPart{}
-	for _, p := range SplitSnapshot(&snap) {
-		byKind[p.Kind] = append(byKind[p.Kind], p)
-	}
-	if len(byKind) != 4 {
-		t.Fatalf("split produced %d part kinds, want 4", len(byKind))
-	}
-	var wantSE []SnapPart
-	for _, se := range snap.SEs {
-		for _, c := range se.Chunks {
-			wantSE = append(wantSE, SnapPart{Kind: PartSE, Name: se.SE, Index: se.Index,
-				Store: c.Type, ChunkIndex: c.Index, ChunkOf: c.Of, Delta: c.Delta, Data: c.Data})
-		}
-	}
-	if !reflect.DeepEqual(byKind[PartSE], wantSE) {
-		t.Fatalf("SE parts diverged:\n got %+v\nwant %+v", byKind[PartSE], wantSE)
-	}
-	var wantTE, wantBuf []SnapPart
-	for _, te := range snap.TEs {
-		wantTE = append(wantTE, SnapPart{Kind: PartTE, Name: te.TE, Index: te.Index,
-			Watermarks: te.Watermarks, OutSeq: te.OutSeq})
-		for edge, data := range te.Buffered {
-			wantBuf = append(wantBuf, SnapPart{Kind: PartTEBuf, Name: te.TE, Index: te.Index, Edge: edge, Data: data})
-		}
-	}
-	if !reflect.DeepEqual(byKind[PartTE], wantTE) {
-		t.Fatalf("TE parts diverged:\n got %+v\nwant %+v", byKind[PartTE], wantTE)
-	}
-	if !reflect.DeepEqual(byKind[PartTEBuf], wantBuf) {
-		t.Fatalf("replay-log parts diverged:\n got %+v\nwant %+v", byKind[PartTEBuf], wantBuf)
-	}
-	wantEdge := []SnapPart{{Kind: PartEdge, Edge: 0, Inst: 2, Data: snap.Edges[0].Data}}
-	if !reflect.DeepEqual(byKind[PartEdge], wantEdge) {
-		t.Fatalf("edge-log parts diverged:\n got %+v\nwant %+v", byKind[PartEdge], wantEdge)
 	}
 }

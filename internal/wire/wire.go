@@ -1,48 +1,41 @@
-// Package wire is the versioned message codec of the distributed deployment
-// mode. Every payload crossing a process boundary travels inside a framed
+// Package wire is the message codec of the distributed deployment mode.
+// Every payload crossing a process boundary travels inside a framed
 // envelope:
 //
 //	[0] message type byte (Msg* constants)
-//	[1] payload version (VersionGob or VersionFlat)
-//	[2:] encoded payload struct
+//	[1] format version (Version)
+//	[2:] the message's flat layout (flatcodec.go)
 //
 // The envelope rides inside the cluster package's length-prefixed frames;
 // this package is only concerned with what the frame bytes mean.
 //
-// Two payload encodings coexist. Data-plane messages (Inject/InjectAck,
-// Call/CallReply, Heartbeat/HeartbeatAck) encode flat (internal/wire/flat):
-// hand-rolled uvarint/fixed fields with no reflection and no per-frame type
-// dictionary. Control-plane messages (Deploy, Snapshot, Stats, ...) stay on
-// gob — they are rare and structurally rich. Decode accepts both versions,
-// so a v2 peer reads v1 frames; a v1-only peer rejects v2 frames with a
-// *VersionError instead of misdecoding them.
+// Every message type has exactly one encoding: hand-rolled uvarint/fixed
+// fields (internal/wire/flat) with no reflection, no per-frame type
+// dictionary, maps in sorted key order, and every count checked against the
+// remaining bytes before it sizes an allocation. A frame with any other
+// version byte is rejected with a *VersionError before its payload is
+// looked at.
 //
-// Like labgob, the gob path validates types at registration and encode
-// time: gob silently drops unexported struct fields, which in a replicated
-// state system turns into state divergence that surfaces long after the
-// bug. Any value whose type (or dynamic payload) carries a lower-case field
-// is rejected loudly instead (flat.CheckWireSafe; verdicts are cached).
+// The one use of gob is inside an item's value: an application
+// struct payload (Item.Value, CallReply.Value) rides as a gob sub-payload
+// behind flat.TagGob. Like labgob, that path validates types at
+// registration and encode time: gob silently drops unexported struct
+// fields, which in a replicated state system turns into state divergence
+// that surfaces long after the bug. Any value whose type (or dynamic
+// payload) carries a lower-case field is rejected loudly instead
+// (flat.CheckWireSafe; verdicts are cached).
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
 	"repro/internal/wire/flat"
 )
 
-// Payload versions. VersionGob frames carry a gob-encoded struct,
-// VersionFlat frames carry the flat encoding; Version is what this peer
-// emits for flat-capable message types and doubles as the protocol
-// revision reported in version errors. Bump VersionFlat (and add a case to
-// Decode) on any incompatible flat layout change.
-const (
-	VersionGob  byte = 1
-	VersionFlat byte = 2
-	Version     byte = VersionFlat
-)
+// Version is the envelope's format version byte. Bump it on any
+// incompatible layout change; Decode rejects every other value.
+const Version byte = 2
 
 // Typed decode errors. Decode and Unmarshal never panic on hostile input.
 var (
@@ -71,135 +64,66 @@ func (e *VersionError) Error() string {
 // Is makes errors.Is(err, ErrVersion) match.
 func (e *VersionError) Is(target error) bool { return target == ErrVersion }
 
-// Payload is an envelope's body plus the version that tells Unmarshal how
-// to parse it. Body may alias the decoded frame; see Unmarshal for the
-// ownership contract.
+// Payload is an envelope's body, not yet parsed. Body may alias the decoded
+// frame; see Unmarshal for the ownership contract.
 type Payload struct {
-	Ver  byte
 	Body []byte
 }
 
-// Register validates v's type and registers it with gob, so it can travel
-// inside interface-typed fields (e.g. Item.Value). It panics on types gob
-// would corrupt silently — registration happens in init functions, where
-// failing loudly at startup beats diverging state at runtime.
-func Register(v any) {
-	if err := flat.CheckWireSafe(v); err != nil {
-		panic(err)
-	}
-	gob.Register(v)
-}
+// Register validates v's type and registers it for the gob value fallback,
+// so it can travel inside interface-typed fields (e.g. Item.Value). It
+// panics on types gob would corrupt silently (see flat.Register).
+func Register(v any) { flat.Register(v) }
 
-// Encode wraps a payload struct in a versioned envelope, taking the flat
-// fast path for data-plane types and gob for everything else. The result is
-// a fresh allocation (one exact-size copy off a pooled encoder on the flat
-// path); use EncodeAppend to reuse a caller-owned buffer instead.
+// Encode wraps a message struct in an envelope. v must be the struct that
+// msgType names; any other pairing is an error here, at the sender. The
+// result is a fresh allocation (one exact-size copy off a pooled encoder);
+// use EncodeAppend to reuse a caller-owned buffer instead.
 func Encode(msgType byte, v any) ([]byte, error) {
-	if _, ok := msgNames[msgType]; !ok {
-		return nil, fmt.Errorf("%w: 0x%02x", ErrUnknownType, msgType)
-	}
 	e := flat.GetEncoder()
 	defer flat.PutEncoder(e)
-	ok, err := encodeFlat(e, msgType, v)
-	if err != nil {
+	if err := encodeFlat(e, msgType, v); err != nil {
 		return nil, err
 	}
-	if ok {
-		out := make([]byte, e.Len())
-		copy(out, e.Bytes())
-		return out, nil
-	}
-	return encodeGob(msgType, v)
+	out := make([]byte, e.Len())
+	copy(out, e.Bytes())
+	return out, nil
 }
 
 // EncodeAppend appends the envelope for v to dst and returns the extended
-// slice (steady-state 0 allocs on the flat path once dst has capacity).
-// Non-flat message types fall back to gob and allocate as Encode does.
+// slice (steady-state 0 allocs once dst has capacity).
 func EncodeAppend(dst []byte, msgType byte, v any) ([]byte, error) {
-	if _, ok := msgNames[msgType]; !ok {
-		return nil, fmt.Errorf("%w: 0x%02x", ErrUnknownType, msgType)
-	}
 	var e flat.Encoder
 	e.Reset(dst)
-	ok, err := encodeFlat(&e, msgType, v)
-	if err != nil {
+	if err := encodeFlat(&e, msgType, v); err != nil {
 		return nil, err
 	}
-	if ok {
-		return e.Bytes(), nil
-	}
-	frame, err := encodeGob(msgType, v)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, frame...), nil
+	return e.Bytes(), nil
 }
 
-// EncodeGob forces the gob payload encoding regardless of type — the v1
-// envelope a pre-flat peer would emit. Benchmarks and compatibility tests
-// use it; production senders should prefer Encode.
-func EncodeGob(msgType byte, v any) ([]byte, error) {
-	if _, ok := msgNames[msgType]; !ok {
-		return nil, fmt.Errorf("%w: 0x%02x", ErrUnknownType, msgType)
-	}
-	return encodeGob(msgType, v)
-}
-
-func encodeGob(msgType byte, v any) ([]byte, error) {
-	if err := flat.CheckWireSafe(v); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	buf.WriteByte(msgType)
-	buf.WriteByte(VersionGob)
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("wire: encode %s: %w", MsgName(msgType), err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode splits an envelope into its message type and versioned payload,
-// checking the header. The payload is not parsed; pass it to Unmarshal once
-// the type byte has selected the target struct. A flat envelope for a
-// message type this peer only knows as gob is a version mismatch (a future
-// peer moved it to flat), reported loudly rather than misdecoded.
+// Decode splits an envelope into its message type and payload, checking the
+// header. The payload is not parsed; pass it to Unmarshal once the type byte
+// has selected the target struct.
 func Decode(frame []byte) (msgType byte, p Payload, err error) {
 	if len(frame) < 2 {
 		return 0, Payload{}, fmt.Errorf("%w: %d byte(s)", ErrShortFrame, len(frame))
 	}
-	ver := frame[1]
-	if ver != VersionGob && ver != VersionFlat {
-		return 0, Payload{}, &VersionError{Got: ver, Want: Version}
+	if frame[1] != Version {
+		return 0, Payload{}, &VersionError{Got: frame[1], Want: Version}
 	}
 	if _, ok := msgNames[frame[0]]; !ok {
 		return 0, Payload{}, fmt.Errorf("%w: 0x%02x", ErrUnknownType, frame[0])
 	}
-	if ver == VersionFlat && !flatCapable(frame[0]) {
-		return 0, Payload{}, &VersionError{Got: ver, Want: VersionGob}
-	}
-	return frame[0], Payload{Ver: ver, Body: frame[2:]}, nil
+	return frame[0], Payload{Body: frame[2:]}, nil
 }
 
-// Unmarshal decodes a payload (from Decode) into v, dispatching on the
-// envelope version. Flat payloads decode in borrow mode: []byte values in
-// the result alias p.Body, so the frame must not be reused afterwards —
-// the cluster transports allocate a fresh buffer per read, satisfying this
-// by construction.
+// Unmarshal decodes a payload (from Decode) into v, a pointer to a message
+// struct. It decodes in borrow mode: []byte values in the result alias
+// p.Body, so the frame must not be reused afterwards — the cluster
+// transports allocate a fresh buffer per read, satisfying this by
+// construction.
 func Unmarshal(p Payload, v any) error {
-	if p.Ver == VersionFlat {
-		ok, err := decodeFlat(p.Body, v)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("%w: flat payload for %T", ErrBadPayload, v)
-		}
-		return nil
-	}
-	if err := gob.NewDecoder(bytes.NewReader(p.Body)).Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
-	return nil
+	return decodeFlat(p.Body, v)
 }
 
 // Expect decodes a complete envelope that must carry the given message

@@ -5,11 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/state"
 )
 
-// TestEnvelopeRoundTrip pins the codec on representative messages from
-// every protocol area: control, data, and snapshot streaming.
+// TestEnvelopeRoundTrip pins the codec on a data-plane message and an
+// empty-bodied one; TestEveryMessageHasOneLayout covers the whole set.
 func TestEnvelopeRoundTrip(t *testing.T) {
 	t.Run("inject", func(t *testing.T) {
 		in := Inject{
@@ -35,28 +34,6 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		}
 		if out.Items[0].Seq != 1 || out.Items[0].Origin != ^uint64(0) {
 			t.Fatalf("timestamps corrupted: %+v", out.Items[0])
-		}
-	})
-	t.Run("snapshot", func(t *testing.T) {
-		in := Snapshot{
-			SEs: []SESnap{{SE: "store", Index: 1, Chunks: []state.Chunk{
-				{Type: state.TypeKVMap, Index: 0, Of: 2, Data: []byte{1, 2, 3}},
-			}}},
-			TEs: []TESnap{{TE: "put", Index: 1, Watermarks: map[uint64]uint64{7: 99}, OutSeq: 12}},
-		}
-		frame, err := Encode(MsgSnapshot, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out Snapshot
-		if err := Expect(frame, MsgSnapshot, &out); err != nil {
-			t.Fatal(err)
-		}
-		if len(out.SEs) != 1 || out.SEs[0].Chunks[0].Of != 2 {
-			t.Fatalf("SE chunks corrupted: %+v", out.SEs)
-		}
-		if out.TEs[0].Watermarks[7] != 99 || out.TEs[0].OutSeq != 12 {
-			t.Fatalf("TE metadata corrupted: %+v", out.TEs)
 		}
 	})
 	t.Run("empty structs", func(t *testing.T) {
@@ -91,9 +68,12 @@ func TestDecodeMalformed(t *testing.T) {
 		{"version future", []byte{MsgHeartbeat, Version + 1, 0x01}, ErrVersion},
 		{"unknown type", []byte{0xee, Version, 0x01}, ErrUnknownType},
 		{"zero type", []byte{0x00, Version}, ErrUnknownType},
-		// A flat envelope for a control-plane type means the peer runs a
-		// future protocol that moved it off gob: reject, never misdecode.
-		{"flat envelope for gob-only type", []byte{MsgDeploy, VersionFlat, 0x01}, ErrVersion},
+		// Version 1 was the gob envelope; no type accepts it any more.
+		{"gob envelope", []byte{MsgDeploy, 0x01, 0x01}, ErrVersion},
+		// The version is checked before the type byte is looked up.
+		{"bad version and unknown type", []byte{0xee, 0x01}, ErrVersion},
+		{"retired type 0x09", []byte{0x09, Version}, ErrUnknownType},
+		{"retired type 0x0c", []byte{0x0c, Version, 0x01}, ErrUnknownType},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,6 +108,18 @@ func TestDecodeMalformed(t *testing.T) {
 		var s Stats
 		if err := Expect(good, MsgStats, &s); !errors.Is(err, ErrUnexpectedType) {
 			t.Fatalf("type mismatch: got %v, want ErrUnexpectedType", err)
+		}
+	})
+	t.Run("body on an empty message", func(t *testing.T) {
+		var s Stop
+		if err := Expect([]byte{MsgStop, Version, 0x00}, MsgStop, &s); !errors.Is(err, ErrBadPayload) {
+			t.Fatalf("non-empty Stop body: got %v, want ErrBadPayload", err)
+		}
+	})
+	t.Run("target is not a message", func(t *testing.T) {
+		var n int
+		if err := Expect(good, MsgHeartbeat, &n); !errors.Is(err, ErrBadPayload) {
+			t.Fatalf("decode into *int: got %v, want ErrBadPayload", err)
 		}
 	})
 }
@@ -171,6 +163,21 @@ func TestEncodeRejectsUnencodableTypes(t *testing.T) {
 func TestEncodeUnknownType(t *testing.T) {
 	if _, err := Encode(0xee, Heartbeat{}); !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("got %v, want ErrUnknownType", err)
+	}
+}
+
+// TestEncodeRejectsMismatchedPair: a value that is not the struct the type
+// byte names fails at the sender, for Encode and EncodeAppend alike — not
+// as a malformed payload at whoever receives it.
+func TestEncodeRejectsMismatchedPair(t *testing.T) {
+	if _, err := Encode(MsgInject, InjectAck{}); err == nil {
+		t.Fatal("Encode(MsgInject, InjectAck{}) succeeded")
+	}
+	if _, err := EncodeAppend(nil, MsgStop, StopAck{}); err == nil {
+		t.Fatal("EncodeAppend(MsgStop, StopAck{}) succeeded")
+	}
+	if _, err := Encode(MsgHeartbeat, &Heartbeat{}); err == nil {
+		t.Fatal("Encode of a pointer to the message struct succeeded")
 	}
 }
 
