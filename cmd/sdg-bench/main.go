@@ -21,94 +21,12 @@ import (
 
 func main() {
 	var (
-		fig       = flag.String("fig", "", "experiment to run (0 and 5-13); empty = all")
-		full      = flag.Bool("full", false, "use longer measurement points")
-		list      = flag.Bool("list", false, "list experiment identifiers")
-		point     = flag.Duration("point", 0, "override measurement duration per point")
-		ckpt      = flag.Bool("ckpt-bench", false, "measure full vs delta checkpoint cost and exit")
-		ckptOut   = flag.String("ckpt-out", "BENCH_checkpoint.json", "JSON output path for -ckpt-bench (empty = stdout table only)")
-		ckptKeys  = flag.Int("ckpt-keys", 100_000, "store size in keys for -ckpt-bench")
-		pipe      = flag.Bool("pipe-bench", false, "measure dataflow hot-path cost across micro-batch sizes and exit")
-		pipeOut   = flag.String("pipe-out", "BENCH_throughput.json", "JSON output path for -pipe-bench (empty = stdout table only)")
-		pipeItems = flag.Int("pipe-items", 20_000, "injected items per batch size for -pipe-bench")
-		bp        = flag.Bool("bp-bench", false, "measure offered load vs goodput under bounded admission and exit")
-		bpOut     = flag.String("bp-out", "BENCH_backpressure.json", "JSON output path for -bp-bench (empty = stdout table only)")
-		bpItems   = flag.Int("bp-items", 6_000, "items offered at load 1.0x for -bp-bench")
-		elastic   = flag.Bool("elastic-bench", false, "drive a load sawtooth against the auto-scaler (grow and shrink) and exit")
-		elOut     = flag.String("elastic-out", "BENCH_elasticity.json", "JSON output path for -elastic-bench (empty = stdout table only)")
-		elItems   = flag.Int("elastic-items", 2_000, "items per flood phase for -elastic-bench")
-		elCycles  = flag.Int("elastic-cycles", 2, "sawtooth cycles for -elastic-bench")
-		distEdge  = flag.Bool("distedge-bench", false, "measure cross-worker edge throughput and wire cost (local and TCP transports) and exit")
-		distOut   = flag.String("distedge-out", "BENCH_distedge.json", "JSON output path for -distedge-bench (empty = stdout table only)")
-		distItems = flag.Int("distedge-items", 20_000, "items injected per transport variant for -distedge-bench")
-		ledger    = flag.String("ledger", "", "update this rolling perf ledger from the BENCH_*.json records in -ledger-dir and exit")
-		ledgerPR  = flag.Int("ledger-pr", 0, "PR number the ledger entry records (required with -ledger)")
-		ledgerDir = flag.String("ledger-dir", ".", "directory holding the BENCH_*.json records -ledger folds in")
+		fig   = flag.String("fig", "", "experiment to run (0 and 5-13); empty = all")
+		full  = flag.Bool("full", false, "use longer measurement points")
+		list  = flag.Bool("list", false, "list experiment identifiers")
+		point = flag.Duration("point", 0, "override measurement duration per point")
 	)
 	flag.Parse()
-
-	if *ledger != "" {
-		if *ledgerPR <= 0 {
-			fmt.Fprintln(os.Stderr, "sdg-bench: -ledger requires -ledger-pr")
-			os.Exit(2)
-		}
-		if err := experiments.UpdateLedger(*ledger, *ledgerPR, *ledgerDir); err != nil {
-			fmt.Fprintln(os.Stderr, "sdg-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("ledger %s: recorded PR %d\n", *ledger, *ledgerPR)
-		return
-	}
-
-	if *distEdge {
-		err := experiments.WriteDistEdgeBench(os.Stdout,
-			experiments.DistEdgeBenchConfig{Items: *distItems}, *distOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdg-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *ckpt {
-		err := experiments.WriteCheckpointBench(os.Stdout,
-			experiments.CheckpointBenchConfig{Keys: *ckptKeys}, *ckptOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdg-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *pipe {
-		err := experiments.WritePipeBench(os.Stdout,
-			experiments.PipeBenchConfig{Items: *pipeItems}, *pipeOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdg-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bp {
-		err := experiments.WriteBPBench(os.Stdout,
-			experiments.BPBenchConfig{Items: *bpItems}, *bpOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdg-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *elastic {
-		err := experiments.WriteElasticBench(os.Stdout,
-			experiments.ElasticBenchConfig{Items: *elItems, Cycles: *elCycles}, *elOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdg-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		fmt.Println("experiments (paper identifiers):")

@@ -47,7 +47,7 @@ func TestCompressedSaveRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("compressed base wrote %d bytes, raw wrote %d", compBytes, rawBytes)
 	}
 	// The committed chain accounts post-compression bytes: that is what the
-	// compaction-ratio policy and the bench records see.
+	// compaction-ratio policy sees.
 	m, _ := comp.Latest("kv/0")
 	if m.Chain[0].Bytes >= rawBytes {
 		t.Fatalf("chain records %d bytes, want < %d", m.Chain[0].Bytes, rawBytes)

@@ -1,9 +1,11 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation (§6). Each driver runs the relevant systems at a
-// laptop-scale version of the paper's parameters and returns both a
-// formatted table (the rows the paper plots) and structured results that
-// the benchmark harness asserts shape properties on (who wins, by roughly
-// what factor, where crossovers fall).
+// paper's evaluation (§6: Table 1 and Figs. 5-13) and nothing else. Each
+// driver runs the relevant systems at a laptop-scale version of the
+// paper's parameters and returns both a formatted table (the rows the
+// paper plots) and structured results that the tests assert shape
+// properties on (who wins, by roughly what factor, where crossovers
+// fall). The repository's performance benchmark is bench/e2e, not this
+// package.
 //
 // Scaling: state sizes are MB instead of GB, checkpoint intervals are
 // hundreds of milliseconds instead of 10 s, and node counts are bounded by

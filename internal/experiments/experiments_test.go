@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -404,162 +401,5 @@ func TestFig10Shape(t *testing.T) {
 	}
 	if phase3 < phase1*1.5 {
 		t.Errorf("straggler mitigation gain too small: %.0f -> %.0f updates/s", phase1, phase3)
-	}
-}
-
-func TestCheckpointBenchSmoke(t *testing.T) {
-	// Tiny config: this guards the CI perf-record path (table + JSON), not
-	// the numbers; the acceptance-scale ratio lives in internal/checkpoint.
-	out := filepath.Join(t.TempDir(), "BENCH_checkpoint.json")
-	cfg := CheckpointBenchConfig{Keys: 2000, Epochs: 2}
-	var buf strings.Builder
-	if err := WriteCheckpointBench(&buf, cfg, out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var results []CheckpointBenchResult
-	if err := json.Unmarshal(data, &results); err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d backends, want 2", len(results))
-	}
-	for _, r := range results {
-		if r.DeltaBytesPerEpoch <= 0 || r.FullBytesPerEpoch <= r.DeltaBytesPerEpoch {
-			t.Fatalf("%s: full=%d delta=%d", r.Backend, r.FullBytesPerEpoch, r.DeltaBytesPerEpoch)
-		}
-		// Even at smoke scale, 1% churn must save well over 10x.
-		if r.BytesRatio < 10 {
-			t.Fatalf("%s: bytes ratio %.1f < 10", r.Backend, r.BytesRatio)
-		}
-	}
-	if !strings.Contains(buf.String(), "full vs delta") {
-		t.Fatal("summary table missing")
-	}
-}
-
-func TestPipeBenchSmoke(t *testing.T) {
-	// Tiny config: guards the CI perf-record path (table + JSON) and the
-	// alloc trajectory's shape; the hard allocation bound lives in
-	// internal/runtime's AllocsPerRun guards.
-	out := filepath.Join(t.TempDir(), "BENCH_throughput.json")
-	cfg := PipeBenchConfig{Items: 400, BatchSizes: []int{1, 64}}
-	var buf strings.Builder
-	if err := WritePipeBench(&buf, cfg, out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var results []PipeBenchResult
-	if err := json.Unmarshal(data, &results); err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d batch sizes, want 2", len(results))
-	}
-	for _, r := range results {
-		if r.Delivered <= 0 || r.ItemsPerSec <= 0 {
-			t.Fatalf("batch=%d: empty measurement %+v", r.BatchSize, r)
-		}
-	}
-	// Batching must cut allocations per item, even at smoke scale.
-	if results[1].AllocsPerItem >= results[0].AllocsPerItem {
-		t.Fatalf("allocs/item did not drop: batch=1 %.3f, batch=64 %.3f",
-			results[0].AllocsPerItem, results[1].AllocsPerItem)
-	}
-	if !strings.Contains(buf.String(), "micro-batch sweep") {
-		t.Fatal("summary table missing")
-	}
-}
-
-func TestElasticBenchSmoke(t *testing.T) {
-	// Tiny sawtooth: guards the CI record path and the full-cycle
-	// elasticity invariants — the scaler grows under the flood, retires
-	// back to the floor in the trough, and no admitted item is lost or
-	// duplicated across either transition. Pause times and goodput are
-	// wall-clock context, not asserted.
-	out := filepath.Join(t.TempDir(), "BENCH_elasticity.json")
-	// The flood must span many 2ms scan intervals or the scaler never sees
-	// the parked depth; default per-item work with a modest item count
-	// keeps it tens of milliseconds.
-	cfg := ElasticBenchConfig{Items: 600, Cycles: 1, MaxInstances: 2}
-	var buf strings.Builder
-	if err := WriteElasticBench(&buf, cfg, out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec ElasticBenchRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.DeliveredTotal != rec.OfferedTotal {
-		t.Fatalf("delivered %d != offered %d", rec.DeliveredTotal, rec.OfferedTotal)
-	}
-	if rec.PeakInstances < 2 {
-		t.Fatalf("flood never scaled up: peak = %d", rec.PeakInstances)
-	}
-	if rec.ScaleDowns < 1 || rec.FinalInstances != 1 {
-		t.Fatalf("trough never scaled in: downs = %d, final = %d", rec.ScaleDowns, rec.FinalInstances)
-	}
-	if rec.MergePauses < 1 {
-		t.Fatal("scale-in recorded no merge pause")
-	}
-	if len(rec.Phases) != 2 {
-		t.Fatalf("phases = %d, want 2", len(rec.Phases))
-	}
-	if !strings.Contains(buf.String(), "load sawtooth") {
-		t.Fatal("summary table missing")
-	}
-}
-
-func TestBPBenchSmoke(t *testing.T) {
-	// Tiny config: guards the CI perf-record path (table + JSON) and the
-	// flow-control invariants — every offered item is either accepted or
-	// shed, and everything accepted is delivered. Rates and latency
-	// percentiles are wall-clock context, not asserted (single-core
-	// measurement policy).
-	out := filepath.Join(t.TempDir(), "BENCH_backpressure.json")
-	cfg := BPBenchConfig{Items: 600, Levels: []float64{0.5, 1, 2}, WorkIters: 2000}
-	var buf strings.Builder
-	if err := WriteBPBench(&buf, cfg, out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec BPBenchRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Capacity <= 0 {
-		t.Fatalf("calibrated capacity = %f", rec.Capacity)
-	}
-	if len(rec.Levels) != 3 {
-		t.Fatalf("levels = %d, want 3", len(rec.Levels))
-	}
-	for _, r := range rec.Levels {
-		if r.Accepted+r.Shed != int64(r.Offered) {
-			t.Fatalf("level %.1fx: accepted %d + shed %d != offered %d",
-				r.Level, r.Accepted, r.Shed, r.Offered)
-		}
-		if r.Delivered != r.Accepted {
-			t.Fatalf("level %.1fx: delivered %d != accepted %d (admitted items lost)",
-				r.Level, r.Delivered, r.Accepted)
-		}
-		if r.Goodput <= 0 {
-			t.Fatalf("level %.1fx: empty measurement %+v", r.Level, r)
-		}
-	}
-	if !strings.Contains(buf.String(), "offered load vs goodput") {
-		t.Fatal("summary table missing")
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"io"
 )
 
-// Runner executes experiments by their paper identifier and prints the
-// resulting tables. It is shared by cmd/sdg-bench and the root benchmark
-// harness.
+// Runner executes the paper's experiments (Table 1 and Figs. 5-13) by
+// their paper identifier and prints the resulting tables for
+// cmd/sdg-bench.
 type Runner struct {
 	Scale Scale
 	Out   io.Writer

@@ -19,7 +19,6 @@ type Distribution struct {
 	samples []int64
 	cap     int
 	n       int64 // total observations, including evicted ones
-	sum     int64
 	max     int64
 	rng     uint64 // xorshift state for reservoir eviction
 }
@@ -51,7 +50,6 @@ func (d *Distribution) next() uint64 {
 func (d *Distribution) Record(v int64) {
 	d.mu.Lock()
 	d.n++
-	d.sum += v
 	if v > d.max {
 		d.max = v
 	}
@@ -70,16 +68,6 @@ func (d *Distribution) Count() int64 {
 	return d.n
 }
 
-// Mean reports the mean over all recorded samples (not only retained ones).
-func (d *Distribution) Mean() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.n == 0 {
-		return 0
-	}
-	return float64(d.sum) / float64(d.n)
-}
-
 // Max reports the largest recorded sample, or 0 if none.
 func (d *Distribution) Max() int64 {
 	d.mu.Lock()
@@ -94,8 +82,7 @@ func (d *Distribution) Percentile(p float64) int64 {
 }
 
 // Percentiles reports several percentiles in one pass, sorting the
-// retained samples once instead of once per call — the experiment harness
-// reads p50/p95/p99 together for every load level.
+// retained samples once instead of once per call.
 func (d *Distribution) Percentiles(ps ...float64) []int64 {
 	out := make([]int64, len(ps))
 	d.mu.Lock()
@@ -128,14 +115,4 @@ func (d *Distribution) Percentiles(ps ...float64) []int64 {
 		}
 	}
 	return out
-}
-
-// Reset discards all samples.
-func (d *Distribution) Reset() {
-	d.mu.Lock()
-	d.samples = d.samples[:0]
-	d.n = 0
-	d.sum = 0
-	d.max = 0
-	d.mu.Unlock()
 }

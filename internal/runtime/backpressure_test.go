@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -175,6 +176,16 @@ func gateGraph(gate chan struct{}) *core.Graph {
 	return g
 }
 
+// teStats returns the Stats entry of the named TE.
+func teStats(r *Runtime, name string) TEStats {
+	for _, te := range r.Stats().TEs {
+		if te.Name == name {
+			return te
+		}
+	}
+	return TEStats{}
+}
+
 // TestShedPolicyReturnsErrOverloaded pins the Shed admission contract: with
 // the pipeline frozen, exactly OverflowLen items are admitted (backlog
 // bound), every further offer fails fast with the typed error, the shed
@@ -211,24 +222,16 @@ func TestShedPolicyReturnsErrOverloaded(t *testing.T) {
 	if shed != offered-capacity {
 		t.Fatalf("shed %d items, want %d", shed, offered-capacity)
 	}
-	if got := r.Shed("gate"); got != int64(shed) {
+	if got := teStats(r, "gate").Shed; got != int64(shed) {
 		t.Fatalf("Shed counter = %d, want %d", got, shed)
 	}
 	// A batch over a full backlog sheds whole, all-or-nothing.
 	if err := r.InjectBatch("gate", make([]InjectItem, 5)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("InjectBatch over capacity: got %v, want ErrOverloaded", err)
 	}
-	if got := r.Shed("gate"); got != int64(shed+5) {
-		t.Fatalf("Shed counter after batch = %d, want %d", got, shed+5)
-	}
-	var st TEStats
-	for _, te := range r.Stats().TEs {
-		if te.Name == "gate" {
-			st = te
-		}
-	}
+	st := teStats(r, "gate")
 	if st.Shed != int64(shed+5) {
-		t.Fatalf("stats shed = %d, want %d", st.Shed, shed+5)
+		t.Fatalf("Shed counter after batch = %d, want %d", st.Shed, shed+5)
 	}
 	if st.Queued != capacity {
 		t.Fatalf("stats queued = %d, want %d", st.Queued, capacity)
@@ -267,7 +270,7 @@ func TestBlockDeadlineShedsTyped(t *testing.T) {
 	if err := r.Inject("gate", 99, nil); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("inject over capacity: got %v, want ErrOverloaded after deadline", err)
 	}
-	if got := r.Shed("gate"); got != 1 {
+	if got := teStats(r, "gate").Shed; got != 1 {
 		t.Fatalf("shed = %d, want 1", got)
 	}
 	if r.AdmitLatency.Count() == 0 {
@@ -458,10 +461,21 @@ func TestBackpressureSignalFeedsStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Stop()
-	for k := uint64(0); k < 4; k++ {
-		if err := r.Inject("src", k, nil); err != nil {
-			t.Fatal(err)
-		}
+	// Registered after Stop so it runs first: a failing assert releases
+	// the parked items instead of wedging Stop behind the gate.
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	defer release()
+	// One batch, not four Injects: once src fans out key 0, slow parks
+	// OverflowLen items, backpressure closes ingress, and a blocking
+	// Inject with no deadline would wait for a gate that only opens below.
+	// An idle entry always admits a whole batch.
+	batch := make([]InjectItem, 4)
+	for k := range batch {
+		batch[k] = InjectItem{Key: uint64(k)}
+	}
+	if err := r.InjectBatch("src", batch); err != nil {
+		t.Fatal(err)
 	}
 	deadline := time.Now().Add(testTimeout)
 	for {
@@ -479,7 +493,7 @@ func TestBackpressureSignalFeedsStats(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(gate)
+	release()
 	if !r.Drain(testTimeout) {
 		t.Fatal("did not drain after release")
 	}

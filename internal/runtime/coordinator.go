@@ -156,6 +156,12 @@ type Coordinator struct {
 	wg       sync.WaitGroup
 }
 
+// ErrUnsupportedLayout rejects a multi-worker layout in which an
+// all-to-one gather collects from instances on more than one worker.
+// Request ids and reply tables are worker-local, so such partials would
+// time out or answer a stranger's call.
+var ErrUnsupportedLayout = errors.New("coordinator: unsupported layout")
+
 // NewCoordinator validates the graph for distributed execution, deploys it
 // to every worker and starts failure detection.
 //
@@ -206,6 +212,15 @@ func NewCoordinator(graphName string, eps []WorkerEndpoint, opts CoordOptions) (
 	}
 	if len(eps) > 1 {
 		c.computeLayout(eps)
+		// The split puts a TE with more than one global instance on more
+		// than one worker.
+		for _, e := range g.Edges {
+			src := g.TEs[e.From].Name
+			if n := c.teShards[0][src].Total; e.Dispatch == core.DispatchAllToOne && n > 1 {
+				return nil, fmt.Errorf("%w: gather %q collects from %d instances of %q across workers",
+					ErrUnsupportedLayout, g.TEs[e.To].Name, n, src)
+			}
+		}
 	}
 	for i, ep := range eps {
 		cw := &coordWorker{ep: ep}

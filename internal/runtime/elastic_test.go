@@ -384,6 +384,85 @@ func TestAutoScaleHighWaterClampRegression(t *testing.T) {
 	}
 }
 
+// TestAutoScaleSawtoothExactlyOnce drives the auto-scaler through a full
+// grow-then-shrink cycle while items flow: a flood of blocking InjectBatch
+// bursts parks behind a one-slot queue until the controller splits the
+// partitioned TE, the trough lets it retire back to MinInstances, and
+// across both rescales every injected key lands in the SE exactly once.
+func TestAutoScaleSawtoothExactlyOnce(t *testing.T) {
+	const (
+		burst    = 64
+		interval = 2 * time.Millisecond
+	)
+	r, err := Deploy(putGraph(20000), Options{
+		Partitions:  map[string]int{"store": 1},
+		QueueLen:    1, // every burst beyond the one in flight parks
+		OverflowLen: 4 * burst,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	r.StartAutoScale(interval, ScalePolicy{
+		TEs:            []string{"put"},
+		QueueHighWater: burst / 4,
+		ShrinkAfter:    4,
+		MinInstances:   1,
+		MaxInstances:   2,
+		Cooldown:       4 * interval,
+	})
+
+	offered := 0
+	inject := func() {
+		batch := make([]InjectItem, burst)
+		for i := range batch {
+			k := uint64(offered + i)
+			batch[i] = InjectItem{Key: k, Value: []byte(fmt.Sprintf("v%d", k))}
+		}
+		if err := r.InjectBatch("put", batch); err != nil {
+			t.Fatal(err)
+		}
+		offered += burst
+	}
+	// Flood until the controller grows the TE, then keep items flowing
+	// through the grown layout for a few more bursts.
+	deadline := time.Now().Add(testTimeout)
+	for r.Instances("put") < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("flood of %d items never scaled the TE up", offered)
+		}
+		inject()
+	}
+	for i := 0; i < 4; i++ {
+		inject()
+	}
+	if !r.Drain(testTimeout) {
+		t.Fatal("flood did not drain")
+	}
+
+	// Trough: idle until the controller retires the TE to the floor.
+	deadline = time.Now().Add(testTimeout)
+	for r.Instances("put") > 1 || r.StateInstances("store") > 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("idle TE never shrank: %d instances", r.Instances("put"))
+		}
+		time.Sleep(interval)
+	}
+
+	if got := r.Processed("put"); got != int64(offered) {
+		t.Fatalf("processed = %d, want %d (items lost or duplicated across rescale)", got, offered)
+	}
+	got := storeContents(t, r, "store")
+	if len(got) != offered {
+		t.Fatalf("store holds %d keys, want %d", len(got), offered)
+	}
+	for k := 0; k < offered; k++ {
+		if v, want := got[uint64(k)], fmt.Sprintf("v%d", k); v != want {
+			t.Fatalf("key %d = %q, want %q", k, v, want)
+		}
+	}
+}
+
 // TestRateMapPrunesDeadOrigins: the auto-scaler's per-origin counters drop
 // entries for killed or replaced instances instead of growing without bound
 // across recover/rescale cycles.

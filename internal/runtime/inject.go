@@ -389,16 +389,6 @@ func (r *Runtime) Call(teName string, key uint64, value any, timeout time.Durati
 	}
 }
 
-// Shed reports the number of externally offered items rejected by
-// admission control for the named TE.
-func (r *Runtime) Shed(teName string) int64 {
-	ts, err := r.te(teName)
-	if err != nil {
-		return 0
-	}
-	return ts.shed.Load()
-}
-
 // callWaiting reports whether an external Call is still waiting on the
 // request id. Every graph has at most one gather stage per request path
 // (the merge that replies), so a nonzero-reqID partial with no waiting

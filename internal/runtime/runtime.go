@@ -190,10 +190,6 @@ type Runtime struct {
 	// injection waited for admission (0 for the uncontended fast path), so
 	// operators can see ingress pressure building before items shed.
 	AdmitLatency *metrics.Distribution
-	// ScalePause records, in nanoseconds, how long each ScaleDown held the
-	// ingress fence (quiesce wait + state merge) — the scale-in analogue of
-	// the checkpoint pause the paper measures.
-	ScalePause *metrics.Distribution
 }
 
 // teState tracks one task element and its live instances.
@@ -419,7 +415,6 @@ func Deploy(g *core.Graph, opts Options) (*Runtime, error) {
 		CallLatency:  metrics.NewHistogram(0),
 		BatchSizes:   metrics.NewDistribution(4096),
 		AdmitLatency: metrics.NewDistribution(4096),
-		ScalePause:   metrics.NewDistribution(1024),
 	}
 
 	// Backup store for checkpoints.

@@ -220,7 +220,6 @@ func (r *Runtime) retireStateless(ts *teState, drain time.Duration) error {
 	if err := r.checkRetireable([]int{ts.def.ID}); err != nil {
 		return err
 	}
-	start := time.Now()
 	release, err := r.fenceIngress(drain)
 	if err != nil {
 		return err
@@ -233,7 +232,6 @@ func (r *Runtime) retireStateless(ts *teState, drain time.Duration) error {
 	}
 	r.retireTEInstance(ts)
 	release()
-	r.ScalePause.Record(time.Since(start).Nanoseconds())
 	return nil
 }
 
@@ -255,7 +253,6 @@ func (r *Runtime) shrinkPartitioned(ss *seState, drain time.Duration) error {
 		return err
 	}
 
-	start := time.Now()
 	release, err := r.fenceIngress(drain)
 	if err != nil {
 		return err
@@ -274,7 +271,6 @@ func (r *Runtime) shrinkPartitioned(ss *seState, drain time.Duration) error {
 	victimName, err := r.shrinkPartitionedFenced(ss, accessing)
 	ss.ckptGate.Unlock()
 	release()
-	r.ScalePause.Record(time.Since(start).Nanoseconds())
 	if err != nil {
 		return err
 	}

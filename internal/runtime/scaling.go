@@ -252,7 +252,7 @@ type ScalePolicy struct {
 	TEs []string
 	// OnScale, if set, is invoked after each scaling action (up or down)
 	// with the TE name and its new instance count (used by the Fig. 10
-	// experiment and the elasticity bench to record the timeline).
+	// experiment to record the timeline).
 	OnScale func(te string, instances int)
 }
 
