@@ -82,7 +82,7 @@ func (d *distStore) Delete(key uint64, timeout time.Duration) (bool, error) {
 
 // newCoordinator dials every worker (one data and one control connection
 // each) and deploys the kv graph across them.
-func newCoordinator(workers string, partitions, shards, batch, snapChunk int, interval time.Duration) (*runtime.Coordinator, error) {
+func newCoordinator(workers string, partitions, batch, snapChunk int, interval time.Duration) (*runtime.Coordinator, error) {
 	var eps []runtime.WorkerEndpoint
 	dial := func(addr string, timeout time.Duration) (*cluster.Client, error) {
 		c, err := cluster.Dial(addr)
@@ -116,7 +116,6 @@ func newCoordinator(workers string, partitions, shards, batch, snapChunk int, in
 	}
 	coord, err := runtime.NewCoordinator("kv", eps, runtime.CoordOptions{
 		Partitions:     map[string]int{"store": partitions},
-		KVShards:       shards,
 		BatchSize:      batch,
 		SnapChunkBytes: snapChunk,
 		OnFailure: func(w int) {
@@ -144,7 +143,6 @@ func main() {
 	var (
 		listen       = flag.String("listen", "127.0.0.1:7070", "TCP listen address")
 		partitions   = flag.Int("partitions", 2, "store partitions (with -workers: the global total, sharded across workers)")
-		shards       = flag.Int("shards", -1, "lock stripes per store partition (-1 = per-core default, 0 = single lock)")
 		batch        = flag.Int("batch", 1, "micro-batch target for the item hot path (1 = per-item dispatch)")
 		injectPolicy = flag.String("inject-policy", "block", "ingress admission policy under overload: block | shed")
 		injectDL     = flag.Duration("inject-deadline", 0, "max time block admission waits before shedding (0 = forever)")
@@ -156,9 +154,6 @@ func main() {
 		lowWater     = flag.Int("scale-low-water", 0, "backlog at or below this is idle; sustained idleness scales the task back in")
 		ftInterval   = flag.Duration("checkpoint", 10*time.Second, "checkpoint interval (0 = off)")
 		delta        = flag.Bool("delta", true, "incremental (delta) checkpoints: serialise only keys changed since the last epoch")
-		compactEvery = flag.Int("compact-every", 0, "force a full base checkpoint after this many deltas (0 = default 8)")
-		compactRatio = flag.Float64("compact-ratio", 0, "force a full base once delta bytes exceed this fraction of base bytes (0 = default 0.5)")
-		compressBase = flag.Bool("compress-base", false, "flate-compress base checkpoint chunks before they reach the backup disks (deltas stay raw)")
 		workers      = flag.String("workers", "", "comma-separated sdg-worker addresses; when set, run as a distributed coordinator instead of hosting the store in-process")
 		snapChunk    = flag.Int("snap-chunk-bytes", 0, "max encoded bytes per streamed snapshot chunk pulled from workers (0 = 1 MiB default)")
 		demo         = flag.Bool("demo", false, "run a scripted demo client and exit")
@@ -168,7 +163,7 @@ func main() {
 	var st kvStore
 	var banner string
 	if *workers != "" {
-		coord, err := newCoordinator(*workers, *partitions, *shards, *batch, *snapChunk, *ftInterval)
+		coord, err := newCoordinator(*workers, *partitions, *batch, *snapChunk, *ftInterval)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sdg-kv:", err)
 			os.Exit(1)
@@ -198,15 +193,11 @@ func main() {
 			Runtime: runtime.Options{
 				Mode:             mode,
 				Interval:         *ftInterval,
-				KVShards:         *shards,
 				BatchSize:        *batch,
 				InjectPolicy:     policy,
 				InjectDeadline:   *injectDL,
 				OverflowLen:      *overflowLen,
 				DeltaCheckpoints: *delta,
-				CompactEvery:     *compactEvery,
-				CompactRatio:     *compactRatio,
-				CompressBase:     *compressBase,
 			},
 		})
 		if err != nil {

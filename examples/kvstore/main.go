@@ -23,9 +23,6 @@ func init() {
 func main() {
 	b := sdg.NewGraph("kv")
 	store := b.PartitionedState("store", sdg.StoreKVMap)
-	// Asserting the sdg.KV interface (not the concrete *sdg.KVMap) keeps
-	// the task functions backend-neutral: Options.KVShards below swaps in
-	// the lock-striped sharded store without touching this code.
 	b.Task("put", func(ctx sdg.Context, it sdg.Item) {
 		ctx.Store().(sdg.KV).Put(it.Key, it.Value.([]byte))
 		ctx.Reply(true)
@@ -43,7 +40,6 @@ func main() {
 		Interval:      time.Hour, // manual checkpoints for the demo
 		Chunks:        2,
 		DiskBandwidth: 64 << 20, // 64 MB/s simulated backup disks
-		KVShards:      -1,       // lock-striped dictionary, per-core shards
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -21,10 +21,7 @@
 package checkpoint
 
 import (
-	"bytes"
-	"compress/flate"
 	"fmt"
-	"io"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -106,30 +103,6 @@ type Result struct {
 	SnapshotTime time.Duration // serialisation time
 }
 
-// Policy selects between full and delta epochs and bounds chain growth.
-// The zero value (Delta false) always takes full checkpoints.
-type Policy struct {
-	// Delta enables incremental epochs for stores that track changed keys.
-	Delta bool
-	// CompactEvery forces a new base after this many consecutive deltas
-	// (default 8). Longer chains write fewer bytes but lengthen recovery.
-	CompactEvery int
-	// CompactRatio forces a new base once the chain's cumulative delta
-	// bytes exceed this fraction of the base's bytes (default 0.5): past
-	// that point replay cost approaches a fresh base's write cost.
-	CompactRatio float64
-}
-
-func (p Policy) withDefaults() Policy {
-	if p.CompactEvery <= 0 {
-		p.CompactEvery = 8
-	}
-	if p.CompactRatio <= 0 {
-		p.CompactRatio = 0.5
-	}
-	return p
-}
-
 // Backup is the checkpoint store: it spreads chunks over m backup nodes and
 // keeps the manifest of the latest committed checkpoint chain per SE
 // instance. The manifest plays the role of cluster metadata that survives
@@ -137,13 +110,6 @@ func (p Policy) withDefaults() Policy {
 type Backup struct {
 	cl      *cluster.Cluster
 	targets []*cluster.Node
-
-	// CompressBase flate-compresses base (full) chunk payloads before they
-	// hit the backup disks; delta chunks stay raw — they are already small
-	// and their write rate is the hot path. Set before the first Save (it
-	// is read concurrently by chunk writers); restores auto-detect either
-	// way from the chunk header, so the setting can change across epochs.
-	CompressBase bool
 
 	mu        sync.Mutex
 	manifests map[string]Meta
@@ -243,48 +209,20 @@ func (b *Backup) Save(meta Meta, chunks []state.Chunk) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint: encode buffers: %w", err)
 	}
-	// chunkBytes counts payload bytes as stored (post-compression), so
-	// Result.Bytes and the chain's compaction-ratio accounting both see
-	// what the disks and the network actually carried.
-	var written atomic.Int64
+	// chunkBytes counts chunk payload bytes, which Result.Bytes and the
+	// chain's compaction rule both read.
+	var chunkBytes int64
+	for _, c := range chunks {
+		chunkBytes += int64(len(c.Data))
+	}
 	runBounded(len(chunks), ioPool(len(chunks), len(b.targets)), func(i int) {
 		c := chunks[i]
-		target := b.targets[i%len(b.targets)]
-		name := chunkName(meta.SE, meta.Epoch, i)
-		data := c.Data
-		var fe *flateEnc
-		if b.CompressBase && !c.Delta && len(data) >= compressMinSize {
-			fe = flatePool.Get().(*flateEnc)
-			fe.buf.Reset()
-			fe.w.Reset(&fe.buf)
-			// Writes to a bytes.Buffer cannot fail; a compressed result no
-			// smaller than the input is simply not worth the restore cost.
-			fe.w.Write(data)
-			fe.w.Close()
-			if fe.buf.Len() < len(data) {
-				data = fe.buf.Bytes()
-			} else {
-				flatePool.Put(fe)
-				fe = nil
-			}
-		}
-		// The header is written as a separate disk part so the payload is
-		// never re-copied into a contiguous header+data slice; WriteParts
-		// copies both parts, so a pooled compression buffer is immediately
-		// reusable afterwards.
-		if fe != nil {
-			hdr := chunkHeaderV2(c, chunkFlagFlate)
-			b.cl.Transfer(int64(len(hdr)) + int64(len(data)))
-			target.Disk.WriteParts(name, hdr[:], data)
-			flatePool.Put(fe)
-		} else {
-			hdr := chunkHeader(c)
-			b.cl.Transfer(int64(len(hdr)) + int64(len(data)))
-			target.Disk.WriteParts(name, hdr[:], data)
-		}
-		written.Add(int64(len(data)))
+		// The header is a separate disk part so the payload is never
+		// re-copied into a contiguous header+data slice.
+		hdr := chunkHeader(c)
+		b.cl.Transfer(int64(len(hdr)) + int64(len(c.Data)))
+		b.targets[i%len(b.targets)].Disk.WriteParts(chunkName(meta.SE, meta.Epoch, i), hdr[:], c.Data)
 	})
-	chunkBytes := written.Load()
 	// Output buffers ride with the first target.
 	b.cl.Transfer(int64(len(bufBytes)))
 	b.targets[0].Disk.Write(bufName(meta.SE, meta.Epoch), bufBytes)
@@ -371,25 +309,23 @@ func (b *Backup) Latest(se string) (Meta, bool) {
 	return m, ok
 }
 
-// ShouldDelta reports whether the epoch after chain may be incremental
-// under the policy: the chain must start at a base, and neither compaction
-// trigger (delta count, cumulative delta bytes) may have fired. Both sinks
-// decide with it — the backup store over its manifest chain, the
-// coordinator over the chain it retains per SE instance.
-func ShouldDelta(p Policy, chain []EpochRef) bool {
-	if !p.Delta || len(chain) == 0 || chain[0].Delta {
-		return false
-	}
-	p = p.withDefaults()
-	deltas := chain[1:]
-	if len(deltas) >= p.CompactEvery {
+// ShouldDelta reports whether the epoch after chain may be incremental:
+// the chain must start at a base, and its delta epochs together must stay
+// under half the base's bytes. Past that point replaying the chain costs
+// more than writing a fresh base, so the next epoch compacts. Bytes, not
+// epoch count, bound both a restore's length and the coordinator's
+// retained memory. Both sinks decide with this one rule: the backup store
+// over its manifest chain, the coordinator over the chain it retains per
+// SE instance.
+func ShouldDelta(chain []EpochRef) bool {
+	if len(chain) == 0 || chain[0].Delta {
 		return false
 	}
 	var deltaBytes int64
-	for _, d := range deltas {
+	for _, d := range chain[1:] {
 		deltaBytes += d.Bytes
 	}
-	return float64(deltaBytes) < p.CompactRatio*float64(chain[0].Bytes)
+	return 2*deltaBytes < chain[0].Bytes
 }
 
 // RestoreSet holds the ordered chunk groups one recovering instance
@@ -492,111 +428,47 @@ func (b *Backup) Forget(se string) {
 	}
 }
 
-// Chunk wire format on backup disks. Two header versions coexist:
+// Chunk wire format on backup disks (9-byte header, then the payload):
 //
-//	v1 (9 bytes):  [type|0x80 delta][index:4][of:4] data
-//	v2 (10 bytes): [type|0x80 delta|0x40 v2][index:4][of:4][flags] data
+//	[type|0x80 delta][index:4][of:4] data
 //
-// The v2 marker rides in byte 0 next to the delta bit (StoreType values are
-// tiny, both high bits are free), and the flags byte says how the data is
-// stored — currently only chunkFlagFlate. Writers emit v2 only when flags
-// are non-zero, so uncompressed chunks stay byte-identical to v1 and old
-// chunks restore unchanged. The header is written as a separate disk part
-// so the payload never needs to be copied into a contiguous header+data
-// slice.
+// StoreType values are tiny, so the delta bit rides in byte 0. Bit 0x40
+// marked a retired compressed-chunk header and is refused. The header is
+// written as a separate disk part so the payload never needs to be copied
+// into a contiguous header+data slice.
 const (
-	chunkDeltaFlag = 0x80
-	chunkV2Flag    = 0x40
-
-	// chunkFlagFlate: the data is a flate stream of the chunk payload.
-	chunkFlagFlate = 0x01
+	chunkDeltaFlag   = 0x80
+	chunkRetiredFlag = 0x40
 )
-
-// compressMinSize skips compression for chunks too small to amortise the
-// flate stream overhead.
-const compressMinSize = 128
-
-// flateEnc pairs a flate writer with its output buffer so both recycle
-// together; chunk writers run concurrently, so the pair is pooled.
-type flateEnc struct {
-	buf bytes.Buffer
-	w   *flate.Writer
-}
-
-var flatePool = sync.Pool{New: func() any {
-	fe := &flateEnc{}
-	fe.w, _ = flate.NewWriter(&fe.buf, flate.BestSpeed)
-	return fe
-}}
-
-func chunkByte0(c state.Chunk) byte {
-	t := byte(c.Type)
-	if c.Delta {
-		t |= chunkDeltaFlag
-	}
-	return t
-}
-
-func putChunkIndexOf(h []byte, c state.Chunk) {
-	h[0] = byte(c.Index >> 24)
-	h[1] = byte(c.Index >> 16)
-	h[2] = byte(c.Index >> 8)
-	h[3] = byte(c.Index)
-	h[4] = byte(c.Of >> 24)
-	h[5] = byte(c.Of >> 16)
-	h[6] = byte(c.Of >> 8)
-	h[7] = byte(c.Of)
-}
 
 func chunkHeader(c state.Chunk) [9]byte {
 	var h [9]byte
-	h[0] = chunkByte0(c)
-	putChunkIndexOf(h[1:], c)
-	return h
-}
-
-func chunkHeaderV2(c state.Chunk, flags byte) [10]byte {
-	var h [10]byte
-	h[0] = chunkByte0(c) | chunkV2Flag
-	putChunkIndexOf(h[1:], c)
-	h[9] = flags
+	h[0] = byte(c.Type)
+	if c.Delta {
+		h[0] |= chunkDeltaFlag
+	}
+	h[1] = byte(c.Index >> 24)
+	h[2] = byte(c.Index >> 16)
+	h[3] = byte(c.Index >> 8)
+	h[4] = byte(c.Index)
+	h[5] = byte(c.Of >> 24)
+	h[6] = byte(c.Of >> 16)
+	h[7] = byte(c.Of >> 8)
+	h[8] = byte(c.Of)
 	return h
 }
 
 func decodeChunk(payload []byte) (state.Chunk, error) {
-	if len(payload) < 9 {
+	if len(payload) < 9 || payload[0]&chunkRetiredFlag != 0 {
 		return state.Chunk{}, state.ErrBadChunk
 	}
-	c := state.Chunk{
-		Type:  state.StoreType(payload[0] &^ (chunkDeltaFlag | chunkV2Flag)),
+	return state.Chunk{
+		Type:  state.StoreType(payload[0] &^ chunkDeltaFlag),
 		Delta: payload[0]&chunkDeltaFlag != 0,
 		Index: int(payload[1])<<24 | int(payload[2])<<16 | int(payload[3])<<8 | int(payload[4]),
 		Of:    int(payload[5])<<24 | int(payload[6])<<16 | int(payload[7])<<8 | int(payload[8]),
-	}
-	data := payload[9:]
-	if payload[0]&chunkV2Flag != 0 {
-		if len(payload) < 10 {
-			return state.Chunk{}, state.ErrBadChunk
-		}
-		flags := payload[9]
-		data = payload[10:]
-		if flags&^byte(chunkFlagFlate) != 0 {
-			// An unknown storage flag means a future writer: refuse rather
-			// than misparse the data.
-			return state.Chunk{}, state.ErrBadChunk
-		}
-		if flags&chunkFlagFlate != 0 {
-			r := flate.NewReader(bytes.NewReader(data))
-			var buf bytes.Buffer
-			if _, err := io.Copy(&buf, r); err != nil {
-				return state.Chunk{}, state.ErrBadChunk
-			}
-			r.Close()
-			data = buf.Bytes()
-		}
-	}
-	c.Data = data
-	return c, nil
+		Data:  payload[9:],
+	}, nil
 }
 
 // Output buffers use the flat item codec (uvarint map/slice counts, tagged

@@ -371,7 +371,7 @@ func TestAsyncShardedCrossRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Meta.StoreType != state.TypeShardedKVMap {
+	if res.Meta.StoreType != state.TypeKVMap {
 		t.Fatalf("meta store type = %v", res.Meta.StoreType)
 	}
 	// Post-checkpoint mutations must not appear in the restored snapshot.
@@ -403,12 +403,12 @@ func TestAsyncShardedCrossRestore(t *testing.T) {
 		if total != 500 {
 			t.Fatalf("n=%d restored %d entries, want 500", n, total)
 		}
-		// RestoreInstance rebuilds via meta.StoreType: a sharded store.
+		// RestoreInstance rebuilds via meta.StoreType: a dictionary store.
 		st, err := RestoreInstance(meta, sets[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Type() != state.TypeShardedKVMap {
+		if st.Type() != state.TypeKVMap {
 			t.Fatalf("RestoreInstance type = %v", st.Type())
 		}
 	}

@@ -275,50 +275,36 @@ func TestDeltaSaveAbort(t *testing.T) {
 	}
 }
 
-// TestShouldDeltaPolicy checks both compaction triggers.
+// TestShouldDeltaPolicy pins the one compaction rule at its boundary: the
+// next epoch may be a delta while the chain's delta bytes stay under half
+// its base bytes, and no number of small deltas forces a base.
 func TestShouldDeltaPolicy(t *testing.T) {
-	_, b := newBackupEnv(t, 1, 0)
-	should := func(p Policy) bool {
-		m, _ := b.Latest("kv/0")
-		return ShouldDelta(p, m.Chain)
-	}
-	pol := Policy{Delta: true, CompactEvery: 2, CompactRatio: 100} // count-triggered
-	if should(pol) {
-		t.Fatal("no chain yet: must take a base")
-	}
-	st := mkTracked("kvmap", 1000, []byte("value"))
-	kv := st.(state.KV)
-	if _, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, 1, b); err != nil {
-		t.Fatal(err)
-	}
-	if !should(pol) {
-		t.Fatal("fresh chain should allow deltas")
-	}
-	for e := uint64(2); e <= 3; e++ {
-		kv.Put(e, []byte("x"))
-		if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: e}, 1, b); err != nil {
-			t.Fatal(err)
+	chain := func(base int64, deltas ...int64) []EpochRef {
+		c := []EpochRef{{Epoch: 1, Chunks: 1, Bytes: base}}
+		for i, n := range deltas {
+			c = append(c, EpochRef{Epoch: uint64(i + 2), Chunks: 1, Bytes: n, Delta: true})
 		}
+		return c
 	}
-	if should(pol) {
-		t.Fatal("CompactEvery=2 reached: must compact")
-	}
-	if !should(Policy{Delta: true, CompactEvery: 100, CompactRatio: 100}) {
-		t.Fatal("relaxed policy should still allow deltas")
-	}
-
-	// Ratio trigger: huge churn makes delta bytes exceed the base fraction.
-	for i := uint64(0); i < 1000; i++ {
-		kv.Put(i, []byte("rewritten-value-now-larger"))
-	}
-	if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 4}, 1, b); err != nil {
-		t.Fatal(err)
-	}
-	if should(Policy{Delta: true, CompactEvery: 100, CompactRatio: 0.5}) {
-		t.Fatal("cumulative delta bytes exceed half the base: must compact")
-	}
-	if should(Policy{}) {
-		t.Fatal("zero policy must never choose delta")
+	for _, tc := range []struct {
+		name  string
+		chain []EpochRef
+		want  bool
+	}{
+		{"no chain", nil, false},
+		{"no deltas", chain(100), true},
+		{"just under half", chain(100, 49), true},
+		{"exactly half", chain(100, 50), false},
+		{"odd base", chain(101, 50), true},
+		{"summed under half", chain(100, 25, 24), true},
+		{"summed to half", chain(100, 25, 25), false},
+		{"many small deltas", chain(100, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2), true},
+		{"empty base", chain(0), false},
+		{"starts at a delta", []EpochRef{{Epoch: 2, Chunks: 1, Bytes: 1, Delta: true}}, false},
+	} {
+		if got := ShouldDelta(tc.chain); got != tc.want {
+			t.Errorf("%s: ShouldDelta = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

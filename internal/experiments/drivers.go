@@ -11,13 +11,16 @@ import (
 	"repro/internal/workload"
 )
 
+// preloadEntryOverhead is preloadKV's per-entry accounting beyond the
+// value: key plus bookkeeping.
+const preloadEntryOverhead = 56
+
 // preloadKV fills the store's partitions directly (white-box) to the target
 // aggregate size, bypassing the request path so experiment setup stays fast.
 func preloadKV(app *kv.KV, targetBytes int64, valueSize int) uint64 {
 	parts := app.Runtime().StateInstances("store")
 	var key uint64
-	perEntry := int64(valueSize + 56) // value + key + bookkeeping
-	entries := targetBytes / perEntry
+	entries := targetBytes / int64(valueSize+preloadEntryOverhead)
 	for i := int64(0); i < entries; i++ {
 		idx := state.PartitionKey(key, parts)
 		st, err := app.Runtime().StateStore("store", idx)

@@ -20,7 +20,14 @@ type Fig13Row struct {
 	// drivers it is the metric that exposes checkpoint interference (cf.
 	// Fig12Row.Worst).
 	Worst time.Duration
+	// DiskBytes is what the run wrote to its modelled backup disks, every
+	// checkpoint it started included: the modelled cost that fault
+	// tolerance adds, and zero for No FT.
+	DiskBytes int64
 }
+
+// fig13ValueSize is the value size of every preloaded and written key.
+const fig13ValueSize = 256
 
 // Fig13 reproduces Fig. 13: the impact of checkpoint frequency (top) and
 // state size (bottom) on processing latency, against a No-FT baseline. The
@@ -29,9 +36,7 @@ type Fig13Row struct {
 // latency roughly proportionally, because the overhead is the dirty-state
 // merge plus the checkpoint writes.
 func Fig13(scale Scale) (freqRows, sizeRows []Fig13Row, table *Table, err error) {
-	const valueSize = 256
-
-	run := func(mode checkpoint.Mode, interval time.Duration, size int64) (metrics.Candlestick, time.Duration, error) {
+	run := func(mode checkpoint.Mode, interval time.Duration, size int64) (Fig13Row, error) {
 		cl := cluster.New(0, cluster.Config{DiskWriteBW: fig6DiskBW, DiskReadBW: fig6DiskBW})
 		app, err := kv.New(kv.Config{Partitions: 1, Runtime: runtime.Options{
 			Cluster:  cl,
@@ -40,12 +45,19 @@ func Fig13(scale Scale) (freqRows, sizeRows []Fig13Row, table *Table, err error)
 			Chunks:   2,
 		}})
 		if err != nil {
-			return metrics.Candlestick{}, 0, err
+			return Fig13Row{}, err
 		}
-		defer app.Stop()
-		keys := preloadKV(app, size, valueSize)
-		_, lat := driveKV(app, 0, valueSize, keys, scale)
-		return lat, app.Runtime().CallLatency.Max(), nil
+		keys := preloadKV(app, size, fig13ValueSize)
+		_, lat := driveKV(app, 0, fig13ValueSize, keys, scale)
+		row := Fig13Row{Interval: interval, StateBytes: size, Latency: lat, Worst: app.Runtime().CallLatency.Max()}
+		// Stop waits for an in-flight checkpoint, so every one the run
+		// started has landed on the disks before they are read.
+		app.Stop()
+		for i := 0; i < cl.Size(); i++ {
+			written, _ := cl.Node(i).Disk.Stats()
+			row.DiskBytes += written
+		}
+		return row, nil
 	}
 
 	// Top: frequency sweep at fixed state (paper: 2-10 s; scaled so that
@@ -53,47 +65,46 @@ func Fig13(scale Scale) (freqRows, sizeRows []Fig13Row, table *Table, err error)
 	const freqState = 8 << 20
 	freqs := []time.Duration{scale.PointDuration / 8, scale.PointDuration / 4, scale.PointDuration / 2}
 	for _, f := range freqs {
-		lat, worst, err := run(checkpoint.ModeAsync, f, freqState)
+		row, err := run(checkpoint.ModeAsync, f, freqState)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		freqRows = append(freqRows, Fig13Row{
-			Label: ms(f) + "ms", Interval: f, StateBytes: freqState, Latency: lat, Worst: worst,
-		})
+		row.Label = ms(f) + "ms"
+		freqRows = append(freqRows, row)
 	}
-	latNoFT, worstNoFT, err := run(checkpoint.ModeOff, time.Hour, freqState)
+	noFT, err := run(checkpoint.ModeOff, 0, freqState)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	freqRows = append(freqRows, Fig13Row{Label: "No FT", StateBytes: freqState, Latency: latNoFT, Worst: worstNoFT})
+	noFT.Label = "No FT"
+	freqRows = append(freqRows, noFT)
 
 	// Bottom: size sweep at fixed frequency (paper: 1-5 GB; scaled).
 	sizeInterval := scale.PointDuration / 4
 	sizes := []int64{2 << 20, 8 << 20, 20 << 20}
-	sizeRows = append(sizeRows, Fig13Row{Label: "No FT", Latency: latNoFT, Worst: worstNoFT})
+	sizeRows = append(sizeRows, noFT)
 	for _, s := range sizes {
-		lat, worst, err := run(checkpoint.ModeAsync, sizeInterval, s)
+		row, err := run(checkpoint.ModeAsync, sizeInterval, s)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		sizeRows = append(sizeRows, Fig13Row{
-			Label: mb(s) + "MB", Interval: sizeInterval, StateBytes: s, Latency: lat, Worst: worst,
-		})
+		row.Label = mb(s) + "MB"
+		sizeRows = append(sizeRows, row)
 	}
 
 	table = &Table{
 		Title:  "Fig 13: checkpoint frequency and size vs processing latency",
 		Note:   "paper: No-FT p95 68ms -> 500ms at 1GB/10s; degrades ~proportionally with frequency and size",
-		Header: []string{"sweep", "config", "p50(ms)", "p95(ms)", "worst(ms)"},
+		Header: []string{"sweep", "config", "p50(ms)", "p95(ms)", "worst(ms)", "disk(MB)"},
 	}
 	for _, r := range freqRows {
 		table.Rows = append(table.Rows, []string{
-			"frequency", r.Label, ms(r.Latency.P50), ms(r.Latency.P95), ms(r.Worst),
+			"frequency", r.Label, ms(r.Latency.P50), ms(r.Latency.P95), ms(r.Worst), mb(r.DiskBytes),
 		})
 	}
 	for _, r := range sizeRows {
 		table.Rows = append(table.Rows, []string{
-			"state size", r.Label, ms(r.Latency.P50), ms(r.Latency.P95), ms(r.Worst),
+			"state size", r.Label, ms(r.Latency.P50), ms(r.Latency.P95), ms(r.Worst), mb(r.DiskBytes),
 		})
 	}
 	return freqRows, sizeRows, table, nil

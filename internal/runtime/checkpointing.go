@@ -107,7 +107,7 @@ func (r *Runtime) CheckpointNow(seName string, idx int) (checkpoint.Result, erro
 // deltaEligible decides whether the next async epoch of the instance may be
 // incremental: delta checkpoints are enabled, the store tracks changed
 // keys, this instance has already committed an epoch (so the backup chain
-// is anchored to its tracker), and no compaction trigger has fired.
+// is anchored to its tracker), and checkpoint.ShouldDelta allows it.
 func (r *Runtime) deltaEligible(si *seInstance) (state.DeltaStore, bool) {
 	if !r.opts.DeltaCheckpoints || !si.chained.Load() {
 		return nil, false
@@ -117,7 +117,7 @@ func (r *Runtime) deltaEligible(si *seInstance) (state.DeltaStore, bool) {
 		return nil, false
 	}
 	latest, _ := r.bk.Latest(si.instName())
-	if !checkpoint.ShouldDelta(r.deltaPolicy(), latest.Chain) {
+	if !checkpoint.ShouldDelta(latest.Chain) {
 		return nil, false
 	}
 	return ds, true

@@ -48,7 +48,6 @@ type CoordOptions struct {
 	QueueLen    int
 	OverflowLen int
 	BatchSize   int
-	KVShards    int
 	WireCheck   bool
 	// CallTimeout bounds how long a worker waits for a dataflow reply on
 	// behalf of Call (default 10s).
@@ -295,7 +294,6 @@ func (c *Coordinator) deployTo(w int, cw *coordWorker, awaitRestore bool) error 
 		QueueLen:    c.opts.QueueLen,
 		OverflowLen: c.opts.OverflowLen,
 		BatchSize:   c.opts.BatchSize,
-		KVShards:    c.opts.KVShards,
 		WireCheck:   c.opts.WireCheck,
 	}
 	if c.shard {

@@ -6,15 +6,22 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/state"
 )
 
 // kvIfaceGraph is kvGraph built against the backend-neutral state.KV
-// interface, so the same graph runs over KVMap and ShardedKVMap.
-func kvIfaceGraph() *core.Graph {
+// interface, so the same graph runs over KVMap and ShardedKVMap: shards > 0
+// backs the store with a ShardedKVMap of that many stripes through the
+// SE's builder, 0 keeps the default KVMap.
+func kvIfaceGraph(shards int) *core.Graph {
 	g := core.NewGraph("kv")
-	se := g.AddSE("store", core.KindPartitioned, state.TypeKVMap, nil)
+	var build func() state.Store
+	if shards > 0 {
+		build = func() state.Store { return state.NewShardedKVMap(shards) }
+	}
+	se := g.AddSE("store", core.KindPartitioned, state.TypeKVMap, build)
 	g.AddTE("put", func(ctx core.Context, it core.Item) {
 		kv := ctx.Store().(state.KV)
 		kv.Put(it.Key, it.Value.([]byte))
@@ -37,14 +44,14 @@ func kvIfaceGraph() *core.Graph {
 }
 
 // TestDeltaCheckpointChain drives manual epochs through CheckpointNow and
-// asserts the base/delta/compaction cadence the policy promises.
+// asserts the base/delta/compaction cadence: every epoch is a delta exactly
+// when checkpoint.ShouldDelta allows it over the committed chain, and the
+// chain compacts once its deltas reach half the base's bytes.
 func TestDeltaCheckpointChain(t *testing.T) {
-	r, err := Deploy(kvIfaceGraph(), Options{
+	r, err := Deploy(kvIfaceGraph(0), Options{
 		Mode:             checkpoint.ModeAsync,
 		Interval:         time.Hour, // manual checkpoints only
 		DeltaCheckpoints: true,
-		CompactEvery:     2,
-		CompactRatio:     100, // count-triggered compaction only
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,26 +63,38 @@ func TestDeltaCheckpointChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Each churn rewrites a fifth of the keys, so a handful of deltas
+	// reaches half the base and forces a compaction.
 	churn := func(tag string) {
-		for k := uint64(0); k < 4; k++ {
+		for k := uint64(0); k < 8; k++ {
 			if _, err := r.Call("put", k, []byte(tag), testTimeout); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	wantDelta := []bool{false, true, true, false, true} // base, 2 deltas, compact, delta
-	for i, want := range wantDelta {
+	var got []bool
+	for i := 0; i < 10; i++ {
 		churn(fmt.Sprintf("c%d", i))
+		prev, _ := r.bk.Latest("store/0")
 		res, err := r.CheckpointNow("store", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Meta.Delta != want {
-			t.Fatalf("epoch %d delta = %v, want %v", i, res.Meta.Delta, want)
+		if want := checkpoint.ShouldDelta(prev.Chain); res.Meta.Delta != want {
+			t.Fatalf("epoch %d delta = %v, want %v (chain %+v)", i, res.Meta.Delta, want, prev.Chain)
 		}
-		if want && res.Bytes >= res.StateBytes {
+		if res.Meta.Delta && res.Bytes >= res.StateBytes {
 			t.Fatalf("epoch %d: delta bytes %d not below state size %d", i, res.Bytes, res.StateBytes)
 		}
+		got = append(got, res.Meta.Delta)
+	}
+	// The cadence must include deltas and a compaction back to a base.
+	compacted := false
+	for i := 2; i < len(got); i++ {
+		compacted = compacted || (got[i-1] && !got[i])
+	}
+	if !got[1] || !compacted {
+		t.Fatalf("epochs delta = %v: want deltas after the first base and a later compaction", got)
 	}
 }
 
@@ -84,9 +103,9 @@ func TestDeltaCheckpointChain(t *testing.T) {
 // and 1-to-2 rescale — the end-to-end crash-recovery acceptance path.
 func TestDeltaRecovery(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		nshards int
-		n       int
+		name   string
+		shards int
+		n      int
 	}{
 		{"kvmap/1to1", 0, 1},
 		{"kvmap/1to2", 0, 2},
@@ -94,11 +113,10 @@ func TestDeltaRecovery(t *testing.T) {
 		{"sharded/1to2", 8, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := Deploy(kvIfaceGraph(), Options{
+			r, err := Deploy(kvIfaceGraph(tc.shards), Options{
 				Mode:             checkpoint.ModeAsync,
 				Interval:         time.Hour,
 				Chunks:           4,
-				KVShards:         tc.nshards,
 				DeltaCheckpoints: true,
 			})
 			if err != nil {
@@ -212,7 +230,7 @@ func TestDeltaRecovery(t *testing.T) {
 // that does not collide with — or GC away — the superseded chain, and
 // recovery afterwards must restore the repartitioned state.
 func TestDeltaScaleUpRepartition(t *testing.T) {
-	r, err := Deploy(kvIfaceGraph(), Options{
+	r, err := Deploy(kvIfaceGraph(0), Options{
 		Mode:             checkpoint.ModeAsync,
 		Interval:         time.Hour,
 		Chunks:           2,
@@ -291,6 +309,47 @@ func TestDeltaScaleUpRepartition(t *testing.T) {
 		}
 		if got == nil || string(got.([]byte)) != want {
 			t.Fatalf("get %d = %v, want %q", k, got, want)
+		}
+	}
+}
+
+// TestCompactionRuleBothSinks checks that the two chain keepers compact at
+// the same 0.5 boundary: the backup store's manifest chain (read by async
+// delta checkpoints) and the coordinator's retained chain (read by
+// retainedSnap.rebase to request a fresh base from a worker).
+func TestCompactionRuleBothSinks(t *testing.T) {
+	for _, tc := range []struct {
+		base   int
+		deltas []int
+		delta  bool // the next epoch may be a delta
+	}{
+		{100, nil, true},
+		{100, []int{49}, true},
+		{100, []int{50}, false},
+		{100, []int{20, 20, 9}, true},
+		{100, []int{20, 20, 10}, false},
+		{101, []int{50}, true},
+		{100, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, true},
+	} {
+		cl := cluster.New(1, cluster.Config{})
+		bk := checkpoint.NewBackup(cl, []*cluster.Node{cl.Node(0)})
+		chain := &seChain{}
+		for i, n := range append([]int{tc.base}, tc.deltas...) {
+			d := i > 0
+			c := state.Chunk{Type: state.TypeKVMap, Of: 1, Delta: d, Data: make([]byte, n)}
+			if _, err := bk.Save(checkpoint.Meta{SE: "store/0", Epoch: uint64(i + 1), Delta: d}, []state.Chunk{c}); err != nil {
+				t.Fatal(err)
+			}
+			chain.refs = append(chain.refs, checkpoint.EpochRef{Epoch: uint64(i + 1), Chunks: 1, Bytes: int64(n), Delta: d})
+		}
+		latest, _ := bk.Latest("store/0")
+		if got := checkpoint.ShouldDelta(latest.Chain); got != tc.delta {
+			t.Errorf("backup chain base %d deltas %v: ShouldDelta = %v, want %v", tc.base, tc.deltas, got, tc.delta)
+		}
+		k := seKey{name: "store", index: 0}
+		rs := retainedSnap{ses: map[seKey]*seChain{k: chain}, order: []seKey{k}}
+		if rebased := len(rs.rebase()) == 1; rebased == tc.delta {
+			t.Errorf("coordinator chain base %d deltas %v: rebase = %v, want %v", tc.base, tc.deltas, rebased, !tc.delta)
 		}
 	}
 }

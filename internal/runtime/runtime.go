@@ -25,6 +25,10 @@ import (
 // externalOrigin identifies items injected from outside the SDG.
 const externalOrigin = ^uint64(0)
 
+// backupNodes is the number of backup nodes a deployment provisions when
+// Options.Backup is nil.
+const backupNodes = 2
+
 // Options configures a deployment.
 type Options struct {
 	// Cluster supplies the nodes; a fresh unbounded-disk cluster is created
@@ -69,35 +73,14 @@ type Options struct {
 	Backup   *checkpoint.Backup
 	// DeltaCheckpoints enables incremental epochs for dictionary SEs: after
 	// an instance's first full checkpoint, subsequent epochs serialise only
-	// the keys changed since the previous epoch (plus tombstones) until a
-	// compaction trigger forces a fresh base. Stores that cannot track
-	// changed keys keep taking full checkpoints.
+	// the keys changed since the previous epoch (plus tombstones) until
+	// checkpoint.ShouldDelta calls for a fresh base. Stores that cannot
+	// track changed keys keep taking full checkpoints.
 	DeltaCheckpoints bool
-	// CompactEvery forces a new base checkpoint after this many consecutive
-	// delta epochs (default 8).
-	CompactEvery int
-	// CompactRatio forces a new base once the chain's cumulative delta
-	// bytes exceed this fraction of the base checkpoint's bytes
-	// (default 0.5).
-	CompactRatio float64
-	// CompressBase flate-compresses base (full) checkpoint chunks before
-	// they reach the backup disks; delta chunks stay raw. Applies to the
-	// runtime-provisioned backup store only — a caller-supplied Backup
-	// keeps its own setting.
-	CompressBase bool
-	// BackupNodes is the number of backup nodes to provision when Backup is
-	// nil (default 2).
-	BackupNodes int
 	// ScaleDrainTimeout bounds how long ScaleDown waits for the graph to
 	// quiesce behind the ingress fence before giving up with ErrNotQuiesced
 	// (default 30s).
 	ScaleDrainTimeout time.Duration
-	// KVShards selects the lock-striped sharded backend for dictionary SEs:
-	// when > 0, every KVMap SE without a custom builder is backed by a
-	// ShardedKVMap with this many shards (rounded up to a power of two).
-	// 0 keeps the single-lock KVMap; < 0 uses a GOMAXPROCS-derived shard
-	// count. Checkpoint chunks are format-compatible either way.
-	KVShards int
 	// WireCheck round-trips every delivered payload through gob, verifying
 	// the location-independence restriction of §4.1 ("each object accessed
 	// in the program must support transparent serialisation"): a payload
@@ -129,9 +112,6 @@ func (o *Options) defaults() {
 	}
 	if o.Chunks <= 0 {
 		o.Chunks = 2
-	}
-	if o.BackupNodes <= 0 {
-		o.BackupNodes = 2
 	}
 }
 
@@ -421,12 +401,11 @@ func Deploy(g *core.Graph, opts Options) (*Runtime, error) {
 	if opts.Backup != nil {
 		r.bk = opts.Backup
 	} else if opts.Mode != checkpoint.ModeOff {
-		targets := make([]*cluster.Node, opts.BackupNodes)
+		targets := make([]*cluster.Node, backupNodes)
 		for i := range targets {
 			targets[i] = cl.AddNode()
 		}
 		r.bk = checkpoint.NewBackup(cl, targets)
-		r.bk.CompressBase = opts.CompressBase
 	}
 
 	// Allocation per §3.3; nodes are created on demand to honour it.
@@ -565,20 +544,10 @@ func Deploy(g *core.Graph, opts Options) (*Runtime, error) {
 	return r, nil
 }
 
-// newStore instantiates the backing store for an SE, honouring the KVShards
-// backend selection. Custom builders always win; they encode app-specific
-// pre-sizing the option must not override.
+// newStore instantiates the backing store for an SE.
 func (r *Runtime) newStore(def *core.SE) (state.Store, error) {
-	var st state.Store
-	var err error
-	if r.opts.KVShards != 0 && def.Build == nil &&
-		(def.Type == state.TypeKVMap || def.Type == state.TypeShardedKVMap) {
-		n := r.opts.KVShards
-		if n < 0 {
-			n = 0 // GOMAXPROCS-derived default
-		}
-		st = state.NewShardedKVMap(n)
-	} else if st, err = def.NewStore(); err != nil {
+	st, err := def.NewStore()
+	if err != nil {
 		return nil, err
 	}
 	// Only track changed keys when a checkpoint loop will actually cut the
@@ -589,16 +558,6 @@ func (r *Runtime) newStore(def *core.SE) (state.Store, error) {
 		}
 	}
 	return st, nil
-}
-
-// deltaPolicy folds the delta-checkpoint options into the checkpoint
-// package's policy.
-func (r *Runtime) deltaPolicy() checkpoint.Policy {
-	return checkpoint.Policy{
-		Delta:        r.opts.DeltaCheckpoints,
-		CompactEvery: r.opts.CompactEvery,
-		CompactRatio: r.opts.CompactRatio,
-	}
 }
 
 // newInstance builds (but does not start) a TE instance on a node.

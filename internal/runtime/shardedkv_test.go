@@ -6,79 +6,16 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/core"
 	"repro/internal/state"
 )
-
-// shardedKVGraph mirrors kvGraph but asserts the backend-neutral state.KV
-// interface, the pattern applications must follow for Options.KVShards to
-// be able to swap the dictionary backend underneath them.
-func shardedKVGraph() *core.Graph {
-	g := core.NewGraph("kv")
-	se := g.AddSE("store", core.KindPartitioned, state.TypeKVMap, nil)
-	g.AddTE("put", func(ctx core.Context, it core.Item) {
-		kv := ctx.Store().(state.KV)
-		kv.Put(it.Key, it.Value.([]byte))
-		ctx.Reply(true)
-	}, &core.Access{SE: se, Mode: core.AccessByKey}, true)
-	g.AddTE("get", func(ctx core.Context, it core.Item) {
-		kv := ctx.Store().(state.KV)
-		v, ok := kv.Get(it.Key)
-		if !ok {
-			ctx.Reply(nil)
-			return
-		}
-		ctx.Reply(v)
-	}, &core.Access{SE: se, Mode: core.AccessByKey}, true)
-	return g
-}
-
-func TestDeployKVShardsBacksStoreSharded(t *testing.T) {
-	r, err := Deploy(shardedKVGraph(), Options{
-		Partitions: map[string]int{"store": 2},
-		KVShards:   4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Stop()
-	for i := 0; i < 2; i++ {
-		st, err := r.StateStore("store", i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh, ok := st.(*state.ShardedKVMap)
-		if !ok {
-			t.Fatalf("partition %d store = %T, want *state.ShardedKVMap", i, st)
-		}
-		if got := sh.NumShards(); got != 4 {
-			t.Fatalf("partition %d shards = %d, want 4", i, got)
-		}
-	}
-	for k := uint64(0); k < 64; k++ {
-		if _, err := r.Call("put", k, []byte(fmt.Sprintf("v%d", k)), testTimeout); err != nil {
-			t.Fatalf("put %d: %v", k, err)
-		}
-	}
-	for k := uint64(0); k < 64; k++ {
-		got, err := r.Call("get", k, nil, testTimeout)
-		if err != nil {
-			t.Fatalf("get %d: %v", k, err)
-		}
-		if want := fmt.Sprintf("v%d", k); string(got.([]byte)) != want {
-			t.Fatalf("get %d = %q, want %q", k, got, want)
-		}
-	}
-}
 
 // TestShardedCheckpointAndRecover replays the 1-to-1 recovery drill with
 // the sharded backend: checkpoint, node kill, m-to-n restore, replay.
 func TestShardedCheckpointAndRecover(t *testing.T) {
-	r, err := Deploy(shardedKVGraph(), Options{
+	r, err := Deploy(kvIfaceGraph(8), Options{
 		Mode:     checkpoint.ModeAsync,
 		Interval: time.Hour, // manual checkpoints only
 		Chunks:   4,
-		KVShards: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +53,7 @@ func TestShardedCheckpointAndRecover(t *testing.T) {
 	if !r.Drain(testTimeout) {
 		t.Fatal("did not drain after recovery")
 	}
-	// The restored store must again be sharded (backend selection survives
+	// The restored store must again be sharded (the SE's builder survives
 	// recovery even though the chunks are backend-neutral).
 	st, err := r.StateStore("store", 0)
 	if err != nil {
@@ -143,7 +80,7 @@ func TestShardedCheckpointAndRecover(t *testing.T) {
 // TestShardedRepartition grows a sharded partitioned SE: the re-chunk +
 // split path must preserve contents across backends.
 func TestShardedRepartition(t *testing.T) {
-	r, err := Deploy(shardedKVGraph(), Options{KVShards: 4})
+	r, err := Deploy(kvIfaceGraph(4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,24 +18,30 @@ import (
 
 // The kvops graph is the kv store with one entry TE for every mutation, so
 // puts, deletes and partition-wide clears of one partition are applied in
-// injection order and a plain map is an exact reference.
+// injection order and a plain map is an exact reference. kvops-sharded4 is
+// the same graph with each partition backed by a 4-stripe ShardedKVMap.
 func init() {
-	runtime.RegisterGraph("kvops", func() *core.Graph {
-		g := core.NewGraph("kvops")
-		store := g.AddSE("store", core.KindPartitioned, state.TypeKVMap, nil)
-		g.AddTE("op", func(ctx core.Context, it core.Item) {
-			kvm := ctx.Store().(state.KV)
-			switch v := it.Value.([]byte); v[0] {
-			case 'P':
-				kvm.Put(it.Key, append([]byte(nil), v[1:]...))
-			case 'D':
-				kvm.Delete(it.Key)
-			case 'C':
-				kvm.Clear()
-			}
-		}, &core.Access{SE: store, Mode: core.AccessByKey}, true)
-		return g
+	runtime.RegisterGraph("kvops", func() *core.Graph { return kvopsGraph("kvops", nil) })
+	runtime.RegisterGraph("kvops-sharded4", func() *core.Graph {
+		return kvopsGraph("kvops-sharded4", func() state.Store { return state.NewShardedKVMap(4) })
 	})
+}
+
+func kvopsGraph(name string, build func() state.Store) *core.Graph {
+	g := core.NewGraph(name)
+	store := g.AddSE("store", core.KindPartitioned, state.TypeKVMap, build)
+	g.AddTE("op", func(ctx core.Context, it core.Item) {
+		kvm := ctx.Store().(state.KV)
+		switch v := it.Value.([]byte); v[0] {
+		case 'P':
+			kvm.Put(it.Key, append([]byte(nil), v[1:]...))
+		case 'D':
+			kvm.Delete(it.Key)
+		case 'C':
+			kvm.Clear()
+		}
+	}, &core.Access{SE: store, Mode: core.AccessByKey}, true)
+	return g
 }
 
 // seenPart is one SE part a pull served.
@@ -135,9 +141,12 @@ func newChainRig(t *testing.T, workers, kvShards int, seed int64) *chainRig {
 		rig.workers = append(rig.workers, wk)
 		rig.eps = append(rig.eps, ep)
 	}
-	coord, err := runtime.NewCoordinator("kvops", rig.eps, runtime.CoordOptions{
+	graph := "kvops"
+	if kvShards > 0 {
+		graph = fmt.Sprintf("kvops-sharded%d", kvShards)
+	}
+	coord, err := runtime.NewCoordinator(graph, rig.eps, runtime.CoordOptions{
 		Partitions:        map[string]int{"store": rig.parts},
-		KVShards:          kvShards,
 		SnapChunkBytes:    chainChunkBytes,
 		HeartbeatInterval: 20 * time.Millisecond,
 		HeartbeatMisses:   2,

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
@@ -34,12 +33,6 @@ const (
 	snapCompressMin = 512
 )
 
-// snapPolicy decides when a retained chain is compacted into a fresh base:
-// when its delta bytes pass half its base bytes. Bytes, not epoch count,
-// are what bound the coordinator's memory and a restore's length when the
-// chain lives in RAM, so the count trigger is off.
-var snapPolicy = checkpoint.Policy{Delta: true, CompactEvery: math.MaxInt, CompactRatio: 0.5}
-
 // seKey names one SE instance of one worker (worker-local index).
 type seKey struct {
 	name  string
@@ -66,12 +59,12 @@ type retainedSnap struct {
 	tes   []wire.SnapPart    // the newest epoch's PartTE parts, decoded
 }
 
-// rebase lists the SE instances whose retained chain has outgrown
-// snapPolicy: their next epoch should be a full base.
+// rebase lists the SE instances whose retained chain checkpoint.ShouldDelta
+// says has outgrown its base: their next epoch should be a full base.
 func (rs *retainedSnap) rebase() []wire.SEInst {
 	var out []wire.SEInst
 	for _, k := range rs.order {
-		if !checkpoint.ShouldDelta(snapPolicy, rs.ses[k].refs) {
+		if !checkpoint.ShouldDelta(rs.ses[k].refs) {
 			out = append(out, wire.SEInst{Name: k.name, Index: k.index})
 		}
 	}

@@ -495,7 +495,6 @@ func (w *Worker) deploy(m wire.Deploy) ([]byte, error) {
 		QueueLen:    m.QueueLen,
 		OverflowLen: m.OverflowLen,
 		BatchSize:   m.BatchSize,
-		KVShards:    m.KVShards,
 		WireCheck:   m.WireCheck,
 		Partitions:  m.Partitions,
 	}

@@ -250,7 +250,7 @@ func assembleDeltaChunks(n int, groups [][]*deltaEnc) []Chunk {
 
 // applyDeltaChunk decodes one delta chunk into put/delete callbacks.
 func applyDeltaChunk(c Chunk, put func(uint64, []byte), del func(uint64)) error {
-	if c.Type != TypeKVMap && c.Type != TypeShardedKVMap {
+	if c.Type != TypeKVMap {
 		return ErrWrongChunkType
 	}
 	if !c.Delta {

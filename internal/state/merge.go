@@ -324,40 +324,6 @@ func (m *Matrix) Merge(src Store) error {
 	return nil
 }
 
-// Merge folds another DenseMatrix of identical dimensions into the
-// receiver: non-zero source cells overwrite. The source is zeroed.
-func (m *DenseMatrix) Merge(src Store) error {
-	s, ok := src.(*DenseMatrix)
-	if !ok {
-		return fmt.Errorf("%w: dense matrix cannot absorb %v", ErrBadMerge, src.Type())
-	}
-	if s == m {
-		return fmt.Errorf("%w: cannot merge a store into itself", ErrBadMerge)
-	}
-	mr, mc := m.Dims()
-	s.mu.Lock()
-	if s.dirty.Load() {
-		s.mu.Unlock()
-		return ErrDirtyActive
-	}
-	rows, cols := s.rows, s.cols
-	if rows != mr || cols != mc {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: dense matrix dims %dx%d != %dx%d", ErrBadMerge, mr, mc, rows, cols)
-	}
-	vals := s.vals
-	s.vals = make([]float64, len(vals))
-	s.mu.Unlock()
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if x := vals[r*cols+c]; x != 0 {
-				m.Set(r, c, x)
-			}
-		}
-	}
-	return nil
-}
-
 // Compile-time checks: every partitionable store can also merge and report
 // its dirty mode.
 var (
@@ -365,11 +331,9 @@ var (
 	_ Merger = (*ShardedKVMap)(nil)
 	_ Merger = (*Vector)(nil)
 	_ Merger = (*Matrix)(nil)
-	_ Merger = (*DenseMatrix)(nil)
 
 	_ DirtyReporter = (*KVMap)(nil)
 	_ DirtyReporter = (*ShardedKVMap)(nil)
 	_ DirtyReporter = (*Vector)(nil)
 	_ DirtyReporter = (*Matrix)(nil)
-	_ DirtyReporter = (*DenseMatrix)(nil)
 )

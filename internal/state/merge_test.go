@@ -252,32 +252,3 @@ func TestMatrixMergeInvertsSplit(t *testing.T) {
 		}
 	}
 }
-
-func TestDenseMatrixMergeInvertsSplit(t *testing.T) {
-	m := NewDenseMatrix(8, 4)
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 4; c++ {
-			m.Set(r, c, float64(r*4+c+1))
-		}
-	}
-	parts, err := m.Split(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := NewDenseMatrix(8, 4)
-	for _, p := range parts {
-		if err := dst.Merge(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 4; c++ {
-			if dst.Get(r, c) != float64(r*4+c+1) {
-				t.Fatalf("cell (%d,%d) = %v", r, c, dst.Get(r, c))
-			}
-		}
-	}
-	if err := dst.Merge(NewDenseMatrix(2, 2)); !errors.Is(err, ErrBadMerge) {
-		t.Fatalf("dim mismatch = %v, want ErrBadMerge", err)
-	}
-}

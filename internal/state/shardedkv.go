@@ -109,8 +109,9 @@ func (m *ShardedKVMap) NumShards() int { return len(m.shards) }
 // Dirty reports whether the store is in dirty mode (see dirtyCtl.Dirty).
 func (m *ShardedKVMap) Dirty() bool { return m.dirty.Load() }
 
-// Type reports TypeShardedKVMap.
-func (m *ShardedKVMap) Type() StoreType { return TypeShardedKVMap }
+// Type reports TypeKVMap: both dictionary backends share one chunk format,
+// so a checkpoint records the dictionary type, not the backend.
+func (m *ShardedKVMap) Type() StoreType { return TypeKVMap }
 
 // Put stores value under key. The value is retained by reference; callers
 // must not mutate it afterwards.
@@ -363,7 +364,7 @@ func (m *ShardedKVMap) Restore(chunks []Chunk) error {
 		wg.Add(1)
 		go func(i int, c Chunk) {
 			defer wg.Done()
-			if c.Type != TypeKVMap && c.Type != TypeShardedKVMap {
+			if c.Type != TypeKVMap {
 				errs[i] = fmt.Errorf("%w: got %v, want %v", ErrWrongChunkType, c.Type, TypeKVMap)
 				return
 			}

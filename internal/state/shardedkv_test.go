@@ -38,7 +38,7 @@ func TestShardedKVShardCount(t *testing.T) {
 
 func TestShardedKVBasic(t *testing.T) {
 	m := NewShardedKVMap(4)
-	if m.Type() != TypeShardedKVMap {
+	if m.Type() != TypeKVMap {
 		t.Fatalf("Type = %v", m.Type())
 	}
 	const n = 1000

@@ -11,7 +11,7 @@
 //     runtime can scale partitioned SEs across nodes.
 //
 // Provided store types mirror the paper's predefined SE classes: KVMap
-// (dictionary), Matrix (indexed sparse matrix), DenseMatrix and Vector.
+// (dictionary), Matrix (indexed sparse matrix) and Vector.
 package state
 
 import (
@@ -24,14 +24,13 @@ import (
 type StoreType uint8
 
 // Store type identifiers. The zero value is invalid so that a forgotten
-// type field fails loudly.
+// type field fails loudly. The numbers are on the wire (chunk headers,
+// snapshot parts); 3 and 5 are retired and rejected everywhere.
 const (
-	TypeInvalid StoreType = iota
-	TypeKVMap
-	TypeMatrix
-	TypeDenseMatrix
-	TypeVector
-	TypeShardedKVMap
+	TypeInvalid StoreType = 0
+	TypeKVMap   StoreType = 1
+	TypeMatrix  StoreType = 2
+	TypeVector  StoreType = 4
 )
 
 // String names the store type.
@@ -41,12 +40,8 @@ func (t StoreType) String() string {
 		return "kvmap"
 	case TypeMatrix:
 		return "matrix"
-	case TypeDenseMatrix:
-		return "densematrix"
 	case TypeVector:
 		return "vector"
-	case TypeShardedKVMap:
-		return "sharded-kvmap"
 	default:
 		return fmt.Sprintf("invalid(%d)", uint8(t))
 	}
@@ -156,7 +151,8 @@ type DeltaStore interface {
 
 // KV is the dictionary interface shared by the single-lock KVMap and the
 // lock-striped ShardedKVMap. Task functions access dictionary SEs through
-// it so deployments can swap backends without touching application code.
+// it so an SE's builder can pick either backend without touching
+// application code.
 type KV interface {
 	Store
 	// Put stores value under key. The value is retained by reference;
@@ -193,20 +189,16 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// New constructs an empty store of the given type. DenseMatrix and Vector
-// are created with zero dimensions; Restore resizes them.
+// New constructs an empty store of the given type. A Vector is created
+// with zero length; Restore resizes it.
 func New(t StoreType) (Store, error) {
 	switch t {
 	case TypeKVMap:
 		return NewKVMap(), nil
 	case TypeMatrix:
 		return NewMatrix(), nil
-	case TypeDenseMatrix:
-		return NewDenseMatrix(0, 0), nil
 	case TypeVector:
 		return NewVector(0), nil
-	case TypeShardedKVMap:
-		return NewShardedKVMap(0), nil
 	default:
 		return nil, fmt.Errorf("state: unknown store type %v", t)
 	}
@@ -219,21 +211,18 @@ func SplitChunk(c Chunk, n int) ([]Chunk, error) {
 	if n < 1 {
 		return nil, ErrBadSplit
 	}
-	if c.Delta && c.Type != TypeKVMap && c.Type != TypeShardedKVMap {
+	if c.Delta && c.Type != TypeKVMap {
 		return nil, fmt.Errorf("%w: delta chunks exist only for dictionary stores, got %v", ErrBadChunk, c.Type)
 	}
 	switch c.Type {
-	case TypeKVMap, TypeShardedKVMap:
-		// Both dictionary backends emit the same TypeKVMap chunk format;
-		// the sharded case is accepted defensively.
+	case TypeKVMap:
+		// Both dictionary backends emit the same TypeKVMap chunk format.
 		if c.Delta {
 			return splitKVDeltaChunk(c, n)
 		}
 		return splitKVChunk(c, n)
 	case TypeMatrix:
 		return splitMatrixChunk(c, n)
-	case TypeDenseMatrix:
-		return splitDenseChunk(c, n)
 	case TypeVector:
 		return splitVectorChunk(c, n)
 	default:

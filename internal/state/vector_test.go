@@ -1,6 +1,7 @@
 package state
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -179,146 +180,8 @@ func TestVectorSplitAndChunkSplit(t *testing.T) {
 	}
 }
 
-func TestDenseMatrixBasic(t *testing.T) {
-	m := NewDenseMatrix(3, 2)
-	r, c := m.Dims()
-	if r != 3 || c != 2 {
-		t.Fatalf("dims = %d,%d", r, c)
-	}
-	m.Set(0, 0, 1)
-	m.Set(2, 1, 5)
-	if m.Get(0, 0) != 1 || m.Get(2, 1) != 5 {
-		t.Fatal("set/get failed")
-	}
-	if m.Get(5, 5) != 0 {
-		t.Fatal("out-of-range get should be 0")
-	}
-	m.Set(9, 9, 1) // silent no-op
-	if m.Add(0, 0, 2) != 3 {
-		t.Fatal("Add failed")
-	}
-	if m.NumEntries() != 6 {
-		t.Fatalf("NumEntries = %d", m.NumEntries())
-	}
-	if m.Type() != TypeDenseMatrix {
-		t.Fatal("wrong type")
-	}
-}
-
-func TestDenseMatrixMulVec(t *testing.T) {
-	m := NewDenseMatrix(2, 3)
-	// [1 2 3; 4 5 6]
-	vals := [][]float64{{1, 2, 3}, {4, 5, 6}}
-	for r := range vals {
-		for c := range vals[r] {
-			m.Set(r, c, vals[r][c])
-		}
-	}
-	y, err := m.MulVec([]float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 6 || y[1] != 15 {
-		t.Fatalf("MulVec = %v", y)
-	}
-	if _, err := m.MulVec([]float64{1}); err == nil {
-		t.Fatal("dimension mismatch should error")
-	}
-	// Overlay-aware MulVec.
-	_ = m.BeginDirty()
-	m.Set(0, 0, 10)
-	y2, err := m.MulVec([]float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y2[0] != 15 {
-		t.Fatalf("dirty MulVec y[0] = %f, want 15", y2[0])
-	}
-}
-
-func TestDenseMatrixDirtyAndCheckpoint(t *testing.T) {
-	m := NewDenseMatrix(4, 4)
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			m.Set(r, c, float64(r*4+c))
-		}
-	}
-	_ = m.BeginDirty()
-	m.Set(0, 0, 99)
-	chunks, err := m.Checkpoint(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm := NewDenseMatrix(0, 0)
-	if err := rm.Restore(chunks); err != nil {
-		t.Fatal(err)
-	}
-	rr, cc := rm.Dims()
-	if rr != 4 || cc != 4 {
-		t.Fatalf("restored dims %dx%d", rr, cc)
-	}
-	if rm.Get(0, 0) != 0 {
-		t.Fatalf("checkpoint leaked dirty write: %f", rm.Get(0, 0))
-	}
-	if rm.Get(3, 3) != 15 {
-		t.Fatalf("restore lost cell: %f", rm.Get(3, 3))
-	}
-	if _, err := m.MergeDirty(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Get(0, 0) != 99 {
-		t.Fatal("merge lost overlay")
-	}
-}
-
-func TestDenseMatrixSplitAndChunkSplit(t *testing.T) {
-	m := NewDenseMatrix(10, 2)
-	for r := 0; r < 10; r++ {
-		m.Set(r, 0, float64(r+1))
-	}
-	parts, err := m.Split(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 10; r++ {
-		owner := PartitionKey(uint64(r), 2)
-		for pi, p := range parts {
-			got := p.(*DenseMatrix).Get(r, 0)
-			if pi == owner && got != float64(r+1) {
-				t.Fatalf("row %d missing from owner", r)
-			}
-			if pi != owner && got != 0 {
-				t.Fatalf("row %d leaked", r)
-			}
-		}
-	}
-
-	m2 := NewDenseMatrix(6, 3)
-	for r := 0; r < 6; r++ {
-		for c := 0; c < 3; c++ {
-			m2.Set(r, c, float64(r*3+c+1))
-		}
-	}
-	one, _ := m2.Checkpoint(1)
-	split, err := SplitChunk(one[0], 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm := NewDenseMatrix(0, 0)
-	if err := rm.Restore(split); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 6; r++ {
-		for c := 0; c < 3; c++ {
-			if rm.Get(r, c) != float64(r*3+c+1) {
-				t.Fatalf("cell (%d,%d) = %f", r, c, rm.Get(r, c))
-			}
-		}
-	}
-}
-
 func TestNewByType(t *testing.T) {
-	for _, tt := range []StoreType{TypeKVMap, TypeMatrix, TypeDenseMatrix, TypeVector, TypeShardedKVMap} {
+	for _, tt := range []StoreType{TypeKVMap, TypeMatrix, TypeVector} {
 		s, err := New(tt)
 		if err != nil {
 			t.Fatalf("New(%v): %v", tt, err)
@@ -338,6 +201,27 @@ func TestNewByType(t *testing.T) {
 	}
 	if _, err := SplitChunk(Chunk{Type: TypeKVMap}, 0); err != ErrBadSplit {
 		t.Fatal("SplitChunk n=0 should fail")
+	}
+}
+
+// TestRetiredStoreTypesRejected pins that the retired store tags (3, the
+// dense matrix; 5, the sharded-dictionary tag) are refused wherever a chunk
+// or a store type enters: construction, restore-time splitting and every
+// store's Restore.
+func TestRetiredStoreTypesRejected(t *testing.T) {
+	for _, tag := range []StoreType{3, 5} {
+		if _, err := New(tag); err == nil {
+			t.Errorf("New(%d) succeeded", tag)
+		}
+		c := Chunk{Type: tag, Index: 0, Of: 1, Data: []byte{1, 2, 3}}
+		if _, err := SplitChunk(c, 2); err == nil {
+			t.Errorf("SplitChunk(type %d) succeeded", tag)
+		}
+		for _, st := range []Store{NewKVMap(), NewShardedKVMap(4), NewMatrix(), NewVector(0)} {
+			if err := st.Restore([]Chunk{c}); !errors.Is(err, ErrWrongChunkType) {
+				t.Errorf("%T.Restore(type %d) = %v, want ErrWrongChunkType", st, tag, err)
+			}
+		}
 	}
 }
 

@@ -136,8 +136,6 @@ func storeTypeOf(t ast.Expr) (state.StoreType, error) {
 		return state.TypeKVMap, nil
 	case "Vector":
 		return state.TypeVector, nil
-	case "DenseMatrix":
-		return state.TypeDenseMatrix, nil
 	default:
 		return state.TypeInvalid, untranslatable("unknown state type %q", id.Name)
 	}

@@ -15,7 +15,7 @@ import (
 // byte):
 //
 //	Deploy:          str graph, map partitions (str name, varint n),
-//	                 varint queueLen/overflowLen/batchSize/kvShards,
+//	                 varint queueLen/overflowLen/batchSize,
 //	                 bool wireCheck, uvarint worker/workers,
 //	                 map teShards, map seShards (str name, shard),
 //	                 uvarint n, n× str peer, bool awaitRestore
@@ -94,7 +94,6 @@ func encodeFlat(e *flat.Encoder, msgType byte, v any) error {
 		e.Varint(int64(m.QueueLen))
 		e.Varint(int64(m.OverflowLen))
 		e.Varint(int64(m.BatchSize))
-		e.Varint(int64(m.KVShards))
 		encodeBool(e, m.WireCheck)
 		e.Uvarint(uint64(m.Worker))
 		e.Uvarint(uint64(m.Workers))
@@ -274,7 +273,6 @@ func decodeFlat(body []byte, v any) error {
 		m.QueueLen = int(d.Varint())
 		m.OverflowLen = int(d.Varint())
 		m.BatchSize = int(d.Varint())
-		m.KVShards = int(d.Varint())
 		m.WireCheck = d.Byte() != 0
 		m.Worker = int(d.Uvarint())
 		m.Workers = int(d.Uvarint())

@@ -36,7 +36,7 @@ var deltaChunk = []byte{2, 5, 1, 'a', 9, 2, 'b', 'c', 1, 7}
 // landing here.
 var samples = map[byte][]any{
 	MsgDeploy: {
-		Deploy{Graph: "kv", Partitions: map[string]int{"store": 4, "aux": 1}, QueueLen: 1024, OverflowLen: 64, BatchSize: 32, KVShards: -1, WireCheck: true},
+		Deploy{Graph: "kv", Partitions: map[string]int{"store": 4, "aux": 1}, QueueLen: 1024, OverflowLen: 64, BatchSize: 32, WireCheck: true},
 		Deploy{Graph: "counterchain", BatchSize: 64, Worker: 1, Workers: 2,
 			TEShards: map[string]Shard{"count": {First: 1, Count: 1, Total: 2}, "bump": {First: 1, Count: 1, Total: 2}},
 			SEShards: map[string]Shard{"counts": {First: 1, Count: 1, Total: 2}},
@@ -245,8 +245,8 @@ var hostileCounts = map[string][]byte{
 	"inject items":       {MsgInject, Version, 0x01, 'p', 0x80, 0x80, 0x80, 0x80, 0x04},
 	"remoteemit items":   {MsgRemoteEmit, Version, 0x01, 0x02, 0x80, 0x80, 0x80, 0x80, 0x04},
 	"deploy partitions":  {MsgDeploy, Version, 0x01, 'g', 0x80, 0x80, 0x80, 0x80, 0x04},
-	"deploy shards":      {MsgDeploy, Version, 0x01, 'g', 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x04},
-	"deploy peers":       {MsgDeploy, Version, 0x01, 'g', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x04},
+	"deploy shards":      {MsgDeploy, Version, 0x01, 'g', 0, 0, 0, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x04},
+	"deploy peers":       {MsgDeploy, Version, 0x01, 'g', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x04},
 	"dump entries":       {MsgDump, Version, 0x80, 0x80, 0x80, 0x80, 0x04},
 	"stats processed":    {MsgStats, Version, 0x80, 0x80, 0x80, 0x80, 0x04},
 	"stats tasks":        {MsgStats, Version, 0, 0x80, 0x80, 0x80, 0x80, 0x04},

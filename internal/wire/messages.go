@@ -108,7 +108,6 @@ type Deploy struct {
 	QueueLen    int
 	OverflowLen int
 	BatchSize   int
-	KVShards    int
 	WireCheck   bool
 	// Sharded placement across a worker set (zero-valued for single-worker
 	// deployments): this worker's index, the set size, the global shard of

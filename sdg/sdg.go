@@ -9,6 +9,11 @@
 // overlays and recover failed nodes by m-to-n parallel restore plus replay
 // of logged dataflows.
 //
+// Checkpointing takes the paper's two parameters, Options.Interval and
+// Options.Chunks (the backup parallelism m). Every deployment provisions
+// two backup nodes, and delta epochs compact by one fixed rule: a fresh
+// base once the deltas reach half the base's bytes.
+//
 // Build a graph with NewGraph, add state and tasks, connect them, then
 // Deploy:
 //
@@ -61,11 +66,9 @@ type StoreType = state.StoreType
 
 // Store type constants.
 const (
-	StoreKVMap        = state.TypeKVMap
-	StoreMatrix       = state.TypeMatrix
-	StoreDenseMatrix  = state.TypeDenseMatrix
-	StoreVector       = state.TypeVector
-	StoreShardedKVMap = state.TypeShardedKVMap
+	StoreKVMap  = state.TypeKVMap
+	StoreMatrix = state.TypeMatrix
+	StoreVector = state.TypeVector
 )
 
 // Concrete state element types, for use inside task functions via
@@ -73,16 +76,11 @@ const (
 type (
 	// KVMap is a dictionary store.
 	KVMap = state.KVMap
-	// ShardedKVMap is the lock-striped dictionary store.
-	ShardedKVMap = state.ShardedKVMap
-	// KV is the dictionary interface satisfied by both KVMap and
-	// ShardedKVMap; task functions should assert to it so deployments can
-	// swap backends via Options.KVShards.
+	// KV is the dictionary interface KVMap satisfies; task functions that
+	// assert to it do not depend on the concrete dictionary backend.
 	KV = state.KV
 	// Matrix is an indexed sparse matrix store.
 	Matrix = state.Matrix
-	// DenseMatrix is a dense row-major matrix store.
-	DenseMatrix = state.DenseMatrix
 	// Vector is a dense vector store.
 	Vector = state.Vector
 )
@@ -191,17 +189,9 @@ type Options struct {
 	// DeltaCheckpoints enables incremental epochs for dictionary SEs:
 	// after an instance's first full checkpoint, later epochs serialise
 	// only the keys changed since the previous epoch (plus tombstones),
-	// cutting failure-free checkpoint bytes by the churn ratio.
+	// cutting failure-free checkpoint bytes by the churn ratio. A fresh
+	// base is taken once the deltas add up to half the base's bytes.
 	DeltaCheckpoints bool
-	// CompactEvery forces a fresh base checkpoint after this many
-	// consecutive delta epochs (default 8).
-	CompactEvery int
-	// CompactRatio forces a fresh base once cumulative delta bytes exceed
-	// this fraction of the base checkpoint's bytes (default 0.5).
-	CompactRatio float64
-	// CompressBase flate-compresses base (full) checkpoint chunks before
-	// they reach the backup disks; delta chunks stay raw.
-	CompressBase bool
 	// QueueLen bounds per-instance queues (default 1024).
 	QueueLen int
 	// OverflowLen is the flow-control watermark in items (default
@@ -228,12 +218,6 @@ type Options struct {
 	BatchSize int
 	// DiskBandwidth models checkpoint disk speed in bytes/s (0 = infinite).
 	DiskBandwidth int64
-	// BackupNodes provisions this many checkpoint target nodes (default 2).
-	BackupNodes int
-	// KVShards backs dictionary SEs with the lock-striped sharded store:
-	// > 0 sets the shard count (rounded up to a power of two), < 0 selects
-	// a GOMAXPROCS-derived default, 0 keeps the single-lock KVMap.
-	KVShards int
 	// ScaleDrainTimeout bounds how long ScaleDown waits for the graph to
 	// quiesce behind the ingress fence before failing with ErrNotQuiesced
 	// (default 30s).
@@ -268,12 +252,7 @@ func (b *GraphBuilder) Deploy(opts Options) (*System, error) {
 		Mode:              opts.Mode,
 		Interval:          opts.Interval,
 		Chunks:            opts.Chunks,
-		BackupNodes:       opts.BackupNodes,
-		KVShards:          opts.KVShards,
 		DeltaCheckpoints:  opts.DeltaCheckpoints,
-		CompactEvery:      opts.CompactEvery,
-		CompactRatio:      opts.CompactRatio,
-		CompressBase:      opts.CompressBase,
 		ScaleDrainTimeout: opts.ScaleDrainTimeout,
 		WireCheck:         opts.WireCheck,
 	})

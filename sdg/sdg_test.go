@@ -19,8 +19,6 @@ func buildKV(t *testing.T) *sdg.GraphBuilder {
 	t.Helper()
 	b := sdg.NewGraph("kv")
 	store := b.PartitionedState("store", sdg.StoreKVMap)
-	// The sdg.KV assertion keeps the graph deployable with any dictionary
-	// backend (see Options.KVShards).
 	b.Task("put", func(ctx sdg.Context, it sdg.Item) {
 		ctx.Store().(sdg.KV).Put(it.Key, it.Value.([]byte))
 		ctx.Reply(true)
@@ -33,38 +31,6 @@ func buildKV(t *testing.T) *sdg.GraphBuilder {
 		ctx.Reply(nil)
 	}, sdg.TaskOptions{Entry: true, ByKeyState: sdg.Ref(store)})
 	return b
-}
-
-// TestKVShardsFacade deploys the same graph over the lock-striped backend
-// and checks the swap is invisible to the application.
-func TestKVShardsFacade(t *testing.T) {
-	sys, err := buildKV(t).Deploy(sdg.Options{
-		Partitions: map[string]int{"store": 2},
-		KVShards:   4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Stop()
-	for k := uint64(0); k < 32; k++ {
-		if _, err := sys.Call("put", k, []byte{byte(k)}, timeout); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := uint64(0); k < 32; k++ {
-		v, err := sys.Call("get", k, nil, timeout)
-		if err != nil || len(v.([]byte)) != 1 || v.([]byte)[0] != byte(k) {
-			t.Fatalf("get %d = %v, %v", k, v, err)
-		}
-	}
-	// The backend really is sharded underneath.
-	st, err := sys.Runtime().StateStore("store", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.(*sdg.ShardedKVMap); !ok {
-		t.Fatalf("store = %T, want *sdg.ShardedKVMap", st)
-	}
 }
 
 func TestBuildValidateDeploy(t *testing.T) {
