@@ -34,6 +34,16 @@ func populatedKV(n int) *state.KVMap {
 	return kv
 }
 
+// restoreNew rebuilds a recovering instance into a fresh store of the
+// checkpoint's recorded type.
+func restoreNew(meta Meta, set RestoreSet) (state.Store, error) {
+	st, err := state.New(meta.StoreType)
+	if err != nil {
+		return nil, err
+	}
+	return st, RestoreInstance(st, set)
+}
+
 func TestSaveRestoreRoundTrip(t *testing.T) {
 	_, b := newBackupEnv(t, 2, 0)
 	kv := populatedKV(500)
@@ -67,7 +77,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 		}
 		total := 0
 		for j, g := range sets {
-			st, err := RestoreInstance(meta2, g)
+			st, err := restoreNew(meta2, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +215,7 @@ func TestAsyncCheckpointAllowsWritesDuringSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := RestoreInstance(meta, sets[0])
+	st, err := restoreNew(meta, sets[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +351,7 @@ func TestMToNRecoveryTimeShape(t *testing.T) {
 			wg.Add(1)
 			go func(g RestoreSet) {
 				defer wg.Done()
-				if _, err := RestoreInstance(meta, g); err != nil {
+				if _, err := restoreNew(meta, g); err != nil {
 					t.Error(err)
 				}
 			}(g)
@@ -403,13 +413,13 @@ func TestAsyncShardedCrossRestore(t *testing.T) {
 		if total != 500 {
 			t.Fatalf("n=%d restored %d entries, want 500", n, total)
 		}
-		// RestoreInstance rebuilds via meta.StoreType: a dictionary store.
-		st, err := RestoreInstance(meta, sets[0])
+		// A store built from meta.StoreType is a dictionary store.
+		st, err := restoreNew(meta, sets[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Type() != state.TypeKVMap {
-			t.Fatalf("RestoreInstance type = %v", st.Type())
+			t.Fatalf("restored store type = %v", st.Type())
 		}
 	}
 

@@ -45,7 +45,7 @@ func TestRestoreV1Chunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := RestoreInstance(meta, sets[0])
+	st, err := restoreNew(meta, sets[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestDeltaChainSaveRestore(t *testing.T) {
 					whole = state.NewShardedKVMap(4)
 				}
 				for j, set := range sets {
-					inst, err := RestoreInstance(meta, set)
+					inst, err := restoreNew(meta, set)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -262,7 +262,7 @@ func TestDeltaSaveAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := RestoreInstance(meta2, sets[0])
+	inst, err := restoreNew(meta2, sets[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestEpochNumberReuseAfterReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := RestoreInstance(meta, sets[0])
+	inst, err := restoreNew(meta, sets[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,21 +134,15 @@ func Sync(st state.Store, meta Meta, nChunks int, b *Backup, pause func() (resum
 	}, nil
 }
 
-// RestoreInstance rebuilds one recovering SE instance from its restore set
-// (Fig. 4 step R2: "the new SE instances reconcile the chunks"): the base
-// group restores first, then each delta epoch replays in chain order.
-func RestoreInstance(meta Meta, set RestoreSet) (state.Store, error) {
-	st, err := state.New(meta.StoreType)
-	if err != nil {
-		return nil, err
-	}
+// RestoreInstance rebuilds one recovering SE instance into st, the
+// caller's empty store, from its restore set (Fig. 4 step R2: "the new SE
+// instances reconcile the chunks"): the base group restores first, then
+// each delta epoch replays in chain order.
+func RestoreInstance(st state.Store, set RestoreSet) error {
 	if err := st.Restore(set.Base); err != nil {
-		return nil, fmt.Errorf("checkpoint: reconcile chunks for %q: %w", meta.SE, err)
+		return fmt.Errorf("checkpoint: reconcile chunks: %w", err)
 	}
-	if err := ApplyDeltas(st, set.Deltas); err != nil {
-		return nil, fmt.Errorf("checkpoint: %s: %w", meta.SE, err)
-	}
-	return st, nil
+	return ApplyDeltas(st, set.Deltas)
 }
 
 // ApplyDeltas replays delta epochs in chain order onto a restored base.

@@ -248,58 +248,3 @@ func (r *Runtime) trimEdgesInto(ts *teState, wm map[uint64]uint64) {
 		from.mu.RUnlock()
 	}
 }
-
-// StartMaintenance launches a loop that bounds the replay logs feeding
-// stateless TEs (which never checkpoint): their current processing
-// watermarks serve as trim points. Interval defaults to the checkpoint
-// interval.
-func (r *Runtime) StartMaintenance(interval time.Duration) {
-	if interval <= 0 {
-		interval = r.opts.Interval
-	}
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-r.stopped:
-				return
-			case <-ticker.C:
-				for _, ts := range r.tes {
-					if ts.def.Access != nil {
-						continue
-					}
-					wm := r.minLiveWM(ts)
-					if wm != nil {
-						r.trimEdgesInto(ts, wm)
-					}
-				}
-			}
-		}
-	}()
-}
-
-// minLiveWM folds the live dedup watermarks across a TE's instances.
-func (r *Runtime) minLiveWM(ts *teState) map[uint64]uint64 {
-	ts.mu.RLock()
-	defer ts.mu.RUnlock()
-	var min map[uint64]uint64
-	for _, ti := range ts.insts {
-		wm := ti.dedup.Watermarks()
-		if min == nil {
-			min = wm
-			continue
-		}
-		for o := range min {
-			s, ok := wm[o]
-			if !ok {
-				delete(min, o)
-			} else if s < min[o] {
-				min[o] = s
-			}
-		}
-	}
-	return min
-}

@@ -14,9 +14,12 @@ import (
 
 // putGraph is a fire-and-forget keyed writer into a partitioned dictionary;
 // workIters adds per-item spin so tests can build real backlog.
-func putGraph(workIters int) *core.Graph {
+func putGraph(workIters int) *core.Graph { return putGraphOn(workIters, nil) }
+
+// putGraphOn is putGraph with the SE backed by build (nil: state.New).
+func putGraphOn(workIters int, build func() state.Store) *core.Graph {
 	g := core.NewGraph("elastic")
-	se := g.AddSE("store", core.KindPartitioned, state.TypeKVMap, nil)
+	se := g.AddSE("store", core.KindPartitioned, state.TypeKVMap, build)
 	g.AddTE("put", func(ctx core.Context, it core.Item) {
 		h := uint64(0x9e3779b97f4a7c15)
 		for i := 0; i < workIters; i++ {
@@ -69,13 +72,26 @@ func entryWatermark(r *Runtime, ts *teState) uint64 {
 
 // TestScaleDownRoundTripEquivalence: a run that scales 2→3→2 partitions
 // mid-stream (with concurrent injectors and batch=64) must end with exactly
-// the SE contents and external watermark of a flat 2-partition run.
+// the SE contents and external watermark of a flat 2-partition run, on
+// both dictionary backends.
 func TestScaleDownRoundTripEquivalence(t *testing.T) {
+	for _, backend := range []struct {
+		name  string
+		build func() state.Store
+	}{
+		{"kvmap", nil},
+		{"sharded", func() state.Store { return state.NewShardedKVMap(4) }},
+	} {
+		t.Run(backend.name, func(t *testing.T) { testScaleDownRoundTrip(t, backend.build) })
+	}
+}
+
+func testScaleDownRoundTrip(t *testing.T, build func() state.Store) {
 	const items = 900
 	value := func(k uint64) []byte { return []byte(fmt.Sprintf("v%d", k)) }
 
 	run := func(scale bool) (map[uint64]string, uint64, int64) {
-		r, err := Deploy(putGraph(0), Options{
+		r, err := Deploy(putGraphOn(0, build), Options{
 			Partitions:       map[string]int{"store": 2},
 			BatchSize:        64,
 			Mode:             checkpoint.ModeAsync,
@@ -283,6 +299,84 @@ func TestScaleDownErrors(t *testing.T) {
 	if err := d.ScaleDown("put"); err == nil {
 		t.Error("scale-down with a dead accessing instance should fail")
 	}
+}
+
+// TestScaleRefusesDirtyPartition: with one partition held dirty out of
+// band, ScaleDown and ScaleUp fail with state.ErrDirtyActive before
+// anything is rebuilt, leaving the instance count and contents as they
+// were; once the overlay merges, the same calls succeed.
+func TestScaleRefusesDirtyPartition(t *testing.T) {
+	const items = 200
+	r, err := Deploy(putGraph(0), Options{Partitions: map[string]int{"store": 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	for k := uint64(0); k < items; k++ {
+		if err := r.Inject("put", k, []byte(fmt.Sprintf("v%d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !r.Drain(testTimeout) {
+		t.Fatal("drain")
+	}
+	want := storeContents(t, r, "store")
+	if len(want) != items {
+		t.Fatalf("stored %d keys, want %d", len(want), items)
+	}
+	same := func(when string) {
+		t.Helper()
+		got := storeContents(t, r, "store")
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d keys, want %d", when, len(got), len(want))
+		}
+		for k, v := range want {
+			if got[k] != v {
+				t.Fatalf("%s: key %d = %q, want %q", when, k, got[k], v)
+			}
+		}
+	}
+
+	st, err := r.StateStore("store", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.BeginDirty(); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []struct {
+		name  string
+		scale func(string) error
+	}{{"ScaleDown", r.ScaleDown}, {"ScaleUp", r.ScaleUp}} {
+		if err := op.scale("put"); !errors.Is(err, state.ErrDirtyActive) {
+			t.Fatalf("%s with a dirty partition = %v, want ErrDirtyActive", op.name, err)
+		}
+		if got := r.StateInstances("store"); got != 2 {
+			t.Fatalf("refused %s left %d store instances, want 2", op.name, got)
+		}
+		if got := r.Instances("put"); got != 2 {
+			t.Fatalf("refused %s left %d put instances, want 2", op.name, got)
+		}
+		same("after refused " + op.name)
+	}
+
+	if _, err := st.MergeDirty(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ScaleDown("put"); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.StateInstances("store"); got != 1 {
+		t.Fatalf("store instances after ScaleDown = %d, want 1", got)
+	}
+	same("after ScaleDown")
+	if err := r.ScaleUp("put"); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.StateInstances("store"); got != 2 {
+		t.Fatalf("store instances after ScaleUp = %d, want 2", got)
+	}
+	same("after ScaleUp")
 }
 
 // TestScaleDownStateless retires a drained stateless instance and keeps
@@ -536,7 +630,7 @@ func TestScaleDownTimesOutUnderSustainedLoad(t *testing.T) {
 		ctx.Emit(0, it.Key, it.Value)
 	}, nil, true)
 	g.Connect(0, 0, core.DispatchOneToAny)
-	r, err := Deploy(g, Options{ScaleDrainTimeout: 50 * time.Millisecond})
+	r, err := Deploy(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +641,7 @@ func TestScaleDownTimesOutUnderSustainedLoad(t *testing.T) {
 	if err := r.Inject("loop", 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ScaleDown("loop"); !errors.Is(err, ErrNotQuiesced) {
+	if err := r.scaleDown("loop", 50*time.Millisecond); !errors.Is(err, ErrNotQuiesced) {
 		t.Fatalf("scale-down under sustained load = %v, want ErrNotQuiesced", err)
 	}
 	if got := r.Instances("loop"); got != 2 {

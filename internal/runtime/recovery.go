@@ -110,12 +110,8 @@ func (r *Runtime) Recover(seName string, n int) (RecoveryStats, error) {
 				errs[j] = fmt.Errorf("runtime: rebuild store for %q: %w", meta.SE, err)
 				return
 			}
-			if err := store.Restore(sets[j].Base); err != nil {
-				errs[j] = fmt.Errorf("runtime: reconcile chunks for %q: %w", meta.SE, err)
-				return
-			}
-			if err := checkpoint.ApplyDeltas(store, sets[j].Deltas); err != nil {
-				errs[j] = fmt.Errorf("runtime: %q: %w", meta.SE, err)
+			if err := checkpoint.RestoreInstance(store, sets[j]); err != nil {
+				errs[j] = fmt.Errorf("runtime: restore %q: %w", meta.SE, err)
 				return
 			}
 			idx := failedIdx

@@ -77,10 +77,6 @@ type Options struct {
 	// checkpoint.ShouldDelta calls for a fresh base. Stores that cannot
 	// track changed keys keep taking full checkpoints.
 	DeltaCheckpoints bool
-	// ScaleDrainTimeout bounds how long ScaleDown waits for the graph to
-	// quiesce behind the ingress fence before giving up with ErrNotQuiesced
-	// (default 30s).
-	ScaleDrainTimeout time.Duration
 	// WireCheck round-trips every delivered payload through gob, verifying
 	// the location-independence restriction of §4.1 ("each object accessed
 	// in the program must support transparent serialisation"): a payload

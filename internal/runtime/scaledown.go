@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/state"
 )
 
 // Scale-in retires one instance of a TE (and, like ScaleUp, of the SE it
@@ -28,39 +27,33 @@ import (
 //     rebuild, so all routing — entry and intra-graph — targets the shrunk
 //     layout), fold every instance's dedup watermarks into the survivors,
 //     adopt the retiree's replay log, remember its output seq counter, and
-//     merge its state into the survivors via the state layer's Merge.
+//     rebuild the survivors' stores from every old store's chunks
+//     (reshard, the split recovery uses).
 //  4. Resume: release the fence, then anchor the survivors' backup chains
-//     with fresh base checkpoints (a chain cut against the pre-merge store
-//     must not continue across a merge).
+//     with fresh base checkpoints (a chain cut against a pre-shrink store
+//     must not continue across a reshape).
 //
 // Folding the per-origin maximum watermark into each survivor is the key
 // correctness move: at quiescence every emitted seq at or below that mark
-// was processed by some pre-shrink instance, and the merge moved all of
+// was processed by some pre-shrink instance, and the rebuild moved all of
 // those instances' state into the survivors — so any later replay of such
 // an item (after a failure elsewhere) must be discarded no matter which
 // survivor the new routing sends it to.
 
-// scaleDrainDefault bounds the quiesce wait of ScaleDown when Options does
-// not override it.
-const scaleDrainDefault = 30 * time.Second
+// scaleDrainTimeout bounds the quiesce wait of ScaleDown.
+const scaleDrainTimeout = 30 * time.Second
 
 // ErrNotQuiesced is returned by ScaleDown when the graph's queues do not
 // drain within the scale-in timeout; the caller may retry once load drops.
 var ErrNotQuiesced = errors.New("runtime: graph did not quiesce for scale-in")
 
-func (r *Runtime) scaleDrainTimeout() time.Duration {
-	if r.opts.ScaleDrainTimeout > 0 {
-		return r.opts.ScaleDrainTimeout
-	}
-	return scaleDrainDefault
-}
-
 // ScaleDown retires one instance of the named TE, the inverse of ScaleUp:
 //
 //   - stateless TE: the last instance drains and retires;
 //   - partitioned SE: the SE shrinks from k to k-1 partitions — every old
-//     partition splits k-1 ways and the pieces merge into fresh stores, so
-//     each key lands at PartitionKey(key, k-1) no matter where it lived.
+//     partition's chunks split k-1 ways and the pieces restore into fresh
+//     stores, so each key lands at PartitionKey(key, k-1) no matter where
+//     it lived.
 //
 // Partial SEs are refused: their replicas accumulate independently and are
 // reconciled only by application merge computation, so a runtime fold of
@@ -70,10 +63,10 @@ func (r *Runtime) scaleDrainTimeout() time.Duration {
 //
 // It also fails if the TE is already at one instance, if any accessing
 // instance is killed or on a failed node (recover first: their parked items
-// can only drain through replay), or if the graph does not quiesce within
-// Options.ScaleDrainTimeout.
+// can only drain through replay), if the graph does not quiesce within 30s,
+// or if a partition is held dirty (state.ErrDirtyActive).
 func (r *Runtime) ScaleDown(teName string) error {
-	return r.scaleDown(teName, r.scaleDrainTimeout())
+	return r.scaleDown(teName, scaleDrainTimeout)
 }
 
 // scaleDown is ScaleDown with an explicit quiesce budget; the auto-scaler
@@ -236,11 +229,10 @@ func (r *Runtime) retireStateless(ts *teState, drain time.Duration) error {
 }
 
 // shrinkPartitioned shrinks a partitioned SE from k to k-1 instances: at
-// quiescence every old partition (victim and survivors alike) splits k-1
-// ways and the pieces merge into fresh stores, because the partition
-// function changes for every key, not just the retiree's. Survivor stores
-// are rebuilt on their existing nodes; all rebuilt instances anchor fresh
-// base checkpoints.
+// quiescence every old partition (victim and survivors alike) is resharded
+// k-1 ways, because the partition function changes for every key, not
+// just the retiree's. Survivor stores are rebuilt on their existing nodes;
+// all rebuilt instances anchor fresh base checkpoints.
 func (r *Runtime) shrinkPartitioned(ss *seState, drain time.Duration) error {
 	accessing := r.graph.TEsAccessing(ss.def.ID)
 	ss.mu.RLock()
@@ -264,9 +256,9 @@ func (r *Runtime) shrinkPartitioned(ss *seState, drain time.Duration) error {
 		release()
 		return err
 	}
-	// Exclude checkpoints for the whole destructive swap: in-flight ones
-	// finish (their saves commit before MergeDirty clears the dirty flag),
-	// new ones wait until the rebuilt instances are in place.
+	// Exclude checkpoints for the whole swap: in-flight ones finish (their
+	// saves commit before MergeDirty clears the dirty flag), new ones wait
+	// until the rebuilt instances are in place.
 	ss.ckptGate.Lock()
 	victimName, err := r.shrinkPartitionedFenced(ss, accessing)
 	ss.ckptGate.Unlock()
@@ -278,7 +270,7 @@ func (r *Runtime) shrinkPartitioned(ss *seState, drain time.Duration) error {
 	// Anchor the rebuilt chains outside the fence; chained=false keeps
 	// every next epoch a base even if one of these fails and the periodic
 	// loop retries it. The retiree's chain is only dropped once every
-	// survivor's post-merge base has committed — until then the pre-shrink
+	// survivor's post-shrink base has committed — until then the pre-shrink
 	// chains (retiree's included) remain the restorable generation.
 	if r.opts.Mode != checkpoint.ModeOff && r.bk != nil {
 		ss.mu.RLock()
@@ -294,7 +286,7 @@ func (r *Runtime) shrinkPartitioned(ss *seState, drain time.Duration) error {
 			r.bk.Forget(victimName)
 		}
 		// On failure the retiree's manifest is left behind (a bounded leak):
-		// deleting it before the new bases exist would make its merged keys
+		// deleting it before the new bases exist would make its moved keys
 		// unrecoverable if a survivor fails first.
 	}
 	return nil
@@ -312,58 +304,9 @@ func (r *Runtime) shrinkPartitionedFenced(ss *seState, accessing []int) (string,
 	}
 	old := ss.insts
 	victim := old[k-1]
-
-	// Validate the whole rebuild before the first destructive step: the
-	// split/merge loop below empties old stores as it goes and must not be
-	// able to abort halfway with part of the SE drained into stores that
-	// would then be discarded.
-	newStores := make([]state.Store, k-1)
-	for j := range newStores {
-		st, err := r.newStore(ss.def)
-		if err != nil {
-			return "", err
-		}
-		if _, ok := st.(state.Merger); !ok {
-			return "", fmt.Errorf("runtime: SE %q store (%v) does not support merging", ss.def.Name, st.Type())
-		}
-		newStores[j] = st
-	}
-	for _, si := range old {
-		if _, ok := si.store.(state.Partitionable); !ok {
-			return "", fmt.Errorf("runtime: SE %q store (%v) is not partitionable", ss.def.Name, si.store.Type())
-		}
-		if _, ok := si.store.(state.DirtyReporter); !ok {
-			return "", fmt.Errorf("runtime: SE %q store (%v) does not report dirty mode", ss.def.Name, si.store.Type())
-		}
-	}
-
-	// No store can be dirty here: the caller write-holds the checkpoint
-	// gate, which waited out every in-flight checkpoint (whose Save commits
-	// before MergeDirty clears the dirty flag) and blocks new ones, and
-	// writers never flip the flag. The probe below is a cheap invariant
-	// check against out-of-band BeginDirty use, bounded so a violation
-	// surfaces as an error before anything is destroyed, not as a
-	// mid-rebuild abort.
-	deadline := time.Now().Add(r.scaleDrainTimeout())
-	for _, si := range old {
-		for si.store.(state.DirtyReporter).Dirty() {
-			if time.Now().After(deadline) {
-				return "", fmt.Errorf("runtime: SE %q instance %d held dirty past the drain timeout", ss.def.Name, si.idx)
-			}
-			time.Sleep(500 * time.Microsecond)
-		}
-	}
-
-	for _, si := range old {
-		pieces, err := si.store.(state.Partitionable).Split(k - 1)
-		if err != nil {
-			return "", err
-		}
-		for j, p := range pieces {
-			if err := newStores[j].(state.Merger).Merge(p); err != nil {
-				return "", err
-			}
-		}
+	newStores, err := r.reshard(ss, old, k-1)
+	if err != nil {
+		return "", err
 	}
 
 	newInsts := make([]*seInstance, k-1)
@@ -385,7 +328,7 @@ func (r *Runtime) shrinkPartitionedFenced(ss *seState, accessing []int) (string,
 		}
 	}
 	// The retiree's chain is NOT forgotten here: until every survivor's
-	// post-merge base commits, the pre-shrink chains are the only
+	// post-shrink base commits, the pre-shrink chains are the only
 	// restorable generation. The caller drops it after the eager bases.
 	return victim.instName(), nil
 }

@@ -91,21 +91,22 @@ func (r *Runtime) growPartial(ss *seState) error {
 	return nil
 }
 
-// repartition grows a partitioned SE from k to k+1 instances by draining
-// the accessing TEs, re-chunking every partition and rebuilding k+1 stores.
-// This is the expensive path; the paper's experiments scale partial state,
-// but partitioned scale-out is required for completeness (new partitioned
-// SE instances "may result" from new TE instances, §3.3).
+// repartition grows a partitioned SE from k to k+1 instances by pausing
+// the accessing TEs and rebuilding k+1 stores with reshard, the same
+// chunk split recovery uses. This is the expensive path; the paper's
+// experiments scale partial state, but partitioned scale-out is required
+// for completeness (new partitioned SE instances "may result" from new TE
+// instances, §3.3).
 func (r *Runtime) repartition(ss *seState) error {
 	accessing := r.graph.TEsAccessing(ss.def.ID)
 
 	// Exclude checkpoints for the whole rebuild, exactly like scale-in's
-	// swap: Checkpoint(1) below reads only the base, so re-chunking a store
-	// that an in-flight async checkpoint holds dirty would silently drop
-	// every overlay write when the old store (where MergeDirty would have
-	// folded them) is discarded. The gate waits out in-flight checkpoints
-	// and blocks new ones. Lock order: ckptGate, then pause, then ss.mu —
-	// the same order CheckpointNow (gate → ss.mu; sync mode gate → pause)
+	// swap: reshard streams only the base, so re-chunking a store that an
+	// in-flight async checkpoint holds dirty would silently drop every
+	// overlay write when the old store (where MergeDirty would have folded
+	// them) is discarded. The gate waits out in-flight checkpoints and
+	// blocks new ones. Lock order: ckptGate, then pause, then ss.mu — the
+	// same order CheckpointNow (gate → ss.mu; sync mode gate → pause)
 	// observes.
 	ss.ckptGate.Lock()
 	defer ss.ckptGate.Unlock()
@@ -160,45 +161,23 @@ func (r *Runtime) repartition(ss *seState) error {
 	defer ss.mu.Unlock()
 	defer release()
 	k := len(ss.insts)
-
-	// Collect one chunk per existing partition, split each k+1 ways and
-	// regroup — the same machinery the m-to-n restore uses.
-	groups := make([][]state.Chunk, k+1)
-	for _, si := range ss.insts {
-		chunks, err := si.store.Checkpoint(1)
-		if err != nil {
-			return err
-		}
-		parts, err := state.SplitChunk(chunks[0], k+1)
-		if err != nil {
-			return err
-		}
-		for j, p := range parts {
-			groups[j] = append(groups[j], p)
-		}
+	stores, err := r.reshard(ss, ss.insts, k+1)
+	if err != nil {
+		return err
 	}
 	newInsts := make([]*seInstance, k+1)
-	for j := 0; j <= k; j++ {
-		node := r.cl.AddNode()
-		if j < k {
-			node = ss.insts[j].node // existing partitions stay home
+	for j, store := range stores {
+		if j == k {
+			newInsts[j] = &seInstance{se: ss, idx: j, node: r.cl.AddNode(), store: store}
+			continue
 		}
-		store, err := r.newStore(ss.def)
-		if err != nil {
-			return err
-		}
-		if err := store.Restore(groups[j]); err != nil {
-			return err
-		}
-		newInsts[j] = &seInstance{se: ss, idx: j, node: node, store: store}
-		if j < k {
-			// The rebuilt instance inherits its predecessor's epoch counter
-			// so epochs stay monotonic per instance name in the backup
-			// manifest (a reset counter could reuse an epoch number still
-			// referenced by the superseded chain). chained stays false: the
-			// repartitioned store must anchor a fresh base first.
-			newInsts[j].epoch.Store(ss.insts[j].epoch.Load())
-		}
+		// Existing partitions stay home. The rebuilt instance inherits its
+		// predecessor's epoch counter so epochs stay monotonic per instance
+		// name in the backup manifest (a reset counter could reuse an epoch
+		// number still referenced by the superseded chain). chained stays
+		// false: the rebuilt store must anchor a fresh base first.
+		newInsts[j] = &seInstance{se: ss, idx: j, node: ss.insts[j].node, store: store}
+		newInsts[j].epoch.Store(ss.insts[j].epoch.Load())
 	}
 	ss.insts = newInsts
 
@@ -221,6 +200,63 @@ func (r *Runtime) repartition(ss *seState) error {
 		r.startCheckpointLoop(newInsts[k])
 	}
 	return nil
+}
+
+// reshard rebuilds a partitioned SE's state onto n fresh stores the way
+// Recover rebuilds a failed instance from its backup: every old store's
+// base streams as checkpoint chunks, each chunk splits n ways by
+// PartitionKey, and piece j restores into store j. Scale-out (k→k+1) and
+// scale-in (k→k−1) both use it, because the partition function changes
+// for every key on a rescale, not just for the keys of the added or
+// retired partition. It only reads the old stores, so an error leaves the
+// SE as it was. The caller holds the stores still — paused nodes or a
+// quiesced ingress fence — and the SE's checkpoint gate, so no checkpoint
+// can hold a store dirty; one held dirty out of band is refused with
+// state.ErrDirtyActive before anything is built.
+func (r *Runtime) reshard(ss *seState, old []*seInstance, n int) ([]state.Store, error) {
+	for _, si := range old {
+		if si.store.Dirty() {
+			return nil, fmt.Errorf("runtime: SE %q instance %d: %w", ss.def.Name, si.idx, state.ErrDirtyActive)
+		}
+	}
+	stores := make([]state.Store, n)
+	for j := range stores {
+		st, err := r.newStore(ss.def)
+		if err != nil {
+			return nil, err
+		}
+		stores[j] = st
+	}
+	for _, si := range old {
+		if err := splitInto(stores, si.store); err != nil {
+			return nil, fmt.Errorf("runtime: reshard SE %q instance %d: %w", ss.def.Name, si.idx, err)
+		}
+	}
+	return stores, nil
+}
+
+// splitInto streams src's base as checkpoint chunks, splits each chunk
+// len(dst) ways and restores piece j into dst[j].
+func splitInto(dst []state.Store, src state.Store) error {
+	it, err := state.StreamChunks(src, defaultSnapChunkBytes)
+	if err != nil {
+		return err
+	}
+	for {
+		c, ok, err := it.Next()
+		if err != nil || !ok {
+			return err
+		}
+		pieces, err := state.SplitChunk(c, len(dst))
+		if err != nil {
+			return err
+		}
+		for j, p := range pieces {
+			if err := dst[j].Restore([]state.Chunk{p}); err != nil {
+				return err
+			}
+		}
+	}
 }
 
 // ScalePolicy tunes the reactive bottleneck/straggler detector.
@@ -346,8 +382,8 @@ func (r *Runtime) StartAutoScale(interval time.Duration, p ScalePolicy) {
 					if min := 4 * interval; drain < min {
 						drain = min
 					}
-					if max := r.scaleDrainTimeout(); drain > max {
-						drain = max
+					if drain > scaleDrainTimeout {
+						drain = scaleDrainTimeout
 					}
 					err := r.scaleDown(te, drain)
 					// Space retries with the shared cooldown even when the

@@ -93,7 +93,7 @@ func (t *deltaTrack) noteMerge(ovl map[uint64][]byte, tomb map[uint64]struct{}) 
 }
 
 // noteBase records every key of a base map, used before wholesale wipes
-// (Clear, Split) so the next delta tombstones the removed keys. Base lock
+// (Clear) so the next delta tombstones the removed keys. Base lock
 // held exclusively.
 func (t *deltaTrack) noteBase(base map[uint64][]byte) {
 	if !t.on.Load() {
@@ -101,38 +101,6 @@ func (t *deltaTrack) noteBase(base map[uint64][]byte) {
 	}
 	t.mu.Lock()
 	for k := range base {
-		t.changed[k] = struct{}{}
-	}
-	t.mu.Unlock()
-}
-
-// drain steals the full change window — live set plus any pending cut — and
-// resets the tracker. Merge uses it to move a retiring store's window into
-// the absorber; the pending set is folded in defensively so a cut whose save
-// was never resolved cannot drop keys across the merge. Base lock held
-// exclusively.
-func (t *deltaTrack) drain() map[uint64]struct{} {
-	if !t.on.Load() {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := t.changed
-	for k := range t.pending {
-		out[k] = struct{}{}
-	}
-	t.changed = make(map[uint64]struct{})
-	t.pending = nil
-	return out
-}
-
-// noteKeys folds a drained change window into the live set. Base lock held.
-func (t *deltaTrack) noteKeys(keys map[uint64]struct{}) {
-	if !t.on.Load() || len(keys) == 0 {
-		return
-	}
-	t.mu.Lock()
-	for k := range keys {
 		t.changed[k] = struct{}{}
 	}
 	t.mu.Unlock()

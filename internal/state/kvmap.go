@@ -241,31 +241,6 @@ func (m *KVMap) Restore(chunks []Chunk) error {
 	return nil
 }
 
-// Split divides the map into n disjoint KVMaps; the receiver is emptied.
-func (m *KVMap) Split(n int) ([]Store, error) {
-	if n < 1 {
-		return nil, ErrBadSplit
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.dirty.Load() {
-		return nil, ErrDirtyActive
-	}
-	out := make([]Store, n)
-	parts := make([]*KVMap, n)
-	for i := range parts {
-		parts[i] = NewKVMap()
-		out[i] = parts[i]
-	}
-	for k, v := range m.base {
-		parts[PartitionKey(k, n)].Put(k, v)
-	}
-	m.delta.noteBase(m.base) // moved-out keys need tombstones in the next delta
-	m.base = make(map[uint64][]byte)
-	m.size.Store(0)
-	return out, nil
-}
-
 // Clear removes all entries. In dirty mode the base keys are tombstoned in
 // the overlay so the in-flight checkpoint still sees the pre-clear state;
 // otherwise the base is dropped wholesale. Windowed applications use it to

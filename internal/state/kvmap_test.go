@@ -170,17 +170,50 @@ func TestKVMapPartialRestore(t *testing.T) {
 	}
 }
 
+// reshapeByChunks moves src onto n fresh stores the way the runtime
+// reshapes a partitioned SE: src's base streams as bounded chunks, each
+// chunk splits n ways, and piece j restores into store j.
+func reshapeByChunks(t *testing.T, src Store, n int, mk func() Store) []Store {
+	t.Helper()
+	it, err := StreamChunks(src, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([]Store, n)
+	for j := range parts {
+		parts[j] = mk()
+	}
+	for {
+		c, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return parts
+		}
+		pieces, err := SplitChunk(c, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, p := range pieces {
+			if err := parts[j].Restore([]Chunk{p}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestKVMapSplit: splitting a map's chunks n ways and restoring piece j
+// into store j puts every key on exactly the partition PartitionKey names,
+// and leaves the source untouched.
 func TestKVMapSplit(t *testing.T) {
 	m := NewKVMap()
 	for i := uint64(0); i < 200; i++ {
 		m.Put(i, []byte{byte(i)})
 	}
-	parts, err := m.Split(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumEntries() != 0 {
-		t.Fatal("receiver not emptied by Split")
+	parts := reshapeByChunks(t, m, 3, func() Store { return NewKVMap() })
+	if m.NumEntries() != 200 {
+		t.Fatalf("source holds %d entries after the split, want 200", m.NumEntries())
 	}
 	total := 0
 	for pi, p := range parts {
@@ -277,9 +310,6 @@ func TestKVMapErrors(t *testing.T) {
 	if _, err := m.Checkpoint(0); err != ErrBadSplit {
 		t.Errorf("Checkpoint(0) err = %v", err)
 	}
-	if _, err := m.Split(0); err != ErrBadSplit {
-		t.Errorf("Split(0) err = %v", err)
-	}
 	bad := Chunk{Type: TypeMatrix}
 	if err := m.Restore([]Chunk{bad}); err == nil {
 		t.Error("Restore with wrong chunk type should fail")
@@ -287,9 +317,5 @@ func TestKVMapErrors(t *testing.T) {
 	corrupt := Chunk{Type: TypeKVMap, Data: []byte{0xff}}
 	if err := m.Restore([]Chunk{corrupt}); err == nil {
 		t.Error("Restore with corrupt chunk should fail")
-	}
-	_ = m.BeginDirty()
-	if _, err := m.Split(2); err != ErrDirtyActive {
-		t.Errorf("Split while dirty err = %v", err)
 	}
 }

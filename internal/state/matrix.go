@@ -278,34 +278,6 @@ func (m *Matrix) Restore(chunks []Chunk) error {
 	return nil
 }
 
-// Split divides the matrix into n disjoint row-partitioned matrices; the
-// receiver is emptied.
-func (m *Matrix) Split(n int) ([]Store, error) {
-	if n < 1 {
-		return nil, ErrBadSplit
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.dirty.Load() {
-		return nil, ErrDirtyActive
-	}
-	parts := make([]*Matrix, n)
-	out := make([]Store, n)
-	for i := range parts {
-		parts[i] = NewMatrix()
-		out[i] = parts[i]
-	}
-	for r, row := range m.base {
-		p := parts[PartitionKey(uint64(r), n)]
-		for c, v := range row {
-			p.Set(r, c, v)
-		}
-	}
-	m.base = make(map[int64]map[int64]float64)
-	m.size.Store(0)
-	return out, nil
-}
-
 func splitMatrixChunk(c Chunk, n int) ([]Chunk, error) {
 	d := newDecoder(c.Data)
 	nrows := d.uvarint()

@@ -143,12 +143,9 @@ func TestMatrixSplitDisjointComplete(t *testing.T) {
 			m.Set(r, c, float64(r*10+c))
 		}
 	}
-	parts, err := m.Split(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumEntries() != 0 {
-		t.Fatal("receiver not emptied")
+	parts := reshapeByChunks(t, m, 4, func() Store { return NewMatrix() })
+	if m.NumEntries() != 200 {
+		t.Fatalf("source holds %d cells after the split, want 200", m.NumEntries())
 	}
 	total := 0
 	for _, p := range parts {

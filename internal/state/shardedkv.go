@@ -14,7 +14,7 @@ const maxKVShards = 256
 // ShardedKVMap is the lock-striped variant of KVMap: the key space is
 // divided over N independent shards (N a power of two), each owning its own
 // base map, dirty overlay, tombstone set and dirtyCtl. Writers to different
-// shards never contend, and Checkpoint/Restore/Split/MergeDirty run one
+// shards never contend, and Checkpoint/Restore/MergeDirty run one
 // worker per shard, so snapshot latency drops with cores instead of scaling
 // with total state size.
 //
@@ -40,7 +40,7 @@ type ShardedKVMap struct {
 	dirty  atomic.Bool  // store-level view of the per-shard flags
 
 	// lifecycle serialises the multi-shard structural operations —
-	// BeginDirty, MergeDirty, Split and Checkpoint — against each other.
+	// BeginDirty, MergeDirty and Checkpoint — against each other.
 	// Writers never take it, so the dirty window stays writer-transparent
 	// even while a long Checkpoint holds it.
 	lifecycle sync.Mutex
@@ -309,9 +309,9 @@ func (m *ShardedKVMap) Checkpoint(n int) ([]Chunk, error) {
 	if n < 1 {
 		return nil, ErrBadSplit
 	}
-	// lifecycle makes the snapshot atomic against Split (as the single
-	// mutex does for KVMap); writers only ever take shard locks, so the
-	// long serialisation still never blocks them.
+	// lifecycle makes the snapshot atomic against BeginDirty and
+	// MergeDirty; writers only ever take shard locks, so the long
+	// serialisation still never blocks them.
 	m.lifecycle.Lock()
 	defer m.lifecycle.Unlock()
 	hint := 64
@@ -391,47 +391,6 @@ func (m *ShardedKVMap) Restore(chunks []Chunk) error {
 		}
 	}
 	return nil
-}
-
-// Split divides the map into n disjoint ShardedKVMaps; the receiver is
-// emptied. Every shard's base lock is held for the whole copy (ordered
-// sweep, like BeginDirty) so the move is atomic against concurrent
-// writers, exactly as KVMap.Split's single mutex makes it; workers then
-// scan shards in parallel, with the target stores' own shard locks
-// serialising the inserts.
-func (m *ShardedKVMap) Split(n int) ([]Store, error) {
-	if n < 1 {
-		return nil, ErrBadSplit
-	}
-	m.lifecycle.Lock()
-	defer m.lifecycle.Unlock()
-	for _, s := range m.shards {
-		s.mu.Lock()
-	}
-	defer func() {
-		for i := len(m.shards) - 1; i >= 0; i-- {
-			m.shards[i].mu.Unlock()
-		}
-	}()
-	if m.dirty.Load() {
-		return nil, ErrDirtyActive
-	}
-	out := make([]Store, n)
-	parts := make([]*ShardedKVMap, n)
-	for i := range parts {
-		parts[i] = NewShardedKVMap(len(m.shards))
-		out[i] = parts[i]
-	}
-	m.eachShard(func(s *kvShard) error {
-		for k, v := range s.base {
-			parts[PartitionKey(k, n)].Put(k, v)
-		}
-		s.delta.noteBase(s.base) // moved-out keys need tombstones in the next delta
-		s.base = make(map[uint64][]byte)
-		return nil
-	})
-	m.size.Store(0)
-	return out, nil
 }
 
 // Clear removes all entries. In dirty mode each shard's base keys are
@@ -515,10 +474,8 @@ func (m *ShardedKVMap) eachShardIdx(fn func(i int, s *kvShard) error) {
 }
 
 // Compile-time interface checks: both dictionary backends are full KV
-// stores and partitionable.
+// stores.
 var (
-	_ KV            = (*KVMap)(nil)
-	_ KV            = (*ShardedKVMap)(nil)
-	_ Partitionable = (*KVMap)(nil)
-	_ Partitionable = (*ShardedKVMap)(nil)
+	_ KV = (*KVMap)(nil)
+	_ KV = (*ShardedKVMap)(nil)
 )

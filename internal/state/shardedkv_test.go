@@ -261,18 +261,19 @@ func TestKVCrossImplCheckpointCompat(t *testing.T) {
 	}
 }
 
+// TestShardedKVSplit: the sharded store's streamed chunks split n ways
+// into sharded stores that each hold exactly their own partition. Dirty
+// mode is reported store-wide, which is what reshaping checks before it
+// reads a source.
 func TestShardedKVSplit(t *testing.T) {
 	m := NewShardedKVMap(8)
 	const n = 500
 	for i := uint64(0); i < n; i++ {
 		m.Put(i, []byte{byte(i)})
 	}
-	parts, err := m.Split(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumEntries() != 0 {
-		t.Fatal("receiver not emptied")
+	parts := reshapeByChunks(t, m, 3, func() Store { return NewShardedKVMap(8) })
+	if m.NumEntries() != n {
+		t.Fatalf("source holds %d entries after the split, want %d", m.NumEntries(), n)
 	}
 	total := 0
 	for pi, p := range parts {
@@ -294,11 +295,17 @@ func TestShardedKVSplit(t *testing.T) {
 	if err := dirty.BeginDirty(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dirty.Split(2); err != ErrDirtyActive {
-		t.Fatalf("Split while dirty = %v, want ErrDirtyActive", err)
+	if !dirty.Dirty() {
+		t.Fatal("Dirty() = false inside BeginDirty/MergeDirty")
 	}
-	if _, err := dirty.Split(0); err != ErrBadSplit {
-		t.Fatalf("Split(0) = %v, want ErrBadSplit", err)
+	if _, err := dirty.MergeDirty(); err != nil {
+		t.Fatal(err)
+	}
+	if dirty.Dirty() {
+		t.Fatal("Dirty() = true after MergeDirty")
+	}
+	if _, err := SplitChunk(Chunk{Type: TypeKVMap}, 0); err != ErrBadSplit {
+		t.Fatalf("SplitChunk(0) = %v, want ErrBadSplit", err)
 	}
 }
 

@@ -6,9 +6,7 @@
 //     asynchronously, and MergeDirty consolidates the overlay under a short
 //     lock;
 //   - checkpoints are produced as hash-partitioned chunks, which is what
-//     enables the m-to-n parallel backup/restore pattern (Fig. 4);
-//   - partitionable stores can be split into disjoint instances so the
-//     runtime can scale partitioned SEs across nodes.
+//     enables the m-to-n parallel backup/restore pattern (Fig. 4).
 //
 // Provided store types mirror the paper's predefined SE classes: KVMap
 // (dictionary), Matrix (indexed sparse matrix) and Vector.
@@ -93,6 +91,8 @@ type Store interface {
 	MergeDirty() (int, error)
 	// DirtySize reports the number of entries in the dirty overlay.
 	DirtySize() int
+	// Dirty reports whether dirty mode is active.
+	Dirty() bool
 
 	// Checkpoint serialises the consistent (base) contents into n chunks
 	// partitioned by key hash. It must be called while dirty mode is active
@@ -101,15 +101,6 @@ type Store interface {
 	// Restore merges the given chunks into the store. It accepts any subset
 	// of a checkpoint, so partial restores build up partitioned instances.
 	Restore(chunks []Chunk) error
-}
-
-// Partitionable stores can be split into disjoint instances, one per
-// partition, for distributed partitioned SEs (§3.2, Fig. 2b).
-type Partitionable interface {
-	Store
-	// Split divides the contents into n disjoint stores; the receiver is
-	// left empty afterwards.
-	Split(n int) ([]Store, error)
 }
 
 // DeltaStore is implemented by stores that support incremental (delta)
@@ -170,7 +161,7 @@ type KV interface {
 }
 
 // PartitionKey maps a key to one of n partitions. It is shared by the
-// checkpoint chunker, store splitting and the dataflow dispatchers so that
+// checkpoint chunker, SplitChunk and the dataflow dispatchers so that
 // "the dataflow partitioning strategy is compatible with the data access
 // pattern" (§3.2): routing and storage always agree.
 func PartitionKey(key uint64, n int) int {

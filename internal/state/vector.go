@@ -247,32 +247,6 @@ func (v *Vector) Restore(chunks []Chunk) error {
 	return nil
 }
 
-// Split divides the vector into n instances, each full-length but holding
-// only the elements of its index partition; the receiver is zeroed.
-func (v *Vector) Split(n int) ([]Store, error) {
-	if n < 1 {
-		return nil, ErrBadSplit
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.dirty.Load() {
-		return nil, ErrDirtyActive
-	}
-	out := make([]Store, n)
-	parts := make([]*Vector, n)
-	for i := range parts {
-		parts[i] = NewVector(len(v.vals))
-		out[i] = parts[i]
-	}
-	for i, x := range v.vals {
-		if x != 0 {
-			parts[PartitionKey(uint64(i), n)].Set(i, x)
-		}
-		v.vals[i] = 0
-	}
-	return out, nil
-}
-
 func splitVectorChunk(c Chunk, n int) ([]Chunk, error) {
 	d := newDecoder(c.Data)
 	length := d.uvarint()

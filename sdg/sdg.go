@@ -218,10 +218,6 @@ type Options struct {
 	BatchSize int
 	// DiskBandwidth models checkpoint disk speed in bytes/s (0 = infinite).
 	DiskBandwidth int64
-	// ScaleDrainTimeout bounds how long ScaleDown waits for the graph to
-	// quiesce behind the ingress fence before failing with ErrNotQuiesced
-	// (default 30s).
-	ScaleDrainTimeout time.Duration
 	// WireCheck round-trips every delivered payload through the wire codec,
 	// verifying the location-independence restriction of the paper (§4.1):
 	// a payload that could not cross a real process boundary fails loudly
@@ -242,19 +238,18 @@ func (b *GraphBuilder) Deploy(opts Options) (*System, error) {
 		DiskReadBW:  opts.DiskBandwidth,
 	})
 	rt, err := runtime.Deploy(b.g, runtime.Options{
-		Cluster:           cl,
-		QueueLen:          opts.QueueLen,
-		OverflowLen:       opts.OverflowLen,
-		InjectPolicy:      opts.InjectPolicy,
-		InjectDeadline:    opts.InjectDeadline,
-		BatchSize:         opts.BatchSize,
-		Partitions:        opts.Partitions,
-		Mode:              opts.Mode,
-		Interval:          opts.Interval,
-		Chunks:            opts.Chunks,
-		DeltaCheckpoints:  opts.DeltaCheckpoints,
-		ScaleDrainTimeout: opts.ScaleDrainTimeout,
-		WireCheck:         opts.WireCheck,
+		Cluster:          cl,
+		QueueLen:         opts.QueueLen,
+		OverflowLen:      opts.OverflowLen,
+		InjectPolicy:     opts.InjectPolicy,
+		InjectDeadline:   opts.InjectDeadline,
+		BatchSize:        opts.BatchSize,
+		Partitions:       opts.Partitions,
+		Mode:             opts.Mode,
+		Interval:         opts.Interval,
+		Chunks:           opts.Chunks,
+		DeltaCheckpoints: opts.DeltaCheckpoints,
+		WireCheck:        opts.WireCheck,
 	})
 	if err != nil {
 		return nil, err
@@ -321,10 +316,10 @@ func (s *System) Recover(seName string, n int) error {
 func (s *System) ScaleUp(task string) error { return s.rt.ScaleUp(task) }
 
 // ScaleDown retires an instance of a task, draining it behind an ingress
-// fence and merging its partitioned state into the surviving instances.
-// Partial-state tasks are refused (replicas reconcile only through merge
-// computation); it also fails with ErrNotQuiesced when the graph cannot
-// drain within Options.ScaleDrainTimeout.
+// fence and repartitioning its partitioned state onto the surviving
+// instances. Partial-state tasks are refused (replicas reconcile only
+// through merge computation); it also fails with ErrNotQuiesced when the
+// graph cannot drain within 30s.
 func (s *System) ScaleDown(task string) error { return s.rt.ScaleDown(task) }
 
 // ScalePolicy tunes the auto-scaler: high/low water marks, cooldown,
