@@ -18,8 +18,8 @@ type Annotation struct {
 // order encodes the documented hierarchy: scale-in serialisation first,
 // then the injection fence, the checkpoint gate, per-node pause locks, SE
 // then TE state (the PR 5 repartition order), the coordinator's injection
-// fence before its per-worker locks, and the remote-edge net lock before
-// per-peer locks (PR 8).
+// fence before its per-worker send locks and those before its per-worker
+// endpoint locks, and the remote-edge net lock before per-peer locks (PR 8).
 var RuntimeOrder = []Annotation{
 	{File: "runtime.go", Kind: "field", Owner: "Runtime.scaleMu", Class: "scale", Rank: 10},
 	{File: "runtime.go", Kind: "field", Owner: "teState.injMu", Class: "inject", Rank: 20},
@@ -29,6 +29,7 @@ var RuntimeOrder = []Annotation{
 	{File: "runtime.go", Kind: "field", Owner: "seState.mu", Class: "sstate", Rank: 50},
 	{File: "runtime.go", Kind: "field", Owner: "teState.mu", Class: "testate", Rank: 60},
 	{File: "coordinator.go", Kind: "field", Owner: "Coordinator.injMu", Class: "coordinject", Rank: 65},
+	{File: "coordinator.go", Kind: "field", Owner: "coordWorker.sendMu", Class: "coordsend", Rank: 67},
 	{File: "coordinator.go", Kind: "field", Owner: "coordWorker.mu", Class: "coordworker", Rank: 70},
 	{File: "remoteedge.go", Kind: "field", Owner: "remoteNet.mu", Class: "netmu", Rank: 80},
 	{File: "remoteedge.go", Kind: "field", Owner: "peerConn.mu", Class: "peermu", Rank: 90},

@@ -85,13 +85,32 @@ func (o *CoordOptions) defaults() {
 
 // coordWorker is the coordinator's view of one worker.
 type coordWorker struct {
+	// sendMu orders this worker's data link. A sender holds it from drawing
+	// an item's seq through the round trip and the replay-log append, so
+	// seqs reach the worker in increasing order. Senders take it under the
+	// read side of the coordinator's injMu.
+	//
+	//sdg:lockorder coordsend 67
+	sendMu sync.Mutex
+	// encBuf is the reused data-plane encode buffer. Safe to refill as soon
+	// as Transport.Call returns: the TCP client has written the frame out
+	// by then, and the Local transport copies the request before handing
+	// it to the worker. Guarded by sendMu.
+	encBuf []byte
+	// logs holds one replay log per entry task: every item sent to this
+	// worker (or queued while it is dead) until a checkpoint of it covers
+	// the item. Senders append under sendMu; trims and recovery replay hold
+	// injMu's write side.
+	logs map[string]*dataflow.OutputBuffer
+
 	//sdg:lockorder coordworker 70
 	mu    sync.Mutex // guards ep and hbStop swaps across recoveries
 	ep    WorkerEndpoint
 	alive atomic.Bool
 	// snap is the checkpoint chain pulled from this worker, retained as
 	// compressed part records (nil until its first checkpoint); guarded by
-	// the coordinator's injMu (all snapshot/recovery flows hold it).
+	// the write side of the coordinator's injMu, which every snapshot and
+	// recovery flow holds.
 	snap   *retainedSnap
 	hbStop chan struct{}
 }
@@ -107,12 +126,15 @@ func (cw *coordWorker) endpoint() WorkerEndpoint {
 // snapshots, and routes injections to worker processes over the wire
 // protocol. Workers execute; the coordinator remembers.
 //
-// The injection mutex serialises seq assignment, replay logging and
-// transmission end to end — released between assignment and send, a later
-// seq could overtake an earlier one onto the same worker, and the worker's
-// per-origin dedup watermark would drop the overtaken item forever. It is
-// also held across checkpoints and recoveries, so replayed items can never
-// interleave with (and be overtaken by) fresh higher-seq injections.
+// Seq order is kept per worker (coordWorker.sendMu): released between draw
+// and send, a later seq could overtake an earlier one onto the same
+// worker, and the per-origin dedup watermark of the instance it lands on
+// would drop the overtaken item forever. Watermarks are kept per instance
+// and every instance lives on one worker, so sends to different workers
+// need no common order and run in parallel. Checkpoints and recoveries
+// hold the write side of the injection mutex, so snapshot watermarks and
+// log trims cannot shear, and replayed items can never interleave with
+// (and be overtaken by) fresh higher-seq injections.
 type Coordinator struct {
 	graphName string
 	g         *core.Graph
@@ -132,22 +154,21 @@ type Coordinator struct {
 	entryTotal map[string]int
 	addrs      []string
 
+	// injMu excludes whole-deployment operations from sends: senders hold
+	// its read side; Checkpoint, RecoverWorker and SnapshotStats its write
+	// side.
+	//
 	//sdg:lockorder coordinject 65
-	injMu  sync.Mutex
-	extSeq uint64
-	// encBuf is the reused data-plane encode buffer, guarded by injMu like
-	// every sender that fills it. Safe to refill as soon as Transport.Call
-	// returns: the TCP client has written the frame out by then, and the
-	// Local transport copies the request before handing it to the worker.
-	encBuf []byte
-	// logs holds one replay log per (entry task, worker): every item sent
-	// (or queued for a dead worker) until a worker checkpoint covers it.
-	logs map[string][]*dataflow.OutputBuffer
+	injMu sync.RWMutex
+	// extSeq is the last external seq drawn. Senders draw under the send
+	// lock of every worker the item can reach.
+	extSeq atomic.Uint64
 	// snapStreams numbers snapshot pull and restore push streams; never 0,
-	// so a worker can tell "no stream" from any real one. Guarded by injMu.
+	// so a worker can tell "no stream" from any real one. Guarded by the
+	// write side of injMu.
 	snapStreams uint64
 	// stats tracks the streaming-transfer counters (see SnapStats). Guarded
-	// by injMu.
+	// by the write side of injMu.
 	stats SnapStats
 
 	stopOnce sync.Once
@@ -194,7 +215,6 @@ func NewCoordinator(graphName string, eps []WorkerEndpoint, opts CoordOptions) (
 		opts:      opts,
 		entry:     map[string]bool{},
 		keyed:     map[string]bool{},
-		logs:      map[string][]*dataflow.OutputBuffer{},
 		stopped:   make(chan struct{}),
 	}
 	for _, te := range g.TEs {
@@ -203,11 +223,6 @@ func NewCoordinator(graphName string, eps []WorkerEndpoint, opts CoordOptions) (
 		}
 		c.entry[te.Name] = true
 		c.keyed[te.Name] = te.Access != nil && te.Access.Mode == core.AccessByKey
-		bufs := make([]*dataflow.OutputBuffer, len(eps))
-		for i := range bufs {
-			bufs[i] = &dataflow.OutputBuffer{}
-		}
-		c.logs[te.Name] = bufs
 	}
 	if len(eps) > 1 {
 		c.computeLayout(eps)
@@ -222,7 +237,10 @@ func NewCoordinator(graphName string, eps []WorkerEndpoint, opts CoordOptions) (
 		}
 	}
 	for i, ep := range eps {
-		cw := &coordWorker{ep: ep}
+		cw := &coordWorker{ep: ep, logs: map[string]*dataflow.OutputBuffer{}}
+		for task := range c.entry {
+			cw.logs[task] = &dataflow.OutputBuffer{}
+		}
 		cw.alive.Store(true)
 		c.workers = append(c.workers, cw)
 		if err := c.deployTo(i, cw, false); err != nil {
@@ -352,6 +370,29 @@ func (c *Coordinator) Inject(task string, key uint64, value any) error {
 	return c.InjectBatch(task, []InjectItem{{Key: key, Value: value}})
 }
 
+// lockTargets takes, in index order, the send lock of every worker an
+// injection of items into task can reach, and reports which it took: each
+// item's key owner for a keyed task, and every worker hosting an instance
+// of an unkeyed task, whose items route by the seqs they have yet to draw.
+func (c *Coordinator) lockTargets(task string, items []InjectItem) []bool {
+	held := make([]bool, len(c.workers))
+	if c.keyed[task] {
+		for _, in := range items {
+			held[c.route(task, core.Item{Key: in.Key})] = true
+		}
+	} else {
+		for w := range held {
+			held[w] = !c.shard || c.teShards[w][task].Count > 0
+		}
+	}
+	for w, h := range held {
+		if h {
+			c.workers[w].sendMu.Lock()
+		}
+	}
+	return held
+}
+
 // InjectBatch assigns seqs, logs and transmits a batch of items. Items
 // routed to a dead worker are logged and delivered by the recovery replay —
 // the distributed mirror of in-process injection parking items for a failed
@@ -359,88 +400,110 @@ func (c *Coordinator) Inject(task string, key uint64, value any) error {
 // mid-send marks the worker dead and leaves the sub-batch queued the same
 // way; only an application-level rejection (admission shed, unknown task)
 // returns an error, and those items are the caller's to retry.
+//
+// The batch draws its seqs holding the send lock of every worker it can
+// reach, and releases each one once that worker's sub-batch is logged.
 func (c *Coordinator) InjectBatch(task string, items []InjectItem) error {
 	if len(items) == 0 {
 		return nil
 	}
-	c.injMu.Lock()
-	defer c.injMu.Unlock()
-	logs, ok := c.logs[task]
-	if !ok {
+	if !c.entry[task] {
 		return fmt.Errorf("%w: %q", ErrNotEntry, task)
 	}
+	c.injMu.RLock()
+	defer c.injMu.RUnlock()
+	held := c.lockTargets(task, items)
 	// Assign seqs and group per worker, preserving seq order within each
 	// group.
 	subs := make([][]core.Item, len(c.workers))
 	for _, in := range items {
-		c.extSeq++
-		it := core.Item{Origin: externalOrigin, Seq: c.extSeq, Key: in.Key, Value: in.Value}
+		it := core.Item{Origin: externalOrigin, Seq: c.extSeq.Add(1), Key: in.Key, Value: in.Value}
 		w := c.route(task, it)
 		subs[w] = append(subs[w], it)
 	}
 	var rejected error
 	for w, sub := range subs {
-		if len(sub) == 0 {
+		if !held[w] {
 			continue
 		}
-		cw := c.workers[w]
-		if !cw.alive.Load() {
-			logs[w].AppendBatch(sub) // queued; recovery replays
-			continue
+		if len(sub) > 0 {
+			if err := c.sendInject(w, task, sub); err != nil {
+				rejected = err
+			}
 		}
-		frame, err := wire.EncodeAppend(c.encBuf[:0], wire.MsgInject, wire.Inject{Task: task, Items: sub})
-		if err != nil {
-			return err
-		}
-		c.encBuf = frame
-		var ack wire.InjectAck
-		err = call(cw.endpoint().Data, frame, wire.MsgInjectAck, &ack)
-		switch {
-		case err == nil:
-			logs[w].AppendBatch(sub)
-		case errors.Is(err, cluster.ErrRemote):
-			// The worker is healthy and said no (shed, unknown task): the
-			// items never entered and must not be replayed later.
-			rejected = err
-		default:
-			// Transport failure: delivery is ambiguous, so log the items
-			// anyway — if the worker did enqueue them, the replay duplicates
-			// are filtered by seq; if not, the replay is the delivery.
-			logs[w].AppendBatch(sub)
-			c.markDead(w)
-		}
+		c.workers[w].sendMu.Unlock()
 	}
 	return rejected
 }
 
+// sendInject transmits and logs one worker's share of an InjectBatch under
+// that worker's send lock. An error means the items never entered.
+func (c *Coordinator) sendInject(w int, task string, sub []core.Item) error {
+	cw := c.workers[w]
+	if !cw.alive.Load() {
+		cw.logs[task].AppendBatch(sub) // queued; recovery replays
+		return nil
+	}
+	frame, err := wire.EncodeAppend(cw.encBuf[:0], wire.MsgInject, wire.Inject{Task: task, Items: sub})
+	if err != nil {
+		return err
+	}
+	cw.encBuf = frame
+	var ack wire.InjectAck
+	err = call(cw.endpoint().Data, frame, wire.MsgInjectAck, &ack)
+	switch {
+	case err == nil:
+		cw.logs[task].AppendBatch(sub)
+	case errors.Is(err, cluster.ErrRemote):
+		// The worker is healthy and said no (shed, unknown task): the
+		// items never entered and must not be replayed later.
+		return err
+	default:
+		// Transport failure: delivery is ambiguous, so log the items
+		// anyway — if the worker did enqueue them, the replay duplicates
+		// are filtered by seq; if not, the replay is the delivery.
+		cw.logs[task].AppendBatch(sub)
+		c.markDead(w)
+	}
+	return nil
+}
+
 // Call injects a request item to its worker and waits for the dataflow's
-// reply. Successful (and transport-ambiguous) calls are logged for replay;
-// application-level failures are not — with one documented gap: a call
-// that times out worker-side reports an error but may still have been
-// applied, and is not replayed. Idempotent request paths (as in the kv
-// store) are immune.
+// reply. Answered, timed-out and transport-ambiguous calls are logged for
+// replay, since the worker may have applied the item; a call the worker
+// refused (admission shed, unknown task) is not. A worker-side timeout
+// returns ErrTimeout.
+//
+// The call holds its worker's send lock from drawing the seq through the
+// log append; an unkeyed call holds every worker its task can reach until
+// its seq picks one.
 func (c *Coordinator) Call(task string, key uint64, value any, timeout time.Duration) (any, error) {
-	c.injMu.Lock()
-	defer c.injMu.Unlock()
-	logs, ok := c.logs[task]
-	if !ok {
+	if !c.entry[task] {
 		return nil, fmt.Errorf("%w: %q", ErrNotEntry, task)
 	}
-	c.extSeq++
-	it := core.Item{Origin: externalOrigin, Seq: c.extSeq, Key: key, Value: value}
+	c.injMu.RLock()
+	defer c.injMu.RUnlock()
+	held := c.lockTargets(task, []InjectItem{{Key: key}})
+	it := core.Item{Origin: externalOrigin, Seq: c.extSeq.Add(1), Key: key, Value: value}
 	w := c.route(task, it)
+	for o, h := range held {
+		if h && o != w {
+			c.workers[o].sendMu.Unlock()
+		}
+	}
 	cw := c.workers[w]
+	defer cw.sendMu.Unlock()
 	if !cw.alive.Load() {
 		return nil, fmt.Errorf("coordinator: worker %d is down", w)
 	}
 	if timeout <= 0 {
 		timeout = c.opts.CallTimeout
 	}
-	frame, err := wire.EncodeAppend(c.encBuf[:0], wire.MsgCall, wire.Call{Task: task, Item: it, TimeoutMs: timeout.Milliseconds()})
+	frame, err := wire.EncodeAppend(cw.encBuf[:0], wire.MsgCall, wire.Call{Task: task, Item: it, TimeoutMs: timeout.Milliseconds()})
 	if err != nil {
 		return nil, err
 	}
-	c.encBuf = frame
+	cw.encBuf = frame
 	resp, err := cw.endpoint().Data.Call(frame)
 	if err != nil {
 		if errors.Is(err, cluster.ErrRemote) {
@@ -449,16 +512,25 @@ func (c *Coordinator) Call(task string, key uint64, value any, timeout time.Dura
 		// Ambiguous transport failure: the worker may have applied the
 		// item, so it must survive into the replay log before the caller
 		// hears anything.
-		logs[w].AppendBatch([]core.Item{it})
+		cw.logs[task].AppendBatch([]core.Item{it})
 		c.markDead(w)
 		return nil, err
 	}
-	var reply wire.CallReply
-	if err := wire.Expect(resp, wire.MsgCallReply, &reply); err != nil {
+	t, payload, err := wire.Decode(resp)
+	if err != nil {
 		return nil, err
 	}
-	logs[w].AppendBatch([]core.Item{it})
-	return reply.Value, nil
+	var reply wire.CallReply
+	switch t {
+	case wire.MsgCallReply:
+		err = wire.Unmarshal(payload, &reply)
+	case wire.MsgCallTimeout:
+		err = ErrTimeout
+	default:
+		return nil, fmt.Errorf("%w: got %s, want %s", wire.ErrUnexpectedType, wire.MsgName(t), wire.MsgName(wire.MsgCallReply))
+	}
+	cw.logs[task].AppendBatch([]core.Item{it})
+	return reply.Value, err
 }
 
 // startHeartbeat probes one worker on its control link until it dies or
@@ -541,8 +613,9 @@ func (c *Coordinator) Workers() int { return len(c.workers) }
 // Checkpoint pulls a consistent snapshot from every live worker, folds it
 // into that worker's retained chain, and trims the replay logs the snapshot
 // covers (§5: upstream buffers drop items older than all downstream
-// checkpoints). Held under the injection mutex so the snapshot's
-// watermarks and the log contents cannot shear. Snapshots stream in chunk
+// checkpoints). Held under the write side of the injection mutex, so no
+// send is in flight and the snapshot's watermarks and the log contents
+// cannot shear. Snapshots stream in chunk
 // by chunk (pullSnapshot), so no worker's whole state ever crosses as one
 // frame or sits uncompressed in coordinator memory, and after a worker's
 // first checkpoint each epoch carries only the keys that changed.
@@ -694,9 +767,9 @@ func minWatermarks(tes []wire.SnapPart, te string) (floor map[uint64]uint64, n i
 // for each entry task, everything below the minimum watermark across the
 // worker's instances of that task.
 func (c *Coordinator) trimLogs(w int, tes []wire.SnapPart) {
-	for task, bufs := range c.logs {
+	for task, log := range c.workers[w].logs {
 		if min, _ := minWatermarks(tes, task); len(min) > 0 {
-			bufs[w].Trim(min)
+			log.Trim(min)
 		}
 	}
 }
@@ -704,13 +777,15 @@ func (c *Coordinator) trimLogs(w int, tes []wire.SnapPart) {
 // PendingReplay reports the replay-log depth for one task and worker —
 // the items a recovery of that worker would re-deliver.
 func (c *Coordinator) PendingReplay(task string, w int) int {
-	c.injMu.Lock()
-	defer c.injMu.Unlock()
-	bufs, ok := c.logs[task]
-	if !ok || w < 0 || w >= len(bufs) {
+	if !c.entry[task] || w < 0 || w >= len(c.workers) {
 		return 0
 	}
-	return bufs[w].Len()
+	c.injMu.RLock()
+	defer c.injMu.RUnlock()
+	cw := c.workers[w]
+	cw.sendMu.Lock()
+	defer cw.sendMu.Unlock()
+	return cw.logs[task].Len()
 }
 
 // replayChunk bounds the items per replay Inject message so a long log
@@ -720,9 +795,9 @@ const replayChunk = 256
 // RecoverWorker brings a dead worker slot back on a replacement endpoint:
 // deploy the graph, restore the last pulled snapshot, replay the logged
 // items its watermarks do not cover, and resume routing and failure
-// detection. The injection mutex is held throughout, so no fresh injection
-// can slip ahead of the replay and trip the dedup watermark over items
-// still in flight.
+// detection. The write side of the injection mutex is held throughout, so
+// no fresh injection can slip ahead of the replay and trip the dedup
+// watermark over items still in flight.
 func (c *Coordinator) RecoverWorker(w int, ep WorkerEndpoint) error {
 	if w < 0 || w >= len(c.workers) {
 		return fmt.Errorf("coordinator: no worker %d", w)
@@ -757,8 +832,8 @@ func (c *Coordinator) RecoverWorker(w int, ep WorkerEndpoint) error {
 			return fail(fmt.Errorf("coordinator: restore worker %d: %w", w, err))
 		}
 	}
-	for task, bufs := range c.logs {
-		items := bufs[w].Replay()
+	for task, log := range cw.logs {
+		items := log.Replay()
 		for start := 0; start < len(items); start += replayChunk {
 			end := start + replayChunk
 			if end > len(items) {

@@ -50,7 +50,8 @@ type seChain struct {
 // retainedSnap is one worker's recovery point: per SE instance a chain,
 // plus the newest epoch's metadata parts (TE watermarks, replay-log and
 // edge-log slices — always shipped whole) and the TE watermark metadata the
-// replay-log and edge trims read. Guarded by the coordinator's injMu.
+// replay-log and edge trims read. Guarded by the write side of the
+// coordinator's injMu.
 type retainedSnap struct {
 	epoch uint64             // newest retained epoch: the next SnapBegin's Have
 	meta  [][]byte           // encodeSnapRecord output, one per metadata part
@@ -328,7 +329,7 @@ func (c *Coordinator) pullSnapshot(tr cluster.Transport, stream, have uint64, re
 // pushSnapshot restores a worker's retained chain into its freshly
 // deployed replacement, part by part: the newest epoch's metadata parts,
 // then per SE instance its base parts followed by its delta parts in epoch
-// order. Called under injMu, before replay.
+// order. Called under injMu's write side, before replay.
 func (c *Coordinator) pushSnapshot(rs *retainedSnap, ep WorkerEndpoint) error {
 	c.snapStreams++
 	stream := c.snapStreams
@@ -386,7 +387,7 @@ func (c *Coordinator) pushSnapshot(rs *retainedSnap, ep WorkerEndpoint) error {
 // minimum across every instance's retained watermarks — and it only exists
 // when every worker holds a current retained snapshot, because a worker
 // without one would need those buffered items again after a failure.
-// Called under injMu.
+// Called under injMu's write side.
 func (c *Coordinator) localTrims() []wire.LocalTrim {
 	for _, cw := range c.workers {
 		if cw.snap == nil {

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -188,6 +189,11 @@ func (w *Worker) handle(req []byte) ([]byte, error) {
 			timeout = 10 * time.Second
 		}
 		v, err := rt.CallItem(m.Task, m.Item, timeout)
+		if errors.Is(err, ErrTimeout) {
+			// The item is enqueued and may still apply: an error reply would
+			// tell the coordinator it never entered.
+			return wire.Encode(wire.MsgCallTimeout, wire.CallTimeout{})
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -24,6 +24,7 @@ import (
 //	InjectAck:       varint accepted
 //	Call:            str task, varint timeoutMs, item
 //	CallReply:       value
+//	CallTimeout:     (empty)
 //	Heartbeat:       fixed64 seq
 //	HeartbeatAck:    fixed64 seq, fixed64 queued
 //	DumpReq:         str se
@@ -124,6 +125,8 @@ func encodeFlat(e *flat.Encoder, msgType byte, v any) error {
 	case CallReply:
 		is = MsgCallReply
 		err = e.Value(m.Value)
+	case CallTimeout:
+		is = MsgCallTimeout
 	case Heartbeat:
 		is = MsgHeartbeat
 		e.Fixed64(m.Seq)
@@ -397,7 +400,7 @@ func decodeFlat(body []byte, v any) error {
 		m.Chunks = d.Uvarint()
 	case *RestoreEndAck:
 		m.Stream = d.Fixed64()
-	case *StatsReq, *Stop, *StopAck, *PeersAck, *EdgeTrimAck:
+	case *CallTimeout, *StatsReq, *Stop, *StopAck, *PeersAck, *EdgeTrimAck:
 		// Empty body: finish rejects any byte.
 	default:
 		return fmt.Errorf("%w: no layout for %T", ErrBadPayload, v)

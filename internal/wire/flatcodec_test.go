@@ -53,6 +53,7 @@ var samples = map[byte][]any{
 	MsgInjectAck:    {InjectAck{Accepted: 17}},
 	MsgCall:         {Call{Task: "get", Item: core.Item{Key: 7, Value: nil}, TimeoutMs: 10_000}},
 	MsgCallReply:    {CallReply{Value: []byte("reply")}, CallReply{Value: math.Pi}},
+	MsgCallTimeout:  {CallTimeout{}},
 	MsgHeartbeat:    {Heartbeat{Seq: 9}},
 	MsgHeartbeatAck: {HeartbeatAck{Seq: 9, Queued: 3}},
 	MsgDumpReq:      {DumpReq{SE: "store"}},
@@ -202,6 +203,7 @@ func TestGoldenFrames(t *testing.T) {
 		{MsgCall, Call{Task: "get", Item: core.Item{Origin: ^uint64(0), Seq: 300, Key: 7, Value: []byte("k")}, TimeoutMs: 10_000},
 			"050203676574a09c0100ac0207000009026b"},
 		{MsgCallReply, CallReply{Value: []byte("reply")}, "060209067265706c79"},
+		{MsgCallTimeout, CallTimeout{}, "2602"},
 		{MsgHeartbeat, Heartbeat{Seq: 0x0102030405060708}, "07020807060504030201"},
 		{MsgRemoteEmit, RemoteEmit{Edge: 2, Inst: 5, Items: []core.Item{
 			{Origin: 1<<40 | 3, Seq: 11, Key: 42, Value: []byte("edge")},

@@ -11,7 +11,7 @@ const (
 	MsgDeployAck    byte = 0x02 // DeployAck
 	MsgInject       byte = 0x03 // Inject        -> MsgInjectAck
 	MsgInjectAck    byte = 0x04 // InjectAck
-	MsgCall         byte = 0x05 // Call          -> MsgCallReply
+	MsgCall         byte = 0x05 // Call          -> MsgCallReply or MsgCallTimeout
 	MsgCallReply    byte = 0x06 // CallReply
 	MsgHeartbeat    byte = 0x07 // Heartbeat     -> MsgHeartbeatAck
 	MsgHeartbeatAck byte = 0x08 // HeartbeatAck
@@ -44,6 +44,7 @@ const (
 	MsgRestoreChunkAck byte = 0x23 // RestoreChunkAck
 	MsgRestoreEnd      byte = 0x24 // RestoreEnd    -> MsgRestoreEndAck
 	MsgRestoreEndAck   byte = 0x25 // RestoreEndAck
+	MsgCallTimeout     byte = 0x26 // CallTimeout
 )
 
 // msgNames is the registry of known message types; Decode rejects a type
@@ -83,6 +84,7 @@ var msgNames = map[byte]string{
 	MsgRestoreChunkAck: "RestoreChunkAck",
 	MsgRestoreEnd:      "RestoreEnd",
 	MsgRestoreEndAck:   "RestoreEndAck",
+	MsgCallTimeout:     "CallTimeout",
 }
 
 // Shard places a contiguous slice [First, First+Count) of a TE's or SE's
@@ -158,6 +160,11 @@ type Call struct {
 type CallReply struct {
 	Value any
 }
+
+// CallTimeout answers a Call whose item the worker enqueued but whose reply
+// did not arrive within TimeoutMs. The item may still be applied, so unlike
+// an error reply it obliges the coordinator to log the item for replay.
+type CallTimeout struct{}
 
 // Heartbeat probes liveness on the control link. Seq echoes back so an ack
 // delayed across a probe boundary cannot be credited to the wrong probe.
