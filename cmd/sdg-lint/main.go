@@ -1,5 +1,5 @@
 // Command sdg-lint runs the repository's static-invariant analyzers
-// (internal/analysis: lockorder, wiresafe, borrowcopy, clockassert) over
+// (internal/analysis: lockorder, borrowcopy, clockassert) over
 // the given packages and exits non-zero if any finding survives
 // //sdg:ignore suppression. CI runs it as a blocking gate between the
 // format check and go vet.

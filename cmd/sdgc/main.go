@@ -1,25 +1,32 @@
-// Command sdgc is the java2sdg analog (§4 of the paper): it translates the
-// built-in annotated example programs to stateful dataflow graphs and
-// prints the analysis artefacts — generated TEs with their state accesses,
-// dataflow edges with dispatch semantics and live variables, the node
-// allocation, and optionally Graphviz dot output.
+// Command sdgc is the java2sdg analog (§4 of the paper): it translates
+// annotated Go programs to stateful dataflow graphs and prints the analysis
+// artefacts — generated TEs with their state accesses, dataflow edges with
+// dispatch semantics and live variables, the node allocation, and
+// optionally Graphviz dot output. The built-in programs are the annotated
+// sources in testdata, embedded at build time.
 //
 // Usage:
 //
 //	sdgc -program cf          # translate the collaborative filtering class
 //	sdgc -program dict -dot   # translate and emit dot
+//	sdgc -src prog.go         # translate an annotated source file
 package main
 
 import (
+	"embed"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
-	"repro/internal/state"
 	"repro/internal/translator"
 )
+
+//go:embed testdata/cf.go testdata/dict.go
+var builtins embed.FS
 
 func main() {
 	var (
@@ -29,48 +36,51 @@ func main() {
 	)
 	flag.Parse()
 
-	var prog *translator.Program
-	if *src != "" {
-		data, err := os.ReadFile(*src)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdgc:", err)
-			os.Exit(1)
-		}
-		// Source programs may call the built-in merge functions by name.
-		prog, err = translator.ParseGoProgram(strings.TrimSuffix(*src, ".go"), string(data), builtinMerges())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdgc:", err)
-			os.Exit(1)
-		}
-	} else {
-		switch *name {
-		case "cf":
-			prog = cfProgram()
-		case "dict":
-			prog = dictProgram()
-		default:
-			fmt.Fprintf(os.Stderr, "sdgc: unknown program %q (known: cf, dict)\n", *name)
-			os.Exit(1)
-		}
+	prog, err := load(*name, *src)
+	if err == nil {
+		err = render(os.Stdout, prog, *dot)
 	}
-
-	plan, err := translator.Translate(prog)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sdgc:", err)
 		os.Exit(1)
 	}
-	if *dot {
-		fmt.Print(plan.Graph.Dot())
-		return
+}
+
+// load parses the source file src, named after its base name, or the
+// built-in program name when src is empty.
+func load(name, src string) (*translator.Program, error) {
+	var data []byte
+	var err error
+	if src != "" {
+		name = strings.TrimSuffix(filepath.Base(src), ".go")
+		if data, err = os.ReadFile(src); err != nil {
+			return nil, err
+		}
+	} else if data, err = builtins.ReadFile("testdata/" + name + ".go"); err != nil {
+		return nil, fmt.Errorf("unknown program %q (known: cf, dict)", name)
+	}
+	// Programs may call the built-in merge functions by name.
+	return translator.ParseGoProgram(name, string(data), builtinMerges())
+}
+
+// render translates prog and writes its plan, or its dot graph, to w.
+func render(w io.Writer, prog *translator.Program, dot bool) error {
+	plan, err := translator.Translate(prog)
+	if err != nil {
+		return err
+	}
+	if dot {
+		_, err := io.WriteString(w, plan.Graph.Dot())
+		return err
 	}
 
-	fmt.Printf("program %q -> SDG with %d TEs, %d SEs\n\n",
+	fmt.Fprintf(w, "program %q -> SDG with %d TEs, %d SEs\n\n",
 		prog.Name, len(plan.Graph.TEs), len(plan.Graph.SEs))
-	fmt.Println("state elements:")
+	fmt.Fprintln(w, "state elements:")
 	for _, se := range plan.Graph.SEs {
-		fmt.Printf("  %-12s %-12s %s\n", se.Name, se.Kind, se.Type)
+		fmt.Fprintf(w, "  %-12s %-12s %s\n", se.Name, se.Kind, se.Type)
 	}
-	fmt.Println("\ntask elements:")
+	fmt.Fprintln(w, "\ntask elements:")
 	for _, te := range plan.TEs {
 		access := "stateless"
 		if te.Field != "" {
@@ -86,10 +96,10 @@ func main() {
 		}
 		live := te.LiveIn
 		sort.Strings(live)
-		fmt.Printf("  %s %-28s access=%-28s live-in={%s}\n",
+		fmt.Fprintf(w, "  %s %-28s access=%-28s live-in={%s}\n",
 			entry, te.Name, access, strings.Join(live, ","))
 	}
-	fmt.Println("\ndataflow edges:")
+	fmt.Fprintln(w, "\ndataflow edges:")
 	for _, e := range plan.Edges {
 		carries := e.Carries
 		sort.Strings(carries)
@@ -97,11 +107,11 @@ func main() {
 		if e.KeyVar != "" {
 			key = " key=" + e.KeyVar
 		}
-		fmt.Printf("  %-28s -> %-28s %-12s%s carries={%s}\n",
+		fmt.Fprintf(w, "  %-28s -> %-28s %-12s%s carries={%s}\n",
 			e.From, e.To, e.Dispatch, key, strings.Join(carries, ","))
 	}
 	alloc := plan.Graph.Allocate()
-	fmt.Printf("\nallocation: %d nodes\n", alloc.Nodes)
+	fmt.Fprintf(w, "\nallocation: %d nodes\n", alloc.Nodes)
 	for n := 0; n < alloc.Nodes; n++ {
 		var parts []string
 		for _, se := range alloc.SEsOnNode(n) {
@@ -110,8 +120,9 @@ func main() {
 		for _, te := range alloc.TEsOnNode(n) {
 			parts = append(parts, plan.Graph.TEs[te].Name)
 		}
-		fmt.Printf("  n%d: %s\n", n+1, strings.Join(parts, ", "))
+		fmt.Fprintf(w, "  n%d: %s\n", n+1, strings.Join(parts, ", "))
 	}
+	return nil
 }
 
 // builtinMerges is the merge registry available to -src programs.
@@ -136,93 +147,6 @@ func builtinMerges() map[string]func([]any) any {
 				}
 			}
 			return total
-		},
-	}
-}
-
-// cfProgram is Alg. 1 from the paper in the translator IR.
-func cfProgram() *translator.Program {
-	return &translator.Program{
-		Name: "cf",
-		Fields: []translator.Field{
-			{Name: "userItem", Type: state.TypeMatrix, Ann: translator.AnnPartitioned},
-			{Name: "coOcc", Type: state.TypeMatrix, Ann: translator.AnnPartial},
-		},
-		MergeFuncs: map[string]func([]any) any{
-			"sumVectors": func(parts []any) any {
-				rec := map[int64]float64{}
-				for _, p := range parts {
-					if m, ok := p.(map[int64]float64); ok {
-						for k, v := range m {
-							rec[k] += v
-						}
-					}
-				}
-				return rec
-			},
-		},
-		Methods: []*translator.Method{
-			{
-				Name:   "addRating",
-				Params: []string{"user", "item", "rating"},
-				Body: []translator.Stmt{
-					translator.StateUpdate{Field: "userItem", Op: "set",
-						Args: []translator.Expr{translator.Var{Name: "user"}, translator.Var{Name: "item"}, translator.Var{Name: "rating"}}},
-					translator.Assign{Var: "userRow", Expr: translator.StateRead{Field: "userItem", Op: "row",
-						Args: []translator.Expr{translator.Var{Name: "user"}}}},
-					translator.ForEach{KeyVar: "i", ValVar: "r", Over: translator.Var{Name: "userRow"}, Body: []translator.Stmt{
-						translator.If{Cond: translator.BinOp{Op: ">", L: translator.Var{Name: "r"}, R: translator.Const{Value: 0.0}}, Then: []translator.Stmt{
-							translator.If{Cond: translator.BinOp{Op: "!=", L: translator.Var{Name: "i"}, R: translator.Var{Name: "item"}}, Then: []translator.Stmt{
-								translator.StateUpdate{Field: "coOcc", Op: "add",
-									Args: []translator.Expr{translator.Var{Name: "item"}, translator.Var{Name: "i"}, translator.Const{Value: 1.0}}},
-								translator.StateUpdate{Field: "coOcc", Op: "add",
-									Args: []translator.Expr{translator.Var{Name: "i"}, translator.Var{Name: "item"}, translator.Const{Value: 1.0}}},
-							}},
-						}},
-					}},
-				},
-			},
-			{
-				Name:   "getRec",
-				Params: []string{"user"},
-				Body: []translator.Stmt{
-					translator.Assign{Var: "userRow", Expr: translator.StateRead{Field: "userItem", Op: "row",
-						Args: []translator.Expr{translator.Var{Name: "user"}}}},
-					translator.Assign{Var: "userRec", Partial: true,
-						Expr: translator.StateRead{Field: "coOcc", Op: "mulvec",
-							Args: []translator.Expr{translator.Var{Name: "userRow"}}, Global: true}},
-					translator.Assign{Var: "rec", Expr: translator.MergeCall{Func: "sumVectors", Arg: translator.Var{Name: "userRec"}}},
-					translator.Return{Expr: translator.Var{Name: "rec"}},
-				},
-			},
-		},
-	}
-}
-
-// dictProgram is a minimal partitioned dictionary class.
-func dictProgram() *translator.Program {
-	return &translator.Program{
-		Name: "dict",
-		Fields: []translator.Field{
-			{Name: "store", Type: state.TypeKVMap, Ann: translator.AnnPartitioned},
-		},
-		Methods: []*translator.Method{
-			{
-				Name: "put", Params: []string{"k", "v"},
-				Body: []translator.Stmt{
-					translator.StateUpdate{Field: "store", Op: "put",
-						Args: []translator.Expr{translator.Var{Name: "k"}, translator.Var{Name: "v"}}},
-					translator.Return{Expr: translator.Const{Value: true}},
-				},
-			},
-			{
-				Name: "get", Params: []string{"k"},
-				Body: []translator.Stmt{
-					translator.Assign{Var: "v", Expr: translator.StateRead{Field: "store", Op: "get",
-						Args: []translator.Expr{translator.Var{Name: "k"}}}},
-					translator.Return{Expr: translator.Var{Name: "v"}},
-				},
-			},
 		},
 	}
 }

@@ -1,6 +1,6 @@
-// Alg. 1 of the paper as annotated Go source, consumable by
-// `sdgc -src cmd/sdgc/testdata/cf.go`. testdata is excluded from builds;
-// Matrix and the merge functions are resolved by the translator.
+// Alg. 1 of the paper as annotated Go source, built into sdgc as
+// `-program cf`. testdata is excluded from builds; Matrix and the merge
+// functions are resolved by the translator.
 package cf
 
 //sdg:state partitioned

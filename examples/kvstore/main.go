@@ -12,13 +12,8 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/wire"
 	"repro/sdg"
 )
-
-func init() {
-	wire.Register([]byte{})
-}
 
 func main() {
 	b := sdg.NewGraph("kv")

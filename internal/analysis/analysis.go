@@ -8,7 +8,6 @@ import (
 	"repro/internal/analysis/borrowcopy"
 	"repro/internal/analysis/clockassert"
 	"repro/internal/analysis/lockorder"
-	"repro/internal/analysis/wiresafe"
 )
 
 // All returns every registered analyzer, in stable order.
@@ -17,6 +16,5 @@ func All() []*anz.Analyzer {
 		borrowcopy.Analyzer,
 		clockassert.Analyzer,
 		lockorder.Analyzer,
-		wiresafe.Analyzer,
 	}
 }

@@ -16,7 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/runtime"
 	"repro/internal/state"
-	"repro/internal/wire"
+	"repro/internal/wire/flat"
 )
 
 // Payloads crossing TE boundaries (the "live variables" of §4.2 step 5).
@@ -41,18 +41,63 @@ type (
 		Row  map[int64]float64
 	}
 	// PartialRec is one replica's partial recommendation vector.
-	PartialRec map[int64]float64
+	PartialRec = map[int64]float64
 	// Recommendation is the merged result returned to the caller.
-	Recommendation map[int64]float64
+	Recommendation = map[int64]float64
 )
 
+// Flat codec tags of the cf payloads; DESIGN.md "Wire format" lists every
+// application tag. PartialRec and Recommendation ride the codec's own
+// map[int64]float64 tag.
+const (
+	tagRatingMsg uint64 = 1 + iota
+	tagCoUpdateMsg
+	tagRecReqMsg
+	tagUserVecMsg
+)
+
+func (RatingMsg) FlatTag() uint64   { return tagRatingMsg }
+func (CoUpdateMsg) FlatTag() uint64 { return tagCoUpdateMsg }
+func (RecReqMsg) FlatTag() uint64   { return tagRecReqMsg }
+func (UserVecMsg) FlatTag() uint64  { return tagUserVecMsg }
+
+func (m RatingMsg) AppendFlat(e *flat.Encoder) error {
+	e.Varint(int64(m.User))
+	e.Varint(int64(m.Item))
+	e.Varint(int64(m.Rating))
+	return nil
+}
+
+func (m CoUpdateMsg) AppendFlat(e *flat.Encoder) error {
+	e.Varint(m.Item)
+	e.FloatMap(m.Row)
+	return nil
+}
+
+func (m RecReqMsg) AppendFlat(e *flat.Encoder) error {
+	e.Varint(int64(m.User))
+	return nil
+}
+
+func (m UserVecMsg) AppendFlat(e *flat.Encoder) error {
+	e.Varint(int64(m.User))
+	e.FloatMap(m.Row)
+	return nil
+}
+
 func init() {
-	wire.Register(RatingMsg{})
-	wire.Register(CoUpdateMsg{})
-	wire.Register(RecReqMsg{})
-	wire.Register(UserVecMsg{})
-	wire.Register(PartialRec{})
-	wire.Register(Recommendation{})
+	flat.RegisterPayload(tagRatingMsg, func(d *flat.Decoder) any {
+		return RatingMsg{User: int(d.Varint()), Item: int(d.Varint()), Rating: int(d.Varint())}
+	})
+	flat.RegisterPayload(tagCoUpdateMsg, func(d *flat.Decoder) any {
+		return CoUpdateMsg{Item: d.Varint(), Row: d.FloatMap()}
+	})
+	flat.RegisterPayload(tagRecReqMsg, func(d *flat.Decoder) any {
+		return RecReqMsg{User: int(d.Varint())}
+	})
+	flat.RegisterPayload(tagUserVecMsg, func(d *flat.Decoder) any {
+		return UserVecMsg{User: int(d.Varint()), Row: d.FloatMap()}
+	})
 }
 
 // Graph builds the CF SDG of Fig. 1: five TEs over two SEs.

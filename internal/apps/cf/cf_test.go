@@ -1,11 +1,13 @@
 package cf
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/runtime"
+	"repro/internal/wire/flat"
 	"repro/internal/workload"
 )
 
@@ -144,6 +146,32 @@ func TestCFSurvivesCoOccFailure(t *testing.T) {
 	for k, v := range before {
 		if after[k] != v {
 			t.Fatalf("rec[%d] = %f after recovery, want %f", k, after[k], v)
+		}
+	}
+}
+
+// TestPayloadsRoundTrip: every cf payload crosses the flat codec unchanged,
+// nil rows included. PartialRec and Recommendation are map aliases and
+// ride the codec's own map[int64]float64 tag.
+func TestPayloadsRoundTrip(t *testing.T) {
+	for _, v := range []any{
+		RatingMsg{User: 1, Item: -2, Rating: 5},
+		RatingMsg{},
+		CoUpdateMsg{Item: 7, Row: map[int64]float64{3: 1, -1: 0.5}},
+		CoUpdateMsg{Item: 7, Row: map[int64]float64{}},
+		CoUpdateMsg{},
+		RecReqMsg{User: 42},
+		UserVecMsg{User: 3, Row: map[int64]float64{1 << 40: 2}},
+		UserVecMsg{},
+		PartialRec{10: 1.5},
+		Recommendation(nil),
+	} {
+		got, err := flat.RoundTripValue(v)
+		if err != nil {
+			t.Fatalf("%T: %v", v, err)
+		}
+		if !reflect.DeepEqual(got, v) {
+			t.Fatalf("%T changed across the codec: %#v -> %#v", v, v, got)
 		}
 	}
 }

@@ -11,11 +11,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/runtime"
 	"repro/internal/state"
-	"repro/internal/wire"
 )
 
 func init() {
-	wire.Register([]byte{})
 	runtime.RegisterGraph("kv", Graph)
 }
 

@@ -14,7 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/runtime"
 	"repro/internal/state"
-	"repro/internal/wire"
+	"repro/internal/wire/flat"
 	"repro/internal/workload"
 )
 
@@ -33,10 +33,50 @@ type (
 	}
 )
 
+// Flat codec tags of the logreg payloads; DESIGN.md "Wire format" lists
+// every application tag.
+const (
+	tagBatchMsg uint64 = 8 + iota
+	tagSyncMsg
+	tagWeightsMsg
+)
+
+func (BatchMsg) FlatTag() uint64   { return tagBatchMsg }
+func (SyncMsg) FlatTag() uint64    { return tagSyncMsg }
+func (WeightsMsg) FlatTag() uint64 { return tagWeightsMsg }
+
+func (m BatchMsg) AppendFlat(e *flat.Encoder) error {
+	e.NilableCount(len(m.X), m.X == nil)
+	for _, x := range m.X {
+		e.Float64s(x)
+	}
+	e.Float64s(m.Y)
+	return nil
+}
+
+func (SyncMsg) AppendFlat(*flat.Encoder) error { return nil }
+
+func (m WeightsMsg) AppendFlat(e *flat.Encoder) error {
+	e.Float64s(m.W)
+	return nil
+}
+
 func init() {
-	wire.Register(BatchMsg{})
-	wire.Register(SyncMsg{})
-	wire.Register(WeightsMsg{})
+	flat.RegisterPayload(tagBatchMsg, func(d *flat.Decoder) any {
+		var m BatchMsg
+		if n, ok := d.NilableCount(1); ok {
+			m.X = make([][]float64, n)
+			for i := range m.X {
+				m.X[i] = d.Float64s()
+			}
+		}
+		m.Y = d.Float64s()
+		return m
+	})
+	flat.RegisterPayload(tagSyncMsg, func(*flat.Decoder) any { return SyncMsg{} })
+	flat.RegisterPayload(tagWeightsMsg, func(d *flat.Decoder) any {
+		return WeightsMsg{W: d.Float64s()}
+	})
 }
 
 // Graph builds the LR SDG for a given dimensionality and learning rate.

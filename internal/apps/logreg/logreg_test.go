@@ -1,9 +1,11 @@
 package logreg
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/wire/flat"
 	"repro/internal/workload"
 )
 
@@ -99,5 +101,27 @@ func TestPartialWeightsSyncAcrossWorkers(t *testing.T) {
 	}
 	if got := lr.Runtime().StateInstances("weights"); got != 3 {
 		t.Fatalf("weight replicas = %d", got)
+	}
+}
+
+// TestPayloadsRoundTrip: every logreg payload crosses the flat codec
+// unchanged, nil and empty rows and weight vectors kept apart.
+func TestPayloadsRoundTrip(t *testing.T) {
+	for _, v := range []any{
+		BatchMsg{X: [][]float64{{1, -2.5}, nil, {}}, Y: []float64{1, -1, 1}},
+		BatchMsg{X: [][]float64{}, Y: []float64{}},
+		BatchMsg{},
+		SyncMsg{},
+		WeightsMsg{W: []float64{0.5, 0, -3}},
+		WeightsMsg{W: []float64{}},
+		WeightsMsg{},
+	} {
+		got, err := flat.RoundTripValue(v)
+		if err != nil {
+			t.Fatalf("%T: %v", v, err)
+		}
+		if !reflect.DeepEqual(got, v) {
+			t.Fatalf("%T changed across the codec: %#v -> %#v", v, v, got)
+		}
 	}
 }

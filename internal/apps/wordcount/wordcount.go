@@ -17,7 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/runtime"
 	"repro/internal/state"
-	"repro/internal/wire"
+	"repro/internal/wire/flat"
 )
 
 // Payloads.
@@ -40,10 +40,58 @@ type (
 	}
 )
 
+// Flat codec tags of the wordcount payloads; DESIGN.md "Wire format"
+// lists every application tag.
+const (
+	tagLineMsg uint64 = 5 + iota
+	tagWordMsg
+	tagWindowReport
+)
+
+func (LineMsg) FlatTag() uint64      { return tagLineMsg }
+func (WordMsg) FlatTag() uint64      { return tagWordMsg }
+func (WindowReport) FlatTag() uint64 { return tagWindowReport }
+
+func (m LineMsg) AppendFlat(e *flat.Encoder) error {
+	e.NilableCount(len(m.Words), m.Words == nil)
+	for _, w := range m.Words {
+		e.Str(w)
+	}
+	e.Varint(m.AtNS)
+	return nil
+}
+
+func (m WordMsg) AppendFlat(e *flat.Encoder) error {
+	e.Str(m.Word)
+	e.Uvarint(m.Window)
+	return nil
+}
+
+func (m WindowReport) AppendFlat(e *flat.Encoder) error {
+	e.Uvarint(m.Window)
+	e.Varint(int64(m.DistinctWords))
+	e.Uvarint(m.TotalCount)
+	return nil
+}
+
 func init() {
-	wire.Register(LineMsg{})
-	wire.Register(WordMsg{})
-	wire.Register(WindowReport{})
+	flat.RegisterPayload(tagLineMsg, func(d *flat.Decoder) any {
+		var m LineMsg
+		if n, ok := d.NilableCount(1); ok {
+			m.Words = make([]string, n)
+			for i := range m.Words {
+				m.Words[i] = d.Str()
+			}
+		}
+		m.AtNS = d.Varint()
+		return m
+	})
+	flat.RegisterPayload(tagWordMsg, func(d *flat.Decoder) any {
+		return WordMsg{Word: d.Str(), Window: d.Uvarint()}
+	})
+	flat.RegisterPayload(tagWindowReport, func(d *flat.Decoder) any {
+		return WindowReport{Window: d.Uvarint(), DistinctWords: int(d.Varint()), TotalCount: d.Uvarint()}
+	})
 }
 
 func hashWord(w string) uint64 {

@@ -1,10 +1,12 @@
 package wordcount
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/wire/flat"
 	"repro/internal/workload"
 )
 
@@ -125,5 +127,27 @@ func TestZipfStreamAcrossPartitions(t *testing.T) {
 	// Split TE emitted one item per word.
 	if got := w.Runtime().Processed("count"); got != int64(fed) {
 		t.Fatalf("count TE processed %d items, want %d", got, fed)
+	}
+}
+
+// TestPayloadsRoundTrip: every wordcount payload crosses the flat codec
+// unchanged, nil and empty word lists kept apart.
+func TestPayloadsRoundTrip(t *testing.T) {
+	for _, v := range []any{
+		LineMsg{Words: []string{"the", "", "quick"}, AtNS: 1_700_000_000_000_000_000},
+		LineMsg{Words: []string{}, AtNS: -1},
+		LineMsg{},
+		WordMsg{Word: "fox", Window: 3},
+		WordMsg{},
+		WindowReport{Window: 9, DistinctWords: 4, TotalCount: 1 << 40},
+		WindowReport{},
+	} {
+		got, err := flat.RoundTripValue(v)
+		if err != nil {
+			t.Fatalf("%T: %v", v, err)
+		}
+		if !reflect.DeepEqual(got, v) {
+			t.Fatalf("%T changed across the codec: %#v -> %#v", v, v, got)
+		}
 	}
 }

@@ -472,8 +472,8 @@ func decodeChunk(payload []byte) (state.Chunk, error) {
 }
 
 // Output buffers use the flat item codec (uvarint map/slice counts, tagged
-// values); payload types outside the flat tag table ride its gob fallback,
-// so applications register them exactly as before.
+// values); payload types outside the flat tag table must be registered
+// flat.Payload types, exactly as on the wire.
 func encodeBuffers(buffered map[int][][]core.Item) ([]byte, error) {
 	e := flat.GetEncoder()
 	defer flat.PutEncoder(e)

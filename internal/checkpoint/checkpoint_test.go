@@ -9,12 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/state"
-	"repro/internal/wire"
 )
-
-func init() {
-	wire.Register([]byte{})
-}
 
 func newBackupEnv(t *testing.T, m int, diskBW int64) (*cluster.Cluster, *Backup) {
 	t.Helper()

@@ -48,7 +48,6 @@ type CoordOptions struct {
 	QueueLen    int
 	OverflowLen int
 	BatchSize   int
-	WireCheck   bool
 	// CallTimeout bounds how long a worker waits for a dataflow reply on
 	// behalf of Call (default 10s).
 	CallTimeout time.Duration
@@ -312,7 +311,6 @@ func (c *Coordinator) deployTo(w int, cw *coordWorker, awaitRestore bool) error 
 		QueueLen:    c.opts.QueueLen,
 		OverflowLen: c.opts.OverflowLen,
 		BatchSize:   c.opts.BatchSize,
-		WireCheck:   c.opts.WireCheck,
 	}
 	if c.shard {
 		d.Worker = w

@@ -20,6 +20,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/state"
 	"repro/internal/wire"
+	"repro/internal/wire/flat"
 )
 
 // externalOrigin identifies items injected from outside the SDG.
@@ -77,11 +78,11 @@ type Options struct {
 	// checkpoint.ShouldDelta calls for a fresh base. Stores that cannot
 	// track changed keys keep taking full checkpoints.
 	DeltaCheckpoints bool
-	// WireCheck round-trips every delivered payload through gob, verifying
-	// the location-independence restriction of §4.1 ("each object accessed
-	// in the program must support transparent serialisation"): a payload
-	// that cannot cross a real wire fails loudly instead of silently
-	// sharing memory.
+	// WireCheck round-trips every delivered payload through the flat value
+	// codec, verifying the location-independence restriction of §4.1
+	// ("each object accessed in the program must support transparent
+	// serialisation"): a payload with no codec fails loudly instead of
+	// silently sharing memory.
 	WireCheck bool
 	// Shard, when non-nil, deploys this runtime as one worker's slice of a
 	// multi-worker deployment: only the configured shard of each TE/SE is
@@ -775,11 +776,13 @@ func (r *Runtime) deliverBatch(e *edgeRT, items []core.Item, rs *routeScratch) {
 		return
 	}
 	if r.opts.WireCheck {
+		// Deliver a deep copy made by the flat codec, as a real link would:
+		// a payload with no codec panics at the edge it would break on.
 		for i := range items {
 			if items[i].Value == nil {
 				continue
 			}
-			v, err := wireRoundTrip(items[i].Value)
+			v, err := flat.RoundTripValue(items[i].Value)
 			if err != nil {
 				panic(fmt.Sprintf("runtime: payload %T violates location independence: %v", items[i].Value, err))
 			}

@@ -9,12 +9,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/state"
-	"repro/internal/wire"
 )
-
-func init() {
-	wire.Register([]byte{})
-}
 
 const testTimeout = 5 * time.Second
 

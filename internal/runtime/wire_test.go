@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/state"
-	"repro/internal/wire"
+	"repro/internal/wire/flat"
 )
 
 type wirePayload struct {
@@ -15,42 +15,58 @@ type wirePayload struct {
 	S string
 }
 
+const wirePayloadTag = 102
+
+func (wirePayload) FlatTag() uint64 { return wirePayloadTag }
+
+func (p wirePayload) AppendFlat(e *flat.Encoder) error {
+	e.Varint(int64(p.N))
+	e.Str(p.S)
+	return nil
+}
+
 func init() {
-	wire.Register(wirePayload{})
+	flat.RegisterPayload(wirePayloadTag, func(d *flat.Decoder) any {
+		return wirePayload{N: int(d.Varint()), S: d.Str()}
+	})
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	got, err := wireRoundTrip(wirePayload{N: 7, S: "x"})
+	got, err := flat.RoundTripValue(wirePayload{N: 7, S: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p, ok := got.(wirePayload); !ok || p.N != 7 || p.S != "x" {
 		t.Fatalf("round trip = %#v", got)
 	}
-	if _, err := wireRoundTrip(make(chan int)); err == nil {
+	if _, err := flat.RoundTripValue(make(chan int)); err == nil {
 		t.Fatal("channels must fail the wire check")
+	}
+	type noCodec struct{ N int }
+	if _, err := flat.RoundTripValue(noCodec{N: 1}); err == nil {
+		t.Fatal("a struct without a codec must fail the wire check")
 	}
 }
 
 // TestWireRoundTripAllocs pins the deep-copy cost on the WireCheck path:
 // the flat codec round-trips a []byte payload in three allocations (input
-// boxing, the copied value, result boxing), where the old gob
+// boxing, the copied value, result boxing), where a reflective
 // encoder+decoder pair cost hundreds. A regression here makes WireCheck
 // deployments unusable for perf comparisons.
 func TestWireRoundTripAllocs(t *testing.T) {
 	v := []byte("some payload bytes")
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := wireRoundTrip(v); err != nil {
+		if _, err := flat.RoundTripValue(v); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 3 {
-		t.Fatalf("wireRoundTrip([]byte) = %.1f allocs/op, want <= 3", allocs)
+		t.Fatalf("RoundTripValue([]byte) = %.1f allocs/op, want <= 3", allocs)
 	}
 }
 
 func TestWireCheckEndToEnd(t *testing.T) {
-	// The KV graph runs correctly with every payload forced through gob,
-	// proving the built-in applications satisfy location independence.
+	// The KV graph runs correctly with every payload forced through the
+	// flat codec, proving it satisfies location independence.
 	r, err := Deploy(kvGraph(), Options{
 		Partitions: map[string]int{"store": 2},
 		WireCheck:  true,
@@ -83,8 +99,6 @@ func TestCyclicGraphIterates(t *testing.T) {
 		Value float64
 		Round int
 	}
-	wire.Register(iterMsg{})
-
 	g := core.NewGraph("iter")
 	acc := g.AddSE("acc", core.KindPartitioned, state.TypeKVMap, nil)
 	refine := g.AddTE("refine", func(ctx core.Context, it core.Item) {

@@ -501,7 +501,6 @@ func (w *Worker) deploy(m wire.Deploy) ([]byte, error) {
 		QueueLen:    m.QueueLen,
 		OverflowLen: m.OverflowLen,
 		BatchSize:   m.BatchSize,
-		WireCheck:   m.WireCheck,
 		Partitions:  m.Partitions,
 	}
 	if m.Workers > 1 {

@@ -3,12 +3,14 @@ package translator
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/state"
-	"repro/internal/wire"
+	"repro/internal/wire/flat"
 )
 
 // Env is the set of live variables carried on a dataflow edge (the paper's
@@ -18,11 +20,41 @@ type Env struct {
 	Vars map[string]any
 }
 
+// tagEnv is Env's flat codec tag; DESIGN.md "Wire format" lists every
+// application tag.
+const tagEnv uint64 = 11
+
+func (Env) FlatTag() uint64 { return tagEnv }
+
+// AppendFlat writes the variables in ascending name order, each value
+// through the flat value codec, so equal environments encode to equal
+// bytes.
+func (env Env) AppendFlat(e *flat.Encoder) error {
+	e.NilableCount(len(env.Vars), env.Vars == nil)
+	for _, name := range slices.Sorted(maps.Keys(env.Vars)) {
+		e.Str(name)
+		if err := e.Value(env.Vars[name]); err != nil {
+			return fmt.Errorf("translator: live variable %q: %w", name, err)
+		}
+	}
+	return nil
+}
+
 func init() {
-	wire.Register(Env{})
-	wire.Register(map[int64]float64{})
-	wire.Register([]float64{})
-	wire.Register([]byte{})
+	flat.RegisterPayload(tagEnv, func(d *flat.Decoder) any {
+		var env Env
+		// A name costs at least its length byte and a value its tag byte.
+		n, ok := d.NilableCount(2)
+		if !ok {
+			return env
+		}
+		env.Vars = make(map[string]any, n)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			name := d.Str()
+			env.Vars[name] = d.Value()
+		}
+		return env
+	})
 }
 
 // makeTaskFunc generates the executable form of one TE: an interpreter over

@@ -1,12 +1,15 @@
 package translator
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/runtime"
 	"repro/internal/state"
+	"repro/internal/wire/flat"
 )
 
 const testTimeout = 5 * time.Second
@@ -394,5 +397,39 @@ func TestAppArgumentErrors(t *testing.T) {
 	}
 	if _, err := app.Call("nope", testTimeout); err == nil {
 		t.Error("unknown method call should fail")
+	}
+}
+
+// TestEnvRoundTrip: an Env crosses the flat codec unchanged with every
+// value type the interpreter produces, encodes its names in one order, and
+// refuses a live variable that has no codec.
+func TestEnvRoundTrip(t *testing.T) {
+	full := Env{Vars: map[string]any{
+		"user": int64(3), "item": 4, "seq": uint64(9), "r": 1.5, "ok": true,
+		"name": "x", "blob": []byte(nil), "raw": []byte{1}, "none": nil,
+		"row": map[int64]float64{1: 2}, "rowNil": map[int64]float64(nil),
+		"w": []float64{0.5}, "wNil": []float64(nil),
+	}}
+	for _, v := range []any{full, Env{Vars: map[string]any{}}, Env{}, core.Collection{full, Env{}}} {
+		got, err := flat.RoundTripValue(v)
+		if err != nil {
+			t.Fatalf("%#v: %v", v, err)
+		}
+		if !reflect.DeepEqual(got, v) {
+			t.Fatalf("Env changed across the codec: %#v -> %#v", v, got)
+		}
+	}
+	var a, b flat.Encoder
+	if err := a.Value(full); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		b.Reset(nil)
+		if err := b.Value(full); err != nil || !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("Env does not encode deterministically (err %v)", err)
+		}
+	}
+	if _, err := flat.RoundTripValue(Env{Vars: map[string]any{"c": make(chan int)}}); err == nil {
+		t.Fatal("Env with a channel variable encoded without error")
 	}
 }

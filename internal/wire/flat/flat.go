@@ -3,37 +3,39 @@
 // and length-prefixed bytes, the same discipline as the state chunk codec,
 // with no reflection walk and no per-frame type dictionary.
 //
-// The value scheme is a single tag byte followed by the payload for the
-// common Item.Value types (nil, bool, uint64, int64, int, float64, string,
-// []byte, core.Collection). Any other type — an application's own struct
-// payload — rides as a gob-encoded sub-payload behind TagGob, validated by
-// CheckWireSafe first. That is the only use of gob on the wire, and the
-// reason such types must be registered (Register).
+// The value scheme is a single tag byte followed by the payload. The tag
+// table covers the common Item.Value types (nil, bool, uint64, int64, int,
+// float64, string, []byte, core.Collection, and the []float64 and
+// map[int64]float64 values state hands to task code). An application's own
+// payload type implements Payload and registers its decoder under a small
+// constant tag (RegisterPayload); it rides behind TagApp. The union is
+// closed: Value refuses any other type at the sender, and the decoder
+// refuses any tag it does not know.
 //
 // Encoders append into a caller-supplied or pooled buffer and are reusable;
 // Decoders never panic on hostile input (length and count fields are
 // bounds-checked against the remaining bytes before any allocation, and
-// Collection nesting is depth-limited). A Decoder in borrow mode returns
-// []byte values aliasing the input buffer — callers use it only when the
-// buffer's ownership transfers with the decoded value (a freshly read
-// frame); copy mode is for buffers that will be reused.
+// Collection and payload nesting is depth-limited). A Decoder in borrow
+// mode returns []byte values aliasing the input buffer — callers use it
+// only when the buffer's ownership transfers with the decoded value (a
+// freshly read frame); copy mode is for buffers that will be reused.
 package flat
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"reflect"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
 )
 
 // Value tag bytes. The zero byte is deliberately unassigned so zeroed
-// memory never parses as a value.
+// memory never parses as a value, and 0x0b (a retired reflective fallback)
+// stays unassigned so old frames fail as unknown tags.
 const (
 	TagNil        byte = 0x01
 	TagFalse      byte = 0x02
@@ -45,8 +47,35 @@ const (
 	TagString     byte = 0x08
 	TagBytes      byte = 0x09
 	TagCollection byte = 0x0a
-	TagGob        byte = 0x0b
+	TagFloat64s   byte = 0x0c // []float64
+	TagFloatMap   byte = 0x0d // map[int64]float64, keys ascending
+	TagApp        byte = 0x0e // uvarint payload tag, then the Payload's layout
 )
+
+// Payload is an application value type with its own flat layout. FlatTag
+// names the decoder registered for it with RegisterPayload; AppendFlat
+// writes the fields, which the decoder reads back in the same order.
+type Payload interface {
+	FlatTag() uint64
+	AppendFlat(e *Encoder) error
+}
+
+// decoders maps payload tags to their decoders. It is written only by
+// RegisterPayload during package initialisation, so reads need no lock.
+var decoders = map[uint64]func(*Decoder) any{}
+
+// RegisterPayload installs the decoder for the Payload type whose FlatTag
+// is tag. Call it from an init function. It panics on tag 0 or a tag that
+// is already taken: two types sharing a tag would decode as each other.
+func RegisterPayload(tag uint64, decode func(*Decoder) any) {
+	if tag == 0 {
+		panic("flat: payload tag 0 is reserved")
+	}
+	if _, dup := decoders[tag]; dup {
+		panic(fmt.Sprintf("flat: payload tag %d registered twice", tag))
+	}
+	decoders[tag] = decode
+}
 
 // MaxDepth bounds Collection nesting on both encode (self-referential
 // collections would loop forever) and decode (a hostile buffer of repeated
@@ -143,10 +172,38 @@ func (e *Encoder) Str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// Value appends one tagged Item.Value. Unknown types fall back to a
-// gob-encoded sub-payload (validated first, so a type gob would corrupt is
-// rejected at the sender). []byte and Collection use a presence-shifted
-// count (0 = nil, n+1 = length n) so nil round-trips exactly.
+// NilableCount appends a presence-shifted count: 0 for a nil slice or map,
+// n+1 for one holding n elements, so nil and empty round-trip apart.
+func (e *Encoder) NilableCount(n int, isNil bool) {
+	c := uint64(n) + 1
+	if isNil {
+		c = 0
+	}
+	e.Uvarint(c)
+}
+
+// Float64s appends a nilable []float64.
+func (e *Encoder) Float64s(x []float64) {
+	e.NilableCount(len(x), x == nil)
+	for _, f := range x {
+		e.Float64(f)
+	}
+}
+
+// FloatMap appends a nilable map[int64]float64 with keys in ascending
+// order, so equal maps encode to equal bytes.
+func (e *Encoder) FloatMap(m map[int64]float64) {
+	e.NilableCount(len(m), m == nil)
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		e.Varint(k)
+		e.Float64(m[k])
+	}
+}
+
+// Value appends one tagged Item.Value. A type outside the tag table must
+// be a registered Payload; anything else is refused here, at the sender.
+// []byte, Collection and the two composite tags use presence-shifted
+// counts (NilableCount) so nil round-trips exactly.
 func (e *Encoder) Value(v any) error {
 	switch x := v.(type) {
 	case nil:
@@ -174,48 +231,57 @@ func (e *Encoder) Value(v any) error {
 		e.Str(x)
 	case []byte:
 		e.Byte(TagBytes)
-		if x == nil {
-			e.Uvarint(0)
-		} else {
-			e.Uvarint(uint64(len(x)) + 1)
-			e.buf = append(e.buf, x...)
-		}
+		e.NilableCount(len(x), x == nil)
+		e.buf = append(e.buf, x...)
+	case []float64:
+		e.Byte(TagFloat64s)
+		e.Float64s(x)
+	case map[int64]float64:
+		e.Byte(TagFloatMap)
+		e.FloatMap(x)
 	case core.Collection:
 		if e.depth >= MaxDepth {
 			return ErrDepth
 		}
 		e.depth++
 		e.Byte(TagCollection)
-		if x == nil {
-			e.Uvarint(0)
-		} else {
-			e.Uvarint(uint64(len(x)) + 1)
-			for _, el := range x {
-				if err := e.Value(el); err != nil {
-					e.depth--
-					return err
-				}
+		e.NilableCount(len(x), x == nil)
+		for _, el := range x {
+			if err := e.Value(el); err != nil {
+				e.depth--
+				return err
 			}
 		}
 		e.depth--
+	case Payload:
+		return e.payload(x)
 	default:
-		return e.gobValue(v)
+		return fmt.Errorf("flat: no codec for payload type %T", v)
 	}
 	return nil
 }
 
-// gobValue is the fallback for value types outside the tag table.
-func (e *Encoder) gobValue(v any) error {
-	if err := CheckWireSafe(v); err != nil {
-		return err
+// payload appends a registered application Payload behind TagApp. The
+// payload writes into a pooled encoder: handing e itself to an interface
+// method would move every caller's stack Encoder to the heap.
+func (e *Encoder) payload(p Payload) error {
+	tag := p.FlatTag()
+	if _, ok := decoders[tag]; !ok {
+		return fmt.Errorf("flat: payload type %T has no registered decoder for tag %d", p, tag)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return fmt.Errorf("flat: gob fallback for %T: %w", v, err)
+	if e.depth >= MaxDepth {
+		return ErrDepth
 	}
-	e.Byte(TagGob)
-	e.Blob(buf.Bytes())
-	return nil
+	sub := GetEncoder()
+	sub.depth = e.depth + 1
+	err := p.AppendFlat(sub)
+	if err == nil {
+		e.Byte(TagApp)
+		e.Uvarint(tag)
+		e.buf = append(e.buf, sub.buf...)
+	}
+	PutEncoder(sub)
+	return err
 }
 
 // Item appends one core.Item: uvarint Origin/Seq/Key/ReqID, varint Parts,
@@ -384,11 +450,62 @@ func (d *Decoder) Str() string {
 	return s
 }
 
+// NilableCount reads a presence-shifted count (Encoder.NilableCount),
+// bounded like Count: ok is false for nil and on any failure.
+func (d *Decoder) NilableCount(minBytes int) (n int, ok bool) {
+	c := d.Uvarint()
+	if d.err != nil || c == 0 {
+		return 0, false
+	}
+	if c-1 > uint64(d.Remaining()/minBytes) {
+		d.fail(ErrMalformed)
+		return 0, false
+	}
+	return int(c - 1), true
+}
+
+// Float64s reads a nilable []float64.
+func (d *Decoder) Float64s() []float64 {
+	n, ok := d.NilableCount(8)
+	if !ok {
+		return nil
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = d.Float64()
+	}
+	return out
+}
+
+// FloatMap reads a nilable map[int64]float64. Keys must be strictly
+// ascending, so every map has exactly one encoding.
+func (d *Decoder) FloatMap() map[int64]float64 {
+	n, ok := d.NilableCount(9)
+	if !ok {
+		return nil
+	}
+	m := make(map[int64]float64, n)
+	var prev int64
+	for i := 0; i < n && d.err == nil; i++ {
+		k := d.Varint()
+		if i > 0 && k <= prev {
+			d.fail(ErrMalformed)
+		}
+		prev = k
+		m[k] = d.Float64()
+	}
+	if d.err != nil {
+		return nil
+	}
+	return m
+}
+
 // Value reads one tagged value.
 func (d *Decoder) Value() any {
 	if d.err != nil {
 		return nil
 	}
+	var v any
 	switch tag := d.Byte(); tag {
 	case TagNil:
 		return nil
@@ -407,67 +524,65 @@ func (d *Decoder) Value() any {
 	case TagString:
 		return d.Str()
 	case TagBytes:
-		n := d.Uvarint()
-		if d.err != nil {
-			return nil
+		v = []byte(nil)
+		if n, ok := d.NilableCount(1); ok {
+			v = d.take(uint64(n))
 		}
-		if n == 0 {
-			return []byte(nil)
-		}
-		return d.take(n - 1)
+	case TagFloat64s:
+		v = d.Float64s()
+	case TagFloatMap:
+		v = d.FloatMap()
 	case TagCollection:
-		n := d.Uvarint()
-		if d.err != nil {
-			return nil
-		}
-		if n == 0 {
-			return core.Collection(nil)
-		}
-		count := n - 1
-		// Every element costs at least one tag byte; a count beyond the
-		// remaining input is hostile, reject before allocating.
-		if count > uint64(d.Remaining()) {
-			d.fail(ErrMalformed)
-			return nil
+		// Every element costs at least one tag byte, so the count is
+		// bounded by the remaining input before it sizes an allocation.
+		n, ok := d.NilableCount(1)
+		if !ok {
+			v = core.Collection(nil)
+			break
 		}
 		if d.depth >= MaxDepth {
 			d.fail(ErrDepth)
-			return nil
+			break
 		}
 		d.depth++
-		col := make(core.Collection, 0, count)
-		for i := uint64(0); i < count; i++ {
+		col := make(core.Collection, 0, n)
+		for i := 0; i < n && d.err == nil; i++ {
 			col = append(col, d.Value())
-			if d.err != nil {
-				d.depth--
-				return nil
-			}
 		}
 		d.depth--
-		return col
-	case TagGob:
-		// gob copies as it decodes, so the sub-payload may alias the input
-		// regardless of mode.
-		n := d.Uvarint()
-		if d.err != nil {
-			return nil
-		}
-		if n > uint64(len(d.buf)-d.off) {
-			d.fail(ErrMalformed)
-			return nil
-		}
-		raw := d.buf[d.off : d.off+int(n)]
-		d.off += int(n)
-		var out any
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&out); err != nil {
-			d.fail(fmt.Errorf("%w: gob fallback: %v", ErrMalformed, err))
-			return nil
-		}
-		return out
+		v = col
+	case TagApp:
+		v = d.payload()
 	default:
 		d.fail(fmt.Errorf("%w: unknown value tag 0x%02x", ErrMalformed, tag))
+	}
+	if d.err != nil {
 		return nil
 	}
+	return v
+}
+
+// payload reads a registered application Payload (after TagApp). The
+// decoder reads through a heap copy of d, for the same reason
+// Encoder.payload writes into a pooled encoder: passing d to a func value
+// would move every caller's stack Decoder to the heap.
+func (d *Decoder) payload() any {
+	decode, ok := decoders[d.Uvarint()]
+	if !ok {
+		d.fail(fmt.Errorf("%w: unknown payload tag", ErrMalformed))
+		return nil
+	}
+	if d.depth >= MaxDepth {
+		d.fail(ErrDepth)
+		return nil
+	}
+	sub := &Decoder{buf: d.buf, off: d.off, borrow: d.borrow, depth: d.depth + 1}
+	v := decode(sub)
+	d.off = sub.off
+	if sub.err != nil {
+		d.fail(sub.err)
+	}
+	return v
 }
 
 // Item reads one core.Item, undoing the +1 origin rotation.
@@ -483,9 +598,8 @@ func (d *Decoder) Item() core.Item {
 }
 
 // RoundTripValue deep-copies v through the flat value codec using a pooled
-// encoder and a copy-mode decode — the cheap replacement for a gob
-// encoder+decoder pair per value. Types outside the tag table still work
-// via the gob fallback; types that cannot cross the wire error out.
+// encoder and a copy-mode decode. A value with no codec — neither in the
+// tag table nor a registered Payload — errors out.
 func RoundTripValue(v any) (any, error) {
 	e := GetEncoder()
 	defer PutEncoder(e)
@@ -498,126 +612,4 @@ func RoundTripValue(v any) (any, error) {
 		return nil, d.err
 	}
 	return out, nil
-}
-
-// Register makes v's type known to the TagGob fallback, so values of it can
-// travel as Item.Value. It panics on types gob would corrupt silently —
-// registration happens in init functions, where failing loudly at startup
-// beats diverging state at runtime.
-func Register(v any) {
-	if err := CheckWireSafe(v); err != nil {
-		panic(err)
-	}
-	gob.Register(v)
-}
-
-// checkResult caches the verdict for one type: err is the static rejection
-// (unexported field, unencodable kind); clean means no interface is
-// reachable, so values of the type never need a dynamic walk.
-type checkResult struct {
-	err   error
-	clean bool
-}
-
-var checked sync.Map // reflect.Type -> checkResult
-
-// CheckWireSafe validates that gob will encode v faithfully: gob silently
-// drops unexported struct fields, which in a replicated state system turns
-// into state divergence that surfaces long after the bug. Static structure
-// is checked once per type and cached; only types with reachable interface
-// fields descend into the actual values, and only through those fields.
-func CheckWireSafe(v any) error { return checkValue(reflect.ValueOf(v)) }
-
-func checkValue(v reflect.Value) error {
-	if !v.IsValid() {
-		return nil // nil interface: gob encodes the zero value faithfully
-	}
-	t := v.Type()
-	var cr checkResult
-	if r, ok := checked.Load(t); ok {
-		cr = r.(checkResult)
-	} else {
-		cr.err, cr.clean = checkType(t, map[reflect.Type]bool{})
-		checked.Store(t, cr)
-	}
-	if cr.err != nil {
-		return cr.err
-	}
-	if cr.clean {
-		return nil
-	}
-	switch v.Kind() {
-	case reflect.Interface, reflect.Pointer:
-		if v.IsNil() {
-			return nil
-		}
-		return checkValue(v.Elem())
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if err := checkValue(v.Field(i)); err != nil {
-				return err
-			}
-		}
-	case reflect.Slice, reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			if err := checkValue(v.Index(i)); err != nil {
-				return err
-			}
-		}
-	case reflect.Map:
-		iter := v.MapRange()
-		for iter.Next() {
-			if err := checkValue(iter.Key()); err != nil {
-				return err
-			}
-			if err := checkValue(iter.Value()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// checkType walks a type's static structure. seen breaks recursive types;
-// a type already on the walk path is treated as clean here, its own entry
-// settles the verdict.
-func checkType(t reflect.Type, seen map[reflect.Type]bool) (err error, clean bool) {
-	if seen[t] {
-		return nil, true
-	}
-	seen[t] = true
-	switch t.Kind() {
-	case reflect.Chan, reflect.Func, reflect.UnsafePointer:
-		return fmt.Errorf("wire: type %v cannot cross the wire (kind %v)", t, t.Kind()), false
-	case reflect.Interface:
-		return nil, false // dynamic value checked per encode
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		return checkType(t.Elem(), seen)
-	case reflect.Map:
-		kerr, kclean := checkType(t.Key(), seen)
-		if kerr != nil {
-			return kerr, false
-		}
-		verr, vclean := checkType(t.Elem(), seen)
-		if verr != nil {
-			return verr, false
-		}
-		return nil, kclean && vclean
-	case reflect.Struct:
-		clean = true
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if f.PkgPath != "" {
-				return fmt.Errorf("wire: type %v has unexported field %q (gob drops it silently)", t, f.Name), false
-			}
-			ferr, fclean := checkType(f.Type, seen)
-			if ferr != nil {
-				return ferr, false
-			}
-			clean = clean && fclean
-		}
-		return nil, clean
-	default:
-		return nil, true
-	}
 }

@@ -2,30 +2,51 @@ package flat
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// gobOnly exercises the TagGob fallback: a registered struct outside the
-// flat tag table.
-type gobOnly struct {
+// testPayload exercises TagApp: a registered struct outside the tag table,
+// carrying a nested composite so its decoder shares the count bounds.
+type testPayload struct {
 	A int
 	B string
+	W []float64
+}
+
+const testPayloadTag = 100
+
+func (p testPayload) FlatTag() uint64 { return testPayloadTag }
+
+func (p testPayload) AppendFlat(e *Encoder) error {
+	e.Varint(int64(p.A))
+	e.Str(p.B)
+	e.Float64s(p.W)
+	return nil
 }
 
 func init() {
-	//sdg:ignore wiresafe -- flat sits below the wire layer (wire imports flat), so wire.Register would cycle; gobOnly deliberately tests the raw gob fallback
-	gob.Register(gobOnly{})
+	RegisterPayload(testPayloadTag, func(d *Decoder) any {
+		return testPayload{A: int(d.Varint()), B: d.Str(), W: d.Float64s()}
+	})
 }
 
-// equalValue compares decoded values structurally: NaN floats by bits,
-// []byte and Collection including their nil-ness (the codec promises exact
-// nil round trips).
+// unregistered implements Payload under a tag no decoder claims.
+type unregistered struct{}
+
+func (unregistered) FlatTag() uint64           { return 99 }
+func (unregistered) AppendFlat(*Encoder) error { return nil }
+
+// equalValue compares decoded values structurally: floats by bits (NaN
+// included), []byte, Collection, []float64 and map[int64]float64 including
+// their nil-ness (the codec promises exact nil round trips).
 func equalValue(a, b any) bool {
 	switch x := a.(type) {
 	case float64:
@@ -34,6 +55,26 @@ func equalValue(a, b any) bool {
 	case []byte:
 		y, ok := b.([]byte)
 		return ok && (x == nil) == (y == nil) && bytes.Equal(x, y)
+	case []float64:
+		y, ok := b.([]float64)
+		return ok && (x == nil) == (y == nil) && slices.EqualFunc(x, y, func(f, g float64) bool {
+			return math.Float64bits(f) == math.Float64bits(g)
+		})
+	case map[int64]float64:
+		y, ok := b.(map[int64]float64)
+		if !ok || len(x) != len(y) || (x == nil) != (y == nil) {
+			return false
+		}
+		for k, f := range x {
+			g, ok := y[k]
+			if !ok || math.Float64bits(f) != math.Float64bits(g) {
+				return false
+			}
+		}
+		return true
+	case testPayload:
+		y, ok := b.(testPayload)
+		return ok && x.A == y.A && x.B == y.B && equalValue(x.W, y.W)
 	case core.Collection:
 		y, ok := b.(core.Collection)
 		if !ok || len(x) != len(y) || (x == nil) != (y == nil) {
@@ -50,7 +91,7 @@ func equalValue(a, b any) bool {
 	}
 }
 
-// TestValueRoundTrip pins every tag in the table plus the gob fallback.
+// TestValueRoundTrip pins every tag in the table plus a registered Payload.
 func TestValueRoundTrip(t *testing.T) {
 	values := []any{
 		nil,
@@ -75,7 +116,15 @@ func TestValueRoundTrip(t *testing.T) {
 		core.Collection{},
 		core.Collection{uint64(1), "two", []byte{3}, nil},
 		core.Collection{core.Collection{core.Collection{int64(-9)}}},
-		gobOnly{A: 9, B: "fallback"},
+		[]float64(nil),
+		[]float64{},
+		[]float64{1.5, -2, math.Inf(1)},
+		map[int64]float64(nil),
+		map[int64]float64{},
+		map[int64]float64{2: 0.5, -1: 1, 1 << 40: -3},
+		testPayload{A: 9, B: "app", W: []float64{0.25}},
+		testPayload{},
+		core.Collection{testPayload{A: -1}, map[int64]float64{1: 1}},
 	}
 	for _, v := range values {
 		got, err := RoundTripValue(v)
@@ -170,14 +219,33 @@ func TestDecodeHostile(t *testing.T) {
 		{"huge bytes length", []byte{TagBytes, 0xff, 0xff, 0xff, 0xff, 0x0f}},
 		{"collection count past end", []byte{TagCollection, 200, TagNil}},
 		{"collection truncated element", []byte{TagCollection, 3, TagNil}},
-		{"gob length past end", []byte{TagGob, 50, 1, 2}},
-		{"gob garbage", []byte{TagGob, 3, 0xde, 0xad, 0xbe}},
+		// 0x0b was the reflective fallback's tag; it is retired, and old
+		// frames carrying it fail as unknown tags.
+		{"gob length past end", []byte{0x0b, 50, 1, 2}},
+		{"gob garbage", []byte{0x0b, 3, 0xde, 0xad, 0xbe}},
+		{"float64s count past end", []byte{TagFloat64s, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0}},
+		{"floatmap count past end", []byte{TagFloatMap, 0xff, 0xff, 0xff, 0xff, 0x0f, 2, 0}},
+		{"floatmap keys not ascending", []byte{TagFloatMap, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"floatmap duplicate key", []byte{TagFloatMap, 3, 2, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"unknown app tag", []byte{TagApp, 99, 1, 2, 3}},
+		{"app tag truncated", []byte{TagApp, 0x80}},
+		{"app payload count past end", []byte{TagApp, testPayloadTag, 2, 1, 'x', 0xff, 0xff, 0xff, 0xff, 0x0f}},
+		{"app payload truncated", []byte{TagApp, testPayloadTag, 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := NewDecoder(tc.buf)
-			if v := d.Value(); d.Err() == nil {
-				t.Fatalf("hostile input decoded to %#v", v)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			v := d.Value()
+			runtime.ReadMemStats(&after)
+			if !errors.Is(d.Err(), ErrMalformed) {
+				t.Fatalf("hostile input decoded to %#v (err %v), want ErrMalformed", v, d.Err())
+			}
+			// Nothing a hostile count names may be allocated: the decode
+			// stays within a small constant of the input's own size.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<10 {
+				t.Fatalf("decode allocated %d bytes for a %d-byte input", grew, len(tc.buf))
 			}
 			// The error is sticky: further reads stay zero-valued.
 			if d.Byte() != 0 || d.Uvarint() != 0 {
@@ -207,20 +275,44 @@ func TestBorrowVsCopy(t *testing.T) {
 	}
 }
 
-// TestEncodeRejectsWireUnsafe: the gob fallback must refuse values gob
-// would corrupt, at the sender.
+// TestEncodeRejectsWireUnsafe: the union is closed at the sender. A value
+// with no codec (a channel, an unregistered struct) and a Payload whose tag
+// no decoder claims both fail to encode, naming the type.
 func TestEncodeRejectsWireUnsafe(t *testing.T) {
-	var e Encoder
-	if err := e.Value(make(chan int)); err == nil {
-		t.Fatal("channel encoded without error")
+	type plain struct{ Visible int }
+	cases := []struct {
+		v    any
+		name string
+	}{
+		{make(chan int), "chan int"},
+		{plain{Visible: 1}, "flat.plain"},
+		{unregistered{}, "flat.unregistered"},
+		{core.Collection{uint64(1), plain{}}, "flat.plain"},
 	}
-	type sneaky struct {
-		Visible int
-		hidden  int //nolint:unused // the point: gob would drop it silently
+	for _, tc := range cases {
+		var e Encoder
+		err := e.Value(tc.v)
+		if err == nil {
+			t.Fatalf("%T encoded without error", tc.v)
+		}
+		if !strings.Contains(err.Error(), tc.name) {
+			t.Fatalf("error %q does not name the type %s", err, tc.name)
+		}
 	}
-	e.Reset(nil)
-	if err := e.Value(sneaky{Visible: 1}); err == nil {
-		t.Fatal("unexported field encoded without error")
+}
+
+// TestRegisterPayloadPanics: tag 0 and a taken tag are programming errors
+// caught at init.
+func TestRegisterPayloadPanics(t *testing.T) {
+	for _, tag := range []uint64{0, testPayloadTag} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("RegisterPayload(%d) did not panic", tag)
+				}
+			}()
+			RegisterPayload(tag, func(*Decoder) any { return nil })
+		}()
 	}
 }
 
@@ -259,7 +351,9 @@ func FuzzValue(f *testing.F) {
 	seed("seed")
 	seed([]byte{1, 2, 3})
 	seed(core.Collection{uint64(1), core.Collection{"x"}, nil})
-	seed(gobOnly{A: 1, B: "g"})
+	seed([]float64{1, math.NaN()})
+	seed(map[int64]float64{-3: 1, 4: 2})
+	seed(testPayload{A: 1, B: "p", W: []float64{2}})
 	f.Add([]byte{TagCollection, 200})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(data)

@@ -95,7 +95,6 @@ func encodeFlat(e *flat.Encoder, msgType byte, v any) error {
 		e.Varint(int64(m.QueueLen))
 		e.Varint(int64(m.OverflowLen))
 		e.Varint(int64(m.BatchSize))
-		encodeBool(e, m.WireCheck)
 		e.Uvarint(uint64(m.Worker))
 		e.Uvarint(uint64(m.Workers))
 		encodeShards(e, m.TEShards)
@@ -276,7 +275,6 @@ func decodeFlat(body []byte, v any) error {
 		m.QueueLen = int(d.Varint())
 		m.OverflowLen = int(d.Varint())
 		m.BatchSize = int(d.Varint())
-		m.WireCheck = d.Byte() != 0
 		m.Worker = int(d.Uvarint())
 		m.Workers = int(d.Uvarint())
 		m.TEShards = decodeShards(d)

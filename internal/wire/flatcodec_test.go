@@ -13,16 +13,30 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/state"
+	"repro/internal/wire/flat"
 )
 
-// fuzzPayload exercises the TagGob fallback inside flat frames.
+// fuzzPayload is a registered flat.Payload, so the fuzzer reaches the
+// TagApp arm inside message frames.
 type fuzzPayload struct {
 	N int
 	S string
 }
 
+const fuzzPayloadTag = 101
+
+func (p fuzzPayload) FlatTag() uint64 { return fuzzPayloadTag }
+
+func (p fuzzPayload) AppendFlat(e *flat.Encoder) error {
+	e.Varint(int64(p.N))
+	e.Str(p.S)
+	return nil
+}
+
 func init() {
-	Register(fuzzPayload{})
+	flat.RegisterPayload(fuzzPayloadTag, func(d *flat.Decoder) any {
+		return fuzzPayload{N: int(d.Varint()), S: d.Str()}
+	})
 }
 
 // deltaChunk is a delta part's data as the worker serves it: two updates,
@@ -36,7 +50,7 @@ var deltaChunk = []byte{2, 5, 1, 'a', 9, 2, 'b', 'c', 1, 7}
 // landing here.
 var samples = map[byte][]any{
 	MsgDeploy: {
-		Deploy{Graph: "kv", Partitions: map[string]int{"store": 4, "aux": 1}, QueueLen: 1024, OverflowLen: 64, BatchSize: 32, WireCheck: true},
+		Deploy{Graph: "kv", Partitions: map[string]int{"store": 4, "aux": 1}, QueueLen: 1024, OverflowLen: 64, BatchSize: 32},
 		Deploy{Graph: "counterchain", BatchSize: 64, Worker: 1, Workers: 2,
 			TEShards: map[string]Shard{"count": {First: 1, Count: 1, Total: 2}, "bump": {First: 1, Count: 1, Total: 2}},
 			SEShards: map[string]Shard{"counts": {First: 1, Count: 1, Total: 2}},
@@ -48,11 +62,14 @@ var samples = map[byte][]any{
 			{Origin: ^uint64(0), Seq: 1, Key: 42, Value: []byte("v1")},
 			{Origin: 3, Seq: 2, Key: 43, ReqID: 9, Parts: 2, Value: core.Collection{uint64(7), "x", nil}},
 		}},
-		Inject{Task: "g", Items: []core.Item{{Value: fuzzPayload{N: 5, S: "gob"}}}},
+		Inject{Task: "g", Items: []core.Item{{Value: fuzzPayload{N: 5, S: "app"}}}},
 	},
-	MsgInjectAck:    {InjectAck{Accepted: 17}},
-	MsgCall:         {Call{Task: "get", Item: core.Item{Key: 7, Value: nil}, TimeoutMs: 10_000}},
-	MsgCallReply:    {CallReply{Value: []byte("reply")}, CallReply{Value: math.Pi}},
+	MsgInjectAck: {InjectAck{Accepted: 17}},
+	MsgCall:      {Call{Task: "get", Item: core.Item{Key: 7, Value: nil}, TimeoutMs: 10_000}},
+	MsgCallReply: {
+		CallReply{Value: []byte("reply")}, CallReply{Value: math.Pi},
+		CallReply{Value: []float64{1, -0.5}}, CallReply{Value: map[int64]float64{-2: 1, 9: 0.25}},
+	},
 	MsgCallTimeout:  {CallTimeout{}},
 	MsgHeartbeat:    {Heartbeat{Seq: 9}},
 	MsgHeartbeatAck: {HeartbeatAck{Seq: 9, Queued: 3}},
@@ -72,7 +89,7 @@ var samples = map[byte][]any{
 			{Origin: 1<<40 | 3, Seq: 11, Key: 42, Value: []byte("edge")},
 			{Origin: 1 << 33, Seq: 12, Key: 43, ReqID: 4, Parts: 3, Value: core.Collection{uint64(1), nil}},
 		}},
-		RemoteEmit{Items: []core.Item{{Value: fuzzPayload{N: 8, S: "gob"}}}},
+		RemoteEmit{Items: []core.Item{{Value: fuzzPayload{N: 8, S: "app"}}}},
 	},
 	MsgRemoteEmitAck: {RemoteEmitAck{Accepted: 64}},
 	MsgPeers:         {Peers{Worker: 1, Addr: "127.0.0.1:40000"}},
@@ -203,6 +220,7 @@ func TestGoldenFrames(t *testing.T) {
 		{MsgCall, Call{Task: "get", Item: core.Item{Origin: ^uint64(0), Seq: 300, Key: 7, Value: []byte("k")}, TimeoutMs: 10_000},
 			"050203676574a09c0100ac0207000009026b"},
 		{MsgCallReply, CallReply{Value: []byte("reply")}, "060209067265706c79"},
+		{MsgCallReply, CallReply{Value: map[int64]float64{2: 0.5, 1: 1}}, "06020d0302000000000000f03f04000000000000e03f"},
 		{MsgCallTimeout, CallTimeout{}, "2602"},
 		{MsgHeartbeat, Heartbeat{Seq: 0x0102030405060708}, "07020807060504030201"},
 		{MsgRemoteEmit, RemoteEmit{Edge: 2, Inst: 5, Items: []core.Item{
@@ -247,8 +265,8 @@ var hostileCounts = map[string][]byte{
 	"inject items":       {MsgInject, Version, 0x01, 'p', 0x80, 0x80, 0x80, 0x80, 0x04},
 	"remoteemit items":   {MsgRemoteEmit, Version, 0x01, 0x02, 0x80, 0x80, 0x80, 0x80, 0x04},
 	"deploy partitions":  {MsgDeploy, Version, 0x01, 'g', 0x80, 0x80, 0x80, 0x80, 0x04},
-	"deploy shards":      {MsgDeploy, Version, 0x01, 'g', 0, 0, 0, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x04},
-	"deploy peers":       {MsgDeploy, Version, 0x01, 'g', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x04},
+	"deploy shards":      {MsgDeploy, Version, 0x01, 'g', 0, 0, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x04},
+	"deploy peers":       {MsgDeploy, Version, 0x01, 'g', 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x04},
 	"dump entries":       {MsgDump, Version, 0x80, 0x80, 0x80, 0x80, 0x04},
 	"stats processed":    {MsgStats, Version, 0x80, 0x80, 0x80, 0x80, 0x04},
 	"stats tasks":        {MsgStats, Version, 0, 0x80, 0x80, 0x80, 0x80, 0x04},
@@ -389,12 +407,30 @@ func TestDecodeAllocs(t *testing.T) {
 }
 
 // normalizeValue rewrites float64s to their bit patterns so NaN payloads
-// (which the fuzzer reaches trivially through TagFloat64) compare equal
+// (which the fuzzer reaches trivially through the float tags) compare equal
 // across a re-encode.
 func normalizeValue(v any) any {
 	switch x := v.(type) {
 	case float64:
 		return math.Float64bits(x)
+	case []float64:
+		if x == nil {
+			return []uint64(nil)
+		}
+		out := make([]uint64, len(x))
+		for i, f := range x {
+			out[i] = math.Float64bits(f)
+		}
+		return out
+	case map[int64]float64:
+		if x == nil {
+			return map[int64]uint64(nil)
+		}
+		out := make(map[int64]uint64, len(x))
+		for k, f := range x {
+			out[k] = math.Float64bits(f)
+		}
+		return out
 	case core.Collection:
 		out := make(core.Collection, len(x))
 		for i, el := range x {
@@ -436,7 +472,7 @@ func normalizeMsg(v any) any {
 }
 
 // FuzzFlatRoundTrip covers every message type, including items whose values
-// ride the gob fallback: any frame the decoder accepts must re-encode and
+// are registered application payloads: any frame the decoder accepts must re-encode and
 // decode to the same message, and nothing may panic.
 func FuzzFlatRoundTrip(f *testing.F) {
 	for _, msgType := range slices.Sorted(maps.Keys(samples)) {

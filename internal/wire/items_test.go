@@ -9,13 +9,14 @@ import (
 )
 
 // TestItemsRoundTrip: EncodeItems/DecodeItems must preserve every item
-// field, including values riding the gob fallback, and the decode must be
+// field, including registered application payloads, and the decode must be
 // copy-mode — snapshot blobs outlive the buffers they were parsed from.
 func TestItemsRoundTrip(t *testing.T) {
 	in := []core.Item{
 		{Origin: 1<<40 | 2, Seq: 9, Key: 42, Value: []byte("abcd")},
 		{Origin: 3, Seq: 10, Key: 43, ReqID: 7, Parts: 2, Value: core.Collection{uint64(5), nil}},
 		{Seq: 11, Value: nil},
+		{Seq: 12, Value: fuzzPayload{N: -3, S: "app"}},
 	}
 	data, err := EncodeItems(in)
 	if err != nil {

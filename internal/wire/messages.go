@@ -110,7 +110,6 @@ type Deploy struct {
 	QueueLen    int
 	OverflowLen int
 	BatchSize   int
-	WireCheck   bool
 	// Sharded placement across a worker set (zero-valued for single-worker
 	// deployments): this worker's index, the set size, the global shard of
 	// every TE and SE assigned to this worker, and every worker's data
@@ -284,16 +283,3 @@ type Stop struct{}
 
 // StopAck confirms shutdown; the worker process exits after sending it.
 type StopAck struct{}
-
-func init() {
-	// Dynamic payload types that ride inside interface-typed fields
-	// (Item.Value, CallReply.Value) in every deployment. Applications
-	// register their own payload types the same way.
-	Register(false)
-	Register(int(0))
-	Register(int64(0))
-	Register(uint64(0))
-	Register("")
-	Register([]byte(nil))
-	Register(core.Collection{})
-}

@@ -16,14 +16,10 @@
 // version byte is rejected with a *VersionError before its payload is
 // looked at.
 //
-// The one use of gob is inside an item's value: an application
-// struct payload (Item.Value, CallReply.Value) rides as a gob sub-payload
-// behind flat.TagGob. Like labgob, that path validates types at
-// registration and encode time: gob silently drops unexported struct
-// fields, which in a replicated state system turns into state divergence
-// that surfaces long after the bug. Any value whose type (or dynamic
-// payload) carries a lower-case field is rejected loudly instead
-// (flat.CheckWireSafe; verdicts are cached).
+// An item's value (Item.Value, CallReply.Value) has one codec too: the
+// flat tag table, plus the application payload types that implement
+// flat.Payload and register a decoder. No reflection reaches the wire; a
+// value of any other type fails to encode at the sender.
 package wire
 
 import (
@@ -69,11 +65,6 @@ func (e *VersionError) Is(target error) bool { return target == ErrVersion }
 type Payload struct {
 	Body []byte
 }
-
-// Register validates v's type and registers it for the gob value fallback,
-// so it can travel inside interface-typed fields (e.g. Item.Value). It
-// panics on types gob would corrupt silently (see flat.Register).
-func Register(v any) { flat.Register(v) }
 
 // Encode wraps a message struct in an envelope. v must be the struct that
 // msgType names; any other pairing is an error here, at the sender. The

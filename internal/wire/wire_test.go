@@ -124,13 +124,13 @@ func TestDecodeMalformed(t *testing.T) {
 	})
 }
 
-// TestEncodeRejectsUnencodableTypes is the labgob-style guard: gob silently
-// zeroes unexported fields and chokes on channels; both must fail loudly at
-// the sender, including when the bad type hides behind an interface field.
+// TestEncodeRejectsUnencodableTypes: the value union is closed, so a type
+// with no codec fails loudly at the sender, including when it hides behind
+// an interface field.
 func TestEncodeRejectsUnencodableTypes(t *testing.T) {
 	type sneaky struct {
 		Visible int
-		hidden  int //nolint:unused // the point: gob would drop it silently
+		hidden  int //nolint:unused // a field no codec could see
 	}
 	if _, err := Encode(MsgCall, sneaky{Visible: 1}); err == nil {
 		t.Fatal("struct with unexported field encoded without error")
@@ -153,7 +153,7 @@ func TestEncodeRejectsUnencodableTypes(t *testing.T) {
 	if _, err := Encode(MsgCall, bad); err == nil {
 		t.Fatal("unexported field behind interface encoded without error")
 	}
-	// And the checked-type cache must not poison the healthy path.
+	// A rejection must not poison the healthy path.
 	if _, err := Encode(MsgCall, Call{Task: "put", Item: core.Item{Value: []byte("ok")}}); err != nil {
 		t.Fatalf("healthy call after rejections: %v", err)
 	}

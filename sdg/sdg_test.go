@@ -5,13 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/wire"
 	"repro/sdg"
 )
-
-func init() {
-	wire.Register([]byte{})
-}
 
 const timeout = 5 * time.Second
 
