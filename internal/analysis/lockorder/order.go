@@ -15,7 +15,7 @@ type Annotation struct {
 }
 
 // RuntimeOrder mirrors every lock annotation in internal/runtime. The rank
-// order encodes the documented hierarchy: scale-in serialisation first,
+// order encodes the documented hierarchy: reshape serialisation first,
 // then the injection fence, the checkpoint gate, per-node pause locks, SE
 // then TE state (the PR 5 repartition order), the coordinator's injection
 // fence before its per-worker send locks and those before its per-worker

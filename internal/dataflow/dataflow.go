@@ -183,13 +183,13 @@ func (d *Dedup) Watermarks() map[uint64]uint64 {
 }
 
 // Fold raises the per-origin watermarks to at least the given values,
-// leaving higher local marks untouched. Scale-in uses it to fold a retired
-// instance's processed history into the survivors: after the retiring
-// partition's state merges in, items the retiree processed must read as
-// duplicates wherever the new routing sends them. Folding is only safe at
-// quiescence — with no undelivered items in flight, every seq at or below
-// the folded mark has been processed by some instance whose state effects
-// the survivors now hold.
+// leaving higher local marks untouched. Reshaping uses it to fold every
+// instance's processed history into the whole new layout: after the old
+// partitions' state is rebuilt, items any old instance processed must read
+// as duplicates wherever the new routing sends them, a grown instance
+// included. Folding is only safe at quiescence — with no undelivered items
+// in flight, every seq at or below the folded mark has been processed by
+// some instance whose state effects the new layout now holds.
 func (d *Dedup) Fold(w map[uint64]uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

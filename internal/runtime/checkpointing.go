@@ -45,7 +45,7 @@ func (r *Runtime) startCheckpointLoop(si *seInstance) {
 }
 
 // detached reports whether the instance has been replaced (e.g. after a
-// scale-up repartition or recovery).
+// reshape or recovery).
 func (r *Runtime) detached(si *seInstance) bool {
 	si.se.mu.RLock()
 	defer si.se.mu.RUnlock()
@@ -60,7 +60,7 @@ func (r *Runtime) CheckpointNow(seName string, idx int) (checkpoint.Result, erro
 	if err != nil {
 		return checkpoint.Result{}, err
 	}
-	// Held for the whole checkpoint so a concurrent scale-in cannot begin
+	// Held for the whole checkpoint so a concurrent reshape cannot begin
 	// its destructive store rebuild between our instance fetch and our
 	// BeginDirty/Save (see seState.ckptGate).
 	ss.ckptGate.RLock()

@@ -260,22 +260,27 @@ func TestDeltaScaleUpRepartition(t *testing.T) {
 		t.Fatalf("second epoch: delta=%v err=%v", res.Meta.Delta, err)
 	}
 
+	// Pre-scale epoch per instance name (store/1 has none yet).
+	var pre [2]uint64
+	for idx := range pre {
+		m, _ := r.Backup().Latest(fmt.Sprintf("store/%d", idx))
+		pre[idx] = m.Epoch
+	}
+
 	// Repartition 1 -> 2 instances.
 	if err := r.ScaleUp("put"); err != nil {
 		t.Fatal(err)
 	}
+	// Rebuilt instances must anchor fresh bases, not extend the old chain:
+	// ScaleUp takes them before it returns.
+	for idx := 0; idx < 2; idx++ {
+		m, ok := r.Backup().Latest(fmt.Sprintf("store/%d", idx))
+		if !ok || len(m.Chain) != 1 || m.Chain[0].Delta || m.Epoch <= pre[idx] {
+			t.Fatalf("instance %d after ScaleUp: chain %+v epoch %d, want one base above epoch %d", idx, m.Chain, m.Epoch, pre[idx])
+		}
+	}
 	for k := uint64(60); k < 80; k++ {
 		put(k, fmt.Sprintf("v%d", k))
-	}
-	// Rebuilt instances must anchor fresh bases, not extend the old chain.
-	for idx := 0; idx < 2; idx++ {
-		res, err := r.CheckpointNow("store", idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Meta.Delta {
-			t.Fatalf("instance %d: first post-repartition epoch must be a base", idx)
-		}
 	}
 	for k := uint64(0); k < 5; k++ {
 		put(k, "post-scale")

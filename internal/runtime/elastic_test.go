@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -202,59 +203,167 @@ func TestScaleDownReplaysParkedKeyedItems(t *testing.T) {
 	}
 }
 
-// TestScaleDownThenRecover: the merge forces fresh base checkpoints, so a
-// failure after scale-in restores the shrunk layout, not a stale pre-merge
-// chain.
-func TestScaleDownThenRecover(t *testing.T) {
-	const items = 200
-	r, err := Deploy(putGraph(0), Options{
-		Partitions:       map[string]int{"store": 3},
-		Mode:             checkpoint.ModeAsync,
-		Interval:         time.Hour, // checkpoints only where the test forces them
-		DeltaCheckpoints: true,
+// countGraph is a keyed counter: every item increments its key's 8-byte
+// count in a partitioned dictionary, so a replayed duplicate shows up as an
+// over-count.
+func countGraph() *core.Graph {
+	g := core.NewGraph("count")
+	se := g.AddSE("store", core.KindPartitioned, state.TypeKVMap, nil)
+	g.AddTE("inc", func(ctx core.Context, it core.Item) {
+		kv := ctx.Store().(state.KV)
+		var n uint64
+		if v, ok := kv.Get(it.Key); ok {
+			n = binary.LittleEndian.Uint64(v)
+		}
+		kv.Put(it.Key, binary.LittleEndian.AppendUint64(nil, n+1))
+	}, &core.Access{SE: se, Mode: core.AccessByKey}, true)
+	return g
+}
+
+// TestScaleUpDrainsBacklog: items queued under the old layout when ScaleUp
+// starts must run against the partition their key maps to, not against
+// whichever rebuilt store now sits at their old index.
+func TestScaleUpDrainsBacklog(t *testing.T) {
+	const items = 3000
+	r, err := Deploy(putGraph(20000), Options{
+		Partitions: map[string]int{"store": 2},
+		QueueLen:   4096, // the whole offer queues without parking
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Stop()
-
 	for k := uint64(0); k < items; k++ {
 		if err := r.Inject("put", k, []byte(fmt.Sprintf("v%d", k))); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// Grow while the slow workers still have most of the offer queued.
+	if err := r.ScaleUp("put"); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.StateInstances("store"); got != 3 {
+		t.Fatalf("store instances = %d, want 3", got)
+	}
 	if !r.Drain(testTimeout) {
 		t.Fatal("drain")
 	}
-	// Anchor pre-shrink chains so recovery has something stale to trip on.
-	for i := 0; i < 3; i++ {
-		if _, err := r.CheckpointNow("store", i); err != nil {
-			t.Fatal(err)
+	// storeContents fails any key stored off its routed partition, so each
+	// entry below is what a get routed by key would read.
+	got := storeContents(t, r, "store")
+	for k := uint64(0); k < items; k++ {
+		if v, want := got[k], fmt.Sprintf("v%d", k); v != want {
+			t.Fatalf("get %d = %q, want %q (%d keys stored)", k, v, want, len(got))
 		}
 	}
-	if err := r.ScaleDown("put"); err != nil {
-		t.Fatal(err)
-	}
-	// ScaleDown itself anchored fresh bases; the retiree's chain is gone.
-	if _, ok := r.Backup().Latest("store/2"); ok {
-		t.Fatal("retired instance's backup chain not forgotten")
-	}
+}
 
-	// Fail one surviving partition and recover it from the post-merge base.
-	ss, _ := r.se("store")
-	ss.mu.RLock()
-	node := ss.insts[1].node.ID
-	ss.mu.RUnlock()
-	r.KillNode(node)
-	if _, err := r.Recover("store", 1); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Drain(testTimeout) {
-		t.Fatal("drain after recover")
-	}
-	got := storeContents(t, r, "store")
-	if len(got) != items {
-		t.Fatalf("keys after scale-in + recovery = %d, want %d", len(got), items)
+// TestScaleDownThenRecover: a reshape in either direction forces fresh base
+// checkpoints and folds dedup watermarks into the whole new layout, so a
+// failure afterwards restores the reshaped state, not a stale pre-reshape
+// chain, and source replay re-applies no increment already counted —
+// including at a grown instance that never processed an item.
+func TestScaleDownThenRecover(t *testing.T) {
+	const (
+		keys = 60
+		incs = 5
+	)
+	for _, tc := range []struct {
+		name  string
+		scale func(*Runtime, string) error
+		after int
+	}{
+		{"down", (*Runtime).ScaleDown, 2},
+		{"up", (*Runtime).ScaleUp, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := Deploy(countGraph(), Options{
+				Partitions:       map[string]int{"store": 3},
+				Mode:             checkpoint.ModeAsync,
+				Interval:         time.Hour, // checkpoints only where the test forces them
+				DeltaCheckpoints: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Stop()
+
+			offer := func(rounds int) {
+				t.Helper()
+				for i := 0; i < rounds; i++ {
+					for k := uint64(0); k < keys; k++ {
+						if err := r.Inject("inc", k, nil); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if !r.Drain(testTimeout) {
+					t.Fatal("drain")
+				}
+			}
+			offer(incs - 2)
+			// Anchor pre-reshape chains so recovery has something stale to
+			// trip on; the increments after them stay in the source log.
+			for i := 0; i < 3; i++ {
+				if _, err := r.CheckpointNow("store", i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			offer(2)
+			if err := tc.scale(r, "inc"); err != nil {
+				t.Fatal(err)
+			}
+			if got := r.StateInstances("store"); got != tc.after {
+				t.Fatalf("store instances = %d, want %d", got, tc.after)
+			}
+			if tc.after < 3 {
+				// The reshape anchored fresh bases; the retiree's chain is gone.
+				if _, ok := r.Backup().Latest("store/2"); ok {
+					t.Fatal("retired instance's backup chain not forgotten")
+				}
+			} else {
+				for i := 0; i < tc.after; i++ {
+					m, ok := r.Backup().Latest(fmt.Sprintf("store/%d", i))
+					if !ok || len(m.Chain) != 1 || m.Chain[0].Delta {
+						t.Errorf("instance %d after ScaleUp: chain %+v, want one base", i, m.Chain)
+					}
+				}
+			}
+			// Checkpoint every instance again, so recovery restores from
+			// chains cut against the reshaped layout however the reshape
+			// anchored them; source replay must still not double-count.
+			for i := 0; i < tc.after; i++ {
+				if _, err := r.CheckpointNow("store", i); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			ss, _ := r.se("store")
+			ss.mu.RLock()
+			node := ss.insts[0].node.ID
+			ss.mu.RUnlock()
+			r.KillNode(node)
+			if _, err := r.Recover("store", 1); err != nil {
+				t.Fatal(err)
+			}
+			if !r.Drain(testTimeout) {
+				t.Fatal("drain after recover")
+			}
+			got := storeContents(t, r, "store")
+			if len(got) != keys {
+				t.Errorf("keys after reshape + recovery = %d, want %d", len(got), keys)
+			}
+			wrong := 0
+			for k := uint64(0); k < keys; k++ {
+				v := []byte(got[k])
+				if len(v) != 8 || binary.LittleEndian.Uint64(v) != incs {
+					wrong++
+				}
+			}
+			if wrong > 0 {
+				t.Fatalf("%d of %d counters differ from %d after reshape + recovery", wrong, keys, incs)
+			}
+		})
 	}
 }
 
@@ -622,29 +731,77 @@ func TestRateMapPrunesDeadOrigins(t *testing.T) {
 }
 
 // TestScaleDownTimesOutUnderSustainedLoad: a graph that cannot quiesce
-// makes ScaleDown fail with ErrNotQuiesced instead of stalling forever.
+// makes a reshape in either direction fail with ErrNotQuiesced instead of
+// stalling forever, leaves the instance count as it was and reopens
+// ingress.
 func TestScaleDownTimesOutUnderSustainedLoad(t *testing.T) {
-	// A self-looping TE never drains once seeded.
-	g := core.NewGraph("loop")
-	g.AddTE("loop", func(ctx core.Context, it core.Item) {
-		ctx.Emit(0, it.Key, it.Value)
-	}, nil, true)
-	g.Connect(0, 0, core.DispatchOneToAny)
-	r, err := Deploy(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Stop()
-	if err := r.ScaleUp("loop"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Inject("loop", 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.scaleDown("loop", 50*time.Millisecond); !errors.Is(err, ErrNotQuiesced) {
-		t.Fatalf("scale-down under sustained load = %v, want ErrNotQuiesced", err)
-	}
-	if got := r.Instances("loop"); got != 2 {
-		t.Fatalf("failed scale-down changed instance count to %d", got)
+	for _, tc := range []struct {
+		name   string
+		access bool // the looping TE accesses a partitioned SE by key
+		opts   Options
+		setup  func(*Runtime) error
+		scale  func(*Runtime, string, time.Duration) error
+		count  func(*Runtime) int
+	}{
+		{
+			name:  "stateless/down",
+			setup: func(r *Runtime) error { return r.ScaleUp("loop") },
+			scale: (*Runtime).scaleDown,
+			count: func(r *Runtime) int { return r.Instances("loop") },
+		},
+		{
+			name:   "partitioned/up",
+			access: true,
+			opts:   Options{Partitions: map[string]int{"store": 2}},
+			scale:  (*Runtime).scaleUp,
+			count:  func(r *Runtime) int { return r.StateInstances("store") },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A self-looping TE never drains once seeded.
+			g := core.NewGraph("loop")
+			var access *core.Access
+			dispatch := core.DispatchOneToAny
+			if tc.access {
+				se := g.AddSE("store", core.KindPartitioned, state.TypeKVMap, nil)
+				access = &core.Access{SE: se, Mode: core.AccessByKey}
+				dispatch = core.DispatchPartitioned
+			}
+			g.AddTE("loop", func(ctx core.Context, it core.Item) {
+				ctx.Emit(0, it.Key, it.Value)
+			}, access, true)
+			g.Connect(0, 0, dispatch)
+			r, err := Deploy(g, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Stop()
+			if tc.setup != nil {
+				if err := tc.setup(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := tc.count(r)
+			if err := r.Inject("loop", 1, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.scale(r, "loop", 50*time.Millisecond); !errors.Is(err, ErrNotQuiesced) {
+				t.Fatalf("reshape under sustained load = %v, want ErrNotQuiesced", err)
+			}
+			if got := tc.count(r); got != before {
+				t.Fatalf("failed reshape changed instance count from %d to %d", before, got)
+			}
+			// The fence is released: a later injection is admitted.
+			admitted := make(chan error, 1)
+			go func() { admitted <- r.Inject("loop", 2, nil) }()
+			select {
+			case err := <-admitted:
+				if err != nil {
+					t.Fatalf("inject after failed reshape: %v", err)
+				}
+			case <-time.After(testTimeout):
+				t.Fatal("ingress still fenced after failed reshape")
+			}
+		})
 	}
 }

@@ -147,10 +147,10 @@ type Runtime struct {
 	// never low.
 	parked atomic.Int64
 
-	// scaleMu serialises scale-in operations: ScaleDown quiesces the graph
-	// with no other locks held, so two concurrent retirements (or the
-	// auto-scaler racing a manual call) must not interleave their fence /
-	// swap phases.
+	// scaleMu serialises scaling in both directions: ScaleUp and ScaleDown
+	// quiesce the graph with no other locks held, so two concurrent
+	// reshapes (or the auto-scaler racing a manual call) must not
+	// interleave their fence / swap phases.
 	//sdg:lockorder scale 10
 	scaleMu sync.Mutex
 
@@ -211,7 +211,7 @@ type teState struct {
 	// work happened, it must not vanish from the books with the worker.
 	retiredProcessed atomic.Int64
 
-	// instEpoch versions insts: every mutation (scale-up, repartition,
+	// instEpoch versions insts: every mutation (scale-up, scale-down,
 	// recovery) bumps it under mu, invalidating the cached snapshot below.
 	instEpoch atomic.Uint64
 	// snap caches an immutable copy of insts so the delivery hot path
@@ -323,11 +323,11 @@ type seState struct {
 	insts []*seInstance
 	// ckptGate excludes checkpoints from structural rebuilds: CheckpointNow
 	// read-holds it for the whole procedure (instance fetch through save and
-	// merge), and scale-in write-holds it across the destructive
-	// split/merge swap. Without it, a checkpoint goroutine that fetched its
-	// instance just before the swap could still flip the store dirty —
-	// mid-rebuild — or commit a stale pre-swap epoch after the post-merge
-	// base. Lock order: ckptGate before mu.
+	// merge), and a reshape write-holds it across the destructive
+	// store rebuild and swap. Without it, a checkpoint goroutine that
+	// fetched its instance just before the swap could still flip the store
+	// dirty — mid-rebuild — or commit a stale pre-swap epoch after the
+	// post-reshape base. Lock order: ckptGate before mu.
 	//sdg:lockorder ckptgate 30
 	ckptGate sync.RWMutex
 }

@@ -9,43 +9,46 @@ import (
 	"repro/internal/core"
 )
 
-// Scale-in retires one instance of a TE (and, like ScaleUp, of the SE it
-// accesses and of every TE sharing that SE) without losing or duplicating a
-// single item. The protocol is quiesce-based:
+// Reshaping grows or shrinks a partitioned SE by one instance (and with it
+// every TE accessing the SE) without losing or duplicating a single item.
+// ScaleUp and ScaleDown run the same quiesce-based protocol:
 //
 //  1. Fence ingress: every entry TE's injection mutex is held, so no new
 //     external item can enter the graph, and admission credits rescale to
-//     the shrunk capacity the moment the swap commits (the watermark is
+//     the new capacity the moment the swap commits (the watermark is
 //     OverflowLen x live instances).
 //  2. Quiesce: wait until every instance's backlog — queued batches, parked
-//     overflow and the in-flight batch — drains. The retiring instance
+//     overflow and the in-flight batch — drains, so no item routed under
+//     the old layout can run against a rebuilt store. A retiring instance
 //     processes anything parked at it through the normal worker path, so
-//     items parked at a retiring partition are replayed into state, never
-//     dropped. The wait is bounded; under sustained intra-graph load the
-//     caller gets an error instead of an indefinite stall.
-//  3. Swap: bump the instance-snapshot epoch (cached edge snapshots
-//     rebuild, so all routing — entry and intra-graph — targets the shrunk
-//     layout), fold every instance's dedup watermarks into the survivors,
-//     adopt the retiree's replay log, remember its output seq counter, and
-//     rebuild the survivors' stores from every old store's chunks
-//     (reshard, the split recovery uses).
-//  4. Resume: release the fence, then anchor the survivors' backup chains
-//     with fresh base checkpoints (a chain cut against a pre-shrink store
+//     its items are replayed into state, never dropped. The wait is
+//     bounded; under sustained intra-graph load the caller gets
+//     ErrNotQuiesced instead of an indefinite stall.
+//  3. Swap: under the SE's checkpoint gate and lock, rebuild k±1 stores from
+//     every old store's chunks (reshard, the split recovery uses), add or
+//     retire one instance of every accessing TE, fold the dedup watermarks
+//     into the whole new layout and bump the instance-snapshot epoch
+//     (cached edge snapshots rebuild, so all routing — entry and
+//     intra-graph — targets the new layout). A retiree's replay log is
+//     adopted and its output seq counter remembered.
+//  4. Resume: release the fence, then anchor every instance's backup chain
+//     with a fresh base checkpoint (a chain cut against a pre-reshape store
 //     must not continue across a reshape).
 //
-// Folding the per-origin maximum watermark into each survivor is the key
+// Folding the per-origin maximum watermark into every instance is the key
 // correctness move: at quiescence every emitted seq at or below that mark
-// was processed by some pre-shrink instance, and the rebuild moved all of
-// those instances' state into the survivors — so any later replay of such
+// was processed by some pre-reshape instance, and the rebuild moved all of
+// those instances' state into the new layout — so any later replay of such
 // an item (after a failure elsewhere) must be discarded no matter which
-// survivor the new routing sends it to.
+// instance, a grown one included, the new routing sends it to.
 
-// scaleDrainTimeout bounds the quiesce wait of ScaleDown.
+// scaleDrainTimeout bounds the quiesce wait of ScaleUp and ScaleDown.
 const scaleDrainTimeout = 30 * time.Second
 
-// ErrNotQuiesced is returned by ScaleDown when the graph's queues do not
-// drain within the scale-in timeout; the caller may retry once load drops.
-var ErrNotQuiesced = errors.New("runtime: graph did not quiesce for scale-in")
+// ErrNotQuiesced is returned by ScaleUp and ScaleDown when the graph's
+// queues do not drain within the reshape timeout; the caller may retry once
+// load drops.
+var ErrNotQuiesced = errors.New("runtime: graph did not quiesce for reshape")
 
 // ScaleDown retires one instance of the named TE, the inverse of ScaleUp:
 //
@@ -90,21 +93,21 @@ func (r *Runtime) scaleDown(teName string, drain time.Duration) error {
 	case core.KindPartial:
 		return fmt.Errorf("runtime: SE %q is partial; replicas reconcile only through merge computation and cannot be folded by the runtime", ss.def.Name)
 	case core.KindPartitioned:
-		return r.shrinkPartitioned(ss, drain)
+		return r.reshapePartitioned(ss, -1, drain)
 	default:
 		return fmt.Errorf("runtime: unknown state kind %v", ss.def.Kind)
 	}
 }
 
-// checkRetireable refuses scale-in while any instance of the given TEs is
-// dead: a dead instance's parked items drain only through recovery, and the
+// checkLive refuses a reshape while any instance of the given TEs is dead:
+// a dead instance's parked items drain only through recovery, and the
 // folded watermarks would wrongly cover them.
-func (r *Runtime) checkRetireable(teIDs []int) error {
+func (r *Runtime) checkLive(teIDs []int) error {
 	for _, teID := range teIDs {
 		ts := r.tes[teID]
 		for _, ti := range ts.instances() {
 			if ti.killed.Load() || ti.node.Failed() {
-				return fmt.Errorf("runtime: TE %q has a dead instance; recover before scaling in", ts.def.Name)
+				return fmt.Errorf("runtime: TE %q has a dead instance; recover before reshaping", ts.def.Name)
 			}
 		}
 	}
@@ -153,6 +156,22 @@ func (r *Runtime) fenceIngress(timeout time.Duration) (release func(), err error
 	}
 }
 
+// foldWatermarks raises every instance's dedup watermarks to the
+// per-origin maximum across all of them; only sound at quiescence.
+func foldWatermarks(insts []*teInstance) {
+	fold := make(map[uint64]uint64)
+	for _, ti := range insts {
+		for o, s := range ti.dedup.Watermarks() {
+			if s > fold[o] {
+				fold[o] = s
+			}
+		}
+	}
+	for _, ti := range insts {
+		ti.dedup.Fold(fold)
+	}
+}
+
 // retireTEInstance removes the last instance of a TE at quiescence: folds
 // the per-origin maximum dedup watermark across all instances into each
 // survivor, adopts the retiree's replay logs (items keep their origin, so
@@ -163,18 +182,7 @@ func (r *Runtime) retireTEInstance(ts *teState) {
 	defer ts.mu.Unlock()
 	k := len(ts.insts)
 	victim := ts.insts[k-1]
-
-	fold := make(map[uint64]uint64)
-	for _, ti := range ts.insts {
-		for o, s := range ti.dedup.Watermarks() {
-			if s > fold[o] {
-				fold[o] = s
-			}
-		}
-	}
-	for _, ti := range ts.insts[:k-1] {
-		ti.dedup.Fold(fold)
-	}
+	foldWatermarks(ts.insts)
 
 	// The retiree's un-trimmed output log moves to survivor 0, so a later
 	// downstream recovery can still replay items only this log covers.
@@ -210,7 +218,7 @@ func (r *Runtime) retireStateless(ts *teState, drain time.Duration) error {
 	if len(ts.instances()) <= 1 {
 		return fmt.Errorf("runtime: TE %q already at one instance", ts.def.Name)
 	}
-	if err := r.checkRetireable([]int{ts.def.ID}); err != nil {
+	if err := r.checkLive([]int{ts.def.ID}); err != nil {
 		return err
 	}
 	release, err := r.fenceIngress(drain)
@@ -219,7 +227,7 @@ func (r *Runtime) retireStateless(ts *teState, drain time.Duration) error {
 	}
 	// Re-validate behind the fence: an instance killed during the quiesce
 	// wait would make the watermark fold unsound.
-	if err := r.checkRetireable([]int{ts.def.ID}); err != nil {
+	if err := r.checkLive([]int{ts.def.ID}); err != nil {
 		release()
 		return err
 	}
@@ -228,23 +236,20 @@ func (r *Runtime) retireStateless(ts *teState, drain time.Duration) error {
 	return nil
 }
 
-// shrinkPartitioned shrinks a partitioned SE from k to k-1 instances: at
-// quiescence every old partition (victim and survivors alike) is resharded
-// k-1 ways, because the partition function changes for every key, not
-// just the retiree's. Survivor stores are rebuilt on their existing nodes;
-// all rebuilt instances anchor fresh base checkpoints.
-func (r *Runtime) shrinkPartitioned(ss *seState, drain time.Duration) error {
+// reshapePartitioned grows (delta +1) or shrinks (delta -1) a partitioned
+// SE from k to k+delta instances at quiescence: every old partition is
+// resharded k+delta ways, because the partition function changes for
+// every key, not just those of the added or retired partition. Surviving
+// indices are rebuilt on their existing nodes, a grown index gets a fresh
+// node, and every rebuilt instance anchors a fresh base checkpoint.
+func (r *Runtime) reshapePartitioned(ss *seState, delta int, drain time.Duration) error {
 	accessing := r.graph.TEsAccessing(ss.def.ID)
-	ss.mu.RLock()
-	k := len(ss.insts)
-	ss.mu.RUnlock()
-	if k <= 1 {
+	if delta < 0 && r.StateInstances(ss.def.Name) <= 1 {
 		return fmt.Errorf("runtime: SE %q already at one instance", ss.def.Name)
 	}
-	if err := r.checkRetireable(accessing); err != nil {
+	if err := r.checkLive(accessing); err != nil {
 		return err
 	}
-
 	release, err := r.fenceIngress(drain)
 	if err != nil {
 		return err
@@ -252,83 +257,85 @@ func (r *Runtime) shrinkPartitioned(ss *seState, drain time.Duration) error {
 	// Re-validate behind the fence: an instance killed during the quiesce
 	// wait would make the watermark fold unsound (its parked items drained
 	// only through recovery, yet the fold would cover them).
-	if err := r.checkRetireable(accessing); err != nil {
+	if err := r.checkLive(accessing); err != nil {
 		release()
 		return err
 	}
+
 	// Exclude checkpoints for the whole swap: in-flight ones finish (their
 	// saves commit before MergeDirty clears the dirty flag), new ones wait
-	// until the rebuilt instances are in place.
+	// until the rebuilt instances are in place. Lock order: ckptGate, then
+	// ss.mu — the order CheckpointNow observes.
 	ss.ckptGate.Lock()
-	victimName, err := r.shrinkPartitionedFenced(ss, accessing)
-	ss.ckptGate.Unlock()
-	release()
+	ss.mu.Lock()
+	old := ss.insts
+	k := len(old)
+	stores, err := r.reshard(ss, old, k+delta)
 	if err != nil {
+		ss.mu.Unlock()
+		ss.ckptGate.Unlock()
+		release()
 		return err
 	}
-
-	// Anchor the rebuilt chains outside the fence; chained=false keeps
-	// every next epoch a base even if one of these fails and the periodic
-	// loop retries it. The retiree's chain is only dropped once every
-	// survivor's post-shrink base has committed — until then the pre-shrink
-	// chains (retiree's included) remain the restorable generation.
-	if r.opts.Mode != checkpoint.ModeOff && r.bk != nil {
-		ss.mu.RLock()
-		insts := append([]*seInstance(nil), ss.insts...)
-		ss.mu.RUnlock()
-		committed := true
-		for _, si := range insts {
-			if _, err := r.CheckpointNow(ss.def.Name, si.idx); err != nil {
-				committed = false
-			}
+	newInsts := make([]*seInstance, len(stores))
+	for j, store := range stores {
+		ni := &seInstance{se: ss, idx: j, store: store}
+		if j < k {
+			// Surviving partitions stay home and inherit their predecessor's
+			// epoch counter, so epochs stay monotonic per instance name in
+			// the backup manifest (a reset counter could reuse an epoch
+			// number the superseded chain still references). chained stays
+			// false: the rebuilt store must anchor a fresh base first.
+			ni.node = old[j].node
+			ni.epoch.Store(old[j].epoch.Load())
+		} else {
+			ni.node = r.cl.AddNode()
 		}
-		if committed {
-			r.bk.Forget(victimName)
-		}
-		// On failure the retiree's manifest is left behind (a bounded leak):
-		// deleting it before the new bases exist would make its moved keys
-		// unrecoverable if a survivor fails first.
-	}
-	return nil
-}
-
-// shrinkPartitionedFenced performs the store rebuild and instance swap,
-// returning the retired instance's backup name; the caller holds the
-// ingress fence over a quiesced graph and the SE's checkpoint gate.
-func (r *Runtime) shrinkPartitionedFenced(ss *seState, accessing []int) (string, error) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	k := len(ss.insts)
-	if k <= 1 {
-		return "", fmt.Errorf("runtime: SE %q already at one instance", ss.def.Name)
-	}
-	old := ss.insts
-	victim := old[k-1]
-	newStores, err := r.reshard(ss, old, k-1)
-	if err != nil {
-		return "", err
-	}
-
-	newInsts := make([]*seInstance, k-1)
-	for j := 0; j < k-1; j++ {
-		ni := &seInstance{se: ss, idx: j, node: old[j].node, store: newStores[j]}
-		// Epochs stay monotonic per instance name; chained stays false so
-		// the rebuilt store anchors a fresh base (see repartition).
-		ni.epoch.Store(old[j].epoch.Load())
 		newInsts[j] = ni
 	}
+	var started []*teInstance
 	for _, teID := range accessing {
-		r.retireTEInstance(r.tes[teID])
+		ts := r.tes[teID]
+		if delta < 0 {
+			r.retireTEInstance(ts)
+			continue
+		}
+		ti := r.appendInstance(ts, newInsts[k].node)
+		foldWatermarks(ts.instances())
+		started = append(started, ti)
 	}
 	ss.insts = newInsts // detaches every old instance's checkpoint loop
-
-	if r.opts.Mode != checkpoint.ModeOff && r.bk != nil {
+	ss.mu.Unlock()
+	ckpt := r.opts.Mode != checkpoint.ModeOff && r.bk != nil
+	if ckpt {
 		for _, si := range newInsts {
 			r.startCheckpointLoop(si)
 		}
 	}
-	// The retiree's chain is NOT forgotten here: until every survivor's
-	// post-shrink base commits, the pre-shrink chains are the only
-	// restorable generation. The caller drops it after the eager bases.
-	return victim.instName(), nil
+	ss.ckptGate.Unlock()
+	for _, ti := range started {
+		r.startWorker(ti)
+	}
+	release()
+	if !ckpt {
+		return nil
+	}
+
+	// Anchor the rebuilt chains outside the fence; chained=false keeps
+	// every next epoch a base even if one of these fails and the periodic
+	// loop retries it. A retiree's chain is only dropped once every
+	// survivor's post-shrink base has committed — until then the
+	// pre-shrink chains (retiree's included) remain the restorable
+	// generation, and on failure its manifest is left behind (a bounded
+	// leak) rather than making its moved keys unrecoverable.
+	committed := true
+	for _, si := range newInsts {
+		if _, err := r.CheckpointNow(ss.def.Name, si.idx); err != nil {
+			committed = false
+		}
+	}
+	if delta < 0 && committed {
+		r.bk.Forget(old[k-1].instName())
+	}
+	return nil
 }

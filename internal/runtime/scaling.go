@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -19,28 +18,36 @@ import (
 //     TE accessing the SE gains an instance there (the paper's Fig. 10:
 //     "a second instance is added ... which also causes a new instance of
 //     the partial state in the coOcc matrix to be created");
-//   - partitioned SE: the SE is re-partitioned from k to k+1 instances —
-//     processing on the accessing TEs pauses briefly while the partitions
-//     are rebuilt, then resumes on k+1 nodes.
+//   - partitioned SE: the SE is re-partitioned from k to k+1 instances by
+//     ScaleDown's protocol run the other way — ingress is fenced and the
+//     graph drains, the partitions are rebuilt, ingress reopens on k+1
+//     nodes and every instance anchors a fresh base checkpoint.
+//
+// Growing a partitioned SE fails if any accessing instance is killed or on
+// a failed node (recover first), if the graph does not quiesce within 30s
+// (ErrNotQuiesced), or if a partition is held dirty (state.ErrDirtyActive).
 func (r *Runtime) ScaleUp(teName string) error {
+	return r.scaleUp(teName, scaleDrainTimeout)
+}
+
+// scaleUp is ScaleUp with an explicit quiesce budget for the partitioned
+// case; the auto-scaler passes a scan-window-sized budget.
+func (r *Runtime) scaleUp(teName string, drain time.Duration) error {
 	if r.opts.Shard != nil {
 		// Instance identities are global in a sharded deployment; the worker
 		// cannot unilaterally grow its slice without every peer re-agreeing
-		// on routing. Coordinator-driven scale-out owns this.
+		// on routing, and no coordinator-driven scale-out exists yet (see
+		// ROADMAP item 13).
 		return fmt.Errorf("runtime: in-process scaling is unavailable in a sharded worker")
 	}
 	ts, err := r.te(teName)
 	if err != nil {
 		return err
 	}
+	r.scaleMu.Lock()
+	defer r.scaleMu.Unlock()
 	if ts.def.Access == nil {
-		node := r.cl.AddNode()
-		ts.mu.Lock()
-		ti := r.newInstance(ts, len(ts.insts), node)
-		ts.insts = append(ts.insts, ti)
-		ts.bumpInstances()
-		ts.mu.Unlock()
-		r.startWorker(ti)
+		r.startWorker(r.appendInstance(ts, r.cl.AddNode()))
 		return nil
 	}
 	ss := r.ses[ts.def.Access.SE]
@@ -48,10 +55,23 @@ func (r *Runtime) ScaleUp(teName string) error {
 	case core.KindPartial:
 		return r.growPartial(ss)
 	case core.KindPartitioned:
-		return r.repartition(ss)
+		return r.reshapePartitioned(ss, +1, drain)
 	default:
 		return fmt.Errorf("runtime: unknown state kind %v", ss.def.Kind)
 	}
+}
+
+// appendInstance adds an instance on node at the TE's next index (built,
+// not started) and bumps the snapshot epoch. Checkpoint-watermark trim
+// bookkeeping restarts, because it must now cover the new instance too.
+func (r *Runtime) appendInstance(ts *teState, node *cluster.Node) *teInstance {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	ti := r.newInstance(ts, len(ts.insts), node)
+	ts.insts = append(ts.insts, ti)
+	ts.bumpInstances()
+	ts.ckptWM = nil
+	return ti
 }
 
 // growPartial adds one partial replica and the matching TE instances. New
@@ -65,139 +85,15 @@ func (r *Runtime) growPartial(ss *seState) error {
 		return err
 	}
 	ss.mu.Lock()
-	idx := len(ss.insts)
-	si := &seInstance{se: ss, idx: idx, node: node, store: store}
+	si := &seInstance{se: ss, idx: len(ss.insts), node: node, store: store}
 	ss.insts = append(ss.insts, si)
 	ss.mu.Unlock()
 
-	var started []*teInstance
 	for _, teID := range r.graph.TEsAccessing(ss.def.ID) {
-		ts := r.tes[teID]
-		ts.mu.Lock()
-		ti := r.newInstance(ts, idx, node)
-		ts.insts = append(ts.insts, ti)
-		ts.bumpInstances()
-		// Trim bookkeeping must now cover the new instance too.
-		ts.ckptWM = nil
-		ts.mu.Unlock()
-		started = append(started, ti)
-	}
-	for _, ti := range started {
-		r.startWorker(ti)
+		r.startWorker(r.appendInstance(r.tes[teID], node))
 	}
 	if r.opts.Mode != 0 && r.bk != nil {
 		r.startCheckpointLoop(si)
-	}
-	return nil
-}
-
-// repartition grows a partitioned SE from k to k+1 instances by pausing
-// the accessing TEs and rebuilding k+1 stores with reshard, the same
-// chunk split recovery uses. This is the expensive path; the paper's
-// experiments scale partial state, but partitioned scale-out is required
-// for completeness (new partitioned SE instances "may result" from new TE
-// instances, §3.3).
-func (r *Runtime) repartition(ss *seState) error {
-	accessing := r.graph.TEsAccessing(ss.def.ID)
-
-	// Exclude checkpoints for the whole rebuild, exactly like scale-in's
-	// swap: reshard streams only the base, so re-chunking a store that an
-	// in-flight async checkpoint holds dirty would silently drop every
-	// overlay write when the old store (where MergeDirty would have folded
-	// them) is discarded. The gate waits out in-flight checkpoints and
-	// blocks new ones. Lock order: ckptGate, then pause, then ss.mu — the
-	// same order CheckpointNow (gate → ss.mu; sync mode gate → pause)
-	// observes.
-	ss.ckptGate.Lock()
-	defer ss.ckptGate.Unlock()
-
-	// Pause the nodes hosting the SE so no TE mutates it mid-move. Pause
-	// locks must come BEFORE ss.mu: a worker holds its node's pause RLock
-	// while ctx.Store() takes ss.mu.RLock, so taking ss.mu first and then
-	// waiting for the pause lock deadlocks against any instance that is
-	// mid-item (three-way: repartition holds ss.mu waiting on pause, the
-	// worker holds pause waiting on ss.mu's pending writer). The node set
-	// is read under a read lock first and re-validated once everything is
-	// held; a concurrent topology change releases and retries.
-	var resumes []func()
-	release := func() {
-		for i := len(resumes) - 1; i >= 0; i-- {
-			resumes[i]()
-		}
-		resumes = nil
-	}
-	for {
-		ss.mu.RLock()
-		nodes := make([]*cluster.Node, 0, len(ss.insts))
-		seen := map[int]bool{}
-		for _, si := range ss.insts {
-			if !seen[si.node.ID] {
-				seen[si.node.ID] = true
-				nodes = append(nodes, si.node)
-			}
-		}
-		ss.mu.RUnlock()
-		// Deterministic order so two concurrent pausers cannot deadlock.
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-		for _, node := range nodes {
-			mu := r.pauseFor(node)
-			mu.Lock()
-			resumes = append(resumes, mu.Unlock)
-		}
-		ss.mu.Lock()
-		same := true
-		for _, si := range ss.insts {
-			if !seen[si.node.ID] {
-				same = false
-				break
-			}
-		}
-		if same {
-			break
-		}
-		ss.mu.Unlock()
-		release()
-	}
-	defer ss.mu.Unlock()
-	defer release()
-	k := len(ss.insts)
-	stores, err := r.reshard(ss, ss.insts, k+1)
-	if err != nil {
-		return err
-	}
-	newInsts := make([]*seInstance, k+1)
-	for j, store := range stores {
-		if j == k {
-			newInsts[j] = &seInstance{se: ss, idx: j, node: r.cl.AddNode(), store: store}
-			continue
-		}
-		// Existing partitions stay home. The rebuilt instance inherits its
-		// predecessor's epoch counter so epochs stay monotonic per instance
-		// name in the backup manifest (a reset counter could reuse an epoch
-		// number still referenced by the superseded chain). chained stays
-		// false: the rebuilt store must anchor a fresh base first.
-		newInsts[j] = &seInstance{se: ss, idx: j, node: ss.insts[j].node, store: store}
-		newInsts[j].epoch.Store(ss.insts[j].epoch.Load())
-	}
-	ss.insts = newInsts
-
-	// Add the TE instances for the new partition.
-	var started []*teInstance
-	for _, teID := range accessing {
-		ts := r.tes[teID]
-		ts.mu.Lock()
-		ti := r.newInstance(ts, k, newInsts[k].node)
-		ts.insts = append(ts.insts, ti)
-		ts.bumpInstances()
-		ts.ckptWM = nil
-		ts.mu.Unlock()
-		started = append(started, ti)
-	}
-	for _, ti := range started {
-		r.startWorker(ti)
-	}
-	if r.opts.Mode != 0 && r.bk != nil {
-		r.startCheckpointLoop(newInsts[k])
 	}
 	return nil
 }
@@ -209,10 +105,10 @@ func (r *Runtime) repartition(ss *seState) error {
 // scale-in (k→k−1) both use it, because the partition function changes
 // for every key on a rescale, not just for the keys of the added or
 // retired partition. It only reads the old stores, so an error leaves the
-// SE as it was. The caller holds the stores still — paused nodes or a
-// quiesced ingress fence — and the SE's checkpoint gate, so no checkpoint
-// can hold a store dirty; one held dirty out of band is refused with
-// state.ErrDirtyActive before anything is built.
+// SE as it was. The caller holds the stores still — a quiesced ingress
+// fence — and the SE's checkpoint gate, so no checkpoint can hold a store
+// dirty; one held dirty out of band is refused with state.ErrDirtyActive
+// before anything is built.
 func (r *Runtime) reshard(ss *seState, old []*seInstance, n int) ([]state.Store, error) {
 	for _, si := range old {
 		if si.store.Dirty() {
@@ -339,6 +235,16 @@ func (r *Runtime) StartAutoScale(interval time.Duration, p ScalePolicy) {
 	if p.Cooldown <= 0 {
 		p.Cooldown = 4 * interval
 	}
+	// Auto-initiated reshapes get a scan-window-sized quiesce budget: a
+	// graph that cannot drain (cyclic, or loaded elsewhere) fails fast
+	// instead of fencing all ingress for the full manual timeout.
+	drain := time.Duration(p.ShrinkAfter) * interval
+	if min := 4 * interval; drain < min {
+		drain = min
+	}
+	if drain > scaleDrainTimeout {
+		drain = scaleDrainTimeout
+	}
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
@@ -361,40 +267,25 @@ func (r *Runtime) StartAutoScale(interval time.Duration, p ScalePolicy) {
 				if time.Since(lastScale) < p.Cooldown {
 					continue
 				}
-				if te, n := findBottleneck(p, scans); te != "" {
-					if err := r.ScaleUp(te); err == nil {
-						lastScale = time.Now()
-						lowStreak[te] = 0
-						if p.OnScale != nil {
-							p.OnScale(te, n+1)
-						}
-					}
-					continue
-				}
 				// Growth takes priority; only a scan with no bottleneck may
 				// shrink.
-				if te, n := shrinkCandidate(p, scans, lowStreak); te != "" {
-					// Auto-initiated attempts get a scan-window-sized quiesce
-					// budget: a graph that cannot drain (cyclic, or loaded
-					// elsewhere) fails fast instead of fencing all ingress
-					// for the full manual ScaleDown timeout.
-					drain := time.Duration(p.ShrinkAfter) * interval
-					if min := 4 * interval; drain < min {
-						drain = min
+				scale, step := r.scaleUp, 1
+				te, n := findBottleneck(p, scans)
+				if te == "" {
+					scale, step = r.scaleDown, -1
+					if te, n = shrinkCandidate(p, scans, lowStreak); te == "" {
+						continue
 					}
-					if drain > scaleDrainTimeout {
-						drain = scaleDrainTimeout
-					}
-					err := r.scaleDown(te, drain)
-					// Space retries with the shared cooldown even when the
-					// attempt failed — repeated fence-and-fail cycles must
-					// not degrade ingress — and restart the observation
-					// window either way.
-					lastScale = time.Now()
-					lowStreak[te] = 0
-					if err == nil && p.OnScale != nil {
-						p.OnScale(te, n-1)
-					}
+				}
+				err := scale(te, drain)
+				// Space retries with the shared cooldown even when the
+				// attempt failed — repeated fence-and-fail cycles must not
+				// degrade ingress — and restart the observation window
+				// either way.
+				lastScale = time.Now()
+				lowStreak[te] = 0
+				if err == nil && p.OnScale != nil {
+					p.OnScale(te, n+step)
 				}
 			}
 		}

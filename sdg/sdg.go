@@ -312,7 +312,11 @@ func (s *System) Recover(seName string, n int) error {
 }
 
 // ScaleUp adds an instance to a task (and to its SE, following the state
-// kind's semantics).
+// kind's semantics). Growing partitioned state runs ScaleDown's protocol:
+// ingress is fenced while the graph drains and the state repartitions onto
+// one more instance. It fails while an instance of a task sharing the
+// state is dead (recover first), and with ErrNotQuiesced when the graph
+// cannot drain within 30s.
 func (s *System) ScaleUp(task string) error { return s.rt.ScaleUp(task) }
 
 // ScaleDown retires an instance of a task, draining it behind an ingress
@@ -338,8 +342,8 @@ func (s *System) AutoScaleWithPolicy(interval time.Duration, p ScalePolicy) {
 	s.rt.StartAutoScale(interval, p)
 }
 
-// ErrNotQuiesced is returned by ScaleDown when the graph's queues do not
-// drain within the scale-in timeout.
+// ErrNotQuiesced is returned by ScaleUp and ScaleDown when the graph's
+// queues do not drain within the reshape timeout.
 var ErrNotQuiesced = runtime.ErrNotQuiesced
 
 // Stats snapshots the live topology and counters.
