@@ -102,6 +102,18 @@ func (b *OutputBuffer) Trim(watermarks map[uint64]uint64) {
 	b.mu.Unlock()
 }
 
+// Rewrite replaces the buffered items with what f returns for them, under
+// the buffer's lock. f may filter the slice in place, which spares a
+// caller that drops most of a long buffer the copy Replay would make.
+func (b *OutputBuffer) Rewrite(f func(items []core.Item) []core.Item) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.items, b.bytes = f(b.items), 0
+	for _, it := range b.items {
+		b.bytes += itemCost(it)
+	}
+}
+
 // Replay returns a copy of the buffered items in append order.
 func (b *OutputBuffer) Replay() []core.Item {
 	b.mu.Lock()

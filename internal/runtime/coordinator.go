@@ -692,13 +692,12 @@ func (c *Coordinator) Checkpoint() error {
 	return firstErr
 }
 
-// trimCovered broadcasts everything this checkpoint round proved durable:
+// trimCovered broadcasts what this checkpoint round proved durable: the
 // per-(edge, destination instance) trim points for the cross-worker edge
-// send logs (sharded deployments), and per-TE local trim floors for the
-// worker-local replay buffers (localTrims). Only instances snapshotted
-// this round feed the edge trims — a worker that missed the round keeps
-// its older restore point, and items it may still need stay logged at the
-// senders.
+// send logs of a sharded deployment. Only instances snapshotted this round
+// feed them — a worker that missed the round keeps its older restore
+// point, and items it may still need stay logged at the senders. Out-edge
+// logs inside a worker need no message: the cut itself trims them.
 func (c *Coordinator) trimCovered(fresh map[int]*retainedSnap) {
 	var trims []wire.EdgeTrimEntry
 	if c.shard && len(fresh) > 0 {
@@ -715,11 +714,10 @@ func (c *Coordinator) trimCovered(fresh map[int]*retainedSnap) {
 			}
 		}
 	}
-	locals := c.localTrims()
-	if len(trims) == 0 && len(locals) == 0 {
+	if len(trims) == 0 {
 		return
 	}
-	frame, err := wire.Encode(wire.MsgEdgeTrim, wire.EdgeTrim{Trims: trims, Locals: locals})
+	frame, err := wire.Encode(wire.MsgEdgeTrim, wire.EdgeTrim{Trims: trims})
 	if err != nil {
 		return
 	}
@@ -736,16 +734,15 @@ func (c *Coordinator) trimCovered(fresh map[int]*retainedSnap) {
 
 // minWatermarks folds the PartTE parts of task te into the per-origin
 // minimum watermark — the seqs every one of those instances has snapshotted
-// past — and counts the instances folded. An origin missing from any
-// instance's map is dropped: that instance may still need those items
-// replayed, mirroring the in-process trim rule.
-func minWatermarks(tes []wire.SnapPart, te string) (floor map[uint64]uint64, n int) {
+// past. An origin missing from any instance's map is dropped: that
+// instance may still need those items replayed, mirroring the in-process
+// trim rule.
+func minWatermarks(tes []wire.SnapPart, te string) (floor map[uint64]uint64) {
 	for _, t := range tes {
 		if t.Name != te {
 			continue
 		}
-		n++
-		if n == 1 {
+		if floor == nil {
 			floor = make(map[uint64]uint64, len(t.Watermarks))
 			maps.Copy(floor, t.Watermarks)
 			continue
@@ -758,7 +755,7 @@ func minWatermarks(tes []wire.SnapPart, te string) (floor map[uint64]uint64, n i
 			}
 		}
 	}
-	return floor, n
+	return floor
 }
 
 // trimLogs drops replay-log items the worker's snapshot durably covers:
@@ -766,7 +763,7 @@ func minWatermarks(tes []wire.SnapPart, te string) (floor map[uint64]uint64, n i
 // worker's instances of that task.
 func (c *Coordinator) trimLogs(w int, tes []wire.SnapPart) {
 	for task, log := range c.workers[w].logs {
-		if min, _ := minWatermarks(tes, task); len(min) > 0 {
+		if min := minWatermarks(tes, task); len(min) > 0 {
 			log.Trim(min)
 		}
 	}

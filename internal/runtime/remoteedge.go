@@ -373,11 +373,12 @@ func (n *remoteNet) resetPeerLocked(p *peerConn, addr *string) {
 			p.tr = nil
 		}
 	}
-	old := queueItems(p.queue)
+	// Counted under p.mu: once it drops, the sender may pop q's head and
+	// clear its items, which would leave pending short for good.
+	n.pending.Add(queueItems(q) - queueItems(p.queue))
 	p.queue = q
 	p.gen++
 	p.mu.Unlock()
-	n.pending.Add(queueItems(q) - old)
 	p.cond.Signal()
 }
 
@@ -495,22 +496,16 @@ func (n *remoteNet) edgeParts(dst *[]wire.SnapPart, maxBytes int) error {
 	return nil
 }
 
-// Edge-log restore now flows through the streaming part path: see
-// beginRestoreStream / applySnapPart(PartEdge) / finishRestoreStream in
-// snapstream.go. Items that were logged but unsent when the snapshot was
-// cut will not be regenerated (the seq counters restore to OutSeq), so the
-// peer-queue rebuild there re-enters them; receivers dedup whatever they
-// already processed.
-
 // deliverRemote routes one flushed batch over a cut edge: the local slice
 // of the destination keeps the in-process fast path, everything else is
 // logged and queued per owning peer. Called from deliverBatch; items is
-// caller-owned scratch exactly as there.
-func (r *Runtime) deliverRemote(e *edgeRT, items []core.Item, rs *routeScratch) {
+// caller-owned scratch exactly as there. A nil net delivers the local
+// slice alone: a restore re-delivering its backlog, whose remote copies
+// the rebuilt send queues carry.
+func (r *Runtime) deliverRemote(e *edgeRT, items []core.Item, rs *routeScratch, net *remoteNet) {
 	ts := e.to
 	insts := ts.instances()
 	first, cnt, total := ts.shard.First, ts.shard.Count, ts.shard.Total
-	net := e.remote.net
 	switch e.def.Dispatch {
 	case core.DispatchOneToAll:
 		// Every remote instance counts as live: instance-level kills do not
@@ -537,7 +532,7 @@ func (r *Runtime) deliverRemote(e *edgeRT, items []core.Item, rs *routeScratch) 
 		for i := range rs.dsts {
 			rs.dsts[i] = nil
 		}
-		for g := 0; g < total; g++ {
+		for g := 0; g < total && net != nil; g++ {
 			if g >= first && g < first+cnt {
 				continue
 			}
@@ -566,6 +561,9 @@ func (r *Runtime) deliverRemote(e *edgeRT, items []core.Item, rs *routeScratch) 
 		copy(b, items)
 		if best != nil {
 			r.enqueue(best, b)
+			return
+		}
+		if net == nil {
 			return
 		}
 		k := int((e.remote.rr.Add(1) - 1) % uint64(total-cnt))
@@ -613,7 +611,7 @@ func (r *Runtime) deliverRemote(e *edgeRT, items []core.Item, rs *routeScratch) 
 			if len(b) > 0 {
 				if li := g - first; li >= 0 && li < len(insts) {
 					r.enqueue(insts[li], b)
-				} else {
+				} else if net != nil {
 					net.send(e.remote.idx, g, b)
 				}
 			}

@@ -790,7 +790,7 @@ func (r *Runtime) deliverBatch(e *edgeRT, items []core.Item, rs *routeScratch) {
 		}
 	}
 	if e.remote != nil {
-		r.deliverRemote(e, items, rs)
+		r.deliverRemote(e, items, rs, e.remote.net)
 		return
 	}
 	insts := e.to.instances()

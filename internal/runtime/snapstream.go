@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
@@ -70,11 +71,10 @@ func (si *seInstance) snapDelta(rebase bool) (state.DeltaStore, bool) {
 }
 
 // snapCapture is an open snapshot stream over one runtime: the eagerly
-// captured TE metadata, replay-log and edge-log parts (small, cut-bound),
-// plus one lazy checkpoint stream per SE instance. Parts are served queue
-// first, then store by store; each store merges its dirty overlay back the
-// moment its stream drains, so no store stays dirty for the whole
-// transfer.
+// captured TE metadata, local-backlog and edge-log parts, plus one lazy
+// checkpoint stream per SE instance. Parts are served queue first, then
+// store by store; each store merges its dirty overlay back the moment its
+// stream drains, so no store stays dirty for the whole transfer.
 type snapCapture struct {
 	r     *Runtime
 	queue []wire.SnapPart
@@ -103,9 +103,54 @@ func appendItemParts(dst *[]wire.SnapPart, tmpl wire.SnapPart, items []core.Item
 	return nil
 }
 
+// trimToBacklog trims one out-edge log, under the cut's pause, to the
+// items a local destination instance has not processed yet, and returns
+// them: the local backlog a restore re-delivers. The rest can never be
+// needed again — processed items live on in the captured stores, and
+// remote-bound ones in the PartEdge send logs. A one-to-any log does not
+// say which local instance took an item, so the item keeps while any of
+// them lags its seq, and with several local instances its re-delivery may
+// process it twice.
+func (r *Runtime) trimToBacklog(e *edgeRT, b *dataflow.OutputBuffer, rs *routeScratch) []core.Item {
+	insts := e.to.instances()
+	first, total := 0, len(insts)
+	if e.remote != nil {
+		first, total = e.to.shard.First, e.to.shard.Total
+	}
+	wms := make([]map[uint64]uint64, len(insts))
+	for i, dst := range insts {
+		wms[i] = dst.dedup.Watermarks()
+	}
+	routed := e.def.Dispatch != core.DispatchOneToAll && e.def.Dispatch != core.DispatchOneToAny
+	var backlog []core.Item
+	b.Rewrite(func(items []core.Item) []core.Item {
+		if routed {
+			rs.targets = e.router.RouteBatch(items, total, rs.targets[:0])
+		}
+		kept := items[:0]
+		for i, it := range items {
+			lo, hi := 0, len(insts)
+			if routed {
+				lo = max(rs.targets[i]-first, 0)
+				hi = min(rs.targets[i]-first+1, len(insts))
+			}
+			for li := lo; li < hi; li++ {
+				if wms[li][it.Origin] < it.Seq {
+					kept = append(kept, it)
+					break
+				}
+			}
+		}
+		backlog = slices.Clone(kept)
+		return kept
+	})
+	return backlog
+}
+
 // newSnapCapture cuts a consistent snapshot and returns the open stream.
-// The pause covers only the cut: flipping every SE store into dirty mode
-// and capturing TE watermarks, replay logs and cross-worker edge logs.
+// The pause covers only the cut: flipping every SE store into dirty mode,
+// capturing TE watermarks and cross-worker edge logs, and trimming the
+// out-edge logs to their local backlog.
 func (r *Runtime) newSnapCapture(maxBytes int, rebase []wire.SEInst) (*snapCapture, error) {
 	if maxBytes <= 0 || maxBytes > maxSnapChunkBytes {
 		maxBytes = defaultSnapChunkBytes
@@ -137,6 +182,7 @@ func (r *Runtime) newSnapCapture(maxBytes int, rebase []wire.SEInst) (*snapCaptu
 			c.ses = append(c.ses, &seStream{si: si, cs: cs})
 		}
 	}
+	var rs routeScratch
 	for _, ts := range r.tes {
 		for _, ti := range ts.instances() {
 			c.queue = append(c.queue, wire.SnapPart{
@@ -146,12 +192,9 @@ func (r *Runtime) newSnapCapture(maxBytes int, rebase []wire.SEInst) (*snapCaptu
 				Watermarks: ti.dedup.Watermarks(),
 				OutSeq:     ti.seqCtr.Load(),
 			})
-			if len(ts.out) == 0 {
-				continue
-			}
 			for i, b := range ti.outBufs {
 				tmpl := wire.SnapPart{Kind: wire.PartTEBuf, Name: ts.def.Name, Index: ti.idx, Edge: i}
-				if err := appendItemParts(&c.queue, tmpl, b.Replay(), maxBytes); err != nil {
+				if err := appendItemParts(&c.queue, tmpl, r.trimToBacklog(ts.out[i], b, &rs), maxBytes); err != nil {
 					return fail(fmt.Errorf("runtime: snapshot %s/%d edge %d: %w", ts.def.Name, ti.idx, i, err))
 				}
 			}
@@ -254,7 +297,7 @@ func (r *Runtime) beginRestoreStream() {
 
 // applySnapPart applies one restored part. Parts may arrive in any order
 // except that an SE instance's base parts precede its delta parts and
-// those arrive in epoch order; replay-log and edge-log parts append, so the
+// those arrive in epoch order; backlog and edge-log parts append, so the
 // coordinator must deliver each exactly once (the worker's seq protocol
 // enforces that).
 func (r *Runtime) applySnapPart(p wire.SnapPart) error {
@@ -319,9 +362,15 @@ func (r *Runtime) applySnapPart(p wire.SnapPart) error {
 	return nil
 }
 
-// finishRestoreStream completes a chunk-by-chunk restore: peer send queues
-// rebuild from the restored edge logs and the restore seal lifts.
+// finishRestoreStream completes a chunk-by-chunk restore: the restored
+// local backlog is re-delivered, peer send queues rebuild from the restored
+// edge logs, and the restore seal lifts. Nothing the cut logged is emitted
+// again (seq counters restore to OutSeq), so these two re-send it all and
+// receivers dedup what they already processed. The coordinator injects
+// nothing until RestoreEnd is acked, so the backlog reaches every
+// destination queue ahead of any newer seq.
 func (r *Runtime) finishRestoreStream() {
+	r.redeliverBacklog()
 	if r.net == nil {
 		return
 	}
@@ -332,6 +381,42 @@ func (r *Runtime) finishRestoreStream() {
 	}
 	n.mu.Unlock()
 	n.sealed.Store(false)
+}
+
+// redeliverBacklog routes every restored out-edge log item to the local
+// instances it is bound for; remote copies come back through the rebuilt
+// send queues. Each upstream instance's items go out in seq order across
+// its edges: two edges into one TE share that seq space, and a lower seq
+// arriving behind a higher one would be dropped as a duplicate.
+func (r *Runtime) redeliverBacklog() {
+	type edgeItem struct {
+		edge int
+		it   core.Item
+	}
+	var rs routeScratch
+	var run []core.Item
+	for _, ts := range r.tes {
+		for _, ti := range ts.instances() {
+			var all []edgeItem
+			for e, b := range ti.outBufs {
+				for _, it := range b.Replay() {
+					all = append(all, edgeItem{e, it})
+				}
+			}
+			sort.SliceStable(all, func(i, j int) bool { return all[i].it.Seq < all[j].it.Seq })
+			for i, ei := range all {
+				if run = append(run, ei.it); i+1 < len(all) && all[i+1].edge == ei.edge {
+					continue
+				}
+				if e := ts.out[ei.edge]; e.remote != nil {
+					r.deliverRemote(e, run, &rs, nil)
+				} else {
+					r.deliverBatch(e, run, &rs)
+				}
+				run = run[:0]
+			}
+		}
+	}
 }
 
 // teInstanceAt resolves one TE instance by worker-local index.
@@ -347,35 +432,12 @@ func (r *Runtime) teInstanceAt(name string, index int) (*teInstance, error) {
 	return insts[index], nil
 }
 
-// TrimLocalBufs applies coordinator-distributed local trim floors: once a
-// coordinator checkpoint proves every instance of a TE has snapshotted
-// past a seq, the worker-local replay buffers feeding that TE (the
-// injection source buffer and every upstream instance's output buffer for
-// the in-edges) drop their covered entries. Without this, worker-local
-// outBufs grow for the life of the process — the coordinator's replay logs
-// are the recovery truth in distributed mode, not these buffers.
-func (r *Runtime) TrimLocalBufs(trims []wire.LocalTrim) {
-	for _, lt := range trims {
-		if len(lt.Watermarks) == 0 {
-			continue
-		}
-		ts, err := r.te(lt.TE)
-		if err != nil {
-			continue
-		}
-		r.trimEdgesInto(ts, lt.Watermarks)
-	}
-}
-
 // OutBufItems reports the items currently buffered across every TE
-// instance's per-edge output buffers plus every entry source buffer —
-// observability for the between-checkpoint trim.
+// instance's per-edge output buffers — observability for the trim a
+// snapshot cut applies.
 func (r *Runtime) OutBufItems() int {
 	total := 0
 	for _, ts := range r.tes {
-		if ts.srcBuf != nil {
-			total += ts.srcBuf.Len()
-		}
 		for _, ti := range ts.instances() {
 			for _, b := range ti.outBufs {
 				total += b.Len()

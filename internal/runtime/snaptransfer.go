@@ -48,9 +48,9 @@ type seChain struct {
 }
 
 // retainedSnap is one worker's recovery point: per SE instance a chain,
-// plus the newest epoch's metadata parts (TE watermarks, replay-log and
-// edge-log slices — always shipped whole) and the TE watermark metadata the
-// replay-log and edge trims read. Guarded by the write side of the
+// plus the newest epoch's metadata parts (TE watermarks, the local backlog
+// and edge-log slices — always shipped whole) and the TE watermark metadata
+// the replay-log and edge trims read. Guarded by the write side of the
 // coordinator's injMu.
 type retainedSnap struct {
 	epoch uint64             // newest retained epoch: the next SnapBegin's Have
@@ -379,38 +379,4 @@ func (c *Coordinator) pushSnapshot(rs *retainedSnap, ep WorkerEndpoint) error {
 	}
 	var eAck wire.RestoreEndAck
 	return callRetry(ep.Data, end, wire.MsgRestoreEndAck, &eAck)
-}
-
-// localTrims builds the per-TE watermark floors that let workers trim
-// their local replay buffers (entry source buffers and in-process out-edge
-// buffers) between coordinator checkpoints. A TE's floor is the per-origin
-// minimum across every instance's retained watermarks — and it only exists
-// when every worker holds a current retained snapshot, because a worker
-// without one would need those buffered items again after a failure.
-// Called under injMu's write side.
-func (c *Coordinator) localTrims() []wire.LocalTrim {
-	for _, cw := range c.workers {
-		if cw.snap == nil {
-			return nil
-		}
-	}
-	var tes []wire.SnapPart
-	for _, cw := range c.workers {
-		tes = append(tes, cw.snap.tes...)
-	}
-	var out []wire.LocalTrim
-	for _, te := range c.g.TEs {
-		min, n := minWatermarks(tes, te.Name)
-		// Every instance of the task must be covered, or an uncovered
-		// instance could still need the buffered items. A single-worker
-		// deployment always covers all instances once its snapshot exists;
-		// a sharded one must see the full global instance set.
-		if c.shard && n != c.teShards[0][te.Name].Total {
-			continue
-		}
-		if len(min) > 0 {
-			out = append(out, wire.LocalTrim{TE: te.Name, Watermarks: min})
-		}
-	}
-	return out
 }

@@ -85,9 +85,8 @@ func (w *Worker) PendingEdgeItems() int {
 	return rt.EdgeLogItems()
 }
 
-// OutBufItems reports items buffered in the runtime's local replay buffers
-// (entry source buffers plus in-process out-edge buffers) — observability
-// for the coordinator-driven local trim.
+// OutBufItems reports items buffered in the runtime's out-edge logs —
+// observability for the trim a snapshot cut applies.
 func (w *Worker) OutBufItems() int {
 	rt, err := w.runtime()
 	if err != nil {
@@ -298,7 +297,6 @@ func (w *Worker) handle(req []byte) ([]byte, error) {
 			return nil, err
 		}
 		rt.TrimEdgeLogs(m.Trims)
-		rt.TrimLocalBufs(m.Locals)
 		return wire.Encode(wire.MsgEdgeTrimAck, wire.EdgeTrimAck{})
 	case wire.MsgSnapBegin:
 		var m wire.SnapBegin

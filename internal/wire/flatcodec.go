@@ -190,11 +190,6 @@ func encodeFlat(e *flat.Encoder, msgType byte, v any) error {
 			e.Uvarint(uint64(t.Inst))
 			encodeWatermarks(e, t.Watermarks)
 		}
-		e.Uvarint(uint64(len(m.Locals)))
-		for _, l := range m.Locals {
-			e.Str(l.TE)
-			encodeWatermarks(e, l.Watermarks)
-		}
 	case EdgeTrimAck:
 		is = MsgEdgeTrimAck
 	case SnapBegin:
@@ -349,12 +344,6 @@ func decodeFlat(body []byte, v any) error {
 			m.Trims = make([]EdgeTrimEntry, 0, n)
 			for i := 0; i < n && d.Err() == nil; i++ {
 				m.Trims = append(m.Trims, EdgeTrimEntry{Edge: int(d.Uvarint()), Inst: int(d.Uvarint()), Watermarks: decodeWatermarks(d)})
-			}
-		}
-		if n := d.Count(2); n > 0 {
-			m.Locals = make([]LocalTrim, 0, n)
-			for i := 0; i < n && d.Err() == nil; i++ {
-				m.Locals = append(m.Locals, LocalTrim{TE: d.Str(), Watermarks: decodeWatermarks(d)})
 			}
 		}
 	case *SnapBegin:

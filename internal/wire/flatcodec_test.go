@@ -95,8 +95,7 @@ var samples = map[byte][]any{
 	MsgPeers:         {Peers{Worker: 1, Addr: "127.0.0.1:40000"}},
 	MsgPeersAck:      {PeersAck{}},
 	MsgEdgeTrim: {EdgeTrim{
-		Trims:  []EdgeTrimEntry{{Edge: 0, Inst: 1, Watermarks: map[uint64]uint64{1<<32 | 1: 100, 1 << 32: 90}}},
-		Locals: []LocalTrim{{TE: "count", Watermarks: map[uint64]uint64{^uint64(0): 999}}},
+		Trims: []EdgeTrimEntry{{Edge: 0, Inst: 1, Watermarks: map[uint64]uint64{1<<32 | 1: 100, 1 << 32: 90}}},
 	}},
 	MsgEdgeTrimAck: {EdgeTrimAck{}},
 	MsgSnapBegin: {

@@ -258,21 +258,10 @@ type EdgeTrimEntry struct {
 	Watermarks map[uint64]uint64
 }
 
-// LocalTrim carries one TE's coordinator-folded watermark floor (min per
-// origin across every instance of that TE, cluster-wide). Once every
-// instance has snapshotted past a seq, no recovery can ever replay it, so
-// workers may drop covered entries from their local output buffers.
-type LocalTrim struct {
-	TE         string
-	Watermarks map[uint64]uint64
-}
-
 // EdgeTrim distributes post-checkpoint trim points: per-destination trims
-// for cross-worker edge send logs, plus per-TE floors for worker-local
-// output buffers.
+// for cross-worker edge send logs.
 type EdgeTrim struct {
-	Trims  []EdgeTrimEntry
-	Locals []LocalTrim
+	Trims []EdgeTrimEntry
 }
 
 // EdgeTrimAck confirms the trim.

@@ -25,10 +25,11 @@ const (
 	// PartTE: TE instance Name/Index recovery metadata
 	// (Watermarks, OutSeq).
 	PartTE byte = 2
-	// PartTEBuf: a slice of TE instance Name/Index's replay log for
-	// out-edge Edge, items flat-encoded with EncodeItems in Data. A long
-	// log splits into several parts; order within one (Name, Index, Edge)
-	// follows stream order.
+	// PartTEBuf: a slice of TE instance Name/Index's local backlog on
+	// out-edge Edge — the items a destination on the same worker had not
+	// processed at the cut, which RestoreEnd re-delivers — flat-encoded
+	// with EncodeItems in Data. A long backlog splits into several parts;
+	// order within one (Name, Index, Edge) follows stream order.
 	PartTEBuf byte = 3
 	// PartEdge: a slice of the cross-worker send log toward global
 	// instance Inst over graph edge Edge, EncodeItems-encoded in Data.
