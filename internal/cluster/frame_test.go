@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -81,7 +82,9 @@ func TestWriteFrameOversized(t *testing.T) {
 
 // FuzzReadFrame throws arbitrary byte streams at the frame parser: it must
 // either return a payload consistent with the declared length or fail with
-// an error — never panic, never return a frame larger than the bound.
+// an error — never panic, never return a frame larger than the bound. A
+// connection parses through a bufio.Reader, which must agree with the bare
+// reader byte for byte.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
@@ -90,6 +93,10 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 10, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, err := ReadFrame(bytes.NewReader(data))
+		buffered, berr := ReadFrame(bufio.NewReaderSize(bytes.NewReader(data), 16))
+		if (err == nil) != (berr == nil) || !bytes.Equal(payload, buffered) {
+			t.Fatalf("bare reader: %x, %v; bufio.Reader: %x, %v", payload, err, buffered, berr)
+		}
 		if err != nil {
 			return
 		}

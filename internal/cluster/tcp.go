@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -74,43 +75,46 @@ func (e *RemoteError) Is(target error) bool { return target == ErrRemote }
 // without string matching.
 var ErrRemote = errors.New("cluster: remote error")
 
+// connBufSize sizes each connection's read buffer, so a small frame (and
+// often the frames behind it) arrives in one read, and bounds the payloads
+// a writer copies behind their header into its reused write buffer.
+const connBufSize = 64 << 10
+
 // WriteFrame writes one length-prefixed frame.
 func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameSize {
+	return writeFrame(w, new([]byte), nil, payload)
+}
+
+// writeFrame writes one frame — the length prefix, lead, then payload — with
+// a single Write call. A reply's lead is its status byte, so the payload is
+// never copied into a status-prefixed slice. A payload up to connBufSize is
+// copied behind the header into scratch, the connection's reused write
+// buffer; a larger one goes out as net.Buffers, which a TCP connection
+// writes with one writev, so scratch never outgrows connBufSize.
+func writeFrame(w io.Writer, scratch *[]byte, lead, payload []byte) error {
+	n := len(lead) + len(payload)
+	if n > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("cluster: write frame header: %w", err)
+	buf := append(binary.BigEndian.AppendUint32((*scratch)[:0], uint32(n)), lead...)
+	var err error
+	if len(payload) > connBufSize {
+		bufs := net.Buffers{buf, payload}
+		_, err = bufs.WriteTo(w)
+	} else {
+		buf = append(buf, payload...)
+		_, err = w.Write(buf)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("cluster: write frame body: %w", err)
+	*scratch = buf[:0]
+	if err != nil {
+		return fmt.Errorf("cluster: write frame: %w", err)
 	}
 	return nil
 }
 
-// writeReplyFrame writes one reply frame: a length prefix covering the
-// status byte plus payload, then the status byte, then the payload. The
-// status rides inside the frame so the payload is never copied into a
-// status-prefixed slice.
-func writeReplyFrame(w io.Writer, status byte, payload []byte) error {
-	if len(payload)+1 > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = status
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("cluster: write reply header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("cluster: write reply body: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame reads one length-prefixed frame.
+// ReadFrame reads one length-prefixed frame into a fresh slice the caller
+// owns (flat decode borrows from it), allocated only once the length passed
+// the MaxFrameSize check. Connections read it through a bufio.Reader.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -202,8 +206,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	br := bufio.NewReaderSize(conn, connBufSize)
+	var wbuf []byte
 	for {
-		req, err := ReadFrame(conn)
+		req, err := ReadFrame(br)
 		if err != nil {
 			return
 		}
@@ -213,17 +219,17 @@ func (s *Server) serveConn(conn net.Conn) {
 			// stream's framing is intact, and dropping the connection would
 			// leave the client unable to tell a rejected request from a dead
 			// server (and would poison its healthy stream).
-			if werr := writeReplyFrame(conn, statusErr, []byte(err.Error())); werr != nil {
+			if werr := writeFrame(conn, &wbuf, []byte{statusErr}, []byte(err.Error())); werr != nil {
 				return
 			}
 			continue
 		}
-		if err := writeReplyFrame(conn, statusOK, resp); err != nil {
+		if err := writeFrame(conn, &wbuf, []byte{statusOK}, resp); err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
 				// The handler produced an unsendable reply; report that as an
 				// application error rather than killing the stream (no bytes
 				// were written for this frame yet).
-				if werr := writeReplyFrame(conn, statusErr, []byte(err.Error())); werr == nil {
+				if werr := writeFrame(conn, &wbuf, []byte{statusErr}, []byte(err.Error())); werr == nil {
 					continue
 				}
 			}
@@ -258,6 +264,11 @@ func (s *Server) Close() error {
 type Client struct {
 	mu   sync.Mutex // serialises Call; held across the request/reply round trip
 	conn net.Conn
+	// br, wbuf and deadline are the connection's read buffer, reused write
+	// buffer and armed deadline (zero: none). Guarded by mu.
+	br       *bufio.Reader
+	wbuf     []byte
+	deadline time.Time
 
 	// stateMu guards broken and timeout. It is separate from mu so Close
 	// and SetCallTimeout never wait behind an in-flight network round trip
@@ -273,13 +284,19 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 	}
-	return &Client{conn: conn}, nil
+	return &Client{conn: conn, br: bufio.NewReaderSize(conn, connBufSize)}, nil
 }
 
+// deadlineSlack is how far past now+timeout Call arms the connection
+// deadline, so back-to-back calls share one deadline instead of setting and
+// clearing one each.
+const deadlineSlack = 250 * time.Millisecond
+
 // SetCallTimeout bounds every subsequent Call's full round trip (request
-// write through reply read) via connection deadlines. A call that exceeds
-// it fails with ErrCallTimeout and poisons the stream — the peer is left
-// mid-frame, so the connection cannot be reused. Zero disables the bound.
+// write through reply read) via connection deadlines, to between d and
+// d+deadlineSlack. A call that exceeds it fails with ErrCallTimeout and
+// poisons the stream — the peer is left mid-frame, so the connection
+// cannot be reused. Zero disables the bound.
 func (c *Client) SetCallTimeout(d time.Duration) {
 	c.stateMu.Lock()
 	c.timeout = d
@@ -313,22 +330,26 @@ func (c *Client) Call(req []byte) ([]byte, error) {
 	c.stateMu.Lock()
 	timeout := c.timeout
 	c.stateMu.Unlock()
+	// One deadline spans the whole round trip: a server that accepts the
+	// request but never replies (hung or partitioned) must not block the
+	// caller forever while it holds c.mu, wedging every concurrent caller
+	// queued behind it. The armed deadline moves only once it would fall
+	// short of now+timeout, so a stale one never fires on a fresh call.
 	if timeout > 0 {
-		// One deadline spans the whole round trip: a server that accepts the
-		// request but never replies (hung or partitioned) must not block the
-		// caller forever while it holds c.mu, wedging every concurrent
-		// caller queued behind it.
-		c.conn.SetDeadline(time.Now().Add(timeout))
+		if now := time.Now(); c.deadline.Before(now.Add(timeout)) {
+			c.deadline = now.Add(timeout + deadlineSlack)
+			c.conn.SetDeadline(c.deadline)
+		}
+	} else if !c.deadline.IsZero() {
+		c.deadline = time.Time{}
+		c.conn.SetDeadline(c.deadline)
 	}
-	if err := c.fail(WriteFrame(c.conn, req)); err != nil {
+	if err := c.fail(writeFrame(c.conn, &c.wbuf, nil, req)); err != nil {
 		return nil, timeoutErr(err, timeout)
 	}
-	resp, err := ReadFrame(c.conn)
+	resp, err := ReadFrame(c.br)
 	if err = c.fail(err); err != nil {
 		return nil, timeoutErr(err, timeout)
-	}
-	if timeout > 0 {
-		c.conn.SetDeadline(time.Time{})
 	}
 	if len(resp) == 0 {
 		// Protocol violation: replies always carry a status byte. The stream

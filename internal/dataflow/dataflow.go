@@ -102,6 +102,19 @@ func (b *OutputBuffer) Trim(watermarks map[uint64]uint64) {
 	b.mu.Unlock()
 }
 
+// TrimPrefix drops the leading items of origin at or below seq: what a log
+// written in seq order no longer needs once every reader is past seq.
+func (b *OutputBuffer) TrimPrefix(origin, seq uint64) {
+	b.mu.Lock()
+	n := 0
+	for ; n < len(b.items) && b.items[n].Origin == origin && b.items[n].Seq <= seq; n++ {
+		b.bytes -= itemCost(b.items[n])
+	}
+	clear(b.items[:n]) // the array outlives the trim until append outgrows it
+	b.items = b.items[n:]
+	b.mu.Unlock()
+}
+
 // Rewrite replaces the buffered items with what f returns for them, under
 // the buffer's lock. f may filter the slice in place, which spares a
 // caller that drops most of a long buffer the copy Replay would make.
@@ -179,6 +192,13 @@ func (d *Dedup) FreshBatch(items []core.Item, keep []core.Item) []core.Item {
 	}
 	d.mu.Unlock()
 	return keep
+}
+
+// Last reports the highest seq seen from origin, 0 if none.
+func (d *Dedup) Last(origin uint64) uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.last[origin]
 }
 
 // Watermarks snapshots the per-origin high-water marks (the "vector

@@ -54,6 +54,17 @@ func TestOutputBufferTrim(t *testing.T) {
 	if b.Len() != 4 {
 		t.Fatal("nil trim removed items")
 	}
+	// A prefix trim drops the leading items of its origin up to seq, and
+	// stops at the first it must keep; the byte count follows.
+	b.TrimPrefix(99, 100)
+	b.TrimPrefix(7, 8)
+	if got := b.Replay(); len(got) != 2 || got[0].Seq != 9 || b.SizeBytes() != 2*itemCost(got[0]) {
+		t.Fatalf("after prefix trim to 8: %v, %d bytes", got, b.SizeBytes())
+	}
+	b.TrimPrefix(7, ^uint64(0))
+	if b.Len() != 0 || b.SizeBytes() != 0 {
+		t.Fatalf("trim past the end left %d items, %d bytes", b.Len(), b.SizeBytes())
+	}
 }
 
 func TestDedupFiltersDuplicates(t *testing.T) {

@@ -351,3 +351,26 @@ func TestBacklogCutShipsOnlyLocalBacklog(t *testing.T) {
 		}
 	}
 }
+
+// TestCutEdgeLogShedsProcessedItems: between snapshot cuts, the out-edge
+// log of a cut edge keeps only what its local destination has not yet
+// processed, not every item since the last cut.
+func TestCutEdgeLogShedsProcessedItems(t *testing.T) {
+	rig := newGateRig(t, "gatechain", 2)
+	rig.open()
+	rig.inject()
+	if !rig.coord.Drain(15 * time.Second) {
+		t.Fatal("did not quiesce")
+	}
+	// One more emission flushes the edge once everything before it has been
+	// processed: the log sheds every item up to the destination's last.
+	if err := rig.coord.Inject("ingest", 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !rig.coord.Drain(15 * time.Second) {
+		t.Fatal("did not quiesce")
+	}
+	if n := rig.workers[0].OutBufItems(); n >= gateKeys {
+		t.Fatalf("ingest's out-edge log holds %d of %d items its destinations processed", n, gateItems+1)
+	}
+}

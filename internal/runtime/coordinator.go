@@ -170,6 +170,9 @@ type Coordinator struct {
 	// by the write side of injMu.
 	stats SnapStats
 
+	// compact wakes compactChains; one slot, so Checkpoint never waits.
+	compact chan struct{}
+
 	stopOnce sync.Once
 	stopped  chan struct{}
 	wg       sync.WaitGroup
@@ -214,6 +217,7 @@ func NewCoordinator(graphName string, eps []WorkerEndpoint, opts CoordOptions) (
 		opts:      opts,
 		entry:     map[string]bool{},
 		keyed:     map[string]bool{},
+		compact:   make(chan struct{}, 1),
 		stopped:   make(chan struct{}),
 	}
 	for _, te := range g.TEs {
@@ -253,6 +257,8 @@ func NewCoordinator(graphName string, eps []WorkerEndpoint, opts CoordOptions) (
 	for i, cw := range c.workers {
 		c.startHeartbeat(i, cw)
 	}
+	c.wg.Add(1)
+	go c.compactChains()
 	return c, nil
 }
 
@@ -639,16 +645,15 @@ func (c *Coordinator) Checkpoint() error {
 		c.snapStreams++
 		stream, tr := c.snapStreams, cw.endpoint().Control
 		var have uint64
-		var rebase []wire.SEInst
 		if cw.snap != nil {
-			have, rebase = cw.snap.epoch, cw.snap.rebase()
+			have = cw.snap.epoch
 		}
 		p := &pull{}
 		pulls[w] = p
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.pe, p.err = c.pullSnapshot(tr, stream, have, rebase)
+			p.pe, p.err = c.pullSnapshot(tr, stream, have)
 		}()
 	}
 	wg.Wait()
@@ -689,6 +694,10 @@ func (c *Coordinator) Checkpoint() error {
 		c.notePeak(p.pe.peakFrame)
 	}
 	c.trimCovered(fresh)
+	select {
+	case c.compact <- struct{}{}:
+	default:
+	}
 	return firstErr
 }
 

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -321,7 +322,7 @@ func TestDeltaScaleUpRepartition(t *testing.T) {
 // TestCompactionRuleBothSinks checks that the two chain keepers compact at
 // the same 0.5 boundary: the backup store's manifest chain (read by async
 // delta checkpoints) and the coordinator's retained chain (read by
-// retainedSnap.rebase to request a fresh base from a worker).
+// seChain.needsFold, the chain compactor's trigger).
 func TestCompactionRuleBothSinks(t *testing.T) {
 	for _, tc := range []struct {
 		base   int
@@ -351,10 +352,64 @@ func TestCompactionRuleBothSinks(t *testing.T) {
 		if got := checkpoint.ShouldDelta(latest.Chain); got != tc.delta {
 			t.Errorf("backup chain base %d deltas %v: ShouldDelta = %v, want %v", tc.base, tc.deltas, got, tc.delta)
 		}
-		k := seKey{name: "store", index: 0}
-		rs := retainedSnap{ses: map[seKey]*seChain{k: chain}, order: []seKey{k}}
-		if rebased := len(rs.rebase()) == 1; rebased == tc.delta {
-			t.Errorf("coordinator chain base %d deltas %v: rebase = %v, want %v", tc.base, tc.deltas, rebased, !tc.delta)
+		if folds := chain.needsFold(); folds == tc.delta {
+			t.Errorf("coordinator chain base %d deltas %v: needsFold = %v, want %v", tc.base, tc.deltas, folds, !tc.delta)
 		}
 	}
+}
+
+// BenchmarkChainFold measures the coordinator's cost of one chain fold at
+// the size of one kv_call_ckpt worker's instance: a 200k × 128 B base plus
+// deltas of a tenth of the keys each, until the chain needs a fold. Values
+// are random, so flate cannot shrink them.
+func BenchmarkChainFold(b *testing.B) {
+	const keys, chunkBytes = 200_000, 1 << 20
+	rng := rand.New(rand.NewSource(1))
+	st := state.NewKVMap()
+	put := func(k uint64) {
+		v := make([]byte, 128)
+		rng.Read(v)
+		st.Put(k, v)
+	}
+	for k := uint64(0); k < keys; k++ {
+		put(k)
+	}
+	st.EnableDeltaTracking()
+	ch := &seChain{}
+	retain := func(epoch uint64, it state.ChunkIter, err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+		ref := checkpoint.EpochRef{Epoch: epoch, Delta: epoch > 1}
+		for ck, ok, err := it.Next(); ok || err != nil; ck, ok, err = it.Next() {
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := sePart("store", 0, ck)
+			rec, _ := encodeSnapRecord(&p)
+			ch.recs = append(ch.recs, rec)
+			ref.Chunks++
+			ref.Bytes += int64(len(rec))
+		}
+		ch.refs = append(ch.refs, ref)
+	}
+	it, err := state.StreamChunks(st, chunkBytes)
+	retain(1, it, err)
+	for epoch := uint64(2); !ch.needsFold(); epoch++ {
+		for i := 0; i < keys/10; i++ {
+			put(uint64(rng.Intn(keys)))
+		}
+		it, err := st.DeltaStream(chunkBytes)
+		retain(epoch, it, err)
+		st.CommitDelta()
+	}
+	c := &Coordinator{opts: CoordOptions{SnapChunkBytes: chunkBytes}}
+	for b.Loop() {
+		job := &foldJob{k: seKey{"store", 0}, ch: ch, recs: ch.recs, refs: ch.refs}
+		if err := c.fold(job); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ch.refs[0].Bytes)/(1<<20), "base_MB")
+	b.ReportMetric(float64(len(ch.refs)-1), "deltas")
 }

@@ -757,11 +757,22 @@ func (r *Runtime) flushOut(ti *teInstance) {
 }
 
 // flushEdge logs one edge's pending emissions to the replay buffer and
-// routes them downstream, then resets the pending buffer for reuse.
+// routes them downstream, then resets the pending buffer for reuse. A cut
+// edge runs in a worker, whose out-edge logs serve only the next snapshot
+// cut, and the cut keeps just what a local destination has not processed
+// (trimToBacklog). Destinations only move forward, so such a log sheds
+// that prefix as it goes instead of holding every item until the cut.
 func (r *Runtime) flushEdge(ti *teInstance, edge int) {
-	pend := ti.pendingOut[edge]
-	ti.outBufs[edge].AppendBatch(pend)
-	r.deliverBatch(ti.te.out[edge], pend, &ti.route)
+	pend, e, b := ti.pendingOut[edge], ti.te.out[edge], ti.outBufs[edge]
+	b.AppendBatch(pend)
+	r.deliverBatch(e, pend, &ti.route)
+	if e.remote != nil {
+		origin, floor := ti.originID(), ^uint64(0)
+		for _, dst := range e.to.instances() {
+			floor = min(floor, dst.dedup.Last(origin))
+		}
+		b.TrimPrefix(origin, floor)
+	}
 	ti.pendingOut[edge] = pend[:0]
 }
 

@@ -1,17 +1,17 @@
-package runtime_test
+package runtime
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/runtime"
 	"repro/internal/state"
 	"repro/internal/wire"
 )
@@ -21,8 +21,8 @@ import (
 // injection order and a plain map is an exact reference. kvops-sharded4 is
 // the same graph with each partition backed by a 4-stripe ShardedKVMap.
 func init() {
-	runtime.RegisterGraph("kvops", func() *core.Graph { return kvopsGraph("kvops", nil) })
-	runtime.RegisterGraph("kvops-sharded4", func() *core.Graph {
+	RegisterGraph("kvops", func() *core.Graph { return kvopsGraph("kvops", nil) })
+	RegisterGraph("kvops-sharded4", func() *core.Graph {
 		return kvopsGraph("kvops-sharded4", func() state.Store { return state.NewShardedKVMap(4) })
 	})
 }
@@ -119,9 +119,9 @@ func (c ctrlLink) Call(req []byte) ([]byte, error) {
 // link observed, plus the reference map the store must equal.
 type chainRig struct {
 	t       *testing.T
-	coord   *runtime.Coordinator
-	workers []*runtime.Worker
-	eps     []runtime.WorkerEndpoint
+	coord   *Coordinator
+	workers []*Worker
+	eps     []WorkerEndpoint
 	parts   int // global partitions
 	log     *pullLog
 	ref     map[uint64][]byte
@@ -145,7 +145,7 @@ func newChainRig(t *testing.T, workers, kvShards int, seed int64) *chainRig {
 	if kvShards > 0 {
 		graph = fmt.Sprintf("kvops-sharded%d", kvShards)
 	}
-	coord, err := runtime.NewCoordinator(graph, rig.eps, runtime.CoordOptions{
+	coord, err := NewCoordinator(graph, rig.eps, CoordOptions{
 		Partitions:        map[string]int{"store": rig.parts},
 		SnapChunkBytes:    chainChunkBytes,
 		HeartbeatInterval: 20 * time.Millisecond,
@@ -160,10 +160,10 @@ func newChainRig(t *testing.T, workers, kvShards int, seed int64) *chainRig {
 	return rig
 }
 
-func (rig *chainRig) spawn(w int) (*runtime.Worker, runtime.WorkerEndpoint) {
-	wk := runtime.NewWorker()
+func (rig *chainRig) spawn(w int) (*Worker, WorkerEndpoint) {
+	wk := NewWorker()
 	rig.t.Cleanup(wk.Close)
-	return wk, runtime.WorkerEndpoint{
+	return wk, WorkerEndpoint{
 		Data:    cluster.Local(wk.Handler(), 0),
 		Control: ctrlLink{cluster.Local(wk.Handler(), 0), w, rig.log},
 	}
@@ -308,7 +308,7 @@ func (rig *chainRig) verify() {
 // TestSnapshotChainEquivalence drives seeded put/delete/clear traffic
 // through a sequence of checkpoints that takes every path of the
 // distributed chain — first base, deltas, the "a delta would not be
-// smaller" base of one instance, the coordinator's ratio-triggered rebase,
+// smaller" base of one instance, the coordinator's ratio-triggered fold,
 // the empty base after a clear, a restore of base+deltas, the all-base
 // epoch after a restore — and requires the recovered store to equal the
 // reference map, on both dictionary backends and with one and two workers.
@@ -350,35 +350,28 @@ func TestSnapshotChainEquivalence(t *testing.T) {
 				}
 
 				// Epochs 5+: a third of the keys per epoch stays under the
-				// half-the-keys rule, but an instance's retained deltas pass
-				// half its base bytes after two of them, and the coordinator
-				// asks for a rebase of exactly the instances it happened to.
-				rebased := false
-				for e := 5; e <= 9 && !rebased; e++ {
+				// half-the-keys rule, so every instance ships deltas. Once an
+				// instance's retained deltas pass half its base bytes, the
+				// coordinator folds its chain into a new base itself: no
+				// chained instance ships a base for it.
+				folded := false
+				for e := 5; e <= 9 && !folded; e++ {
 					for i := 0; i < space/3; i++ {
 						rig.put(uint64(rig.rng.Intn(space)))
 					}
 					bases, deltas = shape(rig.checkpoint())
-					asked := map[[2]int]bool{}
-					for w, b := range rig.log.begins {
-						for _, r := range b.Rebase {
-							asked[[2]int{w, r.Index}] = true
-						}
+					if len(bases) != 0 {
+						t.Fatalf("epoch %d: chained instances shipped bases %v", e, bases)
 					}
-					rebased = len(asked) > 0
-					for inst := range asked {
-						if !bases[inst] || deltas[inst] {
-							t.Fatalf("epoch %d: instance %v was asked to rebase but sent base=%v delta=%v", e, inst, bases[inst], deltas[inst])
-						}
+					if !rig.coord.awaitFolds(10 * time.Second) {
+						t.Fatalf("epoch %d: a chain that outgrew its base was never folded", e)
 					}
-					for inst := range bases {
-						if !asked[inst] {
-							t.Fatalf("epoch %d: instance %v sent a base nobody asked for (asked %v)", e, inst, asked)
-						}
+					for inst, n := range rig.coord.chainLens() {
+						folded = folded || deltas[inst] && n == 1
 					}
 				}
-				if !rebased {
-					t.Fatal("retained deltas never triggered a rebase")
+				if !folded {
+					t.Fatal("retained deltas never triggered a fold")
 				}
 
 				// A cleared partition ships an empty base, which must drop
@@ -512,4 +505,99 @@ func TestSnapshotChainPerInstanceGC(t *testing.T) {
 	}
 	rig.kill(0)
 	rig.recoverAndVerify(0)
+}
+
+// TestSnapshotChainFoldInFlight folds a chain while, in turn, its worker
+// dies and recovers, the chain gains a delta, and a recovered worker ships
+// a fresh base and then deltas on it. A fold must keep a delta appended
+// behind it and must be dropped under a new base however long the new
+// chain grew, and restores before and after the swap must equal the
+// reference.
+func TestSnapshotChainFoldInFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		kill    bool // kill and recover the worker during the fold
+		ckpts   int  // then checkpoint this often
+		swapped bool
+	}{
+		{"recover", true, 0, true},
+		{"delta", false, 1, true},
+		{"base", true, 3, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newChainRig(t, 1, 0, 11)
+			const space = 400
+			for k := uint64(0); k < space; k++ {
+				rig.put(k)
+			}
+			rig.checkpoint()
+			rig.churn(40, space)
+			rig.checkpoint()
+
+			found, swapped := rig.coord.foldDuring(0, func() {
+				rig.churn(30, space)
+				if tc.kill {
+					rig.kill(0)
+					rig.recoverAndVerify(0)
+				}
+				for i := 0; i < tc.ckpts; i++ {
+					// A live worker ships a delta; a restored one all bases
+					// first.
+					rig.churn(30, space)
+					rig.checkpoint()
+				}
+			})
+			if !found {
+				t.Fatal("no chain with deltas to fold")
+			}
+			if swapped != tc.swapped {
+				t.Fatalf("fold swapped = %v, want %v", swapped, tc.swapped)
+			}
+			rig.churn(30, space)
+			rig.kill(0)
+			rig.recoverAndVerify(0)
+		})
+	}
+}
+
+// TestCoordinatorGoroutinesReturnToBaseline: a deployment that checkpoints
+// until its chains fold, then closes, leaves no goroutine behind — not the
+// heartbeats, not the compactor, not the workers'.
+func TestCoordinatorGoroutinesReturnToBaseline(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	rig := newChainRig(t, 2, 0, 13)
+	const space = 400
+	for k := uint64(0); k < space; k++ {
+		rig.put(k)
+	}
+	rig.checkpoint()
+	folded := false
+	for e := 0; e < 8 && !folded; e++ {
+		for i := 0; i < space/3; i++ {
+			rig.put(uint64(rig.rng.Intn(space)))
+		}
+		rig.checkpoint()
+		if !rig.coord.awaitFolds(10 * time.Second) {
+			t.Fatal("a chain that outgrew its base was never folded")
+		}
+		for _, n := range rig.coord.chainLens() {
+			folded = folded || n == 1
+		}
+	}
+	if !folded {
+		t.Fatal("no checkpoint triggered a fold")
+	}
+	rig.coord.Close()
+	for _, wk := range rig.workers {
+		wk.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before deploy:\n%s",
+				goruntime.NumGoroutine(), before, buf[:goruntime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

@@ -45,17 +45,19 @@ type seStream struct {
 
 // snapDelta decides whether the instance's next epoch is incremental. It
 // is a base when the coordinator retains no epoch of this instance (fresh
-// deploy, or just restored), when the coordinator asks for one, when the
-// store cannot track changed keys, and when a delta would not be smaller:
-// more than half the keys changed, so tombstones and per-key overhead make
-// the delta the larger stream and every later restore the slower one.
+// deploy, or just restored), when the store cannot track changed keys, and
+// when a delta would not be smaller: more than half the keys changed, so
+// tombstones and per-key overhead make the delta the larger stream and
+// every later restore the slower one. A chain that grows long is the
+// coordinator's to compact (compactChains), never a reason to re-ship a
+// base.
 //
 // A store starts tracking here, at its first epoch, not at deploy: until
 // something is retained there is nothing for a delta to extend, and
 // recording a preload or a restore key by key would cost time and memory
 // for nothing. The caller holds the processing pause, so tracking starts
 // exactly at the cut.
-func (si *seInstance) snapDelta(rebase bool) (state.DeltaStore, bool) {
+func (si *seInstance) snapDelta() (state.DeltaStore, bool) {
 	ds, ok := si.store.(state.DeltaStore)
 	if !ok {
 		return nil, false
@@ -64,7 +66,7 @@ func (si *seInstance) snapDelta(rebase bool) (state.DeltaStore, bool) {
 		ds.EnableDeltaTracking()
 		return nil, false
 	}
-	if rebase || !si.chained.Load() || ds.DeltaSize()*2 > ds.NumEntries() {
+	if !si.chained.Load() || ds.DeltaSize()*2 > ds.NumEntries() {
 		return nil, false
 	}
 	return ds, true
@@ -151,7 +153,7 @@ func (r *Runtime) trimToBacklog(e *edgeRT, b *dataflow.OutputBuffer, rs *routeSc
 // The pause covers only the cut: flipping every SE store into dirty mode,
 // capturing TE watermarks and cross-worker edge logs, and trimming the
 // out-edge logs to their local backlog.
-func (r *Runtime) newSnapCapture(maxBytes int, rebase []wire.SEInst) (*snapCapture, error) {
+func (r *Runtime) newSnapCapture(maxBytes int) (*snapCapture, error) {
 	if maxBytes <= 0 || maxBytes > maxSnapChunkBytes {
 		maxBytes = defaultSnapChunkBytes
 	}
@@ -171,7 +173,7 @@ func (r *Runtime) newSnapCapture(maxBytes int, rebase []wire.SEInst) (*snapCaptu
 		for _, si := range insts {
 			var cs *checkpoint.ChunkStream
 			var err error
-			if ds, ok := si.snapDelta(slices.Contains(rebase, wire.SEInst{Name: ss.def.Name, Index: si.idx})); ok {
+			if ds, ok := si.snapDelta(); ok {
 				cs, err = checkpoint.StreamAsyncDelta(ds, maxBytes)
 			} else {
 				cs, err = checkpoint.StreamAsync(si.store, maxBytes)
@@ -238,18 +240,25 @@ func (c *snapCapture) next() (wire.SnapPart, bool, error) {
 		}
 		c.parts++
 		c.bytes += uint64(len(ck.Data))
-		return wire.SnapPart{
-			Kind:       wire.PartSE,
-			Name:       s.si.se.def.Name,
-			Index:      s.si.idx,
-			Store:      ck.Type,
-			ChunkIndex: ck.Index,
-			ChunkOf:    ck.Of,
-			Delta:      ck.Delta,
-			Data:       ck.Data,
-		}, true, nil
+		return sePart(s.si.se.def.Name, s.si.idx, ck), true, nil
 	}
 	return wire.SnapPart{}, false, nil
+}
+
+// sePart wraps one checkpoint chunk of SE instance name/index as a part.
+func sePart(name string, index int, ck state.Chunk) wire.SnapPart {
+	return wire.SnapPart{Kind: wire.PartSE, Name: name, Index: index, Store: ck.Type,
+		ChunkIndex: ck.Index, ChunkOf: ck.Of, Delta: ck.Delta, Data: ck.Data}
+}
+
+// applySEPart applies one PartSE part to st: a base chunk restores, a delta
+// chunk replays onto what is restored so far.
+func applySEPart(st state.Store, p *wire.SnapPart) error {
+	ck := []state.Chunk{{Type: p.Store, Index: p.ChunkIndex, Of: p.ChunkOf, Delta: p.Delta, Data: p.Data}}
+	if p.Delta {
+		return checkpoint.ApplyDeltas(st, [][]state.Chunk{ck})
+	}
+	return st.Restore(ck)
 }
 
 // close releases the capture: every still-open store stream merges its
@@ -315,13 +324,7 @@ func (r *Runtime) applySnapPart(p wire.SnapPart) error {
 		}
 		si := ss.insts[p.Index]
 		ss.mu.RUnlock()
-		ck := []state.Chunk{{Type: p.Store, Index: p.ChunkIndex, Of: p.ChunkOf, Delta: p.Delta, Data: p.Data}}
-		if p.Delta {
-			err = checkpoint.ApplyDeltas(si.store, [][]state.Chunk{ck})
-		} else {
-			err = si.store.Restore(ck)
-		}
-		if err != nil {
+		if err := applySEPart(si.store, &p); err != nil {
 			return fmt.Errorf("runtime: restore %s: %w", si.instName(), err)
 		}
 	case wire.PartTE:

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
+	"repro/internal/state"
 	"repro/internal/wire"
 )
 
@@ -50,8 +51,8 @@ type seChain struct {
 // retainedSnap is one worker's recovery point: per SE instance a chain,
 // plus the newest epoch's metadata parts (TE watermarks, the local backlog
 // and edge-log slices — always shipped whole) and the TE watermark metadata
-// the replay-log and edge trims read. Guarded by the write side of the
-// coordinator's injMu.
+// the replay-log and edge trims read. Written under the write side of the
+// coordinator's injMu; the chain compactor reads it under the read side.
 type retainedSnap struct {
 	epoch uint64             // newest retained epoch: the next SnapBegin's Have
 	meta  [][]byte           // encodeSnapRecord output, one per metadata part
@@ -60,16 +61,113 @@ type retainedSnap struct {
 	tes   []wire.SnapPart    // the newest epoch's PartTE parts, decoded
 }
 
-// rebase lists the SE instances whose retained chain checkpoint.ShouldDelta
-// says has outgrown its base: their next epoch should be a full base.
-func (rs *retainedSnap) rebase() []wire.SEInst {
-	var out []wire.SEInst
-	for _, k := range rs.order {
-		if !checkpoint.ShouldDelta(rs.ses[k].refs) {
-			out = append(out, wire.SEInst{Name: k.name, Index: k.index})
+// needsFold reports whether the chain's deltas have outgrown its base
+// (checkpoint.ShouldDelta): the compactor then folds them into a new base.
+func (ch *seChain) needsFold() bool {
+	return len(ch.refs) > 1 && !checkpoint.ShouldDelta(ch.refs)
+}
+
+// foldJob is one chain the compactor folds: the chain's prefix as it stood
+// when captured.
+type foldJob struct {
+	k    seKey
+	ch   *seChain
+	recs [][]byte
+	refs []checkpoint.EpochRef
+	// What replaces the captured prefix.
+	folded [][]byte
+	ref    checkpoint.EpochRef
+}
+
+// compactChains is the coordinator's one chain compactor. Each Checkpoint
+// wakes it; it then folds, one SE instance at a time, every retained chain
+// whose deltas have outgrown its base, so no worker ever re-ships a base
+// to shorten a chain. Only the capture and the swap take injMu, the first
+// its read side, the second briefly its write side; the fold itself runs
+// beside sends and checkpoints. A fold that fails is retried after the
+// next checkpoint; Close waits for the folds of the round in flight.
+func (c *Coordinator) compactChains() {
+	defer c.wg.Done()
+	for {
+		select {
+		case <-c.stopped:
+			return
+		case <-c.compact:
+		}
+		for job := c.nextFold(); job != nil && c.fold(job) == nil; job = c.nextFold() {
+			c.swapFold(job)
 		}
 	}
-	return out
+}
+
+// nextFold captures the first retained chain that needs a fold, or nil.
+func (c *Coordinator) nextFold() *foldJob {
+	c.injMu.RLock()
+	defer c.injMu.RUnlock()
+	for _, cw := range c.workers {
+		if cw.snap == nil {
+			continue
+		}
+		for _, k := range cw.snap.order {
+			if ch := cw.snap.ses[k]; ch.needsFold() {
+				// Folds and checkpoints only ever append past, or replace,
+				// the captured slices, so they stay readable unlocked.
+				return &foldJob{k: k, ch: ch, recs: ch.recs, refs: ch.refs}
+			}
+		}
+	}
+	return nil
+}
+
+// fold materialises the captured chain into a fresh store the way a
+// restore applies it (applySEPart), then re-cuts that store as base
+// records. The new base stands for the newest folded epoch.
+func (c *Coordinator) fold(job *foldJob) error {
+	var st state.Store
+	for _, rec := range job.recs {
+		p, err := decodeSnapRecord(rec)
+		if err == nil && st == nil {
+			st, err = state.New(p.Store)
+		}
+		if err == nil {
+			err = applySEPart(st, &p)
+		}
+		if err != nil {
+			return fmt.Errorf("coordinator: fold %s/%d: %w", job.k.name, job.k.index, err)
+		}
+	}
+	it, err := state.StreamChunks(st, c.opts.SnapChunkBytes)
+	if err != nil {
+		return err
+	}
+	job.ref = checkpoint.EpochRef{Epoch: job.refs[len(job.refs)-1].Epoch}
+	for {
+		ck, ok, err := it.Next()
+		if err != nil || !ok {
+			return err
+		}
+		p := sePart(job.k.name, job.k.index, ck)
+		rec, _ := encodeSnapRecord(&p)
+		job.folded = append(job.folded, rec)
+		job.ref.Chunks++
+		job.ref.Bytes += int64(len(rec))
+	}
+}
+
+// swapFold replaces the folded prefix of the chain, keeping every delta
+// appended since the capture, and reports whether it did. A base the worker
+// shipped meanwhile replaced the prefix and drops the fold: base epochs only
+// grow, and a folded base carries an epoch its chain already had.
+func (c *Coordinator) swapFold(job *foldJob) bool {
+	c.injMu.Lock()
+	defer c.injMu.Unlock()
+	ch := job.ch
+	if len(ch.refs) < len(job.refs) || ch.refs[0].Epoch != job.refs[0].Epoch {
+		return false
+	}
+	ch.recs = append(job.folded, ch.recs[len(job.recs):]...)
+	ch.refs = append([]checkpoint.EpochRef{job.ref}, ch.refs[len(job.refs):]...)
+	return true
 }
 
 // pulledSE is one SE instance's share of a pulled epoch.
@@ -249,15 +347,14 @@ func (c *Coordinator) notePeak(n int64) {
 }
 
 // pullSnapshot pulls one epoch from one worker over its control link.
-// have and rebase describe what the coordinator retains of that worker
-// (see wire.SnapBegin). It touches no coordinator state, so Checkpoint runs
-// one per live worker concurrently and folds the results after the join.
-func (c *Coordinator) pullSnapshot(tr cluster.Transport, stream, have uint64, rebase []wire.SEInst) (*pulledEpoch, error) {
+// have is the newest epoch the coordinator retains of that worker (see
+// wire.SnapBegin). It touches no coordinator state, so Checkpoint runs one
+// per live worker concurrently and folds the results after the join.
+func (c *Coordinator) pullSnapshot(tr cluster.Transport, stream, have uint64) (*pulledEpoch, error) {
 	frame, err := wire.Encode(wire.MsgSnapBegin, wire.SnapBegin{
 		Stream:   stream,
 		MaxBytes: c.opts.SnapChunkBytes,
 		Have:     have,
-		Rebase:   rebase,
 	})
 	if err != nil {
 		return nil, err

@@ -363,7 +363,7 @@ func (w *Worker) snapBegin(m wire.SnapBegin) ([]byte, error) {
 		w.serving = nil
 	}
 	epoch++
-	sc, err := rt.newSnapCapture(m.MaxBytes, m.Rebase)
+	sc, err := rt.newSnapCapture(m.MaxBytes)
 	if err != nil {
 		return nil, err
 	}

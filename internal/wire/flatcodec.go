@@ -197,11 +197,6 @@ func encodeFlat(e *flat.Encoder, msgType byte, v any) error {
 		e.Fixed64(m.Stream)
 		e.Uvarint(uint64(m.MaxBytes))
 		e.Uvarint(m.Have)
-		e.Uvarint(uint64(len(m.Rebase)))
-		for _, r := range m.Rebase {
-			e.Str(r.Name)
-			e.Uvarint(uint64(r.Index))
-		}
 	case SnapBeginAck:
 		is = MsgSnapBeginAck
 		e.Fixed64(m.Stream)
@@ -350,12 +345,6 @@ func decodeFlat(body []byte, v any) error {
 		m.Stream = d.Fixed64()
 		m.MaxBytes = int(d.Uvarint())
 		m.Have = d.Uvarint()
-		if n := d.Count(2); n > 0 {
-			m.Rebase = make([]SEInst, 0, n)
-			for i := 0; i < n && d.Err() == nil; i++ {
-				m.Rebase = append(m.Rebase, SEInst{Name: d.Str(), Index: int(d.Uvarint())})
-			}
-		}
 	case *SnapBeginAck:
 		m.Stream = d.Fixed64()
 		m.Epoch = d.Uvarint()

@@ -100,7 +100,7 @@ var samples = map[byte][]any{
 	MsgEdgeTrimAck: {EdgeTrimAck{}},
 	MsgSnapBegin: {
 		SnapBegin{Stream: 7, MaxBytes: 4096},
-		SnapBegin{Stream: 8, MaxBytes: 1 << 20, Have: 6, Rebase: []SEInst{{"store", 1}, {"counts", 0}}},
+		SnapBegin{Stream: 8, MaxBytes: 1 << 20, Have: 6},
 	},
 	MsgSnapBeginAck: {SnapBeginAck{Stream: 7, Epoch: 7}},
 	MsgSnapNext:     {SnapNext{Stream: 7, Seq: 3}},
@@ -273,7 +273,6 @@ var hostileCounts = map[string][]byte{
 	"edgetrim trims":     {MsgEdgeTrim, Version, 0x80, 0x80, 0x80, 0x80, 0x04},
 	"edgetrim watermark": {MsgEdgeTrim, Version, 1, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x04},
 	"edgetrim locals":    {MsgEdgeTrim, Version, 0, 0x80, 0x80, 0x80, 0x80, 0x04},
-	"snapbegin rebase":   {MsgSnapBegin, Version, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x04},
 	"snapchunk watermarks": {MsgSnapChunk, Version,
 		1, 0, 0, 0, 0, 0, 0, 0, // stream
 		1, 0, 0, 0, 0, 0, 0, 0, // seq

@@ -11,10 +11,9 @@ import (
 // -> SnapChunk*/SnapEnd) or pushed (RestoreBegin/RestoreChunk*/RestoreEnd)
 // one part per frame with a per-stream id and a dense chunk seq for
 // idempotent retry. Every pull is one epoch of the worker's checkpoint
-// chain: SnapBegin says which epoch the coordinator last retained (Have)
-// and which SE instances it wants a full base of (Rebase), and each SE
-// instance's parts are either a base (Delta false) or the keys changed
-// since the retained epoch (Delta true).
+// chain: SnapBegin says which epoch the coordinator last retained (Have),
+// and each SE instance's parts are either a base (Delta false) or the keys
+// changed since the retained epoch (Delta true).
 
 // SnapPart kinds. Each part carries exactly one unit of a worker's
 // snapshot; the Kind decides which fields are meaningful.
@@ -69,15 +68,6 @@ type SnapBegin struct {
 	// back otherwise, so a pull that died after its last chunk loses
 	// nothing.
 	Have uint64
-	// Rebase lists the SE instances the coordinator wants a full base of:
-	// their retained deltas have outgrown its compaction policy.
-	Rebase []SEInst
-}
-
-// SEInst names one SE instance of a worker by its worker-local index.
-type SEInst struct {
-	Name  string
-	Index int
 }
 
 // SnapBeginAck confirms the stream is open and the cut is taken. Epoch
