@@ -33,8 +33,7 @@ func main() {
 	sys, err := b.Deploy(sdg.Options{
 		Mode:          sdg.FTAsync,
 		Interval:      time.Hour, // manual checkpoints for the demo
-		Chunks:        2,
-		DiskBandwidth: 64 << 20, // 64 MB/s simulated backup disks
+		DiskBandwidth: 64 << 20,  // 64 MB/s simulated backup disks
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -86,7 +86,6 @@ func BenchmarkKVRecoveryWidth(b *testing.B) {
 				s, err := New(Config{Partitions: 1, Runtime: runtime.Options{
 					Mode:     checkpoint.ModeAsync,
 					Interval: time.Hour,
-					Chunks:   2,
 				}})
 				if err != nil {
 					b.Fatal(err)

@@ -96,7 +96,6 @@ func TestKVRecoveryEndToEnd(t *testing.T) {
 	s, err := New(Config{Runtime: runtime.Options{
 		Mode:     checkpoint.ModeAsync,
 		Interval: time.Hour,
-		Chunks:   3,
 	}})
 	if err != nil {
 		t.Fatal(err)

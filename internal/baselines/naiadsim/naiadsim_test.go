@@ -1,6 +1,7 @@
 package naiadsim
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -21,11 +22,13 @@ func kvEngine(ckptEvery time.Duration, disk *cluster.Disk, batch int) (*Engine, 
 			}
 		},
 		Snapshot: func() []byte {
-			chunks, err := kv.Checkpoint(1)
+			// An unbounded base stream is one chunk.
+			it, err := state.StreamChunks(kv, math.MaxInt)
 			if err != nil {
 				return nil
 			}
-			return chunks[0].Data
+			c, _, _ := it.Next()
+			return c.Data
 		},
 	})
 	return e, kv

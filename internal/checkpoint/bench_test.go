@@ -67,7 +67,7 @@ func BenchmarkSaveFullEpoch(b *testing.B) {
 			b.ResetTimer()
 			var bytes int64
 			for i := 0; i < b.N; i++ {
-				res, err := Async(st, Meta{SE: "b/0", Epoch: uint64(i + 1)}, 4, bk)
+				res, err := Async(st, Meta{SE: "b/0", Epoch: uint64(i + 1)}, bk)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -87,7 +87,7 @@ func BenchmarkSaveDeltaEpoch(b *testing.B) {
 			bk := NewBackup(cl, []*cluster.Node{cl.Node(0), cl.Node(1)})
 			st := benchStore(b, backend, 20_000)
 			kv := st.(state.KV)
-			if _, err := Async(st, Meta{SE: "b/0", Epoch: 1}, 4, bk); err != nil {
+			if _, err := Async(st, Meta{SE: "b/0", Epoch: 1}, bk); err != nil {
 				b.Fatal(err)
 			}
 			val := make([]byte, 64)
@@ -101,7 +101,7 @@ func BenchmarkSaveDeltaEpoch(b *testing.B) {
 					// bounded at long bench times.
 					b.StopTimer()
 					ep++
-					if _, err := Async(st, Meta{SE: "b/0", Epoch: ep}, 4, bk); err != nil {
+					if _, err := Async(st, Meta{SE: "b/0", Epoch: ep}, bk); err != nil {
 						b.Fatal(err)
 					}
 					b.StartTimer()
@@ -110,7 +110,7 @@ func BenchmarkSaveDeltaEpoch(b *testing.B) {
 					kv.Put(uint64((i*200+j*13)%20_000), val)
 				}
 				ep++
-				res, err := AsyncDelta(st, Meta{SE: "b/0", Epoch: ep}, 4, bk)
+				res, err := AsyncDelta(st, Meta{SE: "b/0", Epoch: ep}, bk)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -3,14 +3,14 @@
 // (stop-the-world) checkpoints for the baseline comparison, and the m-to-n
 // parallel backup/restore protocol of Fig. 4.
 //
-// A checkpoint of one SE instance consists of hash-partitioned chunks
-// (produced by the state package — shard-parallel when the SE is backed by
-// a ShardedKVMap), the instance's output buffers, and the vector of input
-// watermarks at snapshot time. Chunks are streamed to m backup nodes
-// round-robin and written to their simulated disks; at restore time each
-// backup chunk is split n ways so n recovering instances rebuild in
-// parallel. Dictionary chunks use one wire format regardless of backend,
-// so sharded and single-lock checkpoints restore into either store.
+// A checkpoint of one SE instance consists of byte-bounded chunks (the
+// state package's checkpoint stream, at most ChunkBytes each and several
+// per backup node), the instance's output buffers, and the vector of input
+// watermarks at snapshot time. Chunks go to the m backup nodes round-robin and are
+// written to their simulated disks; at restore time each backup chunk is
+// split n ways by key hash so n recovering instances rebuild in parallel.
+// Dictionary chunks use one wire format regardless of backend, so sharded
+// and single-lock checkpoints restore into either store.
 //
 // Epochs form chains: a full (base) checkpoint starts a chain, and delta
 // checkpoints — carrying only the keys changed since the previous epoch —

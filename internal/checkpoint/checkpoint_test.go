@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -29,6 +30,16 @@ func populatedKV(n int) *state.KVMap {
 	return kv
 }
 
+// streamed serialises a store's base as chunks of at most maxBytes.
+func streamed(t *testing.T, st state.Store, maxBytes int) []state.Chunk {
+	t.Helper()
+	it, err := state.StreamChunks(st, maxBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustDrain(t, it)
+}
+
 // restoreNew rebuilds a recovering instance into a fresh store of the
 // checkpoint's recorded type.
 func restoreNew(meta Meta, set RestoreSet) (state.Store, error) {
@@ -42,10 +53,7 @@ func restoreNew(meta Meta, set RestoreSet) (state.Store, error) {
 func TestSaveRestoreRoundTrip(t *testing.T) {
 	_, b := newBackupEnv(t, 2, 0)
 	kv := populatedKV(500)
-	chunks, err := kv.Checkpoint(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunks := streamed(t, kv, 1024)
 	meta := Meta{
 		SE: "kv/0", Epoch: 1, StoreType: state.TypeKVMap,
 		Watermarks: map[int]map[uint64]uint64{3: {42: 7}},
@@ -55,7 +63,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	}
 
 	got, ok := b.Latest("kv/0")
-	if !ok || got.Epoch != 1 || got.Chunks != 4 {
+	if !ok || got.Epoch != 1 || got.Chunks != len(chunks) || len(chunks) < 4 {
 		t.Fatalf("Latest = %+v, %v", got, ok)
 	}
 
@@ -102,16 +110,21 @@ func TestRestoreMissing(t *testing.T) {
 func TestSaveGCsPreviousEpoch(t *testing.T) {
 	cl, b := newBackupEnv(t, 2, 0)
 	kv := populatedKV(100)
+	chunks := streamed(t, kv, 256)
 	for epoch := uint64(1); epoch <= 3; epoch++ {
-		chunks, _ := kv.Checkpoint(2)
 		if _, err := b.Save(Meta{SE: "kv/0", Epoch: epoch, StoreType: state.TypeKVMap}, chunks); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Only the latest epoch's objects should remain on disk.
+	// Only the latest epoch's objects should remain on disk: chunk c on
+	// disk c mod 2, the buffers on disk 0.
 	for i := 0; i < 2; i++ {
+		live := map[string]bool{bufName("kv/0", 3): i == 0}
+		for c := i; c < len(chunks); c += 2 {
+			live[chunkName("kv/0", 3, c)] = true
+		}
 		for _, name := range cl.Node(i).Disk.List() {
-			if name != chunkName("kv/0", 3, i) && name != bufName("kv/0", 3) {
+			if !live[name] {
 				t.Errorf("stale object %q on disk %d", name, i)
 			}
 		}
@@ -121,7 +134,7 @@ func TestSaveGCsPreviousEpoch(t *testing.T) {
 func TestForget(t *testing.T) {
 	cl, b := newBackupEnv(t, 1, 0)
 	kv := populatedKV(10)
-	chunks, _ := kv.Checkpoint(1)
+	chunks := streamed(t, kv, 1<<20)
 	if _, err := b.Save(Meta{SE: "kv/0", Epoch: 1, StoreType: state.TypeKVMap}, chunks); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +150,7 @@ func TestForget(t *testing.T) {
 func TestBuffersRoundTrip(t *testing.T) {
 	_, b := newBackupEnv(t, 1, 0)
 	kv := populatedKV(10)
-	chunks, _ := kv.Checkpoint(1)
+	chunks := streamed(t, kv, 1<<20)
 	buffered := map[int][][]core.Item{
 		2: {
 			{{Origin: 1, Seq: 1, Value: []byte("x")}, {Origin: 1, Seq: 2, Value: []byte("y")}},
@@ -165,27 +178,28 @@ func TestBuffersRoundTrip(t *testing.T) {
 }
 
 func TestAsyncCheckpointAllowsWritesDuringSnapshot(t *testing.T) {
-	_, b := newBackupEnv(t, 2, 0)
+	// A modelled 1 MB/s disk holds the save open for tens of milliseconds,
+	// so the writer gets to run while the store is dirty.
+	_, b := newBackupEnv(t, 2, 1<<20)
 	kv := populatedKV(2000)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	var writes int
+	var writes uint64
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := uint64(0); ; i++ {
+		for ; ; writes++ {
 			select {
 			case <-stop:
 				return
 			default:
-				kv.Put(i%2000, []byte("overwritten"))
-				writes++
+				kv.Put(writes%2000, []byte("overwritten"))
 			}
 		}
 	}()
 
-	res, err := Async(kv, Meta{SE: "kv/0", Epoch: 1}, 4, b)
+	res, err := Async(kv, Meta{SE: "kv/0", Epoch: 1}, b)
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -197,12 +211,15 @@ func TestAsyncCheckpointAllowsWritesDuringSnapshot(t *testing.T) {
 	if res.Bytes <= 0 || res.Duration <= 0 {
 		t.Fatalf("result = %+v", res)
 	}
-	if writes == 0 {
-		t.Fatal("no concurrent writes happened; test inconclusive")
+	if res.MergedDirty == 0 {
+		t.Fatal("no write reached the overlay during the checkpoint; test inconclusive")
 	}
-	// All concurrent writes are preserved in the live store.
-	if v, _ := kv.Get(0); string(v) != "overwritten" {
-		t.Fatal("concurrent write lost after merge")
+	// All concurrent writes, the overlay's included, are preserved in the
+	// live store.
+	for k := uint64(0); k < min(writes, 2000); k++ {
+		if v, _ := kv.Get(k); string(v) != "overwritten" {
+			t.Fatalf("concurrent write of key %d lost after merge", k)
+		}
 	}
 	// And the checkpoint is consistent: every value is either the original
 	// or absent from dirty interference (no torn entries).
@@ -219,6 +236,26 @@ func TestAsyncCheckpointAllowsWritesDuringSnapshot(t *testing.T) {
 	}
 }
 
+// TestAsyncSpreadsOverEveryTarget: the modelled-disk sink cuts even a
+// small state into enough chunks that every backup target holds some, so
+// an m-to-n restore reads through all m disks.
+func TestAsyncSpreadsOverEveryTarget(t *testing.T) {
+	for _, entries := range []int{10, 3000} {
+		for _, m := range []int{2, 3} {
+			cl, b := newBackupEnv(t, m, 0)
+			if _, err := Async(populatedKV(entries), Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
+				t.Fatal(err)
+			}
+			// Chunk i lands on target i mod m, so target i holds chunk i.
+			for i := 0; i < m; i++ {
+				if !slices.Contains(cl.Node(i).Disk.List(), chunkName("kv/0", 1, i)) {
+					t.Errorf("%d entries over %d targets: target %d holds no chunk", entries, m, i)
+				}
+			}
+		}
+	}
+}
+
 func TestAsyncCheckpointLockTimeSmall(t *testing.T) {
 	// With a slow disk, async checkpoint duration is dominated by I/O but
 	// lock time stays tiny because only the merge locks the store.
@@ -228,7 +265,7 @@ func TestAsyncCheckpointLockTimeSmall(t *testing.T) {
 	// window can cost several ms, so Duration must be well above 40ms.
 	_, b := newBackupEnv(t, 1, 2<<20) // 2 MB/s
 	kv := populatedKV(12000)          // ~160 KB of payload -> ~80ms of I/O
-	res, err := Async(kv, Meta{SE: "kv/0", Epoch: 1}, 2, b)
+	res, err := Async(kv, Meta{SE: "kv/0", Epoch: 1}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +282,7 @@ func TestSyncCheckpointHoldsPause(t *testing.T) {
 	kv := populatedKV(3000)
 	paused := false
 	resumed := false
-	res, err := Sync(kv, Meta{SE: "kv/0", Epoch: 1}, 2, b, func() func() {
+	res, err := Sync(kv, Meta{SE: "kv/0", Epoch: 1}, b, func() func() {
 		paused = true
 		return func() { resumed = true }
 	})
@@ -267,7 +304,7 @@ func TestAsyncFailsWhenAlreadyDirty(t *testing.T) {
 	if err := kv.BeginDirty(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Async(kv, Meta{SE: "kv/0", Epoch: 1}, 1, b); err == nil {
+	if _, err := Async(kv, Meta{SE: "kv/0", Epoch: 1}, b); err == nil {
 		t.Fatal("Async on dirty store should fail")
 	}
 }
@@ -276,7 +313,7 @@ func TestSaveWithNoTargets(t *testing.T) {
 	cl := cluster.New(0, cluster.Config{})
 	b := NewBackup(cl, nil)
 	kv := populatedKV(1)
-	chunks, _ := kv.Checkpoint(1)
+	chunks := streamed(t, kv, 1<<20)
 	if _, err := b.Save(Meta{SE: "kv/0", Epoch: 1}, chunks); err == nil {
 		t.Fatal("save without targets should fail")
 	}
@@ -328,12 +365,7 @@ func TestMToNRecoveryTimeShape(t *testing.T) {
 	}
 	measure := func(m, n int) time.Duration {
 		_, b := newBackupEnv(t, m, 4<<20) // 4 MB/s disks
-		kv := mkState()
-		chunks, err := kv.Checkpoint(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Save(Meta{SE: "kv/0", Epoch: 1, StoreType: state.TypeKVMap}, chunks); err != nil {
+		if _, err := Async(mkState(), Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
 			t.Fatal(err)
 		}
 		start := time.Now()
@@ -362,7 +394,7 @@ func TestMToNRecoveryTimeShape(t *testing.T) {
 }
 
 // TestAsyncShardedCrossRestore runs the full §5 async protocol over the
-// lock-striped store — dirty cut, shard-parallel serialisation with writes
+// lock-striped store — dirty cut, shard-by-shard serialisation with writes
 // landing in the overlay, backup, merge — and then restores the checkpoint
 // through the m-to-n path into the single-lock store, proving the two
 // dictionary backends are interchangeable across the whole substrate.
@@ -372,7 +404,7 @@ func TestAsyncShardedCrossRestore(t *testing.T) {
 	for i := uint64(0); i < 500; i++ {
 		kv.Put(i, []byte(fmt.Sprintf("value-%d", i)))
 	}
-	res, err := Async(kv, Meta{SE: "kv/0", Epoch: 1}, 4, b)
+	res, err := Async(kv, Meta{SE: "kv/0", Epoch: 1}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,10 +453,7 @@ func TestAsyncShardedCrossRestore(t *testing.T) {
 	// And the reverse direction: a single-lock checkpoint restores into the
 	// sharded store.
 	plain := populatedKV(300)
-	chunks, err := plain.Checkpoint(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunks := streamed(t, plain, 1024)
 	if _, err := b.Save(Meta{SE: "kv/1", Epoch: 1, StoreType: state.TypeKVMap}, chunks); err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,7 @@ import (
 func TestRestoreV1Chunks(t *testing.T) {
 	cl, b := newBackupEnv(t, 2, 0)
 	kv := populatedKV(200)
-	chunks, err := kv.Checkpoint(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunks := streamed(t, kv, 1024)
 	for i, c := range chunks {
 		hdr := []byte{
 			byte(c.Type), // no delta bit

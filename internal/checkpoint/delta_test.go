@@ -49,7 +49,7 @@ func TestDeltaChainSaveRestore(t *testing.T) {
 			st := mkTracked(backend, 2000, []byte("v0"))
 			kv := st.(state.KV)
 
-			res, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, 4, b)
+			res, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestDeltaChainSaveRestore(t *testing.T) {
 				}
 				kv.Delete(e) // keys 2,3,4 get tombstoned across the chain
 				kv.Put(100000+e, []byte("ins"))
-				res, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: e}, 4, b)
+				res, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: e}, b)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,7 +125,7 @@ func TestDeltaBytesRatio(t *testing.T) {
 			_, b := newBackupEnv(t, 2, 0)
 			st := mkTracked(backend, keys, []byte("sixteen-byte-val"))
 			kv := st.(state.KV)
-			base, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, 4, b)
+			base, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func TestDeltaBytesRatio(t *testing.T) {
 			for i := 0; i < keys/100; i++ {
 				kv.Put(uint64(i*97%keys), []byte("sixteen-byte-new"))
 			}
-			delta, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 2}, 4, b)
+			delta, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 2}, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,20 +171,27 @@ func TestChainGC(t *testing.T) {
 		return n
 	}
 
-	if _, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, 2, b); err != nil {
+	chunks := map[uint64]int{} // chunk objects per epoch
+	tipChunks := func() int {
+		m, _ := b.Latest("kv/0")
+		return m.Chunks
+	}
+	if _, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
 		t.Fatal(err)
 	}
+	chunks[1] = tipChunks()
 	for e := uint64(2); e <= 3; e++ {
 		kv.Put(e, []byte("x"))
-		if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: e}, 2, b); err != nil {
+		if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: e}, b); err != nil {
 			t.Fatal(err)
 		}
+		chunks[e] = tipChunks()
 	}
 	// Whole chain must remain restorable: epochs 1-3 chunks on disk.
 	for e := uint64(1); e <= 3; e++ {
-		want := 2
+		want := chunks[e]
 		if e == 3 {
-			want = 3 // chain tip also holds the buffers object
+			want++ // chain tip also holds the buffers object
 		}
 		if got := countEpoch(e); got != want {
 			t.Fatalf("epoch %d objects = %d, want %d (disk: %v)", e, got, want, onDisk())
@@ -193,7 +200,7 @@ func TestChainGC(t *testing.T) {
 
 	// A new base (compaction) supersedes the chain: only epoch 4 survives.
 	kv.Put(99, []byte("x"))
-	if _, err := Async(st, Meta{SE: "kv/0", Epoch: 4}, 2, b); err != nil {
+	if _, err := Async(st, Meta{SE: "kv/0", Epoch: 4}, b); err != nil {
 		t.Fatal(err)
 	}
 	for e := uint64(1); e <= 3; e++ {
@@ -201,13 +208,13 @@ func TestChainGC(t *testing.T) {
 			t.Fatalf("superseded epoch %d still has %d objects: %v", e, got, onDisk())
 		}
 	}
-	if got := countEpoch(4); got != 3 {
-		t.Fatalf("epoch 4 objects = %d, want 3", got)
+	if got, want := countEpoch(4), tipChunks()+1; got != want {
+		t.Fatalf("epoch 4 objects = %d, want %d", got, want)
 	}
 
 	// Forget mid-chain frees everything.
 	kv.Put(100, []byte("x"))
-	if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 5}, 2, b); err != nil {
+	if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 5}, b); err != nil {
 		t.Fatal(err)
 	}
 	b.Forget("kv/0")
@@ -226,14 +233,14 @@ func TestDeltaSaveAbort(t *testing.T) {
 	kv := st.(state.KV)
 
 	// Delta without any base chain: validated before any disk write.
-	if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 1}, 2, b); err == nil {
+	if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 1}, b); err == nil {
 		t.Fatal("delta without base should fail")
 	}
 	if got := len(cl.Node(0).Disk.List()) + len(cl.Node(1).Disk.List()); got != 0 {
 		t.Fatalf("aborted delta left %d objects on disk", got)
 	}
 
-	if _, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, 2, b); err != nil {
+	if _, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
 		t.Fatal(err)
 	}
 	kv.Put(7, []byte("seven"))
@@ -241,7 +248,7 @@ func TestDeltaSaveAbort(t *testing.T) {
 
 	// Stale epoch (equal to the chain tip) must abort without touching disk.
 	before := append(cl.Node(0).Disk.List(), cl.Node(1).Disk.List()...)
-	if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 1}, 2, b); err == nil {
+	if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 1}, b); err == nil {
 		t.Fatal("stale delta epoch should fail")
 	}
 	after := append(cl.Node(0).Disk.List(), cl.Node(1).Disk.List()...)
@@ -255,7 +262,7 @@ func TestDeltaSaveAbort(t *testing.T) {
 
 	// The aborted cut was refolded: the retried epoch carries the changes
 	// and the restored state matches the live store.
-	if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 2}, 2, b); err != nil {
+	if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 2}, b); err != nil {
 		t.Fatal(err)
 	}
 	sets, meta2, err := b.Restore("kv/0", 1)
@@ -318,12 +325,12 @@ func TestEpochNumberReuseAfterReset(t *testing.T) {
 	kv := st.(state.KV)
 
 	// Old incarnation: chain {1, 2, 3}.
-	if _, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, 2, b); err != nil {
+	if _, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
 		t.Fatal(err)
 	}
 	for e := uint64(2); e <= 3; e++ {
 		kv.Put(e, []byte("x"))
-		if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: e}, 2, b); err != nil {
+		if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: e}, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -331,7 +338,7 @@ func TestEpochNumberReuseAfterReset(t *testing.T) {
 	// New incarnation (as after a repartition): fresh store, epoch restarts
 	// at 1, first checkpoint is a base with a different chunk count.
 	st2 := mkTracked("kvmap", 150, []byte("new"))
-	if _, err := Async(st2, Meta{SE: "kv/0", Epoch: 1}, 4, b); err != nil {
+	if _, err := Async(st2, Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
 		t.Fatal(err)
 	}
 

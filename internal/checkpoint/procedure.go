@@ -7,13 +7,30 @@ import (
 	"repro/internal/state"
 )
 
+// ChunkBytes bounds one checkpoint chunk's encoded payload (best effort:
+// one oversized entry still becomes one chunk). It is the coordinator's
+// default for streamed snapshot parts and the modelled-disk sink's upper
+// bound.
+const ChunkBytes = 1 << 20
+
+// saveBound is the modelled-disk sink's chunk bound for one store: at most
+// ChunkBytes, and small enough that every one of the m backup targets
+// writes (and a restore reads) a share of even a small state. The
+// accounted size over-counts small entries up to about six-fold (entry
+// overhead and key against a varint key and length), so the bound aims at
+// eight chunks per target; that also keeps targets within one chunk of
+// each other.
+func saveBound(st state.Store, b *Backup) int {
+	return int(min(ChunkBytes, st.SizeBytes()/int64(8*max(b.Targets(), 1))+1))
+}
+
 // Async executes the five-step asynchronous checkpoint of §5 on one SE
 // instance, as the modelled-disk sink of a ChunkStream:
 //
 //	(1) flag the SE dirty (BeginDirty) — writers divert to the overlay;
-//	(2..3) serialise the now-consistent base into nChunks chunks while
-//	       processing continues;
-//	(4) back the chunks up to the m target nodes in parallel;
+//	(2..3) serialise the now-consistent base into chunks bounded by
+//	       saveBound while processing continues;
+//	(4) back the chunks up round-robin over the m target nodes in parallel;
 //	(5) lock briefly and consolidate the dirty overlay (MergeDirty).
 //
 // Only step 5 blocks writers, and its cost is proportional to the update
@@ -23,9 +40,9 @@ import (
 // When the store tracks changed keys, the full snapshot also cuts the
 // tracker (committing on success, aborting on failure), so a compaction
 // epoch resets the delta chain exactly at this snapshot's cut point.
-func Async(st state.Store, meta Meta, nChunks int, b *Backup) (Result, error) {
-	return saveAsync(st, meta, b, false, func() ([]state.Chunk, error) {
-		return st.Checkpoint(nChunks)
+func Async(st state.Store, meta Meta, b *Backup) (Result, error) {
+	return saveAsync(meta, b, false, func() (*ChunkStream, error) {
+		return StreamAsync(st, saveBound(st, b))
 	})
 }
 
@@ -35,38 +52,25 @@ func Async(st state.Store, meta Meta, nChunks int, b *Backup) (Result, error) {
 // for the next epoch by the merge. On any failure the cut is aborted,
 // folding the keys back into the tracker so no change is ever dropped from
 // the chain.
-func AsyncDelta(st state.DeltaStore, meta Meta, nChunks int, b *Backup) (Result, error) {
-	return saveAsync(st, meta, b, true, func() ([]state.Chunk, error) {
-		return st.DeltaCheckpoint(nChunks)
+func AsyncDelta(st state.DeltaStore, meta Meta, b *Backup) (Result, error) {
+	return saveAsync(meta, b, true, func() (*ChunkStream, error) {
+		return StreamAsyncDelta(st, saveBound(st, b))
 	})
 }
 
-// saveAsync drains one stream of hash-partitioned chunks into the backup
-// store and settles the tracker cut by whether the save committed.
-func saveAsync(st state.Store, meta Meta, b *Backup, delta bool, serialise func() ([]state.Chunk, error)) (Result, error) {
+// saveAsync opens a chunk stream, drains it into the backup store and
+// settles the tracker cut by whether the save committed.
+func saveAsync(meta Meta, b *Backup, delta bool, open func() (*ChunkStream, error)) (Result, error) {
 	start := time.Now()
-	s, err := openStream(st, delta, func() (state.ChunkIter, error) {
-		chunks, err := serialise()
-		return (*chunkSlice)(&chunks), err
-	})
+	s, err := open()
 	if err != nil {
 		return Result{}, err
 	}
-	var chunks []state.Chunk
-	for {
-		c, ok, nerr := s.Next()
-		if nerr != nil {
-			err = fmt.Errorf("checkpoint: serialise: %w", nerr)
-		}
-		if !ok {
-			break
-		}
-		chunks = append(chunks, c)
-	}
+	chunks, err := state.Drain(s)
 	snapDur := time.Since(start)
 	var bytes int64
 	if err == nil {
-		meta.StoreType = st.Type()
+		meta.StoreType = s.st.Type()
 		meta.Delta = delta
 		bytes, err = b.Save(meta, chunks)
 	}
@@ -81,7 +85,7 @@ func saveAsync(st state.Store, meta Meta, b *Backup, delta bool, serialise func(
 	return Result{
 		Meta:         meta,
 		Bytes:        bytes,
-		StateBytes:   st.SizeBytes(),
+		StateBytes:   s.st.SizeBytes(),
 		Duration:     time.Since(start),
 		LockTime:     s.lockTime,
 		MergedDirty:  s.merged,
@@ -91,47 +95,22 @@ func saveAsync(st state.Store, meta Meta, b *Backup, delta bool, serialise func(
 
 // Sync executes a stop-the-world checkpoint: pause() must halt all
 // processing that touches the SE; its returned resume function is called
-// after the snapshot is persisted. The entire serialisation and backup time
+// after the snapshot is persisted. It is Async run inside the pause, so the
+// dirty overlay stays empty and the entire serialisation and backup time
 // counts as lock time, which is why synchronous checkpointing collapses
-// with large state (Fig. 12). A live delta tracker is cut and committed
-// like Async's, so mixing modes never leaks tracked keys.
-func Sync(st state.Store, meta Meta, nChunks int, b *Backup, pause func() (resume func())) (Result, error) {
+// with large state (Fig. 12).
+func Sync(st state.Store, meta Meta, b *Backup, pause func() (resume func())) (Result, error) {
 	start := time.Now()
 	resume := pause()
 	lockStart := time.Now()
-	snapStart := time.Now()
-	chunks, err := st.Checkpoint(nChunks)
-	snapDur := time.Since(snapStart)
-	if err != nil {
-		resume()
-		return Result{}, fmt.Errorf("checkpoint: serialise: %w", err)
-	}
-	ds, isTracked := tracked(st)
-	if isTracked {
-		ds.CutDelta()
-	}
-	meta.StoreType = st.Type()
-	meta.Delta = false
-	bytes, err := b.Save(meta, chunks)
-	lockDur := time.Since(lockStart)
+	res, err := Async(st, meta, b)
 	resume()
 	if err != nil {
-		if isTracked {
-			ds.AbortDelta()
-		}
 		return Result{}, err
 	}
-	if isTracked {
-		ds.CommitDelta()
-	}
-	return Result{
-		Meta:         meta,
-		Bytes:        bytes,
-		StateBytes:   st.SizeBytes(),
-		Duration:     time.Since(start),
-		LockTime:     lockDur,
-		SnapshotTime: snapDur,
-	}, nil
+	res.Duration = time.Since(start)
+	res.LockTime = time.Since(lockStart)
+	return res, nil
 }
 
 // RestoreInstance rebuilds one recovering SE instance into st, the

@@ -15,10 +15,12 @@ import (
 // overlay back (step 5), and Commit or Abort settles the tracker cut once
 // the sink knows whether the epoch is durable (step 4 is the sink's).
 //
-// Two sinks consume it. The modelled-disk sink (Async, AsyncDelta) drains
-// n hash-partitioned chunks into Backup.Save and settles at once; the
-// coordinator sink (runtime's snapshot stream) serves byte-bounded chunks
-// over the wire and settles when the next SnapBegin says what was retained.
+// Two sinks consume the same byte-bounded chunks. The modelled-disk sink
+// (Async, AsyncDelta) drains them into Backup.Save, which spreads them over
+// the m backup nodes, and settles at once; the coordinator sink (runtime's
+// snapshot stream) serves them over the wire and settles when the next
+// SnapBegin says what was retained. Either way a restore re-splits every
+// chunk n ways by key hash.
 //
 // Writers divert to the overlay for the stream's whole lifetime, so the
 // caller should drain and Close promptly — but processing never stops
@@ -63,10 +65,9 @@ func tracked(st state.Store) (state.DeltaStore, bool) {
 }
 
 // openStream flags the store dirty, opens the tracker cut and builds the
-// chunk iterator. A delta iterator opens the cut itself (DeltaStream and
-// DeltaCheckpoint cut and capture the key set in one step); a base epoch of
-// a tracked store cuts here, so the chain restarts exactly at this
-// snapshot's cut point.
+// chunk iterator. A delta iterator opens the cut itself (DeltaStream cuts
+// and captures the key set in one step); a base epoch of a tracked store
+// cuts here, so the chain restarts exactly at this snapshot's cut point.
 func openStream(st state.Store, delta bool, iter func() (state.ChunkIter, error)) (*ChunkStream, error) {
 	if err := st.BeginDirty(); err != nil {
 		return nil, fmt.Errorf("checkpoint: begin dirty: %w", err)
@@ -128,19 +129,4 @@ func (s *ChunkStream) Abort() {
 		s.cut.AbortDelta()
 		s.cut = nil
 	}
-}
-
-// chunkSlice serves already serialised chunks as a ChunkIter: the
-// modelled-disk sink's n hash-partitioned chunks (Store.Checkpoint,
-// DeltaStore.DeltaCheckpoint), where chunk i lands on backup node i mod m
-// and restore re-splits by key hash.
-type chunkSlice []state.Chunk
-
-func (p *chunkSlice) Next() (state.Chunk, bool, error) {
-	if len(*p) == 0 {
-		return state.Chunk{}, false, nil
-	}
-	c := (*p)[0]
-	*p = (*p)[1:]
-	return c, true, nil
 }

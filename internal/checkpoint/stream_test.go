@@ -89,20 +89,14 @@ func TestStreamAsyncErrorMerges(t *testing.T) {
 	}
 }
 
-// drain pulls every chunk out of a stream.
-func drain(t *testing.T, cs *ChunkStream) []state.Chunk {
+// mustDrain pulls every chunk out of a stream.
+func mustDrain(t *testing.T, it state.ChunkIter) []state.Chunk {
 	t.Helper()
-	var chunks []state.Chunk
-	for {
-		ck, ok, err := cs.Next()
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if !ok {
-			return chunks
-		}
-		chunks = append(chunks, ck)
+	chunks, err := state.Drain(it)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return chunks
 }
 
 // TestStreamAsyncDeltaSettle drives the coordinator sink's shape of the
@@ -122,7 +116,7 @@ func TestStreamAsyncDeltaSettle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseChunks := drain(t, base)
+			baseChunks := mustDrain(t, base)
 			if err := base.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +132,7 @@ func TestStreamAsyncDeltaSettle(t *testing.T) {
 				t.Fatal(err)
 			}
 			kv.Put(5, []byte("during the stream"))
-			drain(t, lost)
+			mustDrain(t, lost)
 			if err := lost.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +146,7 @@ func TestStreamAsyncDeltaSettle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			deltaChunks := drain(t, kept)
+			deltaChunks := mustDrain(t, kept)
 			if err := kept.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -127,6 +127,14 @@ func (b *OutputBuffer) Rewrite(f func(items []core.Item) []core.Item) {
 	}
 }
 
+// Read hands f the buffered items under the buffer's lock, without the
+// copy Replay makes; f must not retain the slice or call into the buffer.
+func (b *OutputBuffer) Read(f func(items []core.Item) error) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return f(b.items)
+}
+
 // Replay returns a copy of the buffered items in append order.
 func (b *OutputBuffer) Replay() []core.Item {
 	b.mu.Lock()

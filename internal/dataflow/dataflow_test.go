@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -27,6 +28,30 @@ func TestOutputBufferAppendReplay(t *testing.T) {
 	got[0].Seq = 99
 	if b.Replay()[0].Seq != 1 {
 		t.Fatal("replay aliases buffer")
+	}
+}
+
+func TestOutputBufferRead(t *testing.T) {
+	var b OutputBuffer
+	for i := uint64(1); i <= 3; i++ {
+		b.Append(core.Item{Origin: 1, Seq: i})
+	}
+	var seqs []uint64
+	err := b.Read(func(items []core.Item) error {
+		for _, it := range items {
+			seqs = append(seqs, it.Seq)
+		}
+		return nil
+	})
+	if err != nil || len(seqs) != 3 || seqs[0] != 1 || seqs[2] != 3 {
+		t.Fatalf("read = %v, %v", seqs, err)
+	}
+	errStop := errors.New("stop")
+	if err := b.Read(func([]core.Item) error { return errStop }); err != errStop {
+		t.Fatalf("read error = %v, want %v", err, errStop)
+	}
+	if b.Len() != 3 {
+		t.Fatalf("read changed the buffer: len %d", b.Len())
 	}
 }
 

@@ -35,8 +35,8 @@ func Fig11(scale Scale) ([]Fig11Row, *Table, error) {
 	for _, size := range sizes {
 		for _, s := range strategies {
 			cl := cluster.New(0, cluster.Config{DiskWriteBW: fig11DiskBW, DiskReadBW: fig11DiskBW})
-			// Backup store with exactly m target nodes; chunks = m so each
-			// target holds one chunk stream.
+			// Backup store with exactly m target nodes: checkpoint chunks
+			// land on them round-robin.
 			targets := make([]*cluster.Node, s.m)
 			for i := range targets {
 				targets[i] = cl.AddNode()
@@ -45,7 +45,6 @@ func Fig11(scale Scale) ([]Fig11Row, *Table, error) {
 				Cluster:  cl,
 				Mode:     checkpoint.ModeAsync,
 				Interval: time.Hour, // manual checkpoint only
-				Chunks:   s.m,
 				Backup:   checkpoint.NewBackup(cl, targets),
 			}})
 			if err != nil {

@@ -41,7 +41,6 @@ func Fig12(scale Scale) ([]Fig12Row, *Table, error) {
 				Cluster:  cl,
 				Mode:     mode,
 				Interval: interval,
-				Chunks:   2,
 			}})
 			if err != nil {
 				return nil, nil, err

@@ -42,7 +42,6 @@ func Fig13(scale Scale) (freqRows, sizeRows []Fig13Row, table *Table, err error)
 			Cluster:  cl,
 			Mode:     mode,
 			Interval: interval,
-			Chunks:   2,
 		}})
 		if err != nil {
 			return Fig13Row{}, err

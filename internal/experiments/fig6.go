@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/apps/kv"
@@ -59,7 +60,6 @@ func fig6(scale Scale, sizes []int64) ([]Fig6Row, *Table, error) {
 			Cluster:  cl,
 			Mode:     checkpoint.ModeAsync,
 			Interval: fig6Interval,
-			Chunks:   2,
 		}})
 		if err != nil {
 			return nil, nil, err
@@ -107,13 +107,7 @@ func runFig6Naiad(disk *cluster.Disk, size int64, valueSize int, scale Scale) (f
 				kvm.Put(it.Key, it.Value.([]byte))
 			}
 		},
-		Snapshot: func() []byte {
-			chunks, err := kvm.Checkpoint(1)
-			if err != nil {
-				return nil
-			}
-			return chunks[0].Data
-		},
+		Snapshot: func() []byte { return wholeSnapshot(kvm) },
 	})
 	defer e.Stop()
 
@@ -166,4 +160,16 @@ func newPreloadedKVMap(targetBytes int64, valueSize int) *state.KVMap {
 		kvm.Put(key, make([]byte, valueSize))
 	}
 	return kvm
+}
+
+// wholeSnapshot serialises a store as one chunk for a stop-the-world
+// baseline: a dictionary base stream always yields at least one chunk, and
+// an unbounded one exactly one.
+func wholeSnapshot(st state.Store) []byte {
+	it, err := state.StreamChunks(st, math.MaxInt)
+	if err != nil {
+		return nil
+	}
+	c, _, _ := it.Next()
+	return c.Data
 }

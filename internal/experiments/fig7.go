@@ -43,7 +43,6 @@ func Fig7(scale Scale) ([]Fig7Row, *Table, error) {
 			QueueLen: 512,
 			Mode:     checkpoint.ModeAsync,
 			Interval: maxDur(scale.PointDuration/2, 150*time.Millisecond),
-			Chunks:   2,
 		}})
 		if err != nil {
 			return nil, nil, err

@@ -85,12 +85,12 @@ func (r *Runtime) CheckpointNow(seName string, idx int) (checkpoint.Result, erro
 			mu.Lock()
 			return mu.Unlock
 		}
-		res, err = checkpoint.Sync(si.store, meta, r.opts.Chunks, r.bk, pause)
+		res, err = checkpoint.Sync(si.store, meta, r.bk, pause)
 	default:
 		if ds, ok := r.deltaEligible(si); ok {
-			res, err = checkpoint.AsyncDelta(ds, meta, r.opts.Chunks, r.bk)
+			res, err = checkpoint.AsyncDelta(ds, meta, r.bk)
 		} else {
-			res, err = checkpoint.Async(si.store, meta, r.opts.Chunks, r.bk)
+			res, err = checkpoint.Async(si.store, meta, r.bk)
 		}
 	}
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataflow"
@@ -78,7 +79,7 @@ func (o *CoordOptions) defaults() {
 		o.HeartbeatMisses = 3
 	}
 	if o.SnapChunkBytes == 0 {
-		o.SnapChunkBytes = 1 << 20
+		o.SnapChunkBytes = checkpoint.ChunkBytes
 	}
 }
 

@@ -117,7 +117,6 @@ func TestDeltaRecovery(t *testing.T) {
 			r, err := Deploy(kvIfaceGraph(tc.shards), Options{
 				Mode:             checkpoint.ModeAsync,
 				Interval:         time.Hour,
-				Chunks:           4,
 				DeltaCheckpoints: true,
 			})
 			if err != nil {
@@ -234,7 +233,6 @@ func TestDeltaScaleUpRepartition(t *testing.T) {
 	r, err := Deploy(kvIfaceGraph(0), Options{
 		Mode:             checkpoint.ModeAsync,
 		Interval:         time.Hour,
-		Chunks:           2,
 		DeltaCheckpoints: true,
 	})
 	if err != nil {

@@ -478,19 +478,21 @@ func (n *remoteNet) edgeParts(dst *[]wire.SnapPart, maxBytes int) error {
 		return keys[i].inst < keys[j].inst
 	})
 	for _, k := range keys {
-		items := n.logs[k].Replay()
-		for len(items) > 0 {
-			data, took, err := wire.EncodeItemsBounded(items, maxBytes)
-			if err != nil {
-				return err
+		// In place: a copy of a log would double the heap at every cut, and
+		// every writer and trimmer of a send log holds n.mu anyway.
+		err := n.logs[k].Read(func(items []core.Item) error {
+			for len(items) > 0 {
+				data, took, err := wire.EncodeItemsBounded(items, maxBytes)
+				if err != nil {
+					return err
+				}
+				*dst = append(*dst, wire.SnapPart{Kind: wire.PartEdge, Edge: k.edge, Inst: k.inst, Data: data})
+				items = items[took:]
 			}
-			*dst = append(*dst, wire.SnapPart{
-				Kind: wire.PartEdge,
-				Edge: k.edge,
-				Inst: k.inst,
-				Data: data,
-			})
-			items = items[took:]
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -70,7 +70,6 @@ type Options struct {
 	// Checkpointing.
 	Mode     checkpoint.Mode
 	Interval time.Duration // checkpoint period (default 10s, as in §6)
-	Chunks   int           // chunks per checkpoint = backup parallelism m (default 2)
 	Backup   *checkpoint.Backup
 	// DeltaCheckpoints enables incremental epochs for dictionary SEs: after
 	// an instance's first full checkpoint, subsequent epochs serialise only
@@ -106,9 +105,6 @@ func (o *Options) defaults() {
 	}
 	if o.Interval <= 0 {
 		o.Interval = 10 * time.Second
-	}
-	if o.Chunks <= 0 {
-		o.Chunks = 2
 	}
 }
 
@@ -609,6 +605,14 @@ func (r *Runtime) startWorker(ti *teInstance) {
 				// final promote raced); fall through to promote it.
 			}
 			if batch != nil {
+				// A select with both ready picks at random, so a worker
+				// that reaches it only after KillNode could take an item
+				// queued after the kill: a dead instance runs nothing.
+				select {
+				case <-ti.dead:
+					return
+				default:
+				}
 				items := batch
 				if max > 1 {
 				coalesce:

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/state"
 )
@@ -302,7 +303,6 @@ func TestRecover1toN(t *testing.T) {
 	r, err := Deploy(kvGraph(), Options{
 		Mode:     checkpoint.ModeAsync,
 		Interval: time.Hour,
-		Chunks:   4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -351,6 +351,71 @@ func TestRecover1toN(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestMToNAcrossBackupTargets: a checkpoint of more than 2 MiB spreads over
+// both backup targets (its checkpoint.ChunkBytes chunks land round-robin),
+// and a 1-to-2 recovery restores it exactly.
+func TestMToNAcrossBackupTargets(t *testing.T) {
+	cl := cluster.New(0, cluster.Config{})
+	targets := []*cluster.Node{cl.AddNode(), cl.AddNode()}
+	r, err := Deploy(kvGraph(), Options{
+		Cluster:  cl,
+		Mode:     checkpoint.ModeAsync,
+		Interval: time.Hour,
+		Backup:   checkpoint.NewBackup(cl, targets),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	const keys = 2600 // 1 KiB values: ~2.6 MB of state
+	value := func(k uint64) []byte {
+		v := make([]byte, 1024)
+		binary.BigEndian.PutUint64(v, k*0x9e3779b97f4a7c15)
+		return v
+	}
+	for k := uint64(0); k < keys; k++ {
+		if _, err := r.Call("put", k, value(k), testTimeout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := r.CheckpointNow("store", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Bytes <= 2<<20 {
+		t.Fatalf("checkpoint wrote %d bytes, want more than 2 MiB", res.Bytes)
+	}
+	for i, n := range targets {
+		if written, _ := n.Disk.Stats(); written == 0 {
+			t.Fatalf("backup target %d received no writes", i)
+		}
+	}
+
+	r.KillNode(r.Stats().SEs[0].Nodes[0])
+	if _, err := r.Recover("store", 2); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Drain(testTimeout) {
+		t.Fatal("did not drain")
+	}
+	total := 0
+	for i := 0; i < 2; i++ {
+		st, _ := r.StateStore("store", i)
+		kv := st.(*state.KVMap)
+		total += kv.NumEntries()
+		kv.ForEach(func(k uint64, v []byte) bool {
+			if k >= keys || string(v) != string(value(k)) {
+				t.Errorf("instance %d holds key %d with a value that was never put", i, k)
+				return false
+			}
+			return true
+		})
+	}
+	if total != keys {
+		t.Fatalf("recovered %d keys, want %d", total, keys)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/state"
@@ -134,7 +135,7 @@ func (r *Runtime) reshard(ss *seState, old []*seInstance, n int) ([]state.Store,
 // splitInto streams src's base as checkpoint chunks, splits each chunk
 // len(dst) ways and restores piece j into dst[j].
 func splitInto(dst []state.Store, src state.Store) error {
-	it, err := state.StreamChunks(src, defaultSnapChunkBytes)
+	it, err := state.StreamChunks(src, checkpoint.ChunkBytes)
 	if err != nil {
 		return err
 	}

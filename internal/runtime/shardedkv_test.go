@@ -15,7 +15,6 @@ func TestShardedCheckpointAndRecover(t *testing.T) {
 	r, err := Deploy(kvIfaceGraph(8), Options{
 		Mode:     checkpoint.ModeAsync,
 		Interval: time.Hour, // manual checkpoints only
-		Chunks:   4,
 	})
 	if err != nil {
 		t.Fatal(err)

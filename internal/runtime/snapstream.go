@@ -28,14 +28,9 @@ import (
 // by the next SnapBegin, not by the end of the stream — only then does the
 // worker know whether the coordinator kept the epoch.
 
-const (
-	// defaultSnapChunkBytes bounds one streamed part's payload when the
-	// coordinator does not say otherwise.
-	defaultSnapChunkBytes = 1 << 20
-	// maxSnapChunkBytes caps what a peer may request: well under the frame
-	// cap so envelope, part header and one oversized entry still fit.
-	maxSnapChunkBytes = cluster.MaxFrameSize / 4
-)
+// maxSnapChunkBytes caps what a peer may request: well under the frame cap
+// so envelope, part header and one oversized entry still fit.
+const maxSnapChunkBytes = cluster.MaxFrameSize / 4
 
 // seStream is one SE instance's open streaming checkpoint.
 type seStream struct {
@@ -155,7 +150,7 @@ func (r *Runtime) trimToBacklog(e *edgeRT, b *dataflow.OutputBuffer, rs *routeSc
 // out-edge logs to their local backlog.
 func (r *Runtime) newSnapCapture(maxBytes int) (*snapCapture, error) {
 	if maxBytes <= 0 || maxBytes > maxSnapChunkBytes {
-		maxBytes = defaultSnapChunkBytes
+		maxBytes = checkpoint.ChunkBytes
 	}
 	c := &snapCapture{r: r, maxBytes: maxBytes}
 	unpause := r.pauseAll()

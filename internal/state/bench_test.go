@@ -48,11 +48,11 @@ func BenchmarkKVMapGet(b *testing.B) {
 	}
 }
 
-// Ablation: checkpoint chunk-count sweep. More chunks buy m-to-n restore
-// parallelism; this measures the serialisation cost of producing them.
-func BenchmarkKVMapCheckpointChunks(b *testing.B) {
-	for _, chunks := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("chunks=%d", chunks), func(b *testing.B) {
+// Ablation: checkpoint chunk-bound sweep. Smaller chunks spread over more
+// backup nodes; this measures the serialisation cost of producing them.
+func BenchmarkKVMapCheckpointStream(b *testing.B) {
+	for _, maxBytes := range []int{16 << 10, 256 << 10, 1 << 20} {
+		b.Run(fmt.Sprintf("maxBytes=%d", maxBytes), func(b *testing.B) {
 			m := NewKVMap()
 			for i := 0; i < 20000; i++ {
 				m.Put(uint64(i), make([]byte, 128))
@@ -60,7 +60,7 @@ func BenchmarkKVMapCheckpointChunks(b *testing.B) {
 			b.SetBytes(int64(20000 * 128))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.Checkpoint(chunks); err != nil {
+				if _, err := streamAll(m, maxBytes); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -73,7 +73,7 @@ func BenchmarkSplitChunk(b *testing.B) {
 	for i := 0; i < 20000; i++ {
 		m.Put(uint64(i), make([]byte, 128))
 	}
-	chunks, err := m.Checkpoint(1)
+	chunks, err := streamAll(m, 4<<20)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func BenchmarkKVMapRestore(b *testing.B) {
 	for i := 0; i < 20000; i++ {
 		m.Put(uint64(i), make([]byte, 128))
 	}
-	chunks, err := m.Checkpoint(4)
+	chunks, err := streamAll(m, 1<<20)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func BenchmarkKVMapParallelPutCheckpointed(b *testing.B) {
 				go func() {
 					defer ckWg.Done()
 					for n := 0; ; n++ {
-						if _, err := m.Checkpoint(4); err != nil {
+						if _, err := streamAll(m, 1<<20); err != nil {
 							return
 						}
 						if n == 0 {
@@ -277,8 +277,7 @@ func BenchmarkKVMapParallelPutCheckpointed(b *testing.B) {
 }
 
 // BenchmarkKVMapCheckpointImpl compares snapshot serialisation: the
-// single-lock store encodes on one goroutine, the sharded store encodes one
-// worker per shard.
+// single-lock store streams its one map, the sharded store shard by shard.
 func BenchmarkKVMapCheckpointImpl(b *testing.B) {
 	for _, impl := range kvImpls {
 		b.Run("impl="+impl.name, func(b *testing.B) {
@@ -289,7 +288,7 @@ func BenchmarkKVMapCheckpointImpl(b *testing.B) {
 			b.SetBytes(int64(20000 * 128))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.Checkpoint(4); err != nil {
+				if _, err := streamAll(m, 1<<20); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -304,7 +303,7 @@ func BenchmarkKVMapRestoreImpl(b *testing.B) {
 	for i := uint64(0); i < 20000; i++ {
 		src.Put(i, make([]byte, 128))
 	}
-	chunks, err := src.Checkpoint(8)
+	chunks, err := streamAll(src, 256<<10)
 	if err != nil {
 		b.Fatal(err)
 	}

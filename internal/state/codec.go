@@ -101,7 +101,9 @@ func (d *decoder) bytes() []byte {
 	if d.err != nil {
 		return nil
 	}
-	if uint64(d.off)+n > uint64(len(d.buf)) {
+	// Compared against what remains, so a length near 2^64 cannot wrap
+	// the bound and reach make.
+	if n > uint64(len(d.buf)-d.off) {
 		d.fail()
 		return nil
 	}

@@ -19,14 +19,14 @@ import (
 //	uvarint(updateCount) updateCount × (uvarint(key), uvarint(len)+bytes)
 //	uvarint(tombCount)   tombCount   × uvarint(key)
 //
-// i.e. the base format's entry list followed by a tombstone key list. Delta
-// chunks hash-partition exactly like base chunks, so SplitChunk re-splits
-// them n-ways and the m-to-n parallel restore of Fig. 4 works unchanged:
-// each recovering instance applies its base group first, then its delta
-// groups in epoch order.
+// i.e. the base format's entry list followed by a tombstone key list.
+// SplitChunk re-splits delta chunks n ways by key hash exactly like base
+// chunks, so the m-to-n parallel restore of Fig. 4 works unchanged: each
+// recovering instance applies its base group first, then its delta groups
+// in epoch order.
 //
 // Tracking follows a two-phase commit so that an aborted backup never loses
-// changes: DeltaCheckpoint (or CutDelta for a full checkpoint) atomically
+// changes: DeltaStream (or CutDelta for a full checkpoint) atomically
 // snapshots the changed-key set into a pending cut and resets the live set;
 // CommitDelta drops the pending cut once the epoch is durably saved, while
 // AbortDelta folds it back into the live set so the next epoch re-covers
@@ -188,32 +188,14 @@ func (e *deltaEnc) tombstone(k uint64) {
 // size is the encoded payload accumulated so far.
 func (e *deltaEnc) size() int { return len(e.upd.buf) + len(e.tmb.buf) }
 
-// assembleDeltaChunks stitches per-shard-per-partition delta encoders into
-// n self-describing delta chunks. groups[g][p] is shard g's contribution to
-// partition p; KVMap passes a single group.
-func assembleDeltaChunks(n int, groups [][]*deltaEnc) []Chunk {
-	chunks := make([]Chunk, n)
-	for p := 0; p < n; p++ {
-		var ucnt, tcnt uint64
-		size := 0
-		for g := range groups {
-			e := groups[g][p]
-			ucnt += e.ucnt
-			tcnt += e.tcnt
-			size += len(e.upd.buf) + len(e.tmb.buf)
-		}
-		head := newEncoder(size + 20)
-		head.uvarint(ucnt)
-		for g := range groups {
-			head.buf = append(head.buf, groups[g][p].upd.buf...)
-		}
-		head.uvarint(tcnt)
-		for g := range groups {
-			head.buf = append(head.buf, groups[g][p].tmb.buf...)
-		}
-		chunks[p] = Chunk{Type: TypeKVMap, Index: p, Of: n, Delta: true, Data: head.buf}
-	}
-	return chunks
+// assemble stitches the bodies into one self-describing delta chunk.
+func (e *deltaEnc) assemble(index, of int) Chunk {
+	head := newEncoder(e.size() + 20)
+	head.uvarint(e.ucnt)
+	head.buf = append(head.buf, e.upd.buf...)
+	head.uvarint(e.tcnt)
+	head.buf = append(head.buf, e.tmb.buf...)
+	return Chunk{Type: TypeKVMap, Index: index, Of: of, Delta: true, Data: head.buf}
 }
 
 // applyDeltaChunk decodes one delta chunk into put/delete callbacks.
@@ -271,12 +253,16 @@ func splitKVDeltaChunk(c Chunk, n int) ([]Chunk, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	return assembleDeltaChunks(n, [][]*deltaEnc{encs}), nil
+	out := make([]Chunk, n)
+	for i, e := range encs {
+		out[i] = e.assemble(i, n)
+	}
+	return out, nil
 }
 
 // --- KVMap ---
 
-// EnableDeltaTracking starts recording changed keys so DeltaCheckpoint can
+// EnableDeltaTracking starts recording changed keys so DeltaStream can
 // serialise incremental epochs. The first checkpoint after enabling must be
 // a full one: only changes made after this call are tracked.
 func (m *KVMap) EnableDeltaTracking() { m.delta.enable() }
@@ -310,39 +296,6 @@ func (m *KVMap) AbortDelta() {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	m.delta.abort()
-}
-
-// DeltaCheckpoint serialises the keys changed since the last committed cut
-// into n hash-partitioned delta chunks and begins a pending cut. Like
-// Checkpoint it reads the frozen base, so it must run while dirty mode is
-// active (or on a quiescent store).
-func (m *KVMap) DeltaCheckpoint(n int) ([]Chunk, error) {
-	if n < 1 {
-		return nil, ErrBadSplit
-	}
-	if !m.delta.enabled() {
-		return nil, ErrDeltaInactive
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	keys := m.delta.cut()
-	encs := make([]*deltaEnc, n)
-	hint := 64
-	if len(keys) > 0 && len(m.base) > 0 {
-		hint = int(m.size.Load())/len(m.base)*len(keys)/n + 64
-	}
-	for i := range encs {
-		encs[i] = newDeltaEnc(hint)
-	}
-	for k := range keys {
-		p := PartitionKey(k, n)
-		if v, ok := m.base[k]; ok {
-			encs[p].update(k, v)
-		} else {
-			encs[p].tombstone(k)
-		}
-	}
-	return assembleDeltaChunks(n, [][]*deltaEnc{encs}), nil
 }
 
 // ApplyDelta replays delta chunks onto the store: updates become puts,
@@ -410,44 +363,10 @@ func (m *ShardedKVMap) AbortDelta() {
 	}
 }
 
-// DeltaCheckpoint serialises the changed keys into n hash-partitioned delta
-// chunks, one encoding worker per shard, and begins a pending cut. Chunks
-// are byte-format-identical to KVMap's delta chunks.
-func (m *ShardedKVMap) DeltaCheckpoint(n int) ([]Chunk, error) {
-	if n < 1 {
-		return nil, ErrBadSplit
-	}
-	if !m.DeltaTracking() {
-		return nil, ErrDeltaInactive
-	}
-	m.lifecycle.Lock()
-	defer m.lifecycle.Unlock()
-	groups := make([][]*deltaEnc, len(m.shards))
-	m.eachShardIdx(func(i int, s *kvShard) error {
-		encs := make([]*deltaEnc, n)
-		for p := range encs {
-			encs[p] = newDeltaEnc(64)
-		}
-		s.mu.RLock()
-		keys := s.delta.cut()
-		for k := range keys {
-			p := PartitionKey(k, n)
-			if v, ok := s.base[k]; ok {
-				encs[p].update(k, v)
-			} else {
-				encs[p].tombstone(k)
-			}
-		}
-		s.mu.RUnlock()
-		groups[i] = encs
-		return nil
-	})
-	return assembleDeltaChunks(n, groups), nil
-}
-
 // ApplyDelta replays delta chunks onto the store, decoding chunks on a
-// bounded worker pool (chunks of one epoch are disjoint partitions, so
-// their puts and deletes never target the same key).
+// bounded worker pool (chunks of one epoch hold disjoint key sets — a cut
+// serialises each key once — so their puts and deletes never target the
+// same key).
 func (m *ShardedKVMap) ApplyDelta(chunks []Chunk) error {
 	errs := make([]error, len(chunks))
 	workers := 2 * runtime.GOMAXPROCS(0)

@@ -18,6 +18,17 @@ func eachKVBackend(t *testing.T, fn func(t *testing.T, mk func() DeltaStore)) {
 	}
 }
 
+// drainDelta opens a delta stream (and with it a pending cut) and pulls
+// every chunk out of it.
+func drainDelta(t *testing.T, st DeltaStore, maxBytes int) []Chunk {
+	t.Helper()
+	iter, err := st.DeltaStream(maxBytes)
+	if err != nil {
+		t.Fatalf("DeltaStream: %v", err)
+	}
+	return drainIter(t, iter)
+}
+
 func kvEqual(t *testing.T, a, b KV) {
 	t.Helper()
 	if an, bn := a.NumEntries(), b.NumEntries(); an != bn {
@@ -45,87 +56,83 @@ func TestDeltaTrackingOffByDefault(t *testing.T) {
 		if st.DeltaSize() != 0 {
 			t.Fatal("untracked store recorded a change")
 		}
-		if _, err := st.DeltaCheckpoint(1); err != ErrDeltaInactive {
-			t.Fatalf("DeltaCheckpoint without tracking = %v, want ErrDeltaInactive", err)
+		if _, err := st.DeltaStream(1 << 20); err != ErrDeltaInactive {
+			t.Fatalf("DeltaStream without tracking = %v, want ErrDeltaInactive", err)
 		}
 	})
 }
 
 func TestDeltaCheckpointOnlyChangedKeys(t *testing.T) {
 	eachKVBackend(t, func(t *testing.T, mk func() DeltaStore) {
-		st := mk()
-		kv := st.(KV)
-		st.EnableDeltaTracking()
-		for i := uint64(0); i < 1000; i++ {
-			kv.Put(i, []byte(fmt.Sprintf("v%d", i)))
-		}
-		// Base cut: everything so far is covered by a full checkpoint.
-		st.CutDelta()
-		st.CommitDelta()
-		if st.DeltaSize() != 0 {
-			t.Fatalf("delta size after committed cut = %d", st.DeltaSize())
-		}
-
-		// Churn: 10 updates, 5 deletes, 2 inserts.
-		for i := uint64(0); i < 10; i++ {
-			kv.Put(i, []byte("new"))
-		}
-		for i := uint64(100); i < 105; i++ {
-			kv.Delete(i)
-		}
-		kv.Put(5000, []byte("ins"))
-		kv.Put(5001, []byte("ins"))
-		if got := st.DeltaSize(); got != 17 {
-			t.Fatalf("delta size = %d, want 17", got)
-		}
-
-		chunks, err := st.DeltaCheckpoint(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.CommitDelta()
-		var ucnt, tcnt uint64
-		for _, c := range chunks {
-			if !c.Delta || c.Type != TypeKVMap {
-				t.Fatalf("chunk = %+v, want delta kvmap chunk", c)
-			}
-			d := newDecoder(c.Data)
-			nu := d.uvarint()
-			for i := uint64(0); i < nu; i++ {
-				k := d.uvarint()
-				d.bytes()
-				if PartitionKey(k, 3) != c.Index {
-					t.Fatalf("key %d in wrong partition %d", k, c.Index)
-				}
-			}
-			nt := d.uvarint()
-			for i := uint64(0); i < nt; i++ {
-				k := d.uvarint()
-				if PartitionKey(k, 3) != c.Index {
-					t.Fatalf("tombstone %d in wrong partition %d", k, c.Index)
-				}
-			}
-			if !d.done() {
-				t.Fatalf("trailing bytes in delta chunk: %v", d.err)
-			}
-			ucnt += nu
-			tcnt += nt
-		}
-		if ucnt != 12 || tcnt != 5 {
-			t.Fatalf("updates=%d tombstones=%d, want 12/5", ucnt, tcnt)
-		}
-
-		// Applying base + delta onto a fresh store reproduces the live state,
-		// in either backend.
-		for _, rebuild := range []DeltaStore{NewKVMap(), NewShardedKVMap(4)} {
-			base := rebuild.(KV)
+		for _, maxBytes := range []int{16, 1024, 1 << 20} {
+			st := mk()
+			kv := st.(KV)
+			st.EnableDeltaTracking()
 			for i := uint64(0); i < 1000; i++ {
-				base.Put(i, []byte(fmt.Sprintf("v%d", i)))
+				kv.Put(i, []byte(fmt.Sprintf("v%d", i)))
 			}
-			if err := rebuild.ApplyDelta(chunks); err != nil {
-				t.Fatal(err)
+			// Base cut: everything so far is covered by a full checkpoint.
+			st.CutDelta()
+			st.CommitDelta()
+			if st.DeltaSize() != 0 {
+				t.Fatalf("delta size after committed cut = %d", st.DeltaSize())
 			}
-			kvEqual(t, kv, base)
+
+			// Churn: 10 updates, 5 deletes, 2 inserts.
+			for i := uint64(0); i < 10; i++ {
+				kv.Put(i, []byte("new"))
+			}
+			for i := uint64(100); i < 105; i++ {
+				kv.Delete(i)
+			}
+			kv.Put(5000, []byte("ins"))
+			kv.Put(5001, []byte("ins"))
+			if got := st.DeltaSize(); got != 17 {
+				t.Fatalf("delta size = %d, want 17", got)
+			}
+
+			chunks := drainDelta(t, st, maxBytes)
+			st.CommitDelta()
+			if maxBytes == 16 && len(chunks) < 2 {
+				t.Fatalf("maxBytes=%d: %d delta chunk(s), expected a split", maxBytes, len(chunks))
+			}
+			var ucnt, tcnt uint64
+			for _, c := range chunks {
+				if !c.Delta || c.Type != TypeKVMap {
+					t.Fatalf("chunk = %+v, want delta kvmap chunk", c)
+				}
+				d := newDecoder(c.Data)
+				nu := d.uvarint()
+				for i := uint64(0); i < nu; i++ {
+					d.uvarint()
+					d.bytes()
+				}
+				nt := d.uvarint()
+				for i := uint64(0); i < nt; i++ {
+					d.uvarint()
+				}
+				if !d.done() {
+					t.Fatalf("trailing bytes in delta chunk: %v", d.err)
+				}
+				ucnt += nu
+				tcnt += nt
+			}
+			if ucnt != 12 || tcnt != 5 {
+				t.Fatalf("maxBytes=%d: updates=%d tombstones=%d, want 12/5", maxBytes, ucnt, tcnt)
+			}
+
+			// Applying base + delta onto a fresh store reproduces the live
+			// state, in either backend.
+			for _, rebuild := range []DeltaStore{NewKVMap(), NewShardedKVMap(4)} {
+				base := rebuild.(KV)
+				for i := uint64(0); i < 1000; i++ {
+					base.Put(i, []byte(fmt.Sprintf("v%d", i)))
+				}
+				if err := rebuild.ApplyDelta(chunks); err != nil {
+					t.Fatal(err)
+				}
+				kvEqual(t, kv, base)
+			}
 		}
 	})
 }
@@ -145,10 +152,7 @@ func TestDeltaDirtyWindowRetainedByMerge(t *testing.T) {
 		if err := st.BeginDirty(); err != nil {
 			t.Fatal(err)
 		}
-		chunks, err := st.DeltaCheckpoint(2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		chunks := drainDelta(t, st, 64)
 		// Writes during the checkpoint window land in the overlay and must
 		// surface in the *next* epoch's delta, not this one.
 		kv.Put(2, []byte("window"))
@@ -175,10 +179,7 @@ func TestDeltaDirtyWindowRetainedByMerge(t *testing.T) {
 		if got := st.DeltaSize(); got != 2 {
 			t.Fatalf("retained window size = %d, want 2", got)
 		}
-		chunks2, err := st.DeltaCheckpoint(1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		chunks2 := drainDelta(t, st, 1<<20)
 		st.CommitDelta()
 		var upd, tomb []uint64
 		for _, c := range chunks2 {
@@ -199,9 +200,7 @@ func TestDeltaAbortRefoldsPendingCut(t *testing.T) {
 		st.EnableDeltaTracking()
 		kv.Put(1, []byte("a"))
 		kv.Put(2, []byte("b"))
-		if _, err := st.DeltaCheckpoint(1); err != nil {
-			t.Fatal(err)
-		}
+		drainDelta(t, st, 1<<20)
 		if st.DeltaSize() != 0 {
 			t.Fatal("cut did not reset the live tracker")
 		}
@@ -211,10 +210,7 @@ func TestDeltaAbortRefoldsPendingCut(t *testing.T) {
 		if got := st.DeltaSize(); got != 3 {
 			t.Fatalf("post-abort delta size = %d, want 3", got)
 		}
-		chunks, err := st.DeltaCheckpoint(1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		chunks := drainDelta(t, st, 1<<20)
 		st.CommitDelta()
 		count := 0
 		for _, c := range chunks {
@@ -239,10 +235,7 @@ func TestDeltaClearTombstonesEverything(t *testing.T) {
 		kv.Clear()
 		kv.Put(7, []byte("only"))
 
-		chunks, err := st.DeltaCheckpoint(2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		chunks := drainDelta(t, st, 64)
 		st.CommitDelta()
 
 		rebuilt := NewKVMap()
@@ -275,11 +268,11 @@ func TestSplitDeltaChunk(t *testing.T) {
 	st.CommitDelta()
 	st.Put(3, []byte("upd"))
 	st.Delete(500)
-	chunks, err := st.DeltaCheckpoint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunks := drainDelta(t, st, 1<<20)
 	st.CommitDelta()
+	if len(chunks) != 1 {
+		t.Fatalf("delta streamed as %d chunks, want 1", len(chunks))
+	}
 
 	parts, err := SplitChunk(chunks[0], 4)
 	if err != nil {
@@ -320,19 +313,13 @@ func TestRestoreRejectsDeltaChunk(t *testing.T) {
 		st := mk()
 		st.EnableDeltaTracking()
 		st.(KV).Put(1, []byte("x"))
-		chunks, err := st.DeltaCheckpoint(1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		chunks := drainDelta(t, st, 1<<20)
 		st.CommitDelta()
 		if err := mk().Restore(chunks); err != ErrDeltaChunk {
 			t.Fatalf("Restore(delta chunk) = %v, want ErrDeltaChunk", err)
 		}
 		// And the reverse: ApplyDelta rejects base chunks.
-		base, err := st.Checkpoint(1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		base := drainStream(t, st, 1<<20)
 		if err := mk().ApplyDelta(base); err != ErrNotDelta {
 			t.Fatalf("ApplyDelta(base chunk) = %v, want ErrNotDelta", err)
 		}
@@ -380,9 +367,7 @@ func TestDeltaConcurrentWriters(t *testing.T) {
 			if err := st.BeginDirty(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := st.DeltaCheckpoint(4); err != nil {
-				t.Fatal(err)
-			}
+			drainDelta(t, st, 256)
 			if _, err := st.MergeDirty(); err != nil {
 				t.Fatal(err)
 			}

@@ -10,7 +10,7 @@ import (
 const kvEntryOverhead = 48
 
 // KVMap is a dictionary SE: a hash map from uint64 keys to byte values with
-// dirty-state support and hash-partitioned checkpoints. It backs the
+// dirty-state support and streamed checkpoints. It backs the
 // key/value store application used throughout the paper's evaluation.
 type KVMap struct {
 	dirtyCtl
@@ -179,40 +179,6 @@ func (m *KVMap) MergeDirty() (int, error) {
 	m.ovl = make(map[uint64][]byte)
 	m.tomb = make(map[uint64]struct{})
 	return n, nil
-}
-
-// Checkpoint serialises the base into n hash-partitioned chunks.
-func (m *KVMap) Checkpoint(n int) ([]Chunk, error) {
-	if n < 1 {
-		return nil, ErrBadSplit
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	encs := make([]*encoder, n)
-	counts := make([]uint64, n)
-	hint := 64
-	if len(m.base) > 0 {
-		hint = int(m.size.Load())/n + 64
-	}
-	for i := range encs {
-		encs[i] = newEncoder(hint)
-	}
-	// First pass layout: count placeholder is appended at the end instead,
-	// so we emit entries first into per-partition body encoders.
-	for k, v := range m.base {
-		p := PartitionKey(k, n)
-		encs[p].uvarint(k)
-		encs[p].bytes(v)
-		counts[p]++
-	}
-	chunks := make([]Chunk, n)
-	for i := range chunks {
-		head := newEncoder(len(encs[i].buf) + 10)
-		head.uvarint(counts[i])
-		head.buf = append(head.buf, encs[i].buf...)
-		chunks[i] = Chunk{Type: TypeKVMap, Index: i, Of: n, Data: head.buf}
-	}
-	return chunks, nil
 }
 
 // Restore merges the given chunks into the base.

@@ -82,10 +82,7 @@ func TestKVMapDirtyProtocol(t *testing.T) {
 	}
 
 	// The checkpoint must reflect the pre-dirty base only.
-	chunks, err := m.Checkpoint(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunks := drainStream(t, m, 64)
 	restored := NewKVMap()
 	if err := restored.Restore(chunks); err != nil {
 		t.Fatal(err)
@@ -124,13 +121,10 @@ func TestKVMapCheckpointRestoreRoundTrip(t *testing.T) {
 	for i := uint64(0); i < 500; i++ {
 		m.Put(i, []byte(fmt.Sprintf("value-%d", i)))
 	}
-	for _, nChunks := range []int{1, 2, 7} {
-		chunks, err := m.Checkpoint(nChunks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(chunks) != nChunks {
-			t.Fatalf("got %d chunks, want %d", len(chunks), nChunks)
+	for _, maxBytes := range []int{64, 1024, 1 << 20} {
+		chunks := drainStream(t, m, maxBytes)
+		if maxBytes < 1<<20 && len(chunks) < 2 || maxBytes == 1<<20 && len(chunks) != 1 {
+			t.Fatalf("maxBytes=%d: %d chunk(s)", maxBytes, len(chunks))
 		}
 		r := NewKVMap()
 		if err := r.Restore(chunks); err != nil {
@@ -142,31 +136,9 @@ func TestKVMapCheckpointRestoreRoundTrip(t *testing.T) {
 		for i := uint64(0); i < 500; i++ {
 			want := fmt.Sprintf("value-%d", i)
 			if v, ok := r.Get(i); !ok || string(v) != want {
-				t.Fatalf("n=%d key %d: got %q, want %q", nChunks, i, v, want)
+				t.Fatalf("maxBytes=%d key %d: got %q, want %q", maxBytes, i, v, want)
 			}
 		}
-	}
-}
-
-func TestKVMapPartialRestore(t *testing.T) {
-	m := NewKVMap()
-	for i := uint64(0); i < 100; i++ {
-		m.Put(i, []byte{byte(i)})
-	}
-	chunks, _ := m.Checkpoint(4)
-	// Restoring a single chunk yields exactly that partition's keys.
-	r := NewKVMap()
-	if err := r.Restore(chunks[:1]); err != nil {
-		t.Fatal(err)
-	}
-	r.ForEach(func(k uint64, _ []byte) bool {
-		if PartitionKey(k, 4) != 0 {
-			t.Fatalf("key %d does not belong to partition 0", k)
-		}
-		return true
-	})
-	if r.NumEntries() == 0 || r.NumEntries() == 100 {
-		t.Fatalf("partition 0 has %d entries; want strict subset", r.NumEntries())
 	}
 }
 
@@ -236,9 +208,9 @@ func TestKVMapSplitChunkEquivalence(t *testing.T) {
 	for i := uint64(0); i < 300; i++ {
 		m.Put(i, []byte(fmt.Sprintf("v%d", i)))
 	}
-	one, err := m.Checkpoint(1)
-	if err != nil {
-		t.Fatal(err)
+	one := drainStream(t, m, 1<<20)
+	if len(one) != 1 {
+		t.Fatalf("streamed %d chunks, want 1", len(one))
 	}
 	split, err := SplitChunk(one[0], 4)
 	if err != nil {
@@ -282,10 +254,7 @@ func TestKVMapConcurrentDuringDirty(t *testing.T) {
 			}
 		}(g)
 	}
-	chunks, err := m.Checkpoint(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunks := drainStream(t, m, 1024)
 	wg.Wait()
 	if _, err := m.MergeDirty(); err != nil {
 		t.Fatal(err)
@@ -307,8 +276,8 @@ func TestKVMapConcurrentDuringDirty(t *testing.T) {
 
 func TestKVMapErrors(t *testing.T) {
 	m := NewKVMap()
-	if _, err := m.Checkpoint(0); err != ErrBadSplit {
-		t.Errorf("Checkpoint(0) err = %v", err)
+	if _, err := m.CheckpointStream(0); err != ErrBadSplit {
+		t.Errorf("CheckpointStream(0) err = %v", err)
 	}
 	bad := Chunk{Type: TypeMatrix}
 	if err := m.Restore([]Chunk{bad}); err == nil {

@@ -219,11 +219,14 @@ func (m *Matrix) MergeDirty() (int, error) {
 	return n, nil
 }
 
-// Checkpoint serialises the base into n row-hash-partitioned chunks.
-func (m *Matrix) Checkpoint(n int) ([]Chunk, error) {
-	if n < 1 {
-		return nil, ErrBadSplit
-	}
+// CheckpointStream implements Store: the base as row-hash-partitioned
+// chunks, enough of them that each is likely under maxBytes.
+func (m *Matrix) CheckpointStream(maxBytes int) (ChunkIter, error) {
+	return partitionedStream(m.SizeBytes(), maxBytes, m.checkpoint)
+}
+
+// checkpoint serialises the base into n row-hash-partitioned chunks.
+func (m *Matrix) checkpoint(n int) []Chunk {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	bodies := make([]*encoder, n)
@@ -248,7 +251,7 @@ func (m *Matrix) Checkpoint(n int) ([]Chunk, error) {
 		head.buf = append(head.buf, bodies[i].buf...)
 		chunks[i] = Chunk{Type: TypeMatrix, Index: i, Of: n, Data: head.buf}
 	}
-	return chunks, nil
+	return chunks
 }
 
 // Restore merges the given chunks into the matrix.

@@ -94,10 +94,7 @@ func TestMatrixDirtyCheckpointIsolation(t *testing.T) {
 	if v := m.Get(1, 1); v != 2.0 {
 		t.Fatalf("dirty read = %f", v)
 	}
-	chunks, err := m.Checkpoint(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunks := drainStream(t, m, 8)
 	r := NewMatrix()
 	if err := r.Restore(chunks); err != nil {
 		t.Fatal(err)
@@ -123,10 +120,7 @@ func TestMatrixCheckpointRestoreNegativeIndices(t *testing.T) {
 	m := NewMatrix()
 	m.Set(-10, -20, 1.5)
 	m.Set(3, 4, 2.5)
-	chunks, err := m.Checkpoint(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunks := drainStream(t, m, 64)
 	r := NewMatrix()
 	if err := r.Restore(chunks); err != nil {
 		t.Fatal(err)
@@ -175,7 +169,10 @@ func TestMatrixSplitChunkEquivalence(t *testing.T) {
 	for r := int64(0); r < 40; r++ {
 		m.Set(r, r%7, float64(r))
 	}
-	one, _ := m.Checkpoint(1)
+	one := drainStream(t, m, 1<<20)
+	if len(one) != 1 {
+		t.Fatalf("streamed %d chunks, want 1", len(one))
+	}
 	split, err := SplitChunk(one[0], 3)
 	if err != nil {
 		t.Fatal(err)

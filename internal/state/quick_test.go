@@ -6,15 +6,14 @@ import (
 	"testing/quick"
 )
 
-// Property: for any key set, checkpoint(n) -> restore reproduces the map
-// exactly, for any chunk count — for every (source, destination) pairing of
-// the dictionary backends.
+// Property: for any key set, a streamed checkpoint restores the map
+// exactly, for any chunk byte bound — for every (source, destination)
+// pairing of the dictionary backends.
 func TestQuickKVMapCheckpointRoundTrip(t *testing.T) {
 	for _, src := range kvImpls {
 		for _, dst := range kvImpls {
 			t.Run(src.name+"-to-"+dst.name, func(t *testing.T) {
-				f := func(keys []uint64, vals [][]byte, nChunks uint8) bool {
-					n := int(nChunks%8) + 1
+				f := func(keys []uint64, vals [][]byte, bound uint16) bool {
 					m := src.new()
 					want := map[uint64][]byte{}
 					for i, k := range keys {
@@ -28,7 +27,7 @@ func TestQuickKVMapCheckpointRoundTrip(t *testing.T) {
 						m.Put(k, v)
 						want[k] = v
 					}
-					chunks, err := m.Checkpoint(n)
+					chunks, err := streamAll(m, int(bound%4096)+1)
 					if err != nil {
 						return false
 					}
@@ -66,8 +65,8 @@ func TestQuickKVMapSplitChunk(t *testing.T) {
 				for _, k := range keys {
 					m.Put(k, []byte{byte(k)})
 				}
-				one, err := m.Checkpoint(1)
-				if err != nil {
+				one, err := streamAll(m, 1<<20)
+				if err != nil || len(one) != 1 {
 					return false
 				}
 				split, err := SplitChunk(one[0], n)
@@ -199,8 +198,7 @@ func TestQuickMatrixSplit(t *testing.T) {
 // Property: vector checkpoint/restore round-trips through arbitrary chunk
 // splits.
 func TestQuickVectorRoundTrip(t *testing.T) {
-	f := func(vals []float64, nChunks, splitN uint8) bool {
-		n := int(nChunks%4) + 1
+	f := func(vals []float64, bound, splitN uint8) bool {
 		sn := int(splitN%4) + 1
 		if len(vals) > 256 {
 			vals = vals[:256]
@@ -209,7 +207,7 @@ func TestQuickVectorRoundTrip(t *testing.T) {
 		for i, x := range vals {
 			v.Set(i, x)
 		}
-		chunks, err := v.Checkpoint(n)
+		chunks, err := streamAll(v, 16*int(bound)+1)
 		if err != nil {
 			return false
 		}

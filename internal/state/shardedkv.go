@@ -14,25 +14,26 @@ const maxKVShards = 256
 // ShardedKVMap is the lock-striped variant of KVMap: the key space is
 // divided over N independent shards (N a power of two), each owning its own
 // base map, dirty overlay, tombstone set and dirtyCtl. Writers to different
-// shards never contend, and Checkpoint/Restore/MergeDirty run one
-// worker per shard, so snapshot latency drops with cores instead of scaling
-// with total state size.
+// shards never contend, and Restore/MergeDirty run one worker per shard,
+// so the merge window drops with cores instead of scaling with total state
+// size.
 //
 // Shard routing reuses the PartitionKey hash: because N is a power of two,
 // shard(key) == PartitionKey(key, N), so the shard layout agrees with the
-// hash-partitioned checkpoint chunks and the dataflow dispatchers (§3.2).
-// Chunks are emitted in the TypeKVMap wire format, making sharded and
-// single-lock checkpoints freely interchangeable at restore time.
+// restore-time chunk splits and the dataflow dispatchers (§3.2). Chunks are
+// emitted in the TypeKVMap wire format, making sharded and single-lock
+// checkpoints freely interchangeable at restore time.
 //
 // The §5 invariant — no base write in flight when the dirty flag flips —
 // holds across the whole store, not just per shard: BeginDirty acquires
 // every shard's base lock (in shard order, so it cannot deadlock against
 // writers, which hold at most one) before flipping any flag, giving the
 // dirty-mode snapshot a single linearisation point exactly like the
-// single-lock store. A Checkpoint taken *outside* dirty mode locks shards
-// one at a time and is therefore only per-shard consistent; per the Store
-// contract, non-dirty checkpoints are for quiescent stores — use the
-// BeginDirty/Checkpoint/MergeDirty protocol for an atomic cut under load.
+// single-lock store. A checkpoint stream read *outside* dirty mode locks
+// shards one at a time and is therefore only per-shard consistent; per the
+// Store contract, non-dirty checkpoints are for quiescent stores — use the
+// BeginDirty/CheckpointStream/MergeDirty protocol for an atomic cut under
+// load.
 type ShardedKVMap struct {
 	shards []*kvShard
 	mask   uint64
@@ -40,16 +41,16 @@ type ShardedKVMap struct {
 	dirty  atomic.Bool  // store-level view of the per-shard flags
 
 	// lifecycle serialises the multi-shard structural operations —
-	// BeginDirty, MergeDirty and Checkpoint — against each other.
-	// Writers never take it, so the dirty window stays writer-transparent
-	// even while a long Checkpoint holds it.
+	// BeginDirty, MergeDirty and the delta tracker cuts — against each
+	// other. Writers never take it, so the dirty window stays
+	// writer-transparent.
 	lifecycle sync.Mutex
 	// cutMu makes whole-store Clear atomic against BeginDirty's flip (the
 	// snapshot cut): the flip holds it exclusively, Clear holds it shared,
 	// so a clear lands entirely before or entirely after any cut and a
 	// checkpoint can never capture a half-cleared store. Clear stays
-	// concurrent with Checkpoint itself, as in the single-lock store's
-	// dirty mode. Order: lifecycle, then cutMu, then shard locks.
+	// concurrent with a checkpoint stream itself, as in the single-lock
+	// store's dirty mode. Order: lifecycle, then cutMu, then shard locks.
 	cutMu sync.RWMutex
 }
 
@@ -301,60 +302,6 @@ func (m *ShardedKVMap) MergeDirty() (int, error) {
 	return int(total.Load()), nil
 }
 
-// Checkpoint serialises the base into n hash-partitioned chunks, one
-// encoding worker per shard. Because every key lands in the partition
-// PartitionKey(key, n) regardless of its shard, the chunks are
-// byte-format-identical to KVMap's and restore into either backend.
-func (m *ShardedKVMap) Checkpoint(n int) ([]Chunk, error) {
-	if n < 1 {
-		return nil, ErrBadSplit
-	}
-	// lifecycle makes the snapshot atomic against BeginDirty and
-	// MergeDirty; writers only ever take shard locks, so the long
-	// serialisation still never blocks them.
-	m.lifecycle.Lock()
-	defer m.lifecycle.Unlock()
-	hint := 64
-	if sz := m.size.Load(); sz > 0 {
-		hint = int(sz)/(n*len(m.shards)) + 64
-	}
-	bodies := make([][]*encoder, len(m.shards))
-	counts := make([][]uint64, len(m.shards))
-	m.eachShardIdx(func(i int, s *kvShard) error {
-		encs := make([]*encoder, n)
-		for p := range encs {
-			encs[p] = newEncoder(hint)
-		}
-		cnt := make([]uint64, n)
-		s.mu.RLock()
-		for k, v := range s.base {
-			p := PartitionKey(k, n)
-			encs[p].uvarint(k)
-			encs[p].bytes(v)
-			cnt[p]++
-		}
-		s.mu.RUnlock()
-		bodies[i], counts[i] = encs, cnt
-		return nil
-	})
-	chunks := make([]Chunk, n)
-	for p := range chunks {
-		var total uint64
-		size := 0
-		for i := range m.shards {
-			total += counts[i][p]
-			size += len(bodies[i][p].buf)
-		}
-		head := newEncoder(size + 10)
-		head.uvarint(total)
-		for i := range m.shards {
-			head.buf = append(head.buf, bodies[i][p].buf...)
-		}
-		chunks[p] = Chunk{Type: TypeKVMap, Index: p, Of: n, Data: head.buf}
-	}
-	return chunks, nil
-}
-
 // Restore merges the given chunks into the store, decoding chunks in
 // parallel. It accepts chunks produced by either dictionary backend.
 func (m *ShardedKVMap) Restore(chunks []Chunk) error {
@@ -458,17 +405,13 @@ func (m *ShardedKVMap) ForEach(fn func(key uint64, value []byte) bool) {
 // all complete. Errors are swallowed by callers that cannot fail; the merge
 // path inspects per-shard state itself.
 func (m *ShardedKVMap) eachShard(fn func(s *kvShard) error) {
-	m.eachShardIdx(func(_ int, s *kvShard) error { return fn(s) })
-}
-
-func (m *ShardedKVMap) eachShardIdx(fn func(i int, s *kvShard) error) {
 	var wg sync.WaitGroup
-	for i, s := range m.shards {
+	for _, s := range m.shards {
 		wg.Add(1)
-		go func(i int, s *kvShard) {
+		go func(s *kvShard) {
 			defer wg.Done()
-			_ = fn(i, s)
-		}(i, s)
+			_ = fn(s)
+		}(s)
 	}
 	wg.Wait()
 }

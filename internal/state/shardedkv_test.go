@@ -101,10 +101,7 @@ func TestShardedKVDirtyProtocol(t *testing.T) {
 		t.Fatal("Get(2) should see the tombstone")
 	}
 	// The checkpoint sees only the pre-dirty base.
-	chunks, err := m.Checkpoint(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunks := drainStream(t, m, 64)
 	snap := NewKVMap()
 	if err := snap.Restore(chunks); err != nil {
 		t.Fatal(err)
@@ -178,10 +175,7 @@ func TestShardedKVClearDuringDirty(t *testing.T) {
 	}
 	m.Clear()
 	// The in-flight checkpoint still sees the pre-clear base...
-	chunks, err := m.Checkpoint(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunks := drainStream(t, m, 64)
 	snap := NewShardedKVMap(2)
 	if err := snap.Restore(chunks); err != nil {
 		t.Fatal(err)
@@ -228,12 +222,12 @@ func TestKVCrossImplCheckpointCompat(t *testing.T) {
 				t.Run(fmt.Sprintf("%s-to-%s/chunks=%d", src.name, dst.name, nChunks), func(t *testing.T) {
 					s := src.new()
 					fill(s)
-					chunks, err := s.Checkpoint(nChunks)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(chunks) != nChunks {
-						t.Fatalf("chunks = %d, want %d", len(chunks), nChunks)
+					// A byte bound of 1/nChunks of the whole encoding
+					// streams the store in at least nChunks chunks.
+					whole := drainStream(t, s, 1<<20)
+					chunks := drainStream(t, s, len(whole[0].Data)/nChunks)
+					if len(chunks) < nChunks {
+						t.Fatalf("chunks = %d, want at least %d", len(chunks), nChunks)
 					}
 					d := dst.new()
 					if err := d.Restore(chunks); err != nil {
@@ -317,8 +311,8 @@ func TestShardedKVRestoreErrors(t *testing.T) {
 	if err := m.Restore([]Chunk{{Type: TypeKVMap, Data: []byte{0xff}}}); err == nil {
 		t.Fatal("corrupt chunk accepted")
 	}
-	if _, err := m.Checkpoint(0); err != ErrBadSplit {
-		t.Fatalf("Checkpoint(0) = %v, want ErrBadSplit", err)
+	if _, err := m.CheckpointStream(0); err != ErrBadSplit {
+		t.Fatalf("CheckpointStream(0) = %v, want ErrBadSplit", err)
 	}
 }
 
@@ -387,9 +381,9 @@ func TestKVConcurrentOps(t *testing.T) {
 						t.Errorf("BeginDirty: %v", err)
 						return
 					}
-					chunks, err := m.Checkpoint(4)
+					chunks, err := streamAll(m, 1024)
 					if err != nil {
-						t.Errorf("Checkpoint: %v", err)
+						t.Error(err)
 						return
 					}
 					snap := NewKVMap()
@@ -503,10 +497,7 @@ func TestShardedKVClearAtomicAgainstCut(t *testing.T) {
 		}()
 		m.Clear()
 		wg.Wait()
-		chunks, err := m.Checkpoint(4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		chunks := drainStream(t, m, 256)
 		snap := NewKVMap()
 		if err := snap.Restore(chunks); err != nil {
 			t.Fatal(err)
@@ -545,10 +536,7 @@ func TestShardedKVParallelSnapshotVisibility(t *testing.T) {
 			}
 		}(w)
 	}
-	chunks, err := m.Checkpoint(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunks := drainStream(t, m, 256)
 	wg.Wait()
 	snap := NewShardedKVMap(4)
 	if err := snap.Restore(chunks); err != nil {

@@ -5,8 +5,9 @@
 //     updates into an overlay so a consistent snapshot can be serialised
 //     asynchronously, and MergeDirty consolidates the overlay under a short
 //     lock;
-//   - checkpoints are produced as hash-partitioned chunks, which is what
-//     enables the m-to-n parallel backup/restore pattern (Fig. 4).
+//   - checkpoints stream out as byte-bounded chunks that restore re-splits
+//     by key hash, which is what enables the m-to-n parallel
+//     backup/restore pattern (Fig. 4).
 //
 // Provided store types mirror the paper's predefined SE classes: KVMap
 // (dictionary), Matrix (indexed sparse matrix) and Vector.
@@ -45,9 +46,10 @@ func (t StoreType) String() string {
 	}
 }
 
-// Chunk is one hash-partitioned fragment of a checkpoint. A full checkpoint
-// of a store is the set of chunks {Index: 0..Of-1}. Chunks are
-// self-describing so they can be split further at restore time (m-to-n).
+// Chunk is one fragment of a checkpoint. A streamed checkpoint numbers its
+// chunks in emission order (Of = 0); SplitChunk's pieces are the key-hash
+// partitions {Index: 0..Of-1}. Chunks are self-describing so they can be
+// split at restore time (m-to-n).
 // Delta marks an incremental chunk: its body carries only the entries
 // changed since the previous epoch plus tombstones for deleted keys (see
 // delta.go for the wire format); it is applied with ApplyDelta on top of a
@@ -83,8 +85,9 @@ type Store interface {
 	NumEntries() int
 
 	// BeginDirty switches the store into dirty mode: subsequent updates go
-	// to an overlay and the base becomes immutable, so Checkpoint can read
-	// it without blocking writers. It fails if dirty mode is already active.
+	// to an overlay and the base becomes immutable, so CheckpointStream can
+	// read it without blocking writers. It fails if dirty mode is already
+	// active.
 	BeginDirty() error
 	// MergeDirty consolidates the overlay into the base under a lock and
 	// leaves dirty mode. It reports the number of consolidated updates.
@@ -94,10 +97,12 @@ type Store interface {
 	// Dirty reports whether dirty mode is active.
 	Dirty() bool
 
-	// Checkpoint serialises the consistent (base) contents into n chunks
-	// partitioned by key hash. It must be called while dirty mode is active
-	// (or on a quiescent store with n >= 1).
-	Checkpoint(n int) ([]Chunk, error)
+	// CheckpointStream serialises the consistent (base) contents as a
+	// stream of chunks of at most maxBytes encoded bytes each (best effort:
+	// one oversized entry still becomes one chunk). The base must stay
+	// frozen — dirty mode active, or the store quiescent — until the
+	// iterator is drained.
+	CheckpointStream(maxBytes int) (ChunkIter, error)
 	// Restore merges the given chunks into the store. It accepts any subset
 	// of a checkpoint, so partial restores build up partitioned instances.
 	Restore(chunks []Chunk) error
@@ -106,7 +111,7 @@ type Store interface {
 // DeltaStore is implemented by stores that support incremental (delta)
 // checkpoints: they track the keys changed since the last committed epoch
 // cut and serialise only those. The cut follows a two-phase commit so an
-// aborted backup loses nothing (see delta.go): DeltaCheckpoint or CutDelta
+// aborted backup loses nothing (see delta.go): DeltaStream or CutDelta
 // opens a pending cut between BeginDirty and MergeDirty, and exactly one of
 // CommitDelta / AbortDelta closes it once the epoch's save succeeded or
 // failed.
@@ -119,13 +124,10 @@ type DeltaStore interface {
 	DeltaTracking() bool
 	// DeltaSize reports the number of keys changed since the last cut.
 	DeltaSize() int
-	// DeltaCheckpoint serialises the changed keys into n hash-partitioned
-	// delta chunks and opens a pending cut. Same consistency contract as
-	// Checkpoint: call while dirty mode is active or on a quiescent store.
-	DeltaCheckpoint(n int) ([]Chunk, error)
-	// DeltaStream is DeltaCheckpoint as a stream of chunks of at most
-	// maxBytes each (best effort, like StreamCheckpointer): it opens the
-	// same pending cut, and peak extra memory is one chunk.
+	// DeltaStream opens a pending cut and serialises the changed keys as a
+	// stream of delta chunks of at most maxBytes each (best effort, like
+	// CheckpointStream); peak extra memory is one chunk. Same consistency
+	// contract as CheckpointStream.
 	DeltaStream(maxBytes int) (ChunkIter, error)
 	// ApplyDelta replays delta chunks (puts + tombstone deletes) onto the
 	// store. Chunks of different epochs must be applied in epoch order.
@@ -160,8 +162,8 @@ type KV interface {
 	ForEach(fn func(key uint64, value []byte) bool)
 }
 
-// PartitionKey maps a key to one of n partitions. It is shared by the
-// checkpoint chunker, SplitChunk and the dataflow dispatchers so that
+// PartitionKey maps a key to one of n partitions. It is shared by
+// SplitChunk and the dataflow dispatchers so that
 // "the dataflow partitioning strategy is compatible with the data access
 // pattern" (§3.2): routing and storage always agree.
 func PartitionKey(key uint64, n int) int {

@@ -1,22 +1,22 @@
 package state
 
-// Streaming checkpoints: instead of materialising every chunk up front
-// (Checkpoint's [][]byte shape, whose peak memory is the whole store
-// re-encoded), a store that implements StreamCheckpointer hands out an
-// iterator that encodes one bounded chunk at a time from the frozen base.
-// The contract matches Checkpoint's: the base must be frozen — dirty mode
-// active or the store quiescent — from the first Next until the caller is
-// done, and the emitted chunks restore correctly through the ordinary
-// Restore path (dictionary Restore merges chunks and ignores Index/Of, so
-// a sequential stream uses Index = emission order, Of = 0). A dictionary
-// base stream always yields at least one chunk — an empty store yields one
+import "encoding/binary"
+
+// Streaming checkpoints: a store hands out an iterator that encodes one
+// bounded chunk at a time from the frozen base, so peak extra memory is one
+// chunk rather than the whole store re-encoded. The base must be frozen —
+// dirty mode active or the store quiescent — from the first Next until the
+// caller is done, and the emitted chunks restore through the ordinary
+// Restore path (dictionary Restore merges chunks and ignores Index/Of, so a
+// sequential stream uses Index = emission order, Of = 0). A dictionary base
+// stream always yields at least one chunk — an empty store yields one
 // empty chunk — so a consumer retaining a chain per store can tell "this
 // epoch is a base, and it is empty" from "nothing changed".
 //
 // DeltaStream is the incremental counterpart: it opens a pending cut of the
-// changed-key tracker exactly like DeltaCheckpoint and yields the cut keys
-// as bounded delta chunks (updates and tombstones, applied with ApplyDelta
-// in stream order), or nothing at all when no key changed.
+// changed-key tracker and yields the cut keys as bounded delta chunks
+// (updates and tombstones, applied with ApplyDelta in stream order), or
+// nothing at all when no key changed.
 
 // ChunkIter yields checkpoint chunks one at a time. Next returns the next
 // chunk and ok=true, or ok=false when the stream is exhausted (err != nil
@@ -25,16 +25,39 @@ type ChunkIter interface {
 	Next() (c Chunk, ok bool, err error)
 }
 
-// StreamCheckpointer is implemented by stores that can emit their
-// checkpoint as a bounded-chunk stream. maxBytes bounds each chunk's
-// encoded payload (best effort: one oversized entry still becomes one
-// chunk).
-type StreamCheckpointer interface {
-	CheckpointStream(maxBytes int) (ChunkIter, error)
+// StreamChunks returns a store's base checkpoint stream with chunks of at
+// most maxBytes each; every store rejects a non-positive bound.
+func StreamChunks(st Store, maxBytes int) (ChunkIter, error) {
+	return st.CheckpointStream(maxBytes)
 }
 
-// sliceIter adapts a materialised chunk slice to ChunkIter — the fallback
-// for stores without a native stream implementation.
+// Drain pulls every chunk out of a stream.
+func Drain(it ChunkIter) ([]Chunk, error) {
+	var chunks []Chunk
+	for {
+		c, ok, err := it.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return chunks, nil
+		}
+		chunks = append(chunks, c)
+	}
+}
+
+// partitionedStream serves a store's n-way key-hash-partitioned encoding as
+// a stream, with n picked so each chunk is likely under maxBytes. Matrix
+// and Vector stores have no native stream; they are small dense blocks in
+// this codebase, so materialising every chunk up front is acceptable there.
+func partitionedStream(size int64, maxBytes int, encode func(n int) []Chunk) (ChunkIter, error) {
+	if maxBytes < 1 {
+		return nil, ErrBadSplit
+	}
+	return &sliceIter{chunks: encode(int(size/int64(maxBytes)) + 1)}, nil
+}
+
+// sliceIter adapts a materialised chunk slice to ChunkIter.
 type sliceIter struct {
 	chunks []Chunk
 }
@@ -46,26 +69,6 @@ func (s *sliceIter) Next() (Chunk, bool, error) {
 	c := s.chunks[0]
 	s.chunks = s.chunks[1:]
 	return c, true, nil
-}
-
-// StreamChunks returns a chunk iterator for any store: natively streamed
-// when the store supports it, otherwise a materialised Checkpoint split
-// into enough partitions that each is likely under maxBytes. Matrix and
-// vector stores are small dense blocks in this codebase, so the fallback's
-// materialisation is acceptable there.
-func StreamChunks(st Store, maxBytes int) (ChunkIter, error) {
-	if maxBytes < 1 {
-		return nil, ErrBadSplit
-	}
-	if sc, ok := st.(StreamCheckpointer); ok {
-		return sc.CheckpointStream(maxBytes)
-	}
-	n := int(st.SizeBytes()/int64(maxBytes)) + 1
-	chunks, err := st.Checkpoint(n)
-	if err != nil {
-		return nil, err
-	}
-	return &sliceIter{chunks: chunks}, nil
 }
 
 // kvStreamIter streams one KVMap's base as bounded chunks. Keys are
@@ -80,8 +83,8 @@ type kvStreamIter struct {
 	emitted  int
 }
 
-// CheckpointStream implements StreamCheckpointer. The caller must hold the
-// base frozen (dirty mode or quiescence) until the iterator is drained.
+// CheckpointStream implements Store. The caller must hold the base frozen
+// (dirty mode or quiescence) until the iterator is drained.
 func (m *KVMap) CheckpointStream(maxBytes int) (ChunkIter, error) {
 	if maxBytes < 1 {
 		return nil, ErrBadSplit
@@ -99,10 +102,10 @@ func (it *kvStreamIter) Next() (Chunk, bool, error) {
 	if it.pos >= len(it.keys) && it.emitted > 0 {
 		return Chunk{}, false, nil
 	}
-	body := newEncoder(it.maxBytes + 64)
+	body := newBaseBody(it.maxBytes, it.m.SizeBytes())
 	var count uint64
 	it.m.mu.RLock()
-	for it.pos < len(it.keys) && len(body.buf) < it.maxBytes {
+	for it.pos < len(it.keys) && !baseFull(body, it.maxBytes) {
 		k := it.keys[it.pos]
 		it.pos++
 		v, ok := it.m.base[k]
@@ -119,6 +122,29 @@ func (it *kvStreamIter) Next() (Chunk, bool, error) {
 	return baseChunk(&it.emitted, count, body)
 }
 
+// countRoom is the room a base chunk body reserves in front of its entries
+// for the entry count, so a chunk is assembled in place.
+const countRoom = binary.MaxVarintLen64
+
+// newBaseBody starts a base chunk body: room for the entry count, then
+// capacity for maxBytes of entries plus one overshooting entry of up to
+// 4 KiB, or for the store's accounted size if smaller (that exceeds the
+// store's whole encoding).
+func newBaseBody(maxBytes int, size int64) *encoder {
+	hint := int(size)
+	if size >= int64(maxBytes) {
+		hint = maxBytes + 4<<10
+	}
+	body := newEncoder(countRoom + hint)
+	body.buf = body.buf[:countRoom]
+	return body
+}
+
+// baseFull reports whether a base chunk body holds maxBytes of entries.
+func baseFull(body *encoder, maxBytes int) bool {
+	return len(body.buf)-countRoom >= maxBytes
+}
+
 // baseChunk assembles one streamed base chunk from an entry count and the
 // encoded entries, or ends the stream. Only a stream's first chunk may be
 // empty (see the file comment).
@@ -126,10 +152,10 @@ func baseChunk(emitted *int, count uint64, body *encoder) (Chunk, bool, error) {
 	if count == 0 && *emitted > 0 {
 		return Chunk{}, false, nil
 	}
-	head := newEncoder(len(body.buf) + 10)
-	head.uvarint(count)
-	head.buf = append(head.buf, body.buf...)
-	c := Chunk{Type: TypeKVMap, Index: *emitted, Of: 0, Data: head.buf}
+	n := binary.PutUvarint(body.tmp[:], count)
+	start := countRoom - n
+	copy(body.buf[start:], body.tmp[:n])
+	c := Chunk{Type: TypeKVMap, Index: *emitted, Of: 0, Data: body.buf[start:]}
 	*emitted++
 	return c, true, nil
 }
@@ -145,8 +171,7 @@ type shardedStreamIter struct {
 	emitted  int
 }
 
-// CheckpointStream implements StreamCheckpointer; same freeze contract as
-// KVMap's.
+// CheckpointStream implements Store; same freeze contract as KVMap's.
 func (m *ShardedKVMap) CheckpointStream(maxBytes int) (ChunkIter, error) {
 	if maxBytes < 1 {
 		return nil, ErrBadSplit
@@ -155,9 +180,12 @@ func (m *ShardedKVMap) CheckpointStream(maxBytes int) (ChunkIter, error) {
 }
 
 func (it *shardedStreamIter) Next() (Chunk, bool, error) {
-	body := newEncoder(it.maxBytes + 64)
+	if it.shard >= len(it.m.shards) && it.emitted > 0 {
+		return Chunk{}, false, nil
+	}
+	body := newBaseBody(it.maxBytes, it.m.SizeBytes())
 	var count uint64
-	for len(body.buf) < it.maxBytes && it.shard < len(it.m.shards) {
+	for !baseFull(body, it.maxBytes) && it.shard < len(it.m.shards) {
 		s := it.m.shards[it.shard]
 		if it.keys == nil {
 			s.mu.RLock()
@@ -169,7 +197,7 @@ func (it *shardedStreamIter) Next() (Chunk, bool, error) {
 			it.pos = 0
 		}
 		s.mu.RLock()
-		for it.pos < len(it.keys) && len(body.buf) < it.maxBytes {
+		for it.pos < len(it.keys) && !baseFull(body, it.maxBytes) {
 			k := it.keys[it.pos]
 			it.pos++
 			v, ok := s.base[k]
@@ -214,7 +242,7 @@ func cutKeys(set map[uint64]struct{}) []uint64 {
 }
 
 // DeltaStream implements DeltaStore; same freeze contract as
-// DeltaCheckpoint.
+// CheckpointStream.
 func (m *KVMap) DeltaStream(maxBytes int) (ChunkIter, error) {
 	if maxBytes < 1 {
 		return nil, ErrBadSplit
@@ -229,6 +257,9 @@ func (m *KVMap) DeltaStream(maxBytes int) (ChunkIter, error) {
 }
 
 func (it *kvDeltaIter) Next() (Chunk, bool, error) {
+	if it.pos >= len(it.keys) {
+		return Chunk{}, false, nil
+	}
 	enc := newDeltaEnc(min(it.maxBytes, deltaChunkHint) + 64)
 	it.m.mu.RLock()
 	it.pos = enc.fill(it.m.base, it.keys, it.pos, it.maxBytes)
@@ -258,8 +289,7 @@ func (e *deltaEnc) chunk(emitted *int) (Chunk, bool, error) {
 	if e.ucnt+e.tcnt == 0 {
 		return Chunk{}, false, nil
 	}
-	c := assembleDeltaChunks(1, [][]*deltaEnc{{e}})[0]
-	c.Index, c.Of = *emitted, 0
+	c := e.assemble(*emitted, 0)
 	*emitted++
 	return c, true, nil
 }
@@ -278,7 +308,7 @@ type shardedDeltaIter struct {
 }
 
 // DeltaStream implements DeltaStore; same freeze contract as
-// DeltaCheckpoint.
+// CheckpointStream.
 func (m *ShardedKVMap) DeltaStream(maxBytes int) (ChunkIter, error) {
 	if maxBytes < 1 {
 		return nil, ErrBadSplit
@@ -298,6 +328,9 @@ func (m *ShardedKVMap) DeltaStream(maxBytes int) (ChunkIter, error) {
 }
 
 func (it *shardedDeltaIter) Next() (Chunk, bool, error) {
+	if it.shard >= len(it.m.shards) {
+		return Chunk{}, false, nil
+	}
 	enc := newDeltaEnc(min(it.maxBytes, deltaChunkHint) + 64)
 	for enc.size() < it.maxBytes && it.shard < len(it.m.shards) {
 		s := it.m.shards[it.shard]

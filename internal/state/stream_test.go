@@ -9,21 +9,20 @@ import (
 // drainStream pulls every chunk out of a store's streaming checkpoint.
 func drainStream(t *testing.T, st Store, maxBytes int) []Chunk {
 	t.Helper()
+	chunks, err := streamAll(st, maxBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chunks
+}
+
+// streamAll is drainStream for goroutines that report through t.Errorf.
+func streamAll(st Store, maxBytes int) ([]Chunk, error) {
 	iter, err := StreamChunks(st, maxBytes)
 	if err != nil {
-		t.Fatalf("StreamChunks: %v", err)
+		return nil, fmt.Errorf("StreamChunks: %w", err)
 	}
-	var chunks []Chunk
-	for {
-		ck, ok, err := iter.Next()
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if !ok {
-			return chunks
-		}
-		chunks = append(chunks, ck)
-	}
+	return Drain(iter)
 }
 
 // fillStreamKV loads n deterministic entries.
@@ -172,17 +171,11 @@ func TestStreamChunksBadBudget(t *testing.T) {
 // drainIter pulls every chunk out of an iterator.
 func drainIter(t *testing.T, iter ChunkIter) []Chunk {
 	t.Helper()
-	var chunks []Chunk
-	for {
-		ck, ok, err := iter.Next()
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if !ok {
-			return chunks
-		}
-		chunks = append(chunks, ck)
+	chunks, err := Drain(iter)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return chunks
 }
 
 // TestEmptyBaseStreamYieldsOneChunk: a dictionary base stream of an empty
@@ -207,9 +200,10 @@ func TestEmptyBaseStreamYieldsOneChunk(t *testing.T) {
 	}
 }
 
-// TestDeltaStreamMatchesDeltaCheckpoint: the streamed delta carries the
-// same updates and tombstones DeltaCheckpoint would, in chunks that respect
-// the byte budget to within one entry, and opens the same pending cut.
+// TestDeltaStreamMatchesDeltaCheckpoint: the streamed delta carries
+// exactly the changed keys' updates and tombstones, in chunks that respect
+// the byte budget to within one entry, and opens a pending cut that abort
+// folds back.
 func TestDeltaStreamMatchesDeltaCheckpoint(t *testing.T) {
 	const budget = 256
 	for _, impl := range kvImpls {

@@ -186,13 +186,17 @@ func (v *Vector) MergeDirty() (int, error) {
 	return n, nil
 }
 
-// Checkpoint serialises non-zero elements into n index-hash-partitioned
+// CheckpointStream implements Store: the non-zero elements as
+// index-hash-partitioned chunks, enough of them that each is likely under
+// maxBytes.
+func (v *Vector) CheckpointStream(maxBytes int) (ChunkIter, error) {
+	return partitionedStream(v.SizeBytes(), maxBytes, v.checkpoint)
+}
+
+// checkpoint serialises non-zero elements into n index-hash-partitioned
 // chunks. Every chunk records the full length so any subset restores the
 // correct dimension.
-func (v *Vector) Checkpoint(n int) ([]Chunk, error) {
-	if n < 1 {
-		return nil, ErrBadSplit
-	}
+func (v *Vector) checkpoint(n int) []Chunk {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	bodies := make([]*encoder, n)
@@ -217,7 +221,7 @@ func (v *Vector) Checkpoint(n int) ([]Chunk, error) {
 		head.buf = append(head.buf, bodies[i].buf...)
 		chunks[i] = Chunk{Type: TypeVector, Index: i, Of: n, Data: head.buf}
 	}
-	return chunks, nil
+	return chunks
 }
 
 // Restore merges the given chunks, resizing as needed.

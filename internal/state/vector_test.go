@@ -77,10 +77,7 @@ func TestVectorDirtyProtocol(t *testing.T) {
 	if v.Get(0) != 11 || v.Get(1) != 1 || v.Get(2) != 31 {
 		t.Fatalf("dirty reads = %f %f %f", v.Get(0), v.Get(1), v.Get(2))
 	}
-	chunks, err := v.Checkpoint(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunks := drainStream(t, v, 8)
 	r := NewVector(0)
 	if err := r.Restore(chunks); err != nil {
 		t.Fatal(err)
@@ -111,11 +108,8 @@ func TestVectorCheckpointRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i += 3 {
 		v.Set(i, float64(i)+0.25)
 	}
-	for _, n := range []int{1, 4} {
-		chunks, err := v.Checkpoint(n)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, maxBytes := range []int{64, 1024, 1 << 20} {
+		chunks := drainStream(t, v, maxBytes)
 		r := NewVector(0)
 		if err := r.Restore(chunks); err != nil {
 			t.Fatal(err)
@@ -129,7 +123,7 @@ func TestVectorCheckpointRoundTrip(t *testing.T) {
 				want = float64(i) + 0.25
 			}
 			if got := r.Get(i); math.Abs(got-want) > 1e-12 {
-				t.Fatalf("n=%d elem %d = %f, want %f", n, i, got, want)
+				t.Fatalf("maxBytes=%d elem %d = %f, want %f", maxBytes, i, got, want)
 			}
 		}
 	}
@@ -140,7 +134,10 @@ func TestVectorSplitAndChunkSplit(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		v.Set(i, float64(i+1))
 	}
-	one, _ := v.Checkpoint(1)
+	one := drainStream(t, v, 1<<20)
+	if len(one) != 1 {
+		t.Fatalf("streamed %d chunks, want 1", len(one))
+	}
 	split, err := SplitChunk(one[0], 4)
 	if err != nil {
 		t.Fatal(err)

@@ -234,20 +234,33 @@ func TestDecodeHostile(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := NewDecoder(tc.buf)
+			// TotalAlloc is process-wide, so the bound is on the mean over
+			// many decodes: another goroutine's stray allocation spreads
+			// over all of them instead of landing on one.
+			const runs = 100
+			ds := make([]*Decoder, runs)
+			for i := range ds {
+				ds[i] = NewDecoder(tc.buf)
+			}
+			vs := make([]any, runs)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			v := d.Value()
+			for i, d := range ds {
+				vs[i] = d.Value()
+			}
 			runtime.ReadMemStats(&after)
-			if !errors.Is(d.Err(), ErrMalformed) {
-				t.Fatalf("hostile input decoded to %#v (err %v), want ErrMalformed", v, d.Err())
+			for i, d := range ds {
+				if !errors.Is(d.Err(), ErrMalformed) {
+					t.Fatalf("hostile input decoded to %#v (err %v), want ErrMalformed", vs[i], d.Err())
+				}
 			}
 			// Nothing a hostile count names may be allocated: the decode
 			// stays within a small constant of the input's own size.
-			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<10 {
-				t.Fatalf("decode allocated %d bytes for a %d-byte input", grew, len(tc.buf))
+			if mean := (after.TotalAlloc - before.TotalAlloc) / runs; mean > 4<<10 {
+				t.Fatalf("decode allocated %d bytes on average for a %d-byte input", mean, len(tc.buf))
 			}
 			// The error is sticky: further reads stay zero-valued.
+			d := ds[0]
 			if d.Byte() != 0 || d.Uvarint() != 0 {
 				t.Fatal("reads after failure returned data")
 			}

@@ -9,10 +9,12 @@
 // overlays and recover failed nodes by m-to-n parallel restore plus replay
 // of logged dataflows.
 //
-// Checkpointing takes the paper's two parameters, Options.Interval and
-// Options.Chunks (the backup parallelism m). Every deployment provisions
-// two backup nodes, and delta epochs compact by one fixed rule: a fresh
-// base once the deltas reach half the base's bytes.
+// Checkpointing takes one parameter, Options.Interval. Every deployment
+// provisions two backup nodes, the backup parallelism m: a checkpoint
+// streams out in chunks of at most 1 MiB, several per backup node, spread
+// round-robin over them, and a restore splits every chunk n ways by key
+// hash. Delta epochs compact by one fixed rule: a fresh base once the
+// deltas reach half the base's bytes.
 //
 // Build a graph with NewGraph, add state and tasks, connect them, then
 // Deploy:
@@ -94,8 +96,6 @@ const (
 	FTOff = checkpoint.ModeOff
 	// FTAsync is the paper's asynchronous dirty-state checkpointing.
 	FTAsync = checkpoint.ModeAsync
-	// FTSync is stop-the-world checkpointing (baseline behaviour).
-	FTSync = checkpoint.ModeSync
 )
 
 // StateID references a state element in a GraphBuilder.
@@ -185,7 +185,6 @@ type Options struct {
 	// Checkpointing.
 	Mode     CheckpointMode
 	Interval time.Duration // checkpoint period (default 10s, as in the paper)
-	Chunks   int           // checkpoint chunks = backup parallelism m (default 2)
 	// DeltaCheckpoints enables incremental epochs for dictionary SEs:
 	// after an instance's first full checkpoint, later epochs serialise
 	// only the keys changed since the previous epoch (plus tombstones),
@@ -247,7 +246,6 @@ func (b *GraphBuilder) Deploy(opts Options) (*System, error) {
 		Partitions:       opts.Partitions,
 		Mode:             opts.Mode,
 		Interval:         opts.Interval,
-		Chunks:           opts.Chunks,
 		DeltaCheckpoints: opts.DeltaCheckpoints,
 		WireCheck:        opts.WireCheck,
 	})
