@@ -9,8 +9,8 @@
 // watermarks at snapshot time. Chunks go to the m backup nodes round-robin and are
 // written to their simulated disks; at restore time each backup chunk is
 // split n ways by key hash so n recovering instances rebuild in parallel.
-// Dictionary chunks use one wire format regardless of backend, so sharded
-// and single-lock checkpoints restore into either store.
+// Dictionary chunks use one wire format whatever the store's lock-stripe
+// count, so a checkpoint restores into a store with any number of stripes.
 //
 // Epochs form chains: a full (base) checkpoint starts a chain, and delta
 // checkpoints — carrying only the keys changed since the previous epoch —

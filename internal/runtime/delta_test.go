@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,11 +11,12 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/state"
+	"repro/internal/wire"
 )
 
-// kvIfaceGraph is kvGraph built against the backend-neutral state.KV
-// interface, so the same graph runs over KVMap and ShardedKVMap: shards > 0
-// backs the store with a ShardedKVMap of that many stripes through the
+// kvIfaceGraph is kvGraph built against the state.KV
+// interface, so the same graph runs at any KVMap stripe count: shards > 0
+// backs the store with a KVMap of that many stripes through the
 // SE's builder, 0 keeps the default KVMap.
 func kvIfaceGraph(shards int) *core.Graph {
 	g := core.NewGraph("kv")
@@ -356,17 +358,67 @@ func TestCompactionRuleBothSinks(t *testing.T) {
 	}
 }
 
+// TestSnapRecordRoundTrip: a coordinator record decodes to the part it was
+// made from, both when flate shrinks the part (a deflated record carries
+// its raw length) and when it cannot (a raw record); a deflated record
+// whose length header or stream is cut short is an error.
+func TestSnapRecordRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	random := make([]byte, 4096)
+	rng.Read(random)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		flag byte
+	}{
+		{"raw", random, 0},
+		{"deflated", bytes.Repeat([]byte("compressible "), 400), 1},
+	} {
+		p := sePart("store", 3, state.Chunk{Type: state.TypeKVMap, Index: 2, Data: tc.data})
+		rec, raw := encodeSnapRecord(&p)
+		if rec[0] != tc.flag || raw != len(wire.EncodeSnapPart(&p)) {
+			t.Fatalf("%s: record flag %d raw length %d", tc.name, rec[0], raw)
+		}
+		got, err := decodeSnapRecord(rec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.Name != p.Name || got.Index != p.Index || got.ChunkIndex != p.ChunkIndex || !bytes.Equal(got.Data, p.Data) {
+			t.Fatalf("%s: decoded %+v", tc.name, got)
+		}
+		if tc.flag == 1 {
+			for _, cut := range [][]byte{rec[:1], rec[:len(rec)/2]} {
+				if _, err := decodeSnapRecord(cut); err == nil {
+					t.Fatalf("%s: a record cut to %d of %d bytes decoded", tc.name, len(cut), len(rec))
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkChainFold measures the coordinator's cost of one chain fold at
 // the size of one kv_call_ckpt worker's instance: a 200k × 128 B base plus
-// deltas of a tenth of the keys each, until the chain needs a fold. Values
-// are random, so flate cannot shrink them.
+// deltas of a tenth of the keys each, until the chain needs a fold. With
+// random values flate cannot shrink a record, so every record is stored
+// raw; with compressible values (16 random bytes, then zeros) every record
+// is stored deflated and the fold inflates it.
 func BenchmarkChainFold(b *testing.B) {
+	for _, random := range []int{128, 16} {
+		name := "values=random"
+		if random < 128 {
+			name = "values=compressible"
+		}
+		b.Run(name, func(b *testing.B) { benchChainFold(b, random) })
+	}
+}
+
+func benchChainFold(b *testing.B, random int) {
 	const keys, chunkBytes = 200_000, 1 << 20
 	rng := rand.New(rand.NewSource(1))
 	st := state.NewKVMap()
 	put := func(k uint64) {
 		v := make([]byte, 128)
-		rng.Read(v)
+		rng.Read(v[:random])
 		st.Put(k, v)
 	}
 	for k := uint64(0); k < keys; k++ {

@@ -101,10 +101,10 @@ func (r *Runtime) Recover(seName string, n int) (RecoveryStats, error) {
 		go func(j int) {
 			defer wg.Done()
 			node := r.cl.AddNode()
-			// Rebuild with the deployment's configured backend rather than
-			// meta.StoreType: dictionary chunks are format-compatible across
-			// the single-lock and sharded backends, so a checkpoint written
-			// by one restores into the other.
+			// Rebuild with the SE's own builder rather than
+			// meta.StoreType: the dictionary chunk format does not depend
+			// on the store's lock-stripe count, so a checkpoint restores
+			// into whatever stripe count the builder picks.
 			store, err := r.newStore(ss.def)
 			if err != nil {
 				errs[j] = fmt.Errorf("runtime: rebuild store for %q: %w", meta.SE, err)

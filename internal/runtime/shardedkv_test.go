@@ -10,7 +10,7 @@ import (
 )
 
 // TestShardedCheckpointAndRecover replays the 1-to-1 recovery drill with
-// the sharded backend: checkpoint, node kill, m-to-n restore, replay.
+// an 8-stripe store: checkpoint, node kill, m-to-n restore, replay.
 func TestShardedCheckpointAndRecover(t *testing.T) {
 	r, err := Deploy(kvIfaceGraph(8), Options{
 		Mode:     checkpoint.ModeAsync,
@@ -52,14 +52,14 @@ func TestShardedCheckpointAndRecover(t *testing.T) {
 	if !r.Drain(testTimeout) {
 		t.Fatal("did not drain after recovery")
 	}
-	// The restored store must again be sharded (the SE's builder survives
-	// recovery even though the chunks are backend-neutral).
+	// The restored store must again be striped (the SE's builder survives
+	// recovery even though the chunks do not depend on the stripe count).
 	st, err := r.StateStore("store", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.(*state.ShardedKVMap); !ok {
-		t.Fatalf("recovered store = %T, want *state.ShardedKVMap", st)
+	if kv, ok := st.(*state.KVMap); !ok || kv.Stripes() != 8 {
+		t.Fatalf("recovered store = %T, want an 8-stripe *state.KVMap", st)
 	}
 	for k := uint64(0); k < 80; k++ {
 		got, err := r.Call("get", k, nil, testTimeout)
@@ -76,8 +76,8 @@ func TestShardedCheckpointAndRecover(t *testing.T) {
 	}
 }
 
-// TestShardedRepartition grows a sharded partitioned SE: the re-chunk +
-// split path must preserve contents across backends.
+// TestShardedRepartition grows a partitioned SE of 4-stripe stores: the
+// re-chunk + split path must preserve contents and the SE's stripe count.
 func TestShardedRepartition(t *testing.T) {
 	r, err := Deploy(kvIfaceGraph(4), Options{})
 	if err != nil {
@@ -101,9 +101,9 @@ func TestShardedRepartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, ok := st.(*state.ShardedKVMap)
-		if !ok {
-			t.Fatalf("partition %d store = %T after repartition", i, st)
+		sh, ok := st.(*state.KVMap)
+		if !ok || sh.Stripes() != 4 {
+			t.Fatalf("partition %d store = %T after repartition, want a 4-stripe *state.KVMap", i, st)
 		}
 		total += sh.NumEntries()
 	}

@@ -19,7 +19,7 @@ import (
 // The kvops graph is the kv store with one entry TE for every mutation, so
 // puts, deletes and partition-wide clears of one partition are applied in
 // injection order and a plain map is an exact reference. kvops-sharded4 is
-// the same graph with each partition backed by a 4-stripe ShardedKVMap.
+// the same graph with each partition backed by a 4-stripe KVMap.
 func init() {
 	RegisterGraph("kvops", func() *core.Graph { return kvopsGraph("kvops", nil) })
 	RegisterGraph("kvops-sharded4", func() *core.Graph {

@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -279,15 +280,17 @@ func (c *Coordinator) SnapshotStats() SnapStats {
 }
 
 // encodeSnapRecord stores one part as [flag][payload]: flag 0 is the raw
-// flat encoding, flag 1 is its flate (BestSpeed) compression, chosen per
-// record when it actually shrinks. Records are self-contained so recovery
-// decodes them one at a time.
+// flat encoding, flag 1 is uvarint(raw length) and then the flate
+// (BestSpeed) compression of it, chosen per record when it actually
+// shrinks. Records are self-contained so recovery decodes them one at a
+// time, and never leave the coordinator.
 func encodeSnapRecord(p *wire.SnapPart) (rec []byte, rawLen int) {
 	raw := wire.EncodeSnapPart(p)
 	if len(raw) >= snapCompressMin {
 		var buf bytes.Buffer
 		buf.Grow(len(raw) / 2)
 		buf.WriteByte(1)
+		buf.Write(binary.AppendUvarint(nil, uint64(len(raw))))
 		fw, err := flate.NewWriter(&buf, flate.BestSpeed)
 		if err == nil {
 			if _, err := fw.Write(raw); err == nil && fw.Close() == nil && buf.Len() < len(raw)+1 {
@@ -309,8 +312,14 @@ func decodeSnapRecord(rec []byte) (wire.SnapPart, error) {
 	case 0:
 		return wire.DecodeSnapPart(rec[1:])
 	case 1:
-		fr := flate.NewReader(bytes.NewReader(rec[1:]))
-		raw, err := io.ReadAll(fr)
+		// Inflate into one buffer of exactly the recorded raw length.
+		n, k := binary.Uvarint(rec[1:])
+		if k <= 0 {
+			return wire.SnapPart{}, fmt.Errorf("coordinator: snapshot record: bad raw length")
+		}
+		raw := make([]byte, n)
+		fr := flate.NewReader(bytes.NewReader(rec[1+k:]))
+		_, err := io.ReadFull(fr, raw)
 		fr.Close()
 		if err != nil {
 			return wire.SnapPart{}, fmt.Errorf("coordinator: snapshot record: %w", err)

@@ -106,12 +106,11 @@ func BenchmarkKVMapRestore(b *testing.B) {
 }
 
 // The head-to-head benchmarks run over kvImpls (shardedkv_test.go), the
-// same backend table the cross-implementation tests use.
+// same stripe-count table the cross-cutting tests use.
 
-// BenchmarkKVMapParallelPut is the tentpole comparison: concurrent writers
-// against the single-lock vs lock-striped store. The single-lock store
-// flatlines (or regresses) past one writer; the sharded store scales until
-// writers out-number cores.
+// BenchmarkKVMapParallelPut compares concurrent writers against one lock
+// stripe and eight. One stripe flatlines (or regresses) past one writer;
+// eight scale until writers out-number cores.
 func BenchmarkKVMapParallelPut(b *testing.B) {
 	val := make([]byte, 64)
 	for _, impl := range kvImpls {
@@ -219,10 +218,9 @@ func BenchmarkKVMapParallelMixed(b *testing.B) {
 
 // BenchmarkKVMapParallelPutCheckpointed measures writer throughput while a
 // background goroutine continuously checkpoints a quiescent (non-dirty)
-// store — the stall the paper's design is built to avoid. The single-lock
-// store blocks every Put for a full serialisation pass; the sharded store
-// blocks only writes to the shard currently being encoded, so it wins by
-// roughly the shard count even on a single core. The first checkpoint
+// store — the stall the paper's design is built to avoid. At one stripe a
+// chunk's encoding blocks every Put; at eight it blocks only writes to the
+// stripe being encoded. The first checkpoint
 // completes before the timer starts so b.N calibrates under contention.
 func BenchmarkKVMapParallelPutCheckpointed(b *testing.B) {
 	val := make([]byte, 128)
@@ -276,8 +274,8 @@ func BenchmarkKVMapParallelPutCheckpointed(b *testing.B) {
 	}
 }
 
-// BenchmarkKVMapCheckpointImpl compares snapshot serialisation: the
-// single-lock store streams its one map, the sharded store shard by shard.
+// BenchmarkKVMapCheckpointImpl compares snapshot serialisation at one
+// stripe and at eight, streamed stripe by stripe.
 func BenchmarkKVMapCheckpointImpl(b *testing.B) {
 	for _, impl := range kvImpls {
 		b.Run("impl="+impl.name, func(b *testing.B) {
@@ -296,8 +294,8 @@ func BenchmarkKVMapCheckpointImpl(b *testing.B) {
 	}
 }
 
-// BenchmarkKVMapRestoreImpl compares restore: the sharded store decodes
-// chunks in parallel.
+// BenchmarkKVMapRestoreImpl compares restore at one stripe and at eight;
+// both decode the chunks in order.
 func BenchmarkKVMapRestoreImpl(b *testing.B) {
 	src := NewKVMap()
 	for i := uint64(0); i < 20000; i++ {

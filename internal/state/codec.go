@@ -19,6 +19,28 @@ func newEncoder(sizeHint int) *encoder {
 	return &encoder{buf: make([]byte, 0, sizeHint)}
 }
 
+// countRoom is the room a counted body reserves in front of its entries for
+// their count, so a chunk is assembled in place.
+const countRoom = binary.MaxVarintLen64
+
+// newCountedBody starts a chunk body with room for hint bytes of entries,
+// the reserved count in front of them and one more uvarint behind them (a
+// delta chunk's tombstone count).
+func newCountedBody(hint int) *encoder {
+	body := newEncoder(2*countRoom + hint)
+	body.buf = body.buf[:countRoom]
+	return body
+}
+
+// sealCount writes count into a counted body's reserved room and returns
+// the chunk's bytes.
+func sealCount(body *encoder, count uint64) []byte {
+	n := binary.PutUvarint(body.tmp[:], count)
+	start := countRoom - n
+	copy(body.buf[start:], body.tmp[:n])
+	return body.buf[start:]
+}
+
 func (e *encoder) uvarint(v uint64) {
 	n := binary.PutUvarint(e.tmp[:], v)
 	e.buf = append(e.buf, e.tmp[:n]...)

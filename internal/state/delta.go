@@ -1,7 +1,6 @@
 package state
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -37,12 +36,12 @@ import (
 // overlay — updated keys plus tombstones — in the live set, so writes that
 // landed during the checkpoint window belong to the *next* epoch.
 
-// deltaTrack is the changed-key tracker embedded in each dictionary store
-// (one per shard in ShardedKVMap). The `on` flag is read on every base
-// write, so it is atomic and checked first; when tracking is off the hot
-// path pays a single atomic load.
+// deltaTrack is the changed-key tracker embedded in each dictionary lock
+// stripe. The `on` flag is read on every base write, so it is atomic and
+// checked first; when tracking is off the hot path pays a single atomic
+// load.
 //
-// Locking. The live set is guarded by the owning store's base lock: record,
+// Locking. The live set is guarded by the owning stripe's base lock: record,
 // which runs once per base write, is called with that lock held exclusively
 // and takes nothing else. Every other method that touches the live set is
 // called with the base lock held too — shared is enough, it excludes record
@@ -162,21 +161,17 @@ func (t *deltaTrack) size() int {
 	return len(t.changed)
 }
 
-// deltaEnc accumulates one partition of a delta chunk: the update entries
-// and the tombstone keys are encoded into separate bodies and stitched
-// together (count-prefixed) when the chunk is assembled.
+// deltaEnc builds one delta chunk in place: update entries go straight
+// into a counted body, tombstone keys into a side buffer that seal appends
+// after them.
 type deltaEnc struct {
-	upd, tmb   *encoder
+	body, tmb  *encoder
 	ucnt, tcnt uint64
 }
 
-func newDeltaEnc(hint int) *deltaEnc {
-	return &deltaEnc{upd: newEncoder(hint), tmb: newEncoder(16)}
-}
-
 func (e *deltaEnc) update(k uint64, v []byte) {
-	e.upd.uvarint(k)
-	e.upd.bytes(v)
+	e.body.uvarint(k)
+	e.body.bytes(v)
 	e.ucnt++
 }
 
@@ -186,16 +181,13 @@ func (e *deltaEnc) tombstone(k uint64) {
 }
 
 // size is the encoded payload accumulated so far.
-func (e *deltaEnc) size() int { return len(e.upd.buf) + len(e.tmb.buf) }
+func (e *deltaEnc) size() int { return len(e.body.buf) - countRoom + len(e.tmb.buf) }
 
-// assemble stitches the bodies into one self-describing delta chunk.
-func (e *deltaEnc) assemble(index, of int) Chunk {
-	head := newEncoder(e.size() + 20)
-	head.uvarint(e.ucnt)
-	head.buf = append(head.buf, e.upd.buf...)
-	head.uvarint(e.tcnt)
-	head.buf = append(head.buf, e.tmb.buf...)
-	return Chunk{Type: TypeKVMap, Index: index, Of: of, Delta: true, Data: head.buf}
+// seal joins the tombstones to the updates and returns the chunk's bytes.
+func (e *deltaEnc) seal() []byte {
+	e.body.uvarint(e.tcnt)
+	e.body.buf = append(e.body.buf, e.tmb.buf...)
+	return sealCount(e.body, e.ucnt)
 }
 
 // applyDeltaChunk decodes one delta chunk into put/delete callbacks.
@@ -228,9 +220,9 @@ func applyDeltaChunk(c Chunk, put func(uint64, []byte), del func(uint64)) error 
 // splitKVDeltaChunk re-partitions one delta chunk into n delta chunks,
 // mirroring splitKVChunk for the restore-time m-to-n fan-out.
 func splitKVDeltaChunk(c Chunk, n int) ([]Chunk, error) {
-	encs := make([]*deltaEnc, n)
+	encs := make([]deltaEnc, n)
 	for i := range encs {
-		encs[i] = newDeltaEnc(len(c.Data)/n + 16)
+		encs[i] = deltaEnc{body: newCountedBody(len(c.Data)/n + 16), tmb: newEncoder(16)}
 	}
 	d := newDecoder(c.Data)
 	nu := d.uvarint()
@@ -254,48 +246,70 @@ func splitKVDeltaChunk(c Chunk, n int) ([]Chunk, error) {
 		return nil, d.err
 	}
 	out := make([]Chunk, n)
-	for i, e := range encs {
-		out[i] = e.assemble(i, n)
+	for i := range encs {
+		out[i] = Chunk{Type: TypeKVMap, Index: i, Of: n, Delta: true, Data: encs[i].seal()}
 	}
 	return out, nil
 }
 
-// --- KVMap ---
-
 // EnableDeltaTracking starts recording changed keys so DeltaStream can
 // serialise incremental epochs. The first checkpoint after enabling must be
 // a full one: only changes made after this call are tracked.
-func (m *KVMap) EnableDeltaTracking() { m.delta.enable() }
+func (m *KVMap) EnableDeltaTracking() {
+	for _, s := range m.stripes {
+		s.delta.enable()
+	}
+}
 
 // DeltaTracking reports whether changed-key tracking is on.
-func (m *KVMap) DeltaTracking() bool { return m.delta.enabled() }
+func (m *KVMap) DeltaTracking() bool { return m.stripes[0].delta.enabled() }
 
 // DeltaSize reports the number of keys changed since the last cut.
 func (m *KVMap) DeltaSize() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.delta.size()
+	n := 0
+	for _, s := range m.stripes {
+		s.mu.RLock()
+		n += s.delta.size()
+		s.mu.RUnlock()
+	}
+	return n
 }
 
 // CutDelta snapshots and resets the changed-key tracker without
 // serialising, marking a full checkpoint's cut point. Call between
 // BeginDirty and MergeDirty (or on a quiescent store), then CommitDelta or
 // AbortDelta once the epoch's fate is known.
-func (m *KVMap) CutDelta() {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	m.delta.cut()
+func (m *KVMap) CutDelta() { m.cutStripes() }
+
+// cutStripes cuts every stripe's tracker at one instant (under the
+// lifecycle lock) and returns the per-stripe pending sets.
+func (m *KVMap) cutStripes() []map[uint64]struct{} {
+	m.lifecycle.Lock()
+	defer m.lifecycle.Unlock()
+	sets := make([]map[uint64]struct{}, len(m.stripes))
+	for i, s := range m.stripes {
+		s.mu.RLock()
+		sets[i] = s.delta.cut()
+		s.mu.RUnlock()
+	}
+	return sets
 }
 
 // CommitDelta drops the pending cut after a successful save.
-func (m *KVMap) CommitDelta() { m.delta.commit() }
+func (m *KVMap) CommitDelta() {
+	for _, s := range m.stripes {
+		s.delta.commit()
+	}
+}
 
 // AbortDelta restores the pending cut into the live tracker after a failed
 // save.
 func (m *KVMap) AbortDelta() {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	m.delta.abort()
+	for _, s := range m.stripes {
+		s.mu.RLock()
+		s.delta.abort()
+		s.mu.RUnlock()
+	}
 }
 
 // ApplyDelta replays delta chunks onto the store: updates become puts,
@@ -312,95 +326,3 @@ func (m *KVMap) ApplyDelta(chunks []Chunk) error {
 	}
 	return nil
 }
-
-// --- ShardedKVMap ---
-
-// EnableDeltaTracking starts recording changed keys on every shard.
-func (m *ShardedKVMap) EnableDeltaTracking() {
-	for _, s := range m.shards {
-		s.delta.enable()
-	}
-}
-
-// DeltaTracking reports whether changed-key tracking is on.
-func (m *ShardedKVMap) DeltaTracking() bool { return m.shards[0].delta.enabled() }
-
-// DeltaSize reports the number of keys changed since the last cut.
-func (m *ShardedKVMap) DeltaSize() int {
-	n := 0
-	for _, s := range m.shards {
-		s.mu.RLock()
-		n += s.delta.size()
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-// CutDelta snapshots and resets every shard's tracker (see KVMap.CutDelta).
-func (m *ShardedKVMap) CutDelta() {
-	m.lifecycle.Lock()
-	defer m.lifecycle.Unlock()
-	for _, s := range m.shards {
-		s.mu.RLock()
-		s.delta.cut()
-		s.mu.RUnlock()
-	}
-}
-
-// CommitDelta drops every shard's pending cut.
-func (m *ShardedKVMap) CommitDelta() {
-	for _, s := range m.shards {
-		s.delta.commit()
-	}
-}
-
-// AbortDelta restores every shard's pending cut into its live tracker.
-func (m *ShardedKVMap) AbortDelta() {
-	for _, s := range m.shards {
-		s.mu.RLock()
-		s.delta.abort()
-		s.mu.RUnlock()
-	}
-}
-
-// ApplyDelta replays delta chunks onto the store, decoding chunks on a
-// bounded worker pool (chunks of one epoch hold disjoint key sets — a cut
-// serialises each key once — so their puts and deletes never target the
-// same key).
-func (m *ShardedKVMap) ApplyDelta(chunks []Chunk) error {
-	errs := make([]error, len(chunks))
-	workers := 2 * runtime.GOMAXPROCS(0)
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(chunks) {
-					return
-				}
-				errs[i] = applyDeltaChunk(chunks[i],
-					func(k uint64, v []byte) { m.Put(k, v) },
-					func(k uint64) { m.Delete(k) })
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Compile-time checks: both dictionary backends support delta checkpoints.
-var (
-	_ DeltaStore = (*KVMap)(nil)
-	_ DeltaStore = (*ShardedKVMap)(nil)
-)

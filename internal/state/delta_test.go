@@ -6,7 +6,8 @@ import (
 	"testing"
 )
 
-// eachKVBackend runs a subtest per dictionary backend.
+// eachKVBackend runs a subtest per dictionary stripe count: kvmap is one
+// stripe, sharded eight.
 func eachKVBackend(t *testing.T, fn func(t *testing.T, mk func() DeltaStore)) {
 	t.Helper()
 	backends := map[string]func() DeltaStore{
@@ -122,7 +123,7 @@ func TestDeltaCheckpointOnlyChangedKeys(t *testing.T) {
 			}
 
 			// Applying base + delta onto a fresh store reproduces the live
-			// state, in either backend.
+			// state, at either stripe count.
 			for _, rebuild := range []DeltaStore{NewKVMap(), NewShardedKVMap(4)} {
 				base := rebuild.(KV)
 				for i := uint64(0); i < 1000; i++ {

@@ -24,10 +24,10 @@ import (
 // mirror case — a writer that loads dirty=true just as MergeDirty runs —
 // re-checks under dmu the same way (see baseWriteOrDirty).
 //
-// The single-lock KVMap embeds one dirtyCtl for the whole store; the
-// lock-striped ShardedKVMap embeds one per shard and flips all flags under
-// an ordered sweep of every shard's mu (see ShardedKVMap.BeginDirty), which
-// preserves the same atomic-cut invariant store-wide.
+// Matrix and Vector embed one dirtyCtl for the whole store; KVMap embeds
+// one per lock stripe and flips all flags under an ordered sweep of every
+// stripe's mu (see KVMap.BeginDirty), which preserves the same atomic-cut
+// invariant store-wide.
 type dirtyCtl struct {
 	mu    sync.RWMutex
 	dmu   sync.RWMutex
@@ -35,8 +35,8 @@ type dirtyCtl struct {
 }
 
 // Dirty reports whether the store is in dirty mode (a checkpoint snapshot
-// is in flight). Embedding dirtyCtl exports this on every single-control
-// store; ShardedKVMap implements its own store-level view.
+// is in flight). Embedding dirtyCtl exports this on Matrix and Vector;
+// KVMap implements its own store-level view.
 func (c *dirtyCtl) Dirty() bool { return c.dirty.Load() }
 
 // beginDirty flips the store into dirty mode. Holding mu exclusively

@@ -8,7 +8,7 @@ import (
 
 // Property: for any key set, a streamed checkpoint restores the map
 // exactly, for any chunk byte bound — for every (source, destination)
-// pairing of the dictionary backends.
+// pairing of the dictionary stripe counts.
 func TestQuickKVMapCheckpointRoundTrip(t *testing.T) {
 	for _, src := range kvImpls {
 		for _, dst := range kvImpls {

@@ -4,16 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// kvImpls enumerates the dictionary backends; cross-cutting tests and the
-// head-to-head benchmarks run against each so the single-lock and sharded
-// stores stay behaviourally identical. The sharded store is pinned to 8
-// shards rather than the GOMAXPROCS default, which degenerates to a single
-// shard on 1-core CI runners and would exercise only the striping overhead.
+// kvImpls enumerates the dictionary store's two stripe counts; the
+// cross-cutting tests, FuzzStore and the head-to-head benchmarks run
+// against each, so one stripe (the single-lock store every deployment
+// runs) and eight behave identically. The striped store is pinned to 8
+// stripes rather than the GOMAXPROCS default, which degenerates to one
+// stripe on 1-core CI runners and would exercise only one configuration.
 var kvImpls = []struct {
 	name string
 	new  func() KV
@@ -24,15 +26,15 @@ var kvImpls = []struct {
 
 func TestShardedKVShardCount(t *testing.T) {
 	for _, tt := range []struct{ in, want int }{
-		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}, {1 << 20, maxKVShards},
+		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}, {1 << 20, maxKVStripes}, {math.MaxInt, maxKVStripes},
 	} {
-		if got := NewShardedKVMap(tt.in).NumShards(); got != tt.want {
-			t.Errorf("NumShards(%d) = %d, want %d", tt.in, got, tt.want)
+		if got := NewShardedKVMap(tt.in).Stripes(); got != tt.want {
+			t.Errorf("Stripes(%d) = %d, want %d", tt.in, got, tt.want)
 		}
 	}
-	def := NewShardedKVMap(0).NumShards()
+	def := NewShardedKVMap(0).Stripes()
 	if def < 1 || def&(def-1) != 0 {
-		t.Errorf("default shard count %d is not a power of two", def)
+		t.Errorf("default stripe count %d is not a power of two", def)
 	}
 }
 
@@ -135,7 +137,7 @@ func TestShardedKVDirtyProtocol(t *testing.T) {
 
 // TestKVDirtyDoubleDelete: deleting an already-deleted key during dirty
 // mode must report absent, even though the base still holds the snapshot
-// copy until MergeDirty. Regression test for both backends.
+// copy until MergeDirty. Regression test at both stripe counts.
 func TestKVDirtyDoubleDelete(t *testing.T) {
 	for _, impl := range kvImpls {
 		t.Run(impl.name, func(t *testing.T) {
@@ -196,7 +198,7 @@ func TestShardedKVClearDuringDirty(t *testing.T) {
 }
 
 // TestKVCrossImplCheckpointCompat proves the chunk-format compatibility
-// claim: checkpoints written by either dictionary backend restore into the
+// claim: checkpoints written at either stripe count restore into the
 // other, through direct restore and through SplitChunk re-partitioning.
 func TestKVCrossImplCheckpointCompat(t *testing.T) {
 	fill := func(m KV) {
@@ -255,8 +257,8 @@ func TestKVCrossImplCheckpointCompat(t *testing.T) {
 	}
 }
 
-// TestShardedKVSplit: the sharded store's streamed chunks split n ways
-// into sharded stores that each hold exactly their own partition. Dirty
+// TestShardedKVSplit: an 8-stripe store's streamed chunks split n ways
+// into 8-stripe stores that each hold exactly their own partition. Dirty
 // mode is reported store-wide, which is what reshaping checks before it
 // reads a source.
 func TestShardedKVSplit(t *testing.T) {
@@ -271,7 +273,7 @@ func TestShardedKVSplit(t *testing.T) {
 	}
 	total := 0
 	for pi, p := range parts {
-		kv := p.(*ShardedKVMap)
+		kv := p.(*KVMap)
 		total += kv.NumEntries()
 		kv.ForEach(func(k uint64, _ []byte) bool {
 			if owner := PartitionKey(k, 3); owner != pi {
@@ -316,7 +318,7 @@ func TestShardedKVRestoreErrors(t *testing.T) {
 	}
 }
 
-// TestKVConcurrentOps hammers each backend with concurrent mutators racing
+// TestKVConcurrentOps hammers each stripe count with concurrent mutators racing
 // the full dirty-checkpoint cycle plus aggregate readers. Run under
 // -race, it is the locking-discipline regression test: failures show up as
 // detector reports, not assertion text.

@@ -10,7 +10,10 @@
 //     backup/restore pattern (Fig. 4).
 //
 // Provided store types mirror the paper's predefined SE classes: KVMap
-// (dictionary), Matrix (indexed sparse matrix) and Vector.
+// (dictionary), Matrix (indexed sparse matrix) and Vector. There is one
+// dictionary implementation: KVMap divides its keys over lock stripes,
+// NewKVMap building one (a single-lock store, what deployments run) and
+// NewShardedKVMap n.
 package state
 
 import (
@@ -142,10 +145,9 @@ type DeltaStore interface {
 	AbortDelta()
 }
 
-// KV is the dictionary interface shared by the single-lock KVMap and the
-// lock-striped ShardedKVMap. Task functions access dictionary SEs through
-// it so an SE's builder can pick either backend without touching
-// application code.
+// KV is the dictionary interface KVMap implements at any stripe count.
+// Task functions and bench/e2e access dictionary SEs through it, so they do
+// not depend on the concrete store type an SE's builder picks.
 type KV interface {
 	Store
 	// Put stores value under key. The value is retained by reference;
@@ -209,7 +211,7 @@ func SplitChunk(c Chunk, n int) ([]Chunk, error) {
 	}
 	switch c.Type {
 	case TypeKVMap:
-		// Both dictionary backends emit the same TypeKVMap chunk format.
+		// One TypeKVMap chunk format at every stripe count.
 		if c.Delta {
 			return splitKVDeltaChunk(c, n)
 		}

@@ -71,12 +71,13 @@ func (s *sliceIter) Next() (Chunk, bool, error) {
 	return c, true, nil
 }
 
-// kvStreamIter streams one KVMap's base as bounded chunks. Keys are
-// captured eagerly under the read lock (8 bytes per key — the cheap part);
-// values are re-read and encoded lazily per chunk, so peak extra memory is
-// one chunk, not the whole store.
-type kvStreamIter struct {
+// stripeStreamIter streams a KVMap's base stripe by stripe. A stripe's
+// keys are captured when the stream reaches it, under its read lock (8
+// bytes per key — the cheap part); values are re-read and encoded lazily
+// per chunk, so peak extra memory is one chunk and one stripe's keys.
+type stripeStreamIter struct {
 	m        *KVMap
+	stripe   int
 	keys     []uint64
 	pos      int
 	maxBytes int
@@ -89,119 +90,32 @@ func (m *KVMap) CheckpointStream(maxBytes int) (ChunkIter, error) {
 	if maxBytes < 1 {
 		return nil, ErrBadSplit
 	}
-	m.mu.RLock()
-	keys := make([]uint64, 0, len(m.base))
-	for k := range m.base {
-		keys = append(keys, k)
-	}
-	m.mu.RUnlock()
-	return &kvStreamIter{m: m, keys: keys, maxBytes: maxBytes}, nil
+	return &stripeStreamIter{m: m, maxBytes: maxBytes}, nil
 }
 
-func (it *kvStreamIter) Next() (Chunk, bool, error) {
-	if it.pos >= len(it.keys) && it.emitted > 0 {
+func (it *stripeStreamIter) Next() (Chunk, bool, error) {
+	if it.stripe >= len(it.m.stripes) && it.emitted > 0 {
 		return Chunk{}, false, nil
 	}
-	body := newBaseBody(it.maxBytes, it.m.SizeBytes())
+	body := newChunkBody(it.maxBytes, it.m.SizeBytes())
 	var count uint64
-	it.m.mu.RLock()
-	for it.pos < len(it.keys) && !baseFull(body, it.maxBytes) {
-		k := it.keys[it.pos]
-		it.pos++
-		v, ok := it.m.base[k]
-		if !ok {
-			// The freeze contract makes this unreachable; skip defensively
-			// rather than emit a stale entry.
-			continue
-		}
-		body.uvarint(k)
-		body.bytes(v)
-		count++
-	}
-	it.m.mu.RUnlock()
-	return baseChunk(&it.emitted, count, body)
-}
-
-// countRoom is the room a base chunk body reserves in front of its entries
-// for the entry count, so a chunk is assembled in place.
-const countRoom = binary.MaxVarintLen64
-
-// newBaseBody starts a base chunk body: room for the entry count, then
-// capacity for maxBytes of entries plus one overshooting entry of up to
-// 4 KiB, or for the store's accounted size if smaller (that exceeds the
-// store's whole encoding).
-func newBaseBody(maxBytes int, size int64) *encoder {
-	hint := int(size)
-	if size >= int64(maxBytes) {
-		hint = maxBytes + 4<<10
-	}
-	body := newEncoder(countRoom + hint)
-	body.buf = body.buf[:countRoom]
-	return body
-}
-
-// baseFull reports whether a base chunk body holds maxBytes of entries.
-func baseFull(body *encoder, maxBytes int) bool {
-	return len(body.buf)-countRoom >= maxBytes
-}
-
-// baseChunk assembles one streamed base chunk from an entry count and the
-// encoded entries, or ends the stream. Only a stream's first chunk may be
-// empty (see the file comment).
-func baseChunk(emitted *int, count uint64, body *encoder) (Chunk, bool, error) {
-	if count == 0 && *emitted > 0 {
-		return Chunk{}, false, nil
-	}
-	n := binary.PutUvarint(body.tmp[:], count)
-	start := countRoom - n
-	copy(body.buf[start:], body.tmp[:n])
-	c := Chunk{Type: TypeKVMap, Index: *emitted, Of: 0, Data: body.buf[start:]}
-	*emitted++
-	return c, true, nil
-}
-
-// shardedStreamIter streams a ShardedKVMap shard by shard. Key capture is
-// lazy per shard, so even the capture overhead stays at one shard's keys.
-type shardedStreamIter struct {
-	m        *ShardedKVMap
-	shard    int
-	keys     []uint64
-	pos      int
-	maxBytes int
-	emitted  int
-}
-
-// CheckpointStream implements Store; same freeze contract as KVMap's.
-func (m *ShardedKVMap) CheckpointStream(maxBytes int) (ChunkIter, error) {
-	if maxBytes < 1 {
-		return nil, ErrBadSplit
-	}
-	return &shardedStreamIter{m: m, maxBytes: maxBytes}, nil
-}
-
-func (it *shardedStreamIter) Next() (Chunk, bool, error) {
-	if it.shard >= len(it.m.shards) && it.emitted > 0 {
-		return Chunk{}, false, nil
-	}
-	body := newBaseBody(it.maxBytes, it.m.SizeBytes())
-	var count uint64
-	for !baseFull(body, it.maxBytes) && it.shard < len(it.m.shards) {
-		s := it.m.shards[it.shard]
+	for !bodyFull(body, it.maxBytes) && it.stripe < len(it.m.stripes) {
+		s := it.m.stripes[it.stripe]
+		s.mu.RLock()
 		if it.keys == nil {
-			s.mu.RLock()
 			it.keys = make([]uint64, 0, len(s.base))
 			for k := range s.base {
 				it.keys = append(it.keys, k)
 			}
-			s.mu.RUnlock()
 			it.pos = 0
 		}
-		s.mu.RLock()
-		for it.pos < len(it.keys) && !baseFull(body, it.maxBytes) {
+		for it.pos < len(it.keys) && !bodyFull(body, it.maxBytes) {
 			k := it.keys[it.pos]
 			it.pos++
 			v, ok := s.base[k]
 			if !ok {
+				// The freeze contract makes this unreachable; skip
+				// defensively rather than emit a stale entry.
 				continue
 			}
 			body.uvarint(k)
@@ -210,27 +124,51 @@ func (it *shardedStreamIter) Next() (Chunk, bool, error) {
 		}
 		s.mu.RUnlock()
 		if it.pos >= len(it.keys) {
-			it.shard++
+			it.stripe++
 			it.keys = nil
 		}
 	}
-	return baseChunk(&it.emitted, count, body)
+	// Only a stream's first chunk may be empty (see the file comment).
+	if count == 0 && it.emitted > 0 {
+		return Chunk{}, false, nil
+	}
+	c := Chunk{Type: TypeKVMap, Index: it.emitted, Data: sealCount(body, count)}
+	it.emitted++
+	return c, true, nil
 }
 
-// kvDeltaIter streams one KVMap's pending cut as bounded delta chunks: the
-// cut's keys are captured when the stream opens, values are read from the
-// frozen base lazily per chunk.
-type kvDeltaIter struct {
+// newChunkBody starts a chunk body for an encoding estimated at est bytes:
+// capacity for the estimate or, when that reaches maxBytes, for maxBytes of
+// entries plus one overshooting entry of up to 4 KiB.
+func newChunkBody(maxBytes int, est int64) *encoder {
+	if est >= int64(maxBytes) {
+		return newCountedBody(maxBytes + 4<<10)
+	}
+	return newCountedBody(int(est))
+}
+
+// bodyFull reports whether a counted chunk body holds maxBytes of entries.
+func bodyFull(body *encoder, maxBytes int) bool {
+	return len(body.buf)-countRoom >= maxBytes
+}
+
+// stripeDeltaIter streams a KVMap's pending cut as bounded delta chunks.
+// Every stripe's tracker is cut when the stream opens (one instant, under
+// the lifecycle lock); a stripe's cut keys flatten when the stream reaches
+// it, and values are read from the frozen base lazily per chunk, each
+// chunk built in place by a deltaEnc.
+type stripeDeltaIter struct {
 	m        *KVMap
+	sets     []map[uint64]struct{}
+	stripe   int
 	keys     []uint64
 	pos      int
+	left     int   // cut keys not yet encoded, over every stripe
+	perKey   int64 // estimated encoded bytes per cut key
 	maxBytes int
 	emitted  int
+	tmb      *encoder // tombstone side buffer, reused by every chunk
 }
-
-// deltaChunkHint caps a streamed delta chunk's initial buffer: most deltas
-// are far smaller than the chunk bound, and the encoder grows on demand.
-const deltaChunkHint = 64 << 10
 
 // cutKeys flattens a cut set for positional iteration (8 bytes per key).
 func cutKeys(set map[uint64]struct{}) []uint64 {
@@ -247,104 +185,61 @@ func (m *KVMap) DeltaStream(maxBytes int) (ChunkIter, error) {
 	if maxBytes < 1 {
 		return nil, ErrBadSplit
 	}
-	if !m.delta.enabled() {
-		return nil, ErrDeltaInactive
-	}
-	m.mu.RLock()
-	set := m.delta.cut()
-	m.mu.RUnlock()
-	return &kvDeltaIter{m: m, keys: cutKeys(set), maxBytes: maxBytes}, nil
-}
-
-func (it *kvDeltaIter) Next() (Chunk, bool, error) {
-	if it.pos >= len(it.keys) {
-		return Chunk{}, false, nil
-	}
-	enc := newDeltaEnc(min(it.maxBytes, deltaChunkHint) + 64)
-	it.m.mu.RLock()
-	it.pos = enc.fill(it.m.base, it.keys, it.pos, it.maxBytes)
-	it.m.mu.RUnlock()
-	return enc.chunk(&it.emitted)
-}
-
-// fill encodes keys[pos:] against base — present keys as updates, absent
-// ones as tombstones — until the encoded size reaches maxBytes, and returns
-// the new position.
-func (e *deltaEnc) fill(base map[uint64][]byte, keys []uint64, pos, maxBytes int) int {
-	for pos < len(keys) && e.size() < maxBytes {
-		k := keys[pos]
-		pos++
-		if v, ok := base[k]; ok {
-			e.update(k, v)
-		} else {
-			e.tombstone(k)
-		}
-	}
-	return pos
-}
-
-// chunk assembles one streamed delta chunk, or ends the stream when the
-// encoder is empty.
-func (e *deltaEnc) chunk(emitted *int) (Chunk, bool, error) {
-	if e.ucnt+e.tcnt == 0 {
-		return Chunk{}, false, nil
-	}
-	c := e.assemble(*emitted, 0)
-	*emitted++
-	return c, true, nil
-}
-
-// shardedDeltaIter streams a ShardedKVMap's pending cut shard by shard.
-// Every shard's tracker is cut when the stream opens (one instant, under
-// the lifecycle lock); keys flatten lazily per shard.
-type shardedDeltaIter struct {
-	m        *ShardedKVMap
-	sets     []map[uint64]struct{}
-	shard    int
-	keys     []uint64
-	pos      int
-	maxBytes int
-	emitted  int
-}
-
-// DeltaStream implements DeltaStore; same freeze contract as
-// CheckpointStream.
-func (m *ShardedKVMap) DeltaStream(maxBytes int) (ChunkIter, error) {
-	if maxBytes < 1 {
-		return nil, ErrBadSplit
-	}
 	if !m.DeltaTracking() {
 		return nil, ErrDeltaInactive
 	}
-	m.lifecycle.Lock()
-	defer m.lifecycle.Unlock()
-	sets := make([]map[uint64]struct{}, len(m.shards))
-	for i, s := range m.shards {
-		s.mu.RLock()
-		sets[i] = s.delta.cut()
-		s.mu.RUnlock()
+	it := &stripeDeltaIter{m: m, sets: m.cutStripes(), perKey: m.deltaKeyBytes(), maxBytes: maxBytes, tmb: newEncoder(0)}
+	for _, set := range it.sets {
+		it.left += len(set)
 	}
-	return &shardedDeltaIter{m: m, sets: sets, maxBytes: maxBytes}, nil
+	return it, nil
 }
 
-func (it *shardedDeltaIter) Next() (Chunk, bool, error) {
-	if it.shard >= len(it.m.shards) {
+// deltaKeyBytes estimates one cut key's delta encoding from the accounted
+// size: the mean value length (the mean accounted entry less its
+// bookkeeping share) plus room for the key's and the length's uvarints.
+func (m *KVMap) deltaKeyBytes() int64 {
+	var size, n int64
+	for _, s := range m.stripes {
+		s.mu.RLock()
+		n += int64(len(s.base))
+		s.mu.RUnlock()
+		size += s.size.Load()
+	}
+	return max(size/max(n, 1)-(kvEntryOverhead+8), 0) + 2*binary.MaxVarintLen64
+}
+
+func (it *stripeDeltaIter) Next() (Chunk, bool, error) {
+	if it.left == 0 {
 		return Chunk{}, false, nil
 	}
-	enc := newDeltaEnc(min(it.maxBytes, deltaChunkHint) + 64)
-	for enc.size() < it.maxBytes && it.shard < len(it.m.shards) {
-		s := it.m.shards[it.shard]
+	it.tmb.buf = it.tmb.buf[:0]
+	enc := deltaEnc{body: newChunkBody(it.maxBytes, int64(it.left)*it.perKey), tmb: it.tmb}
+	for it.left > 0 && enc.size() < it.maxBytes {
 		if it.keys == nil {
-			it.keys = cutKeys(it.sets[it.shard])
+			it.keys = cutKeys(it.sets[it.stripe])
 			it.pos = 0
 		}
+		s := it.m.stripes[it.stripe]
 		s.mu.RLock()
-		it.pos = enc.fill(s.base, it.keys, it.pos, it.maxBytes)
+		for it.pos < len(it.keys) && enc.size() < it.maxBytes {
+			k := it.keys[it.pos]
+			it.pos++
+			it.left--
+			// Present keys are updates, absent ones tombstones.
+			if v, ok := s.base[k]; ok {
+				enc.update(k, v)
+			} else {
+				enc.tombstone(k)
+			}
+		}
 		s.mu.RUnlock()
 		if it.pos >= len(it.keys) {
-			it.shard++
+			it.stripe++
 			it.keys = nil
 		}
 	}
-	return enc.chunk(&it.emitted)
+	c := Chunk{Type: TypeKVMap, Index: it.emitted, Delta: true, Data: enc.seal()}
+	it.emitted++
+	return c, true, nil
 }

@@ -2,6 +2,8 @@ package state
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 )
@@ -76,8 +78,8 @@ func TestKVMapStreamRestoreEquivalence(t *testing.T) {
 }
 
 // TestShardedKVStreamRestoreEquivalence mirrors the KVMap test across the
-// striped backend, restoring into both backends (chunks are
-// backend-portable: both emit TypeKVMap).
+// 8-stripe store, restoring at 4 stripes and at one (chunks do not depend
+// on the stripe count).
 func TestShardedKVStreamRestoreEquivalence(t *testing.T) {
 	m := NewShardedKVMap(8)
 	fillStreamKV(m.Put, 500)
@@ -289,5 +291,41 @@ func TestDeltaStreamMatchesDeltaCheckpoint(t *testing.T) {
 			}
 			ds.CommitDelta()
 		})
+	}
+}
+
+// TestDeltaChunkBytesUnchanged pins the delta chunk encoding: for a fixed
+// store and a fixed cut-key order, the delta stream's chunks at every bound
+// hash to what the two-buffer encoder that preceded the in-place one
+// produced (chunk count, and SHA-256 over each chunk's length and bytes).
+func TestDeltaChunkBytesUnchanged(t *testing.T) {
+	m := NewKVMap()
+	var keys []uint64
+	for i := uint64(0); i < 40; i++ {
+		k := i * 0x9e3779b97f4a7c15 >> (i % 7 * 9)
+		keys = append(keys, k)
+		if i%3 != 0 { // every third key is a tombstone
+			m.Put(k, []byte(fmt.Sprintf("value-%d-%s", i, make([]byte, i%11))))
+		}
+	}
+	for _, want := range []struct {
+		bound, chunks int
+		sum           string
+	}{
+		{1, 40, "646caff25c2e83754eb75b822111d9784cd8d9740f6802e02bf6478aeea22882"},
+		{64, 9, "bc7225f11094bbe04af88e4000ab2f64bc2496a5143d55fb53d5ad366066bd50"},
+		{300, 2, "2d2ed6dce342ab4d9aab0791ff2a00fac71dc3c10072d2e1833932c6f7ba60ef"},
+		{1 << 20, 1, "9b0579b3737b4253bf79a3affa0790437fea073af03f57f913b4226606d0557a"},
+	} {
+		it := &stripeDeltaIter{m: m, keys: keys, left: len(keys), perKey: m.deltaKeyBytes(), maxBytes: want.bound, tmb: newEncoder(0)}
+		chunks := drainIter(t, it)
+		h := sha256.New()
+		for _, c := range chunks {
+			fmt.Fprintf(h, "%d:", len(c.Data))
+			h.Write(c.Data)
+		}
+		if sum := hex.EncodeToString(h.Sum(nil)); len(chunks) != want.chunks || sum != want.sum {
+			t.Errorf("bound %d: %d chunk(s) hashing to %s, want %d hashing to %s", want.bound, len(chunks), sum, want.chunks, want.sum)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package state
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Vector is a dense float64 vector SE with dirty-state support. The LR
 // application keeps its model weights in a partial Vector; the CF merge step
@@ -231,7 +234,7 @@ func (v *Vector) Restore(chunks []Chunk) error {
 			return fmt.Errorf("%w: got %v, want %v", ErrWrongChunkType, c.Type, TypeVector)
 		}
 		d := newDecoder(c.Data)
-		length := d.uvarint()
+		length := vectorLen(d)
 		count := d.uvarint()
 		if d.err != nil {
 			return d.err
@@ -251,9 +254,24 @@ func (v *Vector) Restore(chunks []Chunk) error {
 	return nil
 }
 
+// maxVectorLen is the largest vector length a chunk may carry: one whose
+// float64 backing array still has a byte size that fits an int.
+const maxVectorLen = math.MaxInt / 8
+
+// vectorLen decodes a vector chunk's length field, failing the decoder on
+// a length above maxVectorLen before anything is sized from it.
+func vectorLen(d *decoder) uint64 {
+	n := d.uvarint()
+	if n > maxVectorLen {
+		d.fail()
+		return 0
+	}
+	return n
+}
+
 func splitVectorChunk(c Chunk, n int) ([]Chunk, error) {
 	d := newDecoder(c.Data)
-	length := d.uvarint()
+	length := vectorLen(d)
 	count := d.uvarint()
 	if d.err != nil {
 		return nil, d.err

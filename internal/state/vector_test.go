@@ -177,6 +177,24 @@ func TestNewByType(t *testing.T) {
 	}
 }
 
+// TestVectorRejectsHostileLength: a vector chunk whose length field
+// exceeds what a float64 slice can address is ErrBadChunk, both for
+// Restore and for SplitChunk, instead of a makeslice panic.
+func TestVectorRejectsHostileLength(t *testing.T) {
+	for _, length := range []uint64{1 << 62, 1<<63 + 1} {
+		e := newEncoder(16)
+		e.uvarint(length)
+		e.uvarint(0)
+		c := Chunk{Type: TypeVector, Data: e.buf}
+		if err := NewVector(0).Restore([]Chunk{c}); !errors.Is(err, ErrBadChunk) {
+			t.Errorf("Restore(length %d) = %v, want ErrBadChunk", length, err)
+		}
+		if _, err := SplitChunk(c, 2); !errors.Is(err, ErrBadChunk) {
+			t.Errorf("SplitChunk(length %d) = %v, want ErrBadChunk", length, err)
+		}
+	}
+}
+
 // TestRetiredStoreTypesRejected pins that the retired store tags (3, the
 // dense matrix; 5, the sharded-dictionary tag) are refused wherever a chunk
 // or a store type enters: construction, restore-time splitting and every

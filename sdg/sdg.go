@@ -79,7 +79,7 @@ type (
 	// KVMap is a dictionary store.
 	KVMap = state.KVMap
 	// KV is the dictionary interface KVMap satisfies; task functions that
-	// assert to it do not depend on the concrete dictionary backend.
+	// assert to it do not depend on the concrete store type.
 	KV = state.KV
 	// Matrix is an indexed sparse matrix store.
 	Matrix = state.Matrix
