@@ -43,7 +43,8 @@ func (ep WorkerEndpoint) close() {
 
 // CoordOptions configures a distributed deployment.
 type CoordOptions struct {
-	// Partitions sets each worker's local SE partition counts.
+	// Partitions sets each SE's global partition count (default: one per
+	// worker).
 	Partitions map[string]int
 	// Worker runtime tuning, passed through in the Deploy message.
 	QueueLen    int
@@ -144,11 +145,9 @@ type Coordinator struct {
 	entry map[string]bool // entry TE names
 	keyed map[string]bool // entry TEs routed by key (partitioned access)
 
-	// Sharded placement (multi-worker deployments): the per-worker TE/SE
-	// shard tables, the global instance total per entry task (routing), and
-	// the peer address list workers dial each other on. Single-worker
-	// deployments skip all of it and keep the legacy whole-graph deploy.
-	shard      bool
+	// Sharded placement: the per-worker TE/SE shard tables, the global
+	// instance total per entry task (routing), and the peer address list
+	// workers dial each other on. One worker holds every instance.
 	teShards   []map[string]wire.Shard
 	seShards   []map[string]wire.Shard
 	entryTotal map[string]int
@@ -188,9 +187,9 @@ var ErrUnsupportedLayout = errors.New("coordinator: unsupported layout")
 // NewCoordinator validates the graph for distributed execution, deploys it
 // to every worker and starts failure detection.
 //
-// A multi-worker deployment slices the graph: every SE's global partition
-// set (CoordOptions.Partitions, defaulting to one partition per worker)
-// splits contiguously across workers, TEs colocate with their SE's slice,
+// The deployment slices the graph: every SE's global partition set
+// (CoordOptions.Partitions, defaulting to one partition per worker) splits
+// contiguously across workers, TEs colocate with their SE's slice,
 // and dataflow edges whose destination spans workers are cut — each
 // worker's runtime delivers the remote share over the peer links named by
 // WorkerEndpoint.Addr, with the same routing the in-process path uses over
@@ -228,16 +227,14 @@ func NewCoordinator(graphName string, eps []WorkerEndpoint, opts CoordOptions) (
 		c.entry[te.Name] = true
 		c.keyed[te.Name] = te.Access != nil && te.Access.Mode == core.AccessByKey
 	}
-	if len(eps) > 1 {
-		c.computeLayout(eps)
-		// The split puts a TE with more than one global instance on more
-		// than one worker.
-		for _, e := range g.Edges {
-			src := g.TEs[e.From].Name
-			if n := c.teShards[0][src].Total; e.Dispatch == core.DispatchAllToOne && n > 1 {
-				return nil, fmt.Errorf("%w: gather %q collects from %d instances of %q across workers",
-					ErrUnsupportedLayout, g.TEs[e.To].Name, n, src)
-			}
+	c.computeLayout(eps)
+	// With more than one worker, the split puts a TE with more than one
+	// global instance on more than one worker.
+	for _, e := range g.Edges {
+		src := g.TEs[e.From].Name
+		if n := c.teShards[0][src].Total; e.Dispatch == core.DispatchAllToOne && n > 1 && len(eps) > 1 {
+			return nil, fmt.Errorf("%w: gather %q collects from %d instances of %q across workers",
+				ErrUnsupportedLayout, g.TEs[e.To].Name, n, src)
 		}
 	}
 	for i, ep := range eps {
@@ -263,7 +260,7 @@ func NewCoordinator(graphName string, eps []WorkerEndpoint, opts CoordOptions) (
 	return c, nil
 }
 
-// computeLayout fixes the global placement of a multi-worker deployment:
+// computeLayout fixes the global placement of the deployment:
 // every SE gets a global partition count (Partitions[name], defaulting to
 // one partition per worker — the layout edge-free deployments always had),
 // split contiguously across workers; a TE colocates with its SE's slice,
@@ -272,7 +269,6 @@ func NewCoordinator(graphName string, eps []WorkerEndpoint, opts CoordOptions) (
 // which is what keeps a cut edge semantically identical to a local one.
 func (c *Coordinator) computeLayout(eps []WorkerEndpoint) {
 	W := len(eps)
-	c.shard = true
 	c.addrs = make([]string, W)
 	for i, ep := range eps {
 		c.addrs[i] = ep.Addr
@@ -318,16 +314,13 @@ func (c *Coordinator) deployTo(w int, cw *coordWorker, awaitRestore bool) error 
 		QueueLen:    c.opts.QueueLen,
 		OverflowLen: c.opts.OverflowLen,
 		BatchSize:   c.opts.BatchSize,
-	}
-	if c.shard {
-		d.Worker = w
-		d.Workers = len(c.addrs)
-		d.TEShards = c.teShards[w]
-		d.SEShards = c.seShards[w]
-		d.Peers = c.addrs
-		d.AwaitRestore = awaitRestore
-	} else {
-		d.Partitions = c.opts.Partitions
+
+		Worker:       w,
+		Workers:      len(c.addrs),
+		TEShards:     c.teShards[w],
+		SEShards:     c.seShards[w],
+		Peers:        c.addrs,
+		AwaitRestore: awaitRestore,
 	}
 	frame, err := wire.Encode(wire.MsgDeploy, d)
 	if err != nil {
@@ -347,27 +340,19 @@ func call(tr cluster.Transport, frame []byte, want byte, out any) error {
 	return wire.Expect(resp, want, out)
 }
 
-// route picks the worker for an item. Sharded deployments route in two
-// steps through the same global instance space workers use internally: the
-// key (or seq rotation) names a global entry instance, and the shard table
-// names the worker owning it. The legacy single-worker forms both collapse
-// to worker 0.
+// route picks the worker for an item in two steps through the same global
+// instance space workers use internally: the key (or seq rotation) names a
+// global entry instance, and the shard table names the worker owning it.
 func (c *Coordinator) route(task string, it core.Item) int {
-	if c.shard {
-		total := c.entryTotal[task]
-		if total <= 0 {
-			total = 1
-		}
-		g := int(it.Seq % uint64(total))
-		if c.keyed[task] {
-			g = statePartition(it.Key, total)
-		}
-		return shardOwner(total, len(c.workers), g)
+	total := c.entryTotal[task]
+	if total <= 0 {
+		total = 1
 	}
+	g := int(it.Seq % uint64(total))
 	if c.keyed[task] {
-		return statePartition(it.Key, len(c.workers))
+		g = statePartition(it.Key, total)
 	}
-	return int(it.Seq % uint64(len(c.workers)))
+	return shardOwner(total, len(c.workers), g)
 }
 
 // Inject delivers one fire-and-forget item.
@@ -387,7 +372,7 @@ func (c *Coordinator) lockTargets(task string, items []InjectItem) []bool {
 		}
 	} else {
 		for w := range held {
-			held[w] = !c.shard || c.teShards[w][task].Count > 0
+			held[w] = c.teShards[w][task].Count > 0
 		}
 	}
 	for w, h := range held {
@@ -704,13 +689,13 @@ func (c *Coordinator) Checkpoint() error {
 
 // trimCovered broadcasts what this checkpoint round proved durable: the
 // per-(edge, destination instance) trim points for the cross-worker edge
-// send logs of a sharded deployment. Only instances snapshotted this round
+// send logs; one worker has none. Only instances snapshotted this round
 // feed them — a worker that missed the round keeps its older restore
 // point, and items it may still need stay logged at the senders. Out-edge
 // logs inside a worker need no message: the cut itself trims them.
 func (c *Coordinator) trimCovered(fresh map[int]*retainedSnap) {
 	var trims []wire.EdgeTrimEntry
-	if c.shard && len(fresh) > 0 {
+	if len(c.workers) > 1 && len(fresh) > 0 {
 		for gi, e := range c.g.Edges {
 			dst := c.g.TEs[e.To].Name
 			for w, rs := range fresh {
@@ -816,11 +801,9 @@ func (c *Coordinator) RecoverWorker(w int, ep WorkerEndpoint) error {
 	cw.mu.Lock()
 	cw.ep = ep
 	cw.mu.Unlock()
-	if c.shard {
-		// The replacement listens somewhere new; its own deploy and every
-		// peer notification below must carry the current address.
-		c.addrs[w] = ep.Addr
-	}
+	// The replacement listens somewhere new; its own deploy and every peer
+	// notification below must carry the current address.
+	c.addrs[w] = ep.Addr
 	fail := func(err error) error {
 		ep.close()
 		return err
@@ -829,7 +812,7 @@ func (c *Coordinator) RecoverWorker(w int, ep WorkerEndpoint) error {
 	// start re-sending edge items the moment they learn the new address, and
 	// a pre-restore delivery would be double-counted after the import wipes
 	// the dedup state.
-	if err := c.deployTo(w, cw, c.shard && cw.snap != nil); err != nil {
+	if err := c.deployTo(w, cw, cw.snap != nil); err != nil {
 		return fail(fmt.Errorf("coordinator: redeploy worker %d: %w", w, err))
 	}
 	if cw.snap != nil {
@@ -854,21 +837,18 @@ func (c *Coordinator) RecoverWorker(w int, ep WorkerEndpoint) error {
 			}
 		}
 	}
-	if c.shard {
-		// Tell the surviving workers where the replacement lives: each one
-		// rebuilds its send queue for w from its edge logs and re-delivers
-		// everything the last checkpoint did not cover (the receiver's
-		// restored dedup watermarks drop the rest). Best-effort per peer —
-		// a peer that fails here is the failure detector's problem, not
-		// this recovery's.
-		if frame, err := wire.Encode(wire.MsgPeers, wire.Peers{Worker: w, Addr: ep.Addr}); err == nil {
-			for pw, pcw := range c.workers {
-				if pw == w || !pcw.alive.Load() {
-					continue
-				}
-				var ack wire.PeersAck
-				_ = call(pcw.endpoint().Control, frame, wire.MsgPeersAck, &ack)
+	// Tell the surviving workers where the replacement lives: each one
+	// rebuilds its send queue for w from its edge logs and re-delivers
+	// everything the last checkpoint did not cover (the receiver's restored
+	// dedup watermarks drop the rest). Best-effort per peer — a peer that
+	// fails here is the failure detector's problem, not this recovery's.
+	if frame, err := wire.Encode(wire.MsgPeers, wire.Peers{Worker: w, Addr: ep.Addr}); err == nil {
+		for pw, pcw := range c.workers {
+			if pw == w || !pcw.alive.Load() {
+				continue
 			}
+			var ack wire.PeersAck
+			_ = call(pcw.endpoint().Control, frame, wire.MsgPeersAck, &ack)
 		}
 	}
 	cw.alive.Store(true)

@@ -71,11 +71,12 @@ type Options struct {
 	Mode     checkpoint.Mode
 	Interval time.Duration // checkpoint period (default 10s, as in §6)
 	Backup   *checkpoint.Backup
-	// DeltaCheckpoints enables incremental epochs for dictionary SEs: after
-	// an instance's first full checkpoint, subsequent epochs serialise only
-	// the keys changed since the previous epoch (plus tombstones) until
-	// checkpoint.ShouldDelta calls for a fresh base. Stores that cannot
-	// track changed keys keep taking full checkpoints.
+	// DeltaCheckpoints enables incremental epochs: after an instance's
+	// first full checkpoint, subsequent epochs serialise only the keys
+	// changed since the previous epoch (plus tombstones) until
+	// checkpoint.ShouldDelta calls for a fresh base. A store built by an
+	// SE's own builder that cannot track changed keys keeps taking full
+	// checkpoints.
 	DeltaCheckpoints bool
 	// WireCheck round-trips every delivered payload through the flat value
 	// codec, verifying the location-independence restriction of §4.1

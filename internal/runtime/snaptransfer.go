@@ -7,11 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/state"
 	"repro/internal/wire"
+	"repro/internal/wire/flat"
 )
 
 // This file is the coordinator half of the streaming snapshot transfer:
@@ -283,24 +285,62 @@ func (c *Coordinator) SnapshotStats() SnapStats {
 // flat encoding, flag 1 is uvarint(raw length) and then the flate
 // (BestSpeed) compression of it, chosen per record when it actually
 // shrinks. Records are self-contained so recovery decodes them one at a
-// time, and never leave the coordinator.
+// time, and never leave the coordinator. The part is encoded into a pooled
+// buffer and compressed with a pooled writer into a pooled buffer capped at
+// the raw size, so a record costs one allocation of its own size.
 func encodeSnapRecord(p *wire.SnapPart) (rec []byte, rawLen int) {
-	raw := wire.EncodeSnapPart(p)
+	e := flat.GetEncoder()
+	defer flat.PutEncoder(e)
+	wire.EncodeSnapPartTo(e, p)
+	raw := e.Bytes()
 	if len(raw) >= snapCompressMin {
-		var buf bytes.Buffer
-		buf.Grow(len(raw) / 2)
-		buf.WriteByte(1)
-		buf.Write(binary.AppendUvarint(nil, uint64(len(raw))))
-		fw, err := flate.NewWriter(&buf, flate.BestSpeed)
-		if err == nil {
-			if _, err := fw.Write(raw); err == nil && fw.Close() == nil && buf.Len() < len(raw)+1 {
-				return buf.Bytes(), len(raw)
-			}
+		z := deflaters.Get().(*deflater)
+		defer deflaters.Put(z)
+		if z.compress(raw) {
+			return bytes.Clone(z.out.b), len(raw)
 		}
 	}
 	rec = make([]byte, len(raw)+1)
 	copy(rec[1:], raw)
 	return rec, len(raw)
+}
+
+// deflater is a reusable flate writer and the capped buffer it writes.
+type deflater struct {
+	fw  *flate.Writer
+	out cappedBuf
+}
+
+var deflaters = sync.Pool{New: func() any {
+	z := &deflater{}
+	z.fw, _ = flate.NewWriter(&z.out, flate.BestSpeed) // fails only for an invalid level
+	return z
+}}
+
+// compress builds raw's flag-1 record in z.out, reporting false when the
+// record would not be shorter than raw plus its flag.
+func (z *deflater) compress(raw []byte) bool {
+	z.out.b, z.out.limit = append(z.out.b[:0], 1), len(raw)
+	z.out.b = binary.AppendUvarint(z.out.b, uint64(len(raw)))
+	z.fw.Reset(&z.out)
+	_, err := z.fw.Write(raw)
+	return err == nil && z.fw.Close() == nil
+}
+
+// cappedBuf is an append buffer that refuses to grow past limit bytes.
+type cappedBuf struct {
+	b     []byte
+	limit int
+}
+
+var errRecordGrew = errors.New("coordinator: compressed record outgrew its raw part")
+
+func (c *cappedBuf) Write(p []byte) (int, error) {
+	if len(c.b)+len(p) > c.limit {
+		return 0, errRecordGrew
+	}
+	c.b = append(c.b, p...)
+	return len(p), nil
 }
 
 // decodeSnapRecord reverses encodeSnapRecord.

@@ -499,21 +499,18 @@ func (w *Worker) deploy(m wire.Deploy) ([]byte, error) {
 		QueueLen:    m.QueueLen,
 		OverflowLen: m.OverflowLen,
 		BatchSize:   m.BatchSize,
-		Partitions:  m.Partitions,
 	}
-	if m.Workers > 1 {
-		w.mu.Lock()
-		dialer := w.dialer
-		w.mu.Unlock()
-		opts.Shard = &ShardConfig{
-			Worker:       m.Worker,
-			Workers:      m.Workers,
-			TEs:          m.TEShards,
-			SEs:          m.SEShards,
-			Peers:        m.Peers,
-			Dialer:       dialer,
-			AwaitRestore: m.AwaitRestore,
-		}
+	w.mu.Lock()
+	dialer := w.dialer
+	w.mu.Unlock()
+	opts.Shard = &ShardConfig{
+		Worker:       m.Worker,
+		Workers:      m.Workers,
+		TEs:          m.TEShards,
+		SEs:          m.SEShards,
+		Peers:        m.Peers,
+		Dialer:       dialer,
+		AwaitRestore: m.AwaitRestore,
 	}
 	rt, err := Deploy(g, opts)
 	if err != nil {

@@ -46,17 +46,6 @@ func (e *encoder) uvarint(v uint64) {
 	e.buf = append(e.buf, e.tmp[:n]...)
 }
 
-func (e *encoder) varint(v int64) {
-	n := binary.PutVarint(e.tmp[:], v)
-	e.buf = append(e.buf, e.tmp[:n]...)
-}
-
-func (e *encoder) float64(f float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-	e.buf = append(e.buf, b[:]...)
-}
-
 func (e *encoder) bytes(b []byte) {
 	e.uvarint(uint64(len(b)))
 	e.buf = append(e.buf, b...)
@@ -115,24 +104,46 @@ func (d *decoder) float64() float64 {
 	return v
 }
 
-func (d *decoder) bytes() []byte {
-	if d.err != nil {
-		return nil
-	}
+// view returns the next length-prefixed byte string, aliasing the
+// decoder's buffer.
+func (d *decoder) view() []byte {
 	n := d.uvarint()
 	if d.err != nil {
 		return nil
 	}
 	// Compared against what remains, so a length near 2^64 cannot wrap
-	// the bound and reach make.
+	// the bound.
 	if n > uint64(len(d.buf)-d.off) {
 		d.fail()
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+int(n)])
+	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	return out
+	return b
 }
 
-func (d *decoder) done() bool { return d.err == nil && d.off >= len(d.buf) }
+// readEntries decodes a counted entry list — uvarint(count), then count ×
+// (uvarint(key), uvarint(len)+value bytes), the one entry format of every
+// store type's chunks — into fn, whose value bytes alias the buffer. The
+// count sizes nothing: a count the bytes cannot hold fails on the first
+// missing entry.
+func readEntries(d *decoder, fn func(k uint64, v []byte)) {
+	n := d.uvarint()
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		k := d.uvarint()
+		v := d.view()
+		if d.err == nil {
+			fn(k, v)
+		}
+	}
+}
+
+// readKeys decodes a counted key list, a delta chunk's tombstones.
+func readKeys(d *decoder, fn func(k uint64)) {
+	n := d.uvarint()
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		if k := d.uvarint(); d.err == nil {
+			fn(k)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package state
 
 import (
+	"iter"
 	"sync"
 	"sync/atomic"
 )
@@ -13,7 +14,7 @@ import (
 // encoded, transferred and written per epoch by orders of magnitude.
 //
 // The wire format is a versioned extension of the base chunk format: a
-// delta chunk (Chunk.Delta == true, still TypeKVMap) carries
+// delta chunk (Chunk.Delta == true, of any store type) carries
 //
 //	uvarint(updateCount) updateCount × (uvarint(key), uvarint(len)+bytes)
 //	uvarint(tombCount)   tombCount   × uvarint(key)
@@ -36,8 +37,8 @@ import (
 // overlay — updated keys plus tombstones — in the live set, so writes that
 // landed during the checkpoint window belong to the *next* epoch.
 
-// deltaTrack is the changed-key tracker embedded in each dictionary lock
-// stripe. The `on` flag is read on every base write, so it is atomic and
+// deltaTrack is the changed-key tracker embedded in each lock stripe of
+// the store core. The `on` flag is read on every base write, so it is atomic and
 // checked first; when tracking is off the hot path pays a single atomic
 // load.
 //
@@ -64,8 +65,6 @@ func (t *deltaTrack) enable() {
 	t.mu.Unlock()
 }
 
-func (t *deltaTrack) enabled() bool { return t.on.Load() }
-
 // record notes one mutated key. The caller holds the store's base lock
 // exclusively, which is what keeps every other method out (see deltaTrack).
 func (t *deltaTrack) record(key uint64) {
@@ -75,31 +74,16 @@ func (t *deltaTrack) record(key uint64) {
 	t.changed[key] = struct{}{}
 }
 
-// noteMerge retains a merged dirty overlay: every overlay key and tombstone
-// becomes part of the next epoch's delta. Base lock held exclusively.
-func (t *deltaTrack) noteMerge(ovl map[uint64][]byte, tomb map[uint64]struct{}) {
+// note records keys as changed: a merged dirty overlay's keys and
+// tombstones (the window's writes belong to the next delta epoch), or a
+// base's keys before a wholesale wipe (Clear), so the next delta
+// tombstones them. Base lock held exclusively.
+func (t *deltaTrack) note(keys iter.Seq[uint64]) {
 	if !t.on.Load() {
 		return
 	}
 	t.mu.Lock()
-	for k := range ovl {
-		t.changed[k] = struct{}{}
-	}
-	for k := range tomb {
-		t.changed[k] = struct{}{}
-	}
-	t.mu.Unlock()
-}
-
-// noteBase records every key of a base map, used before wholesale wipes
-// (Clear) so the next delta tombstones the removed keys. Base lock
-// held exclusively.
-func (t *deltaTrack) noteBase(base map[uint64][]byte) {
-	if !t.on.Load() {
-		return
-	}
-	t.mu.Lock()
-	for k := range base {
+	for k := range keys {
 		t.changed[k] = struct{}{}
 	}
 	t.mu.Unlock()
@@ -169,6 +153,7 @@ type deltaEnc struct {
 	ucnt, tcnt uint64
 }
 
+// update appends one update entry, its value already encoded as bytes.
 func (e *deltaEnc) update(k uint64, v []byte) {
 	e.body.uvarint(k)
 	e.body.bytes(v)
@@ -190,64 +175,34 @@ func (e *deltaEnc) seal() []byte {
 	return sealCount(e.body, e.ucnt)
 }
 
-// applyDeltaChunk decodes one delta chunk into put/delete callbacks.
+// applyDeltaChunk decodes one delta chunk of any store type into put and
+// delete callbacks; put's value bytes alias the chunk.
 func applyDeltaChunk(c Chunk, put func(uint64, []byte), del func(uint64)) error {
-	if c.Type != TypeKVMap {
-		return ErrWrongChunkType
-	}
 	if !c.Delta {
 		return ErrNotDelta
 	}
 	d := newDecoder(c.Data)
-	nu := d.uvarint()
-	for i := uint64(0); i < nu && d.err == nil; i++ {
-		k := d.uvarint()
-		v := d.bytes()
-		if d.err == nil {
-			put(k, v)
-		}
-	}
-	nt := d.uvarint()
-	for i := uint64(0); i < nt && d.err == nil; i++ {
-		k := d.uvarint()
-		if d.err == nil {
-			del(k)
-		}
-	}
+	readEntries(d, put)
+	readKeys(d, del)
 	return d.err
 }
 
-// splitKVDeltaChunk re-partitions one delta chunk into n delta chunks,
-// mirroring splitKVChunk for the restore-time m-to-n fan-out.
-func splitKVDeltaChunk(c Chunk, n int) ([]Chunk, error) {
+// splitDeltaChunk re-partitions one delta chunk into n delta chunks,
+// mirroring splitChunk for the restore-time m-to-n fan-out.
+func splitDeltaChunk(c Chunk, n int) ([]Chunk, error) {
 	encs := make([]deltaEnc, n)
 	for i := range encs {
 		encs[i] = deltaEnc{body: newCountedBody(len(c.Data)/n + 16), tmb: newEncoder(16)}
 	}
-	d := newDecoder(c.Data)
-	nu := d.uvarint()
-	for i := uint64(0); i < nu; i++ {
-		k := d.uvarint()
-		v := d.bytes()
-		if d.err != nil {
-			return nil, d.err
-		}
-		encs[PartitionKey(k, n)].update(k, v)
-	}
-	nt := d.uvarint()
-	for i := uint64(0); i < nt; i++ {
-		k := d.uvarint()
-		if d.err != nil {
-			return nil, d.err
-		}
-		encs[PartitionKey(k, n)].tombstone(k)
-	}
-	if d.err != nil {
-		return nil, d.err
+	err := applyDeltaChunk(c,
+		func(k uint64, v []byte) { encs[PartitionKey(k, n)].update(k, v) },
+		func(k uint64) { encs[PartitionKey(k, n)].tombstone(k) })
+	if err != nil {
+		return nil, err
 	}
 	out := make([]Chunk, n)
 	for i := range encs {
-		out[i] = Chunk{Type: TypeKVMap, Index: i, Of: n, Delta: true, Data: encs[i].seal()}
+		out[i] = Chunk{Type: c.Type, Index: i, Of: n, Delta: true, Data: encs[i].seal()}
 	}
 	return out, nil
 }
@@ -255,19 +210,19 @@ func splitKVDeltaChunk(c Chunk, n int) ([]Chunk, error) {
 // EnableDeltaTracking starts recording changed keys so DeltaStream can
 // serialise incremental epochs. The first checkpoint after enabling must be
 // a full one: only changes made after this call are tracked.
-func (m *KVMap) EnableDeltaTracking() {
-	for _, s := range m.stripes {
+func (t *table[V]) EnableDeltaTracking() {
+	for _, s := range t.stripes {
 		s.delta.enable()
 	}
 }
 
 // DeltaTracking reports whether changed-key tracking is on.
-func (m *KVMap) DeltaTracking() bool { return m.stripes[0].delta.enabled() }
+func (t *table[V]) DeltaTracking() bool { return t.stripes[0].delta.on.Load() }
 
 // DeltaSize reports the number of keys changed since the last cut.
-func (m *KVMap) DeltaSize() int {
+func (t *table[V]) DeltaSize() int {
 	n := 0
-	for _, s := range m.stripes {
+	for _, s := range t.stripes {
 		s.mu.RLock()
 		n += s.delta.size()
 		s.mu.RUnlock()
@@ -279,15 +234,15 @@ func (m *KVMap) DeltaSize() int {
 // serialising, marking a full checkpoint's cut point. Call between
 // BeginDirty and MergeDirty (or on a quiescent store), then CommitDelta or
 // AbortDelta once the epoch's fate is known.
-func (m *KVMap) CutDelta() { m.cutStripes() }
+func (t *table[V]) CutDelta() { t.cutStripes() }
 
 // cutStripes cuts every stripe's tracker at one instant (under the
 // lifecycle lock) and returns the per-stripe pending sets.
-func (m *KVMap) cutStripes() []map[uint64]struct{} {
-	m.lifecycle.Lock()
-	defer m.lifecycle.Unlock()
-	sets := make([]map[uint64]struct{}, len(m.stripes))
-	for i, s := range m.stripes {
+func (t *table[V]) cutStripes() []map[uint64]struct{} {
+	t.lifecycle.Lock()
+	defer t.lifecycle.Unlock()
+	sets := make([]map[uint64]struct{}, len(t.stripes))
+	for i, s := range t.stripes {
 		s.mu.RLock()
 		sets[i] = s.delta.cut()
 		s.mu.RUnlock()
@@ -296,16 +251,16 @@ func (m *KVMap) cutStripes() []map[uint64]struct{} {
 }
 
 // CommitDelta drops the pending cut after a successful save.
-func (m *KVMap) CommitDelta() {
-	for _, s := range m.stripes {
+func (t *table[V]) CommitDelta() {
+	for _, s := range t.stripes {
 		s.delta.commit()
 	}
 }
 
 // AbortDelta restores the pending cut into the live tracker after a failed
 // save.
-func (m *KVMap) AbortDelta() {
-	for _, s := range m.stripes {
+func (t *table[V]) AbortDelta() {
+	for _, s := range t.stripes {
 		s.mu.RLock()
 		s.delta.abort()
 		s.mu.RUnlock()
@@ -315,12 +270,15 @@ func (m *KVMap) AbortDelta() {
 // ApplyDelta replays delta chunks onto the store: updates become puts,
 // tombstones become deletes. Chunks from different epochs must be applied
 // in separate calls in epoch order.
-func (m *KVMap) ApplyDelta(chunks []Chunk) error {
+func (t *table[V]) ApplyDelta(chunks []Chunk) error {
 	for _, c := range chunks {
-		err := applyDeltaChunk(c,
-			func(k uint64, v []byte) { m.Put(k, v) },
-			func(k uint64) { m.Delete(k) })
-		if err != nil {
+		if c.Type != t.typ {
+			return ErrWrongChunkType
+		}
+		if !c.Delta {
+			return ErrNotDelta
+		}
+		if err := t.apply(c.Data, true); err != nil {
 			return err
 		}
 	}

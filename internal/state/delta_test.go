@@ -378,3 +378,10 @@ func TestDeltaConcurrentWriters(t *testing.T) {
 		wg.Wait()
 	})
 }
+
+// bytes is decoder.view copied out of the decoder's buffer.
+func (d *decoder) bytes() []byte {
+	return append([]byte(nil), d.view()...)
+}
+
+func (d *decoder) done() bool { return d.err == nil && d.off >= len(d.buf) }

@@ -14,9 +14,9 @@ import (
 //   - dmu guards the overlay;
 //   - dirty is the mode flag, flipped only while holding mu.
 //
-// Writers consult dirty *before* taking mu: in dirty mode they only ever
-// touch the overlay, so a long-running Checkpoint holding mu.RLock never
-// blocks them — that is the property Fig. 12 measures against synchronous
+// Writers consult dirty *before* taking mu: in dirty mode they write only
+// the overlay and never take mu exclusively, so a long-running checkpoint
+// stream holding mu.RLock never blocks them — that is the property Fig. 12 measures against synchronous
 // checkpointing. The subtle case is a writer that loads dirty=false just as
 // BeginDirty runs: it takes mu and re-checks the flag under the lock, and
 // since BeginDirty also holds mu exclusively, either the write lands in the
@@ -24,31 +24,15 @@ import (
 // mirror case — a writer that loads dirty=true just as MergeDirty runs —
 // re-checks under dmu the same way (see baseWriteOrDirty).
 //
-// Matrix and Vector embed one dirtyCtl for the whole store; KVMap embeds
-// one per lock stripe and flips all flags under an ordered sweep of every
-// stripe's mu (see KVMap.BeginDirty), which preserves the same atomic-cut
-// invariant store-wide.
+// The store core (table) embeds one dirtyCtl per lock stripe and flips
+// every flag under an ordered sweep of the stripes' mu (table.BeginDirty).
+// A writer that edits a value in place holds mu shared and dmu in dirty
+// mode (stripe.lockWrite), which pins the mode and the frozen base value a
+// first touch copies into the overlay.
 type dirtyCtl struct {
 	mu    sync.RWMutex
 	dmu   sync.RWMutex
 	dirty atomic.Bool
-}
-
-// Dirty reports whether the store is in dirty mode (a checkpoint snapshot
-// is in flight). Embedding dirtyCtl exports this on Matrix and Vector;
-// KVMap implements its own store-level view.
-func (c *dirtyCtl) Dirty() bool { return c.dirty.Load() }
-
-// beginDirty flips the store into dirty mode. Holding mu exclusively
-// guarantees no base write is in flight when the flag is set.
-func (c *dirtyCtl) beginDirty() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dirty.Load() {
-		return ErrDirtyActive
-	}
-	c.dirty.Store(true)
-	return nil
 }
 
 // lockMerge acquires both locks for overlay consolidation and returns an

@@ -10,9 +10,12 @@
 //     backup/restore pattern (Fig. 4).
 //
 // Provided store types mirror the paper's predefined SE classes: KVMap
-// (dictionary), Matrix (indexed sparse matrix) and Vector. There is one
-// dictionary implementation: KVMap divides its keys over lock stripes,
-// NewKVMap building one (a single-lock store, what deployments run) and
+// (dictionary), Matrix (indexed sparse matrix) and Vector. All three are
+// views over one store core (table): keys mapped to values of one type
+// over lock stripes, with one dirty-state protocol, delta tracking and one
+// chunk entry format — the dictionary's values are bytes, the matrix's
+// rows keyed by row id, the vector's elements keyed by index. NewKVMap
+// builds one stripe (a single-lock store, what deployments run),
 // NewShardedKVMap n.
 package state
 
@@ -21,8 +24,8 @@ import (
 	"fmt"
 )
 
-// StoreType identifies a concrete store implementation for checkpoint
-// restore and chunk splitting.
+// StoreType identifies a store view for checkpoint restore; it tags every
+// chunk.
 type StoreType uint8
 
 // Store type identifiers. The zero value is invalid so that a forgotten
@@ -185,7 +188,7 @@ func mix64(x uint64) uint64 {
 }
 
 // New constructs an empty store of the given type. A Vector is created
-// with zero length; Restore resizes it.
+// with zero length; Restore grows it by the elements it restores.
 func New(t StoreType) (Store, error) {
 	switch t {
 	case TypeKVMap:
@@ -199,28 +202,22 @@ func New(t StoreType) (Store, error) {
 	}
 }
 
-// SplitChunk re-partitions one checkpoint chunk into n chunks using the
-// store-type-specific codec. Restore-time splitting is what lets one backup
-// chunk feed n recovering SE instances in parallel (Fig. 4, step R1).
+// SplitChunk re-partitions one checkpoint chunk into n chunks by key hash.
+// Every store type's chunks share one entry format, so one base split and
+// one delta split serve them all. Restore-time splitting is what lets one
+// backup chunk feed n recovering SE instances in parallel (Fig. 4, step
+// R1).
 func SplitChunk(c Chunk, n int) ([]Chunk, error) {
 	if n < 1 {
 		return nil, ErrBadSplit
 	}
-	if c.Delta && c.Type != TypeKVMap {
-		return nil, fmt.Errorf("%w: delta chunks exist only for dictionary stores, got %v", ErrBadChunk, c.Type)
-	}
 	switch c.Type {
-	case TypeKVMap:
-		// One TypeKVMap chunk format at every stripe count.
-		if c.Delta {
-			return splitKVDeltaChunk(c, n)
-		}
-		return splitKVChunk(c, n)
-	case TypeMatrix:
-		return splitMatrixChunk(c, n)
-	case TypeVector:
-		return splitVectorChunk(c, n)
+	case TypeKVMap, TypeMatrix, TypeVector:
 	default:
 		return nil, fmt.Errorf("state: cannot split chunk of type %v", c.Type)
 	}
+	if c.Delta {
+		return splitDeltaChunk(c, n)
+	}
+	return splitChunk(c, n)
 }

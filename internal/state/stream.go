@@ -1,17 +1,20 @@
 package state
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"sync"
+)
 
 // Streaming checkpoints: a store hands out an iterator that encodes one
 // bounded chunk at a time from the frozen base, so peak extra memory is one
 // chunk rather than the whole store re-encoded. The base must be frozen —
 // dirty mode active or the store quiescent — from the first Next until the
 // caller is done, and the emitted chunks restore through the ordinary
-// Restore path (dictionary Restore merges chunks and ignores Index/Of, so a
-// sequential stream uses Index = emission order, Of = 0). A dictionary base
-// stream always yields at least one chunk — an empty store yields one
-// empty chunk — so a consumer retaining a chain per store can tell "this
-// epoch is a base, and it is empty" from "nothing changed".
+// Restore path (Restore merges chunks and ignores Index/Of, so a stream
+// uses Index = emission order, Of = 0). A base stream always yields at
+// least one chunk — an empty store yields one empty chunk — so a consumer
+// retaining a chain per store can tell "this epoch is a base, and it is
+// empty" from "nothing changed".
 //
 // DeltaStream is the incremental counterpart: it opens a pending cut of the
 // changed-key tracker and yields the cut keys as bounded delta chunks
@@ -46,37 +49,40 @@ func Drain(it ChunkIter) ([]Chunk, error) {
 	}
 }
 
-// partitionedStream serves a store's n-way key-hash-partitioned encoding as
-// a stream, with n picked so each chunk is likely under maxBytes. Matrix
-// and Vector stores have no native stream; they are small dense blocks in
-// this codebase, so materialising every chunk up front is acceptable there.
-func partitionedStream(size int64, maxBytes int, encode func(n int) []Chunk) (ChunkIter, error) {
-	if maxBytes < 1 {
-		return nil, ErrBadSplit
+// striped is a table as its stream iterators see it, whatever its value
+// type.
+type striped interface {
+	Type() StoreType
+	SizeBytes() int64
+	numStripes() int
+	stripeLock(i int) *sync.RWMutex
+	// baseKeys lists stripe i's base keys; its lock is held.
+	baseKeys(i int) []uint64
+	// appendEntry appends k's base entry in stripe i to dst, reporting
+	// false when k is absent; the stripe's lock is held.
+	appendEntry(i int, k uint64, dst []byte) ([]byte, bool)
+	deltaKeyBytes() int64
+}
+
+func (t *table[V]) numStripes() int                { return len(t.stripes) }
+func (t *table[V]) stripeLock(i int) *sync.RWMutex { return &t.stripes[i].mu }
+
+func (t *table[V]) baseKeys(i int) []uint64 { return keysOf(t.stripes[i].base) }
+
+func (t *table[V]) appendEntry(i int, k uint64, dst []byte) ([]byte, bool) {
+	v, ok := t.stripes[i].base[k]
+	if ok {
+		dst = t.codec.encode(binary.AppendUvarint(dst, k), v)
 	}
-	return &sliceIter{chunks: encode(int(size/int64(maxBytes)) + 1)}, nil
+	return dst, ok
 }
 
-// sliceIter adapts a materialised chunk slice to ChunkIter.
-type sliceIter struct {
-	chunks []Chunk
-}
-
-func (s *sliceIter) Next() (Chunk, bool, error) {
-	if len(s.chunks) == 0 {
-		return Chunk{}, false, nil
-	}
-	c := s.chunks[0]
-	s.chunks = s.chunks[1:]
-	return c, true, nil
-}
-
-// stripeStreamIter streams a KVMap's base stripe by stripe. A stripe's
+// stripeStreamIter streams a table's base stripe by stripe. A stripe's
 // keys are captured when the stream reaches it, under its read lock (8
 // bytes per key — the cheap part); values are re-read and encoded lazily
 // per chunk, so peak extra memory is one chunk and one stripe's keys.
 type stripeStreamIter struct {
-	m        *KVMap
+	m        striped
 	stripe   int
 	keys     []uint64
 	pos      int
@@ -86,43 +92,38 @@ type stripeStreamIter struct {
 
 // CheckpointStream implements Store. The caller must hold the base frozen
 // (dirty mode or quiescence) until the iterator is drained.
-func (m *KVMap) CheckpointStream(maxBytes int) (ChunkIter, error) {
+func (t *table[V]) CheckpointStream(maxBytes int) (ChunkIter, error) {
 	if maxBytes < 1 {
 		return nil, ErrBadSplit
 	}
-	return &stripeStreamIter{m: m, maxBytes: maxBytes}, nil
+	return &stripeStreamIter{m: t, maxBytes: maxBytes}, nil
 }
 
 func (it *stripeStreamIter) Next() (Chunk, bool, error) {
-	if it.stripe >= len(it.m.stripes) && it.emitted > 0 {
+	stripes := it.m.numStripes()
+	if it.stripe >= stripes && it.emitted > 0 {
 		return Chunk{}, false, nil
 	}
 	body := newChunkBody(it.maxBytes, it.m.SizeBytes())
 	var count uint64
-	for !bodyFull(body, it.maxBytes) && it.stripe < len(it.m.stripes) {
-		s := it.m.stripes[it.stripe]
-		s.mu.RLock()
+	for !bodyFull(body, it.maxBytes) && it.stripe < stripes {
+		mu := it.m.stripeLock(it.stripe)
+		mu.RLock()
 		if it.keys == nil {
-			it.keys = make([]uint64, 0, len(s.base))
-			for k := range s.base {
-				it.keys = append(it.keys, k)
-			}
+			it.keys = it.m.baseKeys(it.stripe)
 			it.pos = 0
 		}
 		for it.pos < len(it.keys) && !bodyFull(body, it.maxBytes) {
 			k := it.keys[it.pos]
 			it.pos++
-			v, ok := s.base[k]
-			if !ok {
-				// The freeze contract makes this unreachable; skip
-				// defensively rather than emit a stale entry.
-				continue
+			// The freeze contract keeps every key present; an absent one
+			// is skipped defensively rather than emitted stale.
+			var ok bool
+			if body.buf, ok = it.m.appendEntry(it.stripe, k, body.buf); ok {
+				count++
 			}
-			body.uvarint(k)
-			body.bytes(v)
-			count++
 		}
-		s.mu.RUnlock()
+		mu.RUnlock()
 		if it.pos >= len(it.keys) {
 			it.stripe++
 			it.keys = nil
@@ -132,7 +133,7 @@ func (it *stripeStreamIter) Next() (Chunk, bool, error) {
 	if count == 0 && it.emitted > 0 {
 		return Chunk{}, false, nil
 	}
-	c := Chunk{Type: TypeKVMap, Index: it.emitted, Data: sealCount(body, count)}
+	c := Chunk{Type: it.m.Type(), Index: it.emitted, Data: sealCount(body, count)}
 	it.emitted++
 	return c, true, nil
 }
@@ -152,13 +153,13 @@ func bodyFull(body *encoder, maxBytes int) bool {
 	return len(body.buf)-countRoom >= maxBytes
 }
 
-// stripeDeltaIter streams a KVMap's pending cut as bounded delta chunks.
+// stripeDeltaIter streams a table's pending cut as bounded delta chunks.
 // Every stripe's tracker is cut when the stream opens (one instant, under
 // the lifecycle lock); a stripe's cut keys flatten when the stream reaches
 // it, and values are read from the frozen base lazily per chunk, each
 // chunk built in place by a deltaEnc.
 type stripeDeltaIter struct {
-	m        *KVMap
+	m        striped
 	sets     []map[uint64]struct{}
 	stripe   int
 	keys     []uint64
@@ -170,10 +171,10 @@ type stripeDeltaIter struct {
 	tmb      *encoder // tombstone side buffer, reused by every chunk
 }
 
-// cutKeys flattens a cut set for positional iteration (8 bytes per key).
-func cutKeys(set map[uint64]struct{}) []uint64 {
-	keys := make([]uint64, 0, len(set))
-	for k := range set {
+// keysOf flattens a map's keys for positional iteration (8 bytes per key).
+func keysOf[T any](m map[uint64]T) []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	return keys
@@ -181,14 +182,14 @@ func cutKeys(set map[uint64]struct{}) []uint64 {
 
 // DeltaStream implements DeltaStore; same freeze contract as
 // CheckpointStream.
-func (m *KVMap) DeltaStream(maxBytes int) (ChunkIter, error) {
+func (t *table[V]) DeltaStream(maxBytes int) (ChunkIter, error) {
 	if maxBytes < 1 {
 		return nil, ErrBadSplit
 	}
-	if !m.DeltaTracking() {
+	if !t.DeltaTracking() {
 		return nil, ErrDeltaInactive
 	}
-	it := &stripeDeltaIter{m: m, sets: m.cutStripes(), perKey: m.deltaKeyBytes(), maxBytes: maxBytes, tmb: newEncoder(0)}
+	it := &stripeDeltaIter{m: t, sets: t.cutStripes(), perKey: t.deltaKeyBytes(), maxBytes: maxBytes, tmb: newEncoder(0)}
 	for _, set := range it.sets {
 		it.left += len(set)
 	}
@@ -196,17 +197,17 @@ func (m *KVMap) DeltaStream(maxBytes int) (ChunkIter, error) {
 }
 
 // deltaKeyBytes estimates one cut key's delta encoding from the accounted
-// size: the mean value length (the mean accounted entry less its
+// size: the mean value size (the mean accounted entry less its
 // bookkeeping share) plus room for the key's and the length's uvarints.
-func (m *KVMap) deltaKeyBytes() int64 {
+func (t *table[V]) deltaKeyBytes() int64 {
 	var size, n int64
-	for _, s := range m.stripes {
+	for _, s := range t.stripes {
 		s.mu.RLock()
 		n += int64(len(s.base))
 		s.mu.RUnlock()
 		size += s.size.Load()
 	}
-	return max(size/max(n, 1)-(kvEntryOverhead+8), 0) + 2*binary.MaxVarintLen64
+	return max(size/max(n, 1)-t.overhead, 0) + 2*binary.MaxVarintLen64
 }
 
 func (it *stripeDeltaIter) Next() (Chunk, bool, error) {
@@ -217,29 +218,30 @@ func (it *stripeDeltaIter) Next() (Chunk, bool, error) {
 	enc := deltaEnc{body: newChunkBody(it.maxBytes, int64(it.left)*it.perKey), tmb: it.tmb}
 	for it.left > 0 && enc.size() < it.maxBytes {
 		if it.keys == nil {
-			it.keys = cutKeys(it.sets[it.stripe])
+			it.keys = keysOf(it.sets[it.stripe])
 			it.pos = 0
 		}
-		s := it.m.stripes[it.stripe]
-		s.mu.RLock()
+		mu := it.m.stripeLock(it.stripe)
+		mu.RLock()
 		for it.pos < len(it.keys) && enc.size() < it.maxBytes {
 			k := it.keys[it.pos]
 			it.pos++
 			it.left--
 			// Present keys are updates, absent ones tombstones.
-			if v, ok := s.base[k]; ok {
-				enc.update(k, v)
+			var ok bool
+			if enc.body.buf, ok = it.m.appendEntry(it.stripe, k, enc.body.buf); ok {
+				enc.ucnt++
 			} else {
 				enc.tombstone(k)
 			}
 		}
-		s.mu.RUnlock()
+		mu.RUnlock()
 		if it.pos >= len(it.keys) {
 			it.stripe++
 			it.keys = nil
 		}
 	}
-	c := Chunk{Type: TypeKVMap, Index: it.emitted, Delta: true, Data: enc.seal()}
+	c := Chunk{Type: it.m.Type(), Index: it.emitted, Delta: true, Data: enc.seal()}
 	it.emitted++
 	return c, true, nil
 }

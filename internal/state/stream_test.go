@@ -329,3 +329,37 @@ func TestDeltaChunkBytesUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// TestBaseChunkBytesUnchanged pins the dictionary's base chunk encoding
+// across the move onto the generic store core: for a fixed store and a
+// fixed key order, the base stream's chunks at every bound hash to what
+// the dictionary-only stream produced (chunk count, and SHA-256 over each
+// chunk's length and bytes).
+func TestBaseChunkBytesUnchanged(t *testing.T) {
+	m := NewKVMap()
+	var keys []uint64
+	for i := uint64(0); i < 40; i++ {
+		k := i * 0x9e3779b97f4a7c15 >> (i % 7 * 9)
+		keys = append(keys, k)
+		m.Put(k, []byte(fmt.Sprintf("value-%d-%s", i, make([]byte, i%11))))
+	}
+	for _, want := range []struct {
+		bound, chunks int
+		sum           string
+	}{
+		{1, 40, "e11b32fe6fe9bd938e711a43ea4f30ba516f511ea4981d26a2c88f2e234511e5"},
+		{64, 11, "7912c0a05662bd8cb8c38000c3354c7d482181ac339fd6fd7ab3c67e4c3b8ff4"},
+		{300, 3, "364f8ce89144ffb368477fcc1c6cff08d4e660f53ca4333acae73e963d38fd56"},
+		{1 << 20, 1, "bb219b510efa671ce5ffa0702afe392b5a4c408352667f7ae9b02e1b8b3eb26f"},
+	} {
+		chunks := drainIter(t, &stripeStreamIter{m: m, keys: keys, maxBytes: want.bound})
+		h := sha256.New()
+		for _, c := range chunks {
+			fmt.Fprintf(h, "%d:", len(c.Data))
+			h.Write(c.Data)
+		}
+		if sum := hex.EncodeToString(h.Sum(nil)); len(chunks) != want.chunks || sum != want.sum {
+			t.Errorf("bound %d: %d chunk(s) hashing to %s, want %d hashing to %s", want.bound, len(chunks), sum, want.chunks, want.sum)
+		}
+	}
+}

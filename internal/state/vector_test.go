@@ -177,9 +177,12 @@ func TestNewByType(t *testing.T) {
 	}
 }
 
-// TestVectorRejectsHostileLength: a vector chunk whose length field
-// exceeds what a float64 slice can address is ErrBadChunk, both for
-// Restore and for SplitChunk, instead of a makeslice panic.
+// TestVectorRejectsHostileLength: a vector's length comes from its
+// entries, never from a header field. The bytes that once carried a
+// length above what a float64 slice can address now read as an entry
+// count the chunk cannot hold: ErrBadChunk, both for Restore and for
+// SplitChunk, with nothing sized from the count. An element at a far
+// index restores as one element, so Len and Snapshot stay one long.
 func TestVectorRejectsHostileLength(t *testing.T) {
 	for _, length := range []uint64{1 << 62, 1<<63 + 1} {
 		e := newEncoder(16)
@@ -192,6 +195,17 @@ func TestVectorRejectsHostileLength(t *testing.T) {
 		if _, err := SplitChunk(c, 2); !errors.Is(err, ErrBadChunk) {
 			t.Errorf("SplitChunk(length %d) = %v, want ErrBadChunk", length, err)
 		}
+	}
+	e := newEncoder(16)
+	e.uvarint(1)
+	e.uvarint(1 << 62)
+	e.buf = elemCodec{}.encode(e.buf, 7)
+	v := NewVector(0)
+	if err := v.Restore([]Chunk{{Type: TypeVector, Data: e.buf}}); err != nil {
+		t.Fatal(err)
+	}
+	if v.Len() != 1 || len(v.Snapshot()) != 1 {
+		t.Fatalf("an element at index 2^62 gives Len %d, Snapshot %d; want 1 and 1", v.Len(), len(v.Snapshot()))
 	}
 }
 

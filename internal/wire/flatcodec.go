@@ -14,9 +14,8 @@ import (
 // is a uvarint count then its entries in ascending key order, a bool is one
 // byte):
 //
-//	Deploy:          str graph, map partitions (str name, varint n),
-//	                 varint queueLen/overflowLen/batchSize,
-//	                 bool wireCheck, uvarint worker/workers,
+//	Deploy:          str graph, varint queueLen/overflowLen/batchSize,
+//	                 uvarint worker/workers,
 //	                 map teShards, map seShards (str name, shard),
 //	                 uvarint n, n× str peer, bool awaitRestore
 //	DeployAck:       str graph, uvarint tes, uvarint ses
@@ -87,11 +86,6 @@ func encodeFlat(e *flat.Encoder, msgType byte, v any) error {
 	case Deploy:
 		is = MsgDeploy
 		e.Str(m.Graph)
-		e.Uvarint(uint64(len(m.Partitions)))
-		for _, name := range slices.Sorted(maps.Keys(m.Partitions)) {
-			e.Str(name)
-			e.Varint(int64(m.Partitions[name]))
-		}
 		e.Varint(int64(m.QueueLen))
 		e.Varint(int64(m.OverflowLen))
 		e.Varint(int64(m.BatchSize))
@@ -255,13 +249,6 @@ func decodeFlat(body []byte, v any) error {
 	switch m := v.(type) {
 	case *Deploy:
 		m.Graph = d.Str()
-		if n := d.Count(2); n > 0 {
-			m.Partitions = make(map[string]int, n)
-			for i := 0; i < n && d.Err() == nil; i++ {
-				name := d.Str()
-				m.Partitions[name] = int(d.Varint())
-			}
-		}
 		m.QueueLen = int(d.Varint())
 		m.OverflowLen = int(d.Varint())
 		m.BatchSize = int(d.Varint())

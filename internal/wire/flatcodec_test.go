@@ -50,7 +50,9 @@ var deltaChunk = []byte{2, 5, 1, 'a', 9, 2, 'b', 'c', 1, 7}
 // landing here.
 var samples = map[byte][]any{
 	MsgDeploy: {
-		Deploy{Graph: "kv", Partitions: map[string]int{"store": 4, "aux": 1}, QueueLen: 1024, OverflowLen: 64, BatchSize: 32},
+		Deploy{Graph: "kv", QueueLen: 1024, OverflowLen: 64, BatchSize: 32, Workers: 1,
+			TEShards: map[string]Shard{"put": {Count: 4, Total: 4}, "get": {Count: 4, Total: 4}},
+			SEShards: map[string]Shard{"store": {Count: 4, Total: 4}}, Peers: []string{"127.0.0.1:7171"}},
 		Deploy{Graph: "counterchain", BatchSize: 64, Worker: 1, Workers: 2,
 			TEShards: map[string]Shard{"count": {First: 1, Count: 1, Total: 2}, "bump": {First: 1, Count: 1, Total: 2}},
 			SEShards: map[string]Shard{"counts": {First: 1, Count: 1, Total: 2}},

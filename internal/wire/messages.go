@@ -103,17 +103,14 @@ type Shard struct {
 // runtime.RegisterGraph).
 type Deploy struct {
 	Graph string
-	// Partitions sets the worker-local SE partition counts (single-worker
-	// deployments only; sharded deployments carry SEShards instead).
-	Partitions map[string]int
 	// Runtime tuning, mirroring the matching runtime.Options fields.
 	QueueLen    int
 	OverflowLen int
 	BatchSize   int
-	// Sharded placement across a worker set (zero-valued for single-worker
-	// deployments): this worker's index, the set size, the global shard of
-	// every TE and SE assigned to this worker, and every worker's data
-	// address so cut dataflow edges can be dialed directly.
+	// Sharded placement across a worker set of one or more: this worker's
+	// index, the set size, the global shard of every TE and SE assigned to
+	// this worker, and every worker's data address so cut dataflow edges
+	// can be dialed directly.
 	Worker   int
 	Workers  int
 	TEShards map[string]Shard

@@ -180,11 +180,14 @@ func decodePartFields(d *flat.Decoder) SnapPart {
 func EncodeSnapPart(p *SnapPart) []byte {
 	e := flat.GetEncoder()
 	defer flat.PutEncoder(e)
-	encodePartFields(e, p)
+	EncodeSnapPartTo(e, p)
 	out := make([]byte, e.Len())
 	copy(out, e.Bytes())
 	return out
 }
+
+// EncodeSnapPartTo appends p's EncodeSnapPart payload to e.
+func EncodeSnapPartTo(e *flat.Encoder, p *SnapPart) { encodePartFields(e, p) }
 
 // DecodeSnapPart parses an EncodeSnapPart payload. The part copies its
 // bytes out of b, so b may be reused afterwards.

@@ -185,7 +185,7 @@ type Options struct {
 	// Checkpointing.
 	Mode     CheckpointMode
 	Interval time.Duration // checkpoint period (default 10s, as in the paper)
-	// DeltaCheckpoints enables incremental epochs for dictionary SEs:
+	// DeltaCheckpoints enables incremental epochs for every SE class:
 	// after an instance's first full checkpoint, later epochs serialise
 	// only the keys changed since the previous epoch (plus tombstones),
 	// cutting failure-free checkpoint bytes by the churn ratio. A fresh
