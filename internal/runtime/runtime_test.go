@@ -534,6 +534,66 @@ func TestScaleUpPartitionedRepartitions(t *testing.T) {
 	}
 }
 
+// TestScalePartitionedVectorKeepsElements reshards a partitioned Vector SE
+// up and back down. Every instance is as long as the whole vector and
+// holds zeros at the indices it does not own, so each rescale merges the
+// pieces of several old instances into one new store: an owner's element
+// must survive the zeros another instance restores after it.
+func TestScalePartitionedVectorKeepsElements(t *testing.T) {
+	const dim = 40
+	g := core.NewGraph("vec")
+	se := g.AddSE("vec", core.KindPartitioned, state.TypeVector, func() state.Store { return state.NewVector(dim) })
+	g.AddTE("set", func(ctx core.Context, it core.Item) {
+		ctx.Store().(*state.Vector).Set(int(it.Key), it.Value.(float64))
+		ctx.Reply(true)
+	}, &core.Access{SE: se, Mode: core.AccessByKey}, true)
+	g.AddTE("get", func(ctx core.Context, it core.Item) {
+		ctx.Reply(ctx.Store().(*state.Vector).Get(int(it.Key)))
+	}, &core.Access{SE: se, Mode: core.AccessByKey}, true)
+	r, err := Deploy(g, Options{Partitions: map[string]int{"vec": 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	for k := uint64(0); k < dim; k++ {
+		if _, err := r.Call("set", k, float64(k+1), testTimeout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(step string, n int) {
+		t.Helper()
+		if got := r.StateInstances("vec"); got != n {
+			t.Fatalf("%s: %d instances, want %d", step, got, n)
+		}
+		for k := uint64(0); k < dim; k++ {
+			if got, err := r.Call("get", k, nil, testTimeout); err != nil || got.(float64) != float64(k+1) {
+				t.Fatalf("%s: element %d = %v (%v), want %d", step, k, got, err, k+1)
+			}
+		}
+		for i := 0; i < n; i++ {
+			st, _ := r.StateStore("vec", i)
+			snap := st.(*state.Vector).Snapshot()
+			if len(snap) != dim {
+				t.Fatalf("%s: instance %d Snapshot has %d elements, want %d", step, i, len(snap), dim)
+			}
+			for k, x := range snap {
+				if own := state.PartitionKey(uint64(k), n) == i; own && x != float64(k+1) || !own && x != 0 {
+					t.Fatalf("%s: instance %d Snapshot[%d] = %v", step, i, k, x)
+				}
+			}
+		}
+	}
+	check("deployed", 2)
+	if err := r.ScaleUp("set"); err != nil {
+		t.Fatal(err)
+	}
+	check("scaled up", 3)
+	if err := r.ScaleDown("set"); err != nil {
+		t.Fatal(err)
+	}
+	check("scaled down", 2)
+}
+
 func TestAutoScaleDetectsBottleneck(t *testing.T) {
 	// A deliberately slow stateless TE with a flood of inputs must acquire
 	// a second instance.

@@ -355,3 +355,15 @@ func BenchmarkVectorAddScaled(b *testing.B) {
 		v.AddScaled(x, 0.001)
 	}
 }
+
+func BenchmarkVectorSnapshot(b *testing.B) {
+	v := NewVector(1024)
+	for i := 0; i < 1024; i++ {
+		v.Set(i, float64(i))
+	}
+	b.SetBytes(1024 * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.Snapshot()
+	}
+}

@@ -210,17 +210,17 @@ func splitDeltaChunk(c Chunk, n int) ([]Chunk, error) {
 // EnableDeltaTracking starts recording changed keys so DeltaStream can
 // serialise incremental epochs. The first checkpoint after enabling must be
 // a full one: only changes made after this call are tracked.
-func (t *table[V]) EnableDeltaTracking() {
+func (t *table[V, B]) EnableDeltaTracking() {
 	for _, s := range t.stripes {
 		s.delta.enable()
 	}
 }
 
 // DeltaTracking reports whether changed-key tracking is on.
-func (t *table[V]) DeltaTracking() bool { return t.stripes[0].delta.on.Load() }
+func (t *table[V, B]) DeltaTracking() bool { return t.stripes[0].delta.on.Load() }
 
 // DeltaSize reports the number of keys changed since the last cut.
-func (t *table[V]) DeltaSize() int {
+func (t *table[V, B]) DeltaSize() int {
 	n := 0
 	for _, s := range t.stripes {
 		s.mu.RLock()
@@ -234,11 +234,11 @@ func (t *table[V]) DeltaSize() int {
 // serialising, marking a full checkpoint's cut point. Call between
 // BeginDirty and MergeDirty (or on a quiescent store), then CommitDelta or
 // AbortDelta once the epoch's fate is known.
-func (t *table[V]) CutDelta() { t.cutStripes() }
+func (t *table[V, B]) CutDelta() { t.cutStripes() }
 
 // cutStripes cuts every stripe's tracker at one instant (under the
 // lifecycle lock) and returns the per-stripe pending sets.
-func (t *table[V]) cutStripes() []map[uint64]struct{} {
+func (t *table[V, B]) cutStripes() []map[uint64]struct{} {
 	t.lifecycle.Lock()
 	defer t.lifecycle.Unlock()
 	sets := make([]map[uint64]struct{}, len(t.stripes))
@@ -251,7 +251,7 @@ func (t *table[V]) cutStripes() []map[uint64]struct{} {
 }
 
 // CommitDelta drops the pending cut after a successful save.
-func (t *table[V]) CommitDelta() {
+func (t *table[V, B]) CommitDelta() {
 	for _, s := range t.stripes {
 		s.delta.commit()
 	}
@@ -259,7 +259,7 @@ func (t *table[V]) CommitDelta() {
 
 // AbortDelta restores the pending cut into the live tracker after a failed
 // save.
-func (t *table[V]) AbortDelta() {
+func (t *table[V, B]) AbortDelta() {
 	for _, s := range t.stripes {
 		s.mu.RLock()
 		s.delta.abort()
@@ -270,7 +270,7 @@ func (t *table[V]) AbortDelta() {
 // ApplyDelta replays delta chunks onto the store: updates become puts,
 // tombstones become deletes. Chunks from different epochs must be applied
 // in separate calls in epoch order.
-func (t *table[V]) ApplyDelta(chunks []Chunk) error {
+func (t *table[V, B]) ApplyDelta(chunks []Chunk) error {
 	for _, c := range chunks {
 		if c.Type != t.typ {
 			return ErrWrongChunkType

@@ -162,8 +162,8 @@ func FuzzStore(f *testing.F) {
 		// A base cut inside a dirty window, then an aborted base.
 		{opPut, 8, 9, opBeginDirty, opPut, 8, 1, opBase, 2, 0, opMerge, opBase, 5, 1,
 			opDelete, 8, opDelta, 9, 0, opRestore, 1},
-		// A vector sized, cut, cleared and sized shorter: the delta's
-		// tombstones are what shorten the restored vector.
+		// A vector sized, cut, cleared and resized: the delta's zeros are
+		// what clear the restored vector, which keeps its length.
 		{opDelete, 5, opPut, 2, 1, opBase, 30, 0, opClear, opDelete, 3, opGet, 1, opDelta, 30, 0, opRestore, 2},
 	} {
 		f.Add(seed)
@@ -220,9 +220,13 @@ type fuzzModel interface {
 	// its argument bytes to st and to the model; serial varies the values.
 	write(t *testing.T, st Store, op, a, b byte, serial int, dirty bool)
 	// entries renders the model as store entries: entry key -> the text a
-	// read of it shows ("" when reads cannot see it, a zero element), and
-	// entry key -> the logical entries it holds (NumEntries' unit).
-	entries() (text map[uint64]string, n map[uint64]int)
+	// read of it shows ("" when reads cannot see it, a zero element).
+	entries() map[uint64]string
+	// count bounds the NumEntries of a store holding the model's entries
+	// whose keys keep accepts, as a split piece of its checkpoint chain
+	// restores: a piece of a vector is as long as the largest index its
+	// chain carried, which the cut alone does not fix.
+	count(keep func(uint64) bool) (lo, hi int)
 	// read renders what st's reads show over the fuzz key space the same
 	// way, checking the view's whole-store reads against the model.
 	read(t *testing.T, st Store, whole fuzzModel) map[uint64]string
@@ -257,12 +261,22 @@ func (m kvModel) write(t *testing.T, st Store, op, a, b byte, serial int, _ bool
 	}
 }
 
-func (m kvModel) entries() (map[uint64]string, map[uint64]int) {
-	text, n := map[uint64]string{}, map[uint64]int{}
+func (m kvModel) entries() map[uint64]string {
+	text := map[uint64]string{}
 	for k, v := range m {
-		text[k], n[k] = "="+v, 1
+		text[k] = "=" + v
 	}
-	return text, n
+	return text
+}
+
+func (m kvModel) count(keep func(uint64) bool) (int, int) {
+	n := 0
+	for k := range m {
+		if keep(k) {
+			n++
+		}
+	}
+	return n, n
 }
 
 func (kvModel) read(_ *testing.T, st Store, _ fuzzModel) map[uint64]string {
@@ -315,12 +329,22 @@ func (m matrixModel) write(t *testing.T, st Store, op, a, b byte, serial int, _ 
 	}
 }
 
-func (m matrixModel) entries() (map[uint64]string, map[uint64]int) {
-	text, n := map[uint64]string{}, map[uint64]int{}
+func (m matrixModel) entries() map[uint64]string {
+	text := map[uint64]string{}
 	for r, row := range m {
-		text[uint64(r)], n[uint64(r)] = rowText(row), len(row)
+		text[uint64(r)] = rowText(row)
 	}
-	return text, n
+	return text
+}
+
+func (m matrixModel) count(keep func(uint64) bool) (int, int) {
+	n := 0
+	for r, row := range m {
+		if keep(uint64(r)) {
+			n += len(row)
+		}
+	}
+	return n, n
 }
 
 func rowText(row map[int64]float64) string {
@@ -358,7 +382,7 @@ func (m matrixModel) clone() fuzzModel {
 }
 
 // vectorModel models the Vector: Set, Add, and Resize or AddScaled; Clear
-// wipes it. Elements are the entries; writes address elements inside the
+// zeroes it. Elements are the entries; writes address elements inside the
 // vector, as callers do after sizing it.
 type vectorModel map[int]float64
 
@@ -408,16 +432,28 @@ func (m vectorModel) write(t *testing.T, st Store, op, a, b byte, serial int, di
 		v.AddScaled(x, 0.25)
 	case opClear:
 		v.Clear()
-		clear(m)
+		for j := range m {
+			m[j] = 0
+		}
 	}
 }
 
-func (m vectorModel) entries() (map[uint64]string, map[uint64]int) {
-	text, n := map[uint64]string{}, map[uint64]int{}
+func (m vectorModel) entries() map[uint64]string {
+	text := map[uint64]string{}
 	for i, x := range m {
-		text[uint64(i)], n[uint64(i)] = elemText(x), 1
+		text[uint64(i)] = elemText(x)
 	}
-	return text, n
+	return text
+}
+
+func (m vectorModel) count(keep func(uint64) bool) (int, int) {
+	lo := 0
+	for i, x := range m {
+		if keep(uint64(i)) && (x != 0 || i == len(m)-1) {
+			lo = max(lo, i+1)
+		}
+	}
+	return lo, len(m)
 }
 
 // elemText renders an element as a read shows it: a zero element reads
@@ -607,17 +643,15 @@ func (m *storeModel) restoreChain(n int) {
 			}
 		}
 	}
-	text, count := m.cut.entries()
+	text := m.cut.entries()
 	for j, st := range stores {
-		want, wantN := map[uint64]string{}, 0
+		want := map[uint64]string{}
 		for k, s := range text {
-			if PartitionKey(k, n) == j {
-				if s != "" {
-					want[k] = s
-				}
-				wantN += count[k]
+			if PartitionKey(k, n) == j && s != "" {
+				want[k] = s
 			}
 		}
+		lo, hi := m.cut.count(func(k uint64) bool { return PartitionKey(k, n) == j })
 		var whole fuzzModel
 		if n == 1 {
 			whole = m.cut
@@ -625,8 +659,8 @@ func (m *storeModel) restoreChain(n int) {
 		if got := m.cut.read(t, st, whole); !maps.Equal(got, want) {
 			t.Fatalf("%s: chain restored %d ways, part %d = %v, want %v", m.v.name, n, j, got, want)
 		}
-		if got := st.NumEntries(); got != wantN {
-			t.Fatalf("%s: chain restored %d ways, part %d: NumEntries = %d, want %d", m.v.name, n, j, got, wantN)
+		if got := st.NumEntries(); got < lo || got > hi {
+			t.Fatalf("%s: chain restored %d ways, part %d: NumEntries = %d, want %d..%d", m.v.name, n, j, got, lo, hi)
 		}
 		if kv, ok := st.(KV); ok {
 			if got := forEachMap(kv); !maps.Equal(got, partKV(m.cut.(kvModel), n, j)) {
@@ -652,14 +686,13 @@ func partKV(m kvModel, n, j int) map[uint64]string {
 // when dirty) base.
 func (m *storeModel) checkLive(at string) {
 	t := m.t
-	text, count := m.live.entries()
-	want, wantN := map[uint64]string{}, 0
-	for k, s := range text {
+	want := map[uint64]string{}
+	for k, s := range m.live.entries() {
 		if s != "" {
 			want[k] = s
 		}
-		wantN += count[k]
 	}
+	wantN, _ := m.live.count(func(uint64) bool { return true })
 	if got := m.live.read(t, m.st, m.live); !maps.Equal(got, want) {
 		t.Fatalf("%s: reads = %v, model %v", at, got, want)
 	}

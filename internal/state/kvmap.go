@@ -17,7 +17,7 @@ const kvEntryOverhead = 48
 // single-lock store, which is what every deployment runs; NewShardedKVMap
 // builds N, so writers to different stripes never contend.
 type KVMap struct {
-	table[[]byte]
+	table[[]byte, hashEntries[[]byte]]
 }
 
 // kvCodec stores a dictionary value as its own bytes.
@@ -28,7 +28,8 @@ func (kvCodec) encode(dst, v []byte) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(v))), v...)
 }
 func (kvCodec) clone(v []byte) []byte { return v } // values are never edited in place
-func (kvCodec) decode(b []byte) ([]byte, bool) {
+func (kvCodec) blank([]byte) bool     { return false }
+func (kvCodec) decode(_ uint64, b []byte) ([]byte, bool) {
 	v := make([]byte, len(b))
 	copy(v, b)
 	return v, true
@@ -83,8 +84,26 @@ func (m *KVMap) Put(key uint64, value []byte) {
 	s.mu.Unlock()
 }
 
-// Get returns the value for key.
-func (m *KVMap) Get(key uint64) ([]byte, bool) { return m.get(key) }
+// Get returns the value for key. In dirty mode the overlay is consulted
+// first, then the base (§5: "reads are first served by the dirty state and,
+// only on a miss, by the dictionary"). Like Put it is written for the
+// dictionary's own types: the kv_call hot path.
+func (m *KVMap) Get(key uint64) ([]byte, bool) {
+	s := m.stripe(key)
+	if s.dirty.Load() {
+		s.dmu.RLock()
+		v, ok := s.ovl[key]
+		_, dead := s.tomb[key]
+		s.dmu.RUnlock()
+		if ok || dead {
+			return v, ok
+		}
+	}
+	s.mu.RLock()
+	v, ok := s.base[key]
+	s.mu.RUnlock()
+	return v, ok
+}
 
 // Delete removes key, reporting whether it was (logically) present.
 func (m *KVMap) Delete(key uint64) bool { return m.del(key) }

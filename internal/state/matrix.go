@@ -17,13 +17,14 @@ const (
 // dirty overlay's copy-on-write. The CF application uses two of them:
 // userItem (partitioned by row/user) and coOcc (partial, replicated).
 type Matrix struct {
-	table[map[int64]float64]
+	table[map[int64]float64, hashEntries[map[int64]float64]]
 }
 
 // rowCodec encodes a row as its (varint col, float64) cells, in map order.
 type rowCodec struct{}
 
 func (rowCodec) size(row map[int64]float64) int64 { return matrixCellCost * int64(len(row)) }
+func (rowCodec) blank(map[int64]float64) bool     { return false }
 
 func (rowCodec) encode(dst []byte, row map[int64]float64) []byte {
 	var tmp [binary.MaxVarintLen64]byte
@@ -38,7 +39,7 @@ func (rowCodec) encode(dst []byte, row map[int64]float64) []byte {
 	return dst
 }
 
-func (rowCodec) decode(b []byte) (map[int64]float64, bool) {
+func (rowCodec) decode(_ uint64, b []byte) (map[int64]float64, bool) {
 	// A cell takes at least 9 bytes, so the hint is bounded by the bytes.
 	row := make(map[int64]float64, len(b)/9)
 	d := newDecoder(b)
@@ -106,10 +107,13 @@ func (m *Matrix) RowVec(r int64) map[int64]float64 {
 }
 
 // MulVec computes y[r] = sum_c M[r][c] * x[c] over the live rows. It is
-// the kernel of getRec in the CF algorithm (coOcc.multiply(userRow)).
+// the kernel of getRec in the CF algorithm (coOcc.multiply(userRow)). The
+// base is scanned under the base lock alone, which dirty-mode writers
+// share; the overlay lock is held only to replace the rows the overlay
+// shadows.
 func (m *Matrix) MulVec(x map[int64]float64) map[int64]float64 {
 	y := make(map[int64]float64)
-	m.scan(func(r uint64, row map[int64]float64) bool {
+	put := func(r uint64, row map[int64]float64) {
 		s := 0.0
 		for c, v := range row {
 			if xv, ok := x[c]; ok {
@@ -118,9 +122,27 @@ func (m *Matrix) MulVec(x map[int64]float64) map[int64]float64 {
 		}
 		if s != 0 {
 			y[int64(r)] = s
+		} else {
+			delete(y, int64(r))
 		}
-		return true
-	})
+	}
+	for _, s := range m.stripes {
+		s.mu.RLock() // pins the mode: BeginDirty and MergeDirty need mu
+		for r, row := range s.base {
+			put(r, row)
+		}
+		if s.dirty.Load() {
+			s.dmu.RLock()
+			for r, row := range s.ovl {
+				put(r, row)
+			}
+			for r := range s.tomb {
+				delete(y, int64(r))
+			}
+			s.dmu.RUnlock()
+		}
+		s.mu.RUnlock()
+	}
 	return y
 }
 

@@ -2,7 +2,8 @@ package state
 
 import (
 	"encoding/binary"
-	"sync"
+	"maps"
+	"slices"
 )
 
 // Streaming checkpoints: a store hands out an iterator that encodes one
@@ -49,28 +50,10 @@ func Drain(it ChunkIter) ([]Chunk, error) {
 	}
 }
 
-// striped is a table as its stream iterators see it, whatever its value
-// type.
-type striped interface {
-	Type() StoreType
-	SizeBytes() int64
-	numStripes() int
-	stripeLock(i int) *sync.RWMutex
-	// baseKeys lists stripe i's base keys; its lock is held.
-	baseKeys(i int) []uint64
-	// appendEntry appends k's base entry in stripe i to dst, reporting
-	// false when k is absent; the stripe's lock is held.
-	appendEntry(i int, k uint64, dst []byte) ([]byte, bool)
-	deltaKeyBytes() int64
-}
-
-func (t *table[V]) numStripes() int                { return len(t.stripes) }
-func (t *table[V]) stripeLock(i int) *sync.RWMutex { return &t.stripes[i].mu }
-
-func (t *table[V]) baseKeys(i int) []uint64 { return keysOf(t.stripes[i].base) }
-
-func (t *table[V]) appendEntry(i int, k uint64, dst []byte) ([]byte, bool) {
-	v, ok := t.stripes[i].base[k]
+// appendEntry appends k's base entry in stripe s to dst, reporting false
+// when k is absent; the stripe's lock is held.
+func (t *table[V, B]) appendEntry(s *stripe[V, B], k uint64, dst []byte) ([]byte, bool) {
+	v, ok := s.base.get(k)
 	if ok {
 		dst = t.codec.encode(binary.AppendUvarint(dst, k), v)
 	}
@@ -81,8 +64,8 @@ func (t *table[V]) appendEntry(i int, k uint64, dst []byte) ([]byte, bool) {
 // keys are captured when the stream reaches it, under its read lock (8
 // bytes per key — the cheap part); values are re-read and encoded lazily
 // per chunk, so peak extra memory is one chunk and one stripe's keys.
-type stripeStreamIter struct {
-	m        striped
+type stripeStreamIter[V any, B entries[V, B]] struct {
+	m        *table[V, B]
 	stripe   int
 	keys     []uint64
 	pos      int
@@ -92,25 +75,25 @@ type stripeStreamIter struct {
 
 // CheckpointStream implements Store. The caller must hold the base frozen
 // (dirty mode or quiescence) until the iterator is drained.
-func (t *table[V]) CheckpointStream(maxBytes int) (ChunkIter, error) {
+func (t *table[V, B]) CheckpointStream(maxBytes int) (ChunkIter, error) {
 	if maxBytes < 1 {
 		return nil, ErrBadSplit
 	}
-	return &stripeStreamIter{m: t, maxBytes: maxBytes}, nil
+	return &stripeStreamIter[V, B]{m: t, maxBytes: maxBytes}, nil
 }
 
-func (it *stripeStreamIter) Next() (Chunk, bool, error) {
-	stripes := it.m.numStripes()
+func (it *stripeStreamIter[V, B]) Next() (Chunk, bool, error) {
+	stripes := len(it.m.stripes)
 	if it.stripe >= stripes && it.emitted > 0 {
 		return Chunk{}, false, nil
 	}
 	body := newChunkBody(it.maxBytes, it.m.SizeBytes())
 	var count uint64
 	for !bodyFull(body, it.maxBytes) && it.stripe < stripes {
-		mu := it.m.stripeLock(it.stripe)
-		mu.RLock()
+		s := it.m.stripes[it.stripe]
+		s.mu.RLock()
 		if it.keys == nil {
-			it.keys = it.m.baseKeys(it.stripe)
+			it.keys = slices.AppendSeq(make([]uint64, 0, s.base.len()), s.keys)
 			it.pos = 0
 		}
 		for it.pos < len(it.keys) && !bodyFull(body, it.maxBytes) {
@@ -119,11 +102,11 @@ func (it *stripeStreamIter) Next() (Chunk, bool, error) {
 			// The freeze contract keeps every key present; an absent one
 			// is skipped defensively rather than emitted stale.
 			var ok bool
-			if body.buf, ok = it.m.appendEntry(it.stripe, k, body.buf); ok {
+			if body.buf, ok = it.m.appendEntry(s, k, body.buf); ok {
 				count++
 			}
 		}
-		mu.RUnlock()
+		s.mu.RUnlock()
 		if it.pos >= len(it.keys) {
 			it.stripe++
 			it.keys = nil
@@ -158,8 +141,8 @@ func bodyFull(body *encoder, maxBytes int) bool {
 // the lifecycle lock); a stripe's cut keys flatten when the stream reaches
 // it, and values are read from the frozen base lazily per chunk, each
 // chunk built in place by a deltaEnc.
-type stripeDeltaIter struct {
-	m        striped
+type stripeDeltaIter[V any, B entries[V, B]] struct {
+	m        *table[V, B]
 	sets     []map[uint64]struct{}
 	stripe   int
 	keys     []uint64
@@ -171,25 +154,16 @@ type stripeDeltaIter struct {
 	tmb      *encoder // tombstone side buffer, reused by every chunk
 }
 
-// keysOf flattens a map's keys for positional iteration (8 bytes per key).
-func keysOf[T any](m map[uint64]T) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	return keys
-}
-
 // DeltaStream implements DeltaStore; same freeze contract as
 // CheckpointStream.
-func (t *table[V]) DeltaStream(maxBytes int) (ChunkIter, error) {
+func (t *table[V, B]) DeltaStream(maxBytes int) (ChunkIter, error) {
 	if maxBytes < 1 {
 		return nil, ErrBadSplit
 	}
 	if !t.DeltaTracking() {
 		return nil, ErrDeltaInactive
 	}
-	it := &stripeDeltaIter{m: t, sets: t.cutStripes(), perKey: t.deltaKeyBytes(), maxBytes: maxBytes, tmb: newEncoder(0)}
+	it := &stripeDeltaIter[V, B]{m: t, sets: t.cutStripes(), perKey: t.deltaKeyBytes(), maxBytes: maxBytes, tmb: newEncoder(0)}
 	for _, set := range it.sets {
 		it.left += len(set)
 	}
@@ -199,18 +173,18 @@ func (t *table[V]) DeltaStream(maxBytes int) (ChunkIter, error) {
 // deltaKeyBytes estimates one cut key's delta encoding from the accounted
 // size: the mean value size (the mean accounted entry less its
 // bookkeeping share) plus room for the key's and the length's uvarints.
-func (t *table[V]) deltaKeyBytes() int64 {
+func (t *table[V, B]) deltaKeyBytes() int64 {
 	var size, n int64
 	for _, s := range t.stripes {
 		s.mu.RLock()
-		n += int64(len(s.base))
+		n += int64(s.base.len())
 		s.mu.RUnlock()
 		size += s.size.Load()
 	}
 	return max(size/max(n, 1)-t.overhead, 0) + 2*binary.MaxVarintLen64
 }
 
-func (it *stripeDeltaIter) Next() (Chunk, bool, error) {
+func (it *stripeDeltaIter[V, B]) Next() (Chunk, bool, error) {
 	if it.left == 0 {
 		return Chunk{}, false, nil
 	}
@@ -218,24 +192,24 @@ func (it *stripeDeltaIter) Next() (Chunk, bool, error) {
 	enc := deltaEnc{body: newChunkBody(it.maxBytes, int64(it.left)*it.perKey), tmb: it.tmb}
 	for it.left > 0 && enc.size() < it.maxBytes {
 		if it.keys == nil {
-			it.keys = keysOf(it.sets[it.stripe])
+			it.keys = slices.AppendSeq(make([]uint64, 0, len(it.sets[it.stripe])), maps.Keys(it.sets[it.stripe]))
 			it.pos = 0
 		}
-		mu := it.m.stripeLock(it.stripe)
-		mu.RLock()
+		s := it.m.stripes[it.stripe]
+		s.mu.RLock()
 		for it.pos < len(it.keys) && enc.size() < it.maxBytes {
 			k := it.keys[it.pos]
 			it.pos++
 			it.left--
 			// Present keys are updates, absent ones tombstones.
 			var ok bool
-			if enc.body.buf, ok = it.m.appendEntry(it.stripe, k, enc.body.buf); ok {
+			if enc.body.buf, ok = it.m.appendEntry(s, k, enc.body.buf); ok {
 				enc.ucnt++
 			} else {
 				enc.tombstone(k)
 			}
 		}
-		mu.RUnlock()
+		s.mu.RUnlock()
 		if it.pos >= len(it.keys) {
 			it.stripe++
 			it.keys = nil

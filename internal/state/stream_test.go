@@ -317,7 +317,7 @@ func TestDeltaChunkBytesUnchanged(t *testing.T) {
 		{300, 2, "2d2ed6dce342ab4d9aab0791ff2a00fac71dc3c10072d2e1833932c6f7ba60ef"},
 		{1 << 20, 1, "9b0579b3737b4253bf79a3affa0790437fea073af03f57f913b4226606d0557a"},
 	} {
-		it := &stripeDeltaIter{m: m, keys: keys, left: len(keys), perKey: m.deltaKeyBytes(), maxBytes: want.bound, tmb: newEncoder(0)}
+		it := &stripeDeltaIter[[]byte, hashEntries[[]byte]]{m: &m.table, keys: keys, left: len(keys), perKey: m.deltaKeyBytes(), maxBytes: want.bound, tmb: newEncoder(0)}
 		chunks := drainIter(t, it)
 		h := sha256.New()
 		for _, c := range chunks {
@@ -352,7 +352,7 @@ func TestBaseChunkBytesUnchanged(t *testing.T) {
 		{300, 3, "364f8ce89144ffb368477fcc1c6cff08d4e660f53ca4333acae73e963d38fd56"},
 		{1 << 20, 1, "bb219b510efa671ce5ffa0702afe392b5a4c408352667f7ae9b02e1b8b3eb26f"},
 	} {
-		chunks := drainIter(t, &stripeStreamIter{m: m, keys: keys, maxBytes: want.bound})
+		chunks := drainIter(t, &stripeStreamIter[[]byte, hashEntries[[]byte]]{m: &m.table, keys: keys, maxBytes: want.bound})
 		h := sha256.New()
 		for _, c := range chunks {
 			fmt.Fprintf(h, "%d:", len(c.Data))

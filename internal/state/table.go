@@ -19,18 +19,53 @@ type valueCodec[V any] interface {
 	// encode appends v's length-prefixed encoding, the value half of a
 	// chunk entry.
 	encode(dst []byte, v V) []byte
-	// decode parses one value's bytes (the length prefix stripped); the
-	// bytes alias the chunk, so a decoded value must not retain them.
-	decode(b []byte) (V, bool)
+	// decode parses key k's value bytes (the length prefix stripped),
+	// reporting false for an entry the view cannot hold; the bytes alias
+	// the chunk, so a decoded value must not retain them.
+	decode(k uint64, b []byte) (V, bool)
 	// clone copies v for the dirty overlay's copy-on-write.
 	clone(v V) V
+	// blank reports a filler value: a base entry holding it restores only
+	// into an absent key, never over a present one, so base pieces from
+	// several sources merge (a Vector's zeros).
+	blank(v V) bool
+}
+
+// entries is a stripe's base storage: a hash map for the dictionary and
+// the matrix, dense blocks for the vector (vecEntries).
+type entries[V any, B any] interface {
+	get(k uint64) (V, bool)
+	set(k uint64, v V)
+	del(k uint64)
+	len() int
+	all(yield func(k uint64, v V) bool)
+	// cleared returns the storage emptied, as Clear leaves it; it is
+	// called on the zero B too.
+	cleared() B
+}
+
+// hashEntries is the hash-map base.
+type hashEntries[V any] map[uint64]V
+
+func (h hashEntries[V]) get(k uint64) (V, bool)  { v, ok := h[k]; return v, ok }
+func (h hashEntries[V]) set(k uint64, v V)       { h[k] = v }
+func (h hashEntries[V]) del(k uint64)            { delete(h, k) }
+func (h hashEntries[V]) len() int                { return len(h) }
+func (h hashEntries[V]) cleared() hashEntries[V] { return make(hashEntries[V]) }
+
+func (h hashEntries[V]) all(yield func(uint64, V) bool) {
+	for k, v := range h {
+		if !yield(k, v) {
+			return
+		}
+	}
 }
 
 // table is the store core every SE view is built on (§3.2: dictionary,
 // matrix and vector are all key-partitioned state): uint64 keys mapped to
 // values of one type, with the §5 dirty-state protocol, delta tracking and
 // the one chunk entry format. KVMap holds byte values, Matrix rows keyed by
-// row id, Vector elements keyed by index.
+// row id, Vector elements keyed by index; B is the base storage.
 //
 // The key space is divided over N lock stripes (N a power of two), each
 // owning a base map, dirty overlay, tombstone set, dirtyCtl, size counter
@@ -48,8 +83,8 @@ type valueCodec[V any] interface {
 // write of a base entry clones it into the overlay, so the frozen base a
 // checkpoint streams never changes under it. The dictionary's Put, which
 // replaces a value whole, has its own path (KVMap.Put).
-type table[V any] struct {
-	stripes  []*stripe[V]
+type table[V any, B entries[V, B]] struct {
+	stripes  []*stripe[V, B]
 	mask     uint64
 	dirty    atomic.Bool // table-level view of the per-stripe flags
 	typ      StoreType
@@ -73,9 +108,9 @@ type table[V any] struct {
 // stripe is one lock stripe: a base map guarded by the dirty-state
 // protocol's two locks (dirtyCtl), its overlay and tombstones, and its
 // share of the changed-key tracker.
-type stripe[V any] struct {
+type stripe[V any, B entries[V, B]] struct {
 	dirtyCtl
-	base  map[uint64]V
+	base  B
 	ovl   map[uint64]V        // dirty overlay
 	tomb  map[uint64]struct{} // keys deleted while dirty
 	size  atomic.Int64        // approximate bytes; atomic because both lock domains update it
@@ -83,12 +118,13 @@ type stripe[V any] struct {
 }
 
 // init builds an empty table of n stripes (n a power of two).
-func (t *table[V]) init(typ StoreType, codec valueCodec[V], overhead int64, n int) {
+func (t *table[V, B]) init(typ StoreType, codec valueCodec[V], overhead int64, n int) {
 	t.typ, t.codec, t.overhead = typ, codec, overhead
-	t.stripes, t.mask = make([]*stripe[V], n), uint64(n-1)
+	t.stripes, t.mask = make([]*stripe[V, B], n), uint64(n-1)
 	for i := range t.stripes {
-		t.stripes[i] = &stripe[V]{
-			base: make(map[uint64]V),
+		var empty B
+		t.stripes[i] = &stripe[V, B]{
+			base: empty.cleared(),
 			ovl:  make(map[uint64]V),
 			tomb: make(map[uint64]struct{}),
 		}
@@ -97,48 +133,23 @@ func (t *table[V]) init(typ StoreType, codec valueCodec[V], overhead int64, n in
 
 // stripe routes a key to its stripe. Equivalent to PartitionKey(key,
 // len(stripes)) because the stripe count is a power of two.
-func (t *table[V]) stripe(key uint64) *stripe[V] {
+func (t *table[V, B]) stripe(key uint64) *stripe[V, B] {
 	return t.stripes[mix64(key)&t.mask]
 }
 
 // cost is the accounted footprint of one entry holding v.
-func (t *table[V]) cost(v V) int64 { return t.overhead + t.codec.size(v) }
+func (t *table[V, B]) cost(v V) int64 { return t.overhead + t.codec.size(v) }
 
 // Type reports the view's store type.
-func (t *table[V]) Type() StoreType { return t.typ }
+func (t *table[V, B]) Type() StoreType { return t.typ }
 
 // Dirty reports whether the store is in dirty mode (a checkpoint snapshot
 // is in flight).
-func (t *table[V]) Dirty() bool { return t.dirty.Load() }
-
-// get returns key's live value. In dirty mode the overlay is consulted
-// first, then the base (§5: "reads are first served by the dirty state and,
-// only on a miss, by the dictionary"). The value may be shared; views
-// whose values are edited in place read through with instead.
-func (t *table[V]) get(key uint64) (V, bool) {
-	s := t.stripe(key)
-	if s.dirty.Load() {
-		s.dmu.RLock()
-		if v, ok := s.ovl[key]; ok {
-			s.dmu.RUnlock()
-			return v, true
-		}
-		if _, dead := s.tomb[key]; dead {
-			s.dmu.RUnlock()
-			var zero V
-			return zero, false
-		}
-		s.dmu.RUnlock()
-	}
-	s.mu.RLock()
-	v, ok := s.base[key]
-	s.mu.RUnlock()
-	return v, ok
-}
+func (t *table[V, B]) Dirty() bool { return t.dirty.Load() }
 
 // with runs fn on key's live value under the lock that guards it, so fn
 // may read a value that update edits in place.
-func (t *table[V]) with(key uint64, fn func(v V, ok bool)) {
+func (t *table[V, B]) with(key uint64, fn func(v V, ok bool)) {
 	s := t.stripe(key)
 	if s.dirty.Load() {
 		s.dmu.RLock()
@@ -152,7 +163,7 @@ func (t *table[V]) with(key uint64, fn func(v V, ok bool)) {
 		s.dmu.RUnlock()
 	}
 	s.mu.RLock()
-	v, ok := s.base[key]
+	v, ok := s.base.get(key)
 	fn(v, ok)
 	s.mu.RUnlock()
 }
@@ -160,32 +171,18 @@ func (t *table[V]) with(key uint64, fn func(v V, ok bool)) {
 // update edits key's live value in place: fn gets the value (ok=false when
 // absent) and returns the value to store, or keep=false to leave the entry
 // as it is.
-func (t *table[V]) update(key uint64, fn func(v V, ok bool) (V, bool)) {
+func (t *table[V, B]) update(key uint64, fn func(v V, ok bool) (V, bool)) {
 	s := t.stripe(key)
 	dirty := s.lockWrite()
 	t.modify(s, dirty, key, fn)
 	s.unlockWrite(dirty)
 }
 
-// updateKeys is update over the keys 0..n-1, fn receiving each key; it
-// takes every stripe's write lock once per call, not once per key.
-func (t *table[V]) updateKeys(n int, fn func(k uint64, v V, ok bool) (V, bool)) {
-	for _, s := range t.stripes {
-		dirty := s.lockWrite()
-		for k := uint64(0); k < uint64(n); k++ {
-			if t.stripe(k) == s {
-				t.modify(s, dirty, k, func(v V, ok bool) (V, bool) { return fn(k, v, ok) })
-			}
-		}
-		s.unlockWrite(dirty)
-	}
-}
-
 // lockWrite takes s for an in-place write and reports the mode: clean, the
 // base lock; dirty, the base lock shared (which holds the mode and the
 // frozen base a first touch clones) and the overlay lock. Lock order is mu
 // before dmu, as everywhere.
-func (s *stripe[V]) lockWrite() (dirty bool) {
+func (s *stripe[V, B]) lockWrite() (dirty bool) {
 	for {
 		if !s.dirty.Load() {
 			s.mu.Lock()
@@ -204,7 +201,7 @@ func (s *stripe[V]) lockWrite() (dirty bool) {
 	}
 }
 
-func (s *stripe[V]) unlockWrite(dirty bool) {
+func (s *stripe[V, B]) unlockWrite(dirty bool) {
 	if dirty {
 		s.dmu.Unlock()
 		s.mu.RUnlock()
@@ -214,50 +211,52 @@ func (s *stripe[V]) unlockWrite(dirty bool) {
 }
 
 // modify is update's body, s held by lockWrite in the given mode.
-func (t *table[V]) modify(s *stripe[V], dirty bool, key uint64, fn func(v V, ok bool) (V, bool)) {
-	m := s.base
-	if dirty {
-		m = s.ovl
-	}
-	cur, ok := m[key]
+func (t *table[V, B]) modify(s *stripe[V, B], dirty bool, key uint64, fn func(v V, ok bool) (V, bool)) {
+	var cur V
+	var ok bool
 	var was int64
-	if ok {
-		was = t.cost(cur) // before fn edits cur in place
-	} else if _, dead := s.tomb[key]; dirty && !dead {
-		if cur, ok = s.base[key]; ok {
-			cur = t.codec.clone(cur) // copy-on-write: the base stays frozen
+	if dirty {
+		if cur, ok = s.ovl[key]; ok {
+			was = t.cost(cur) // before fn edits cur in place
+		} else if _, dead := s.tomb[key]; !dead {
+			if cur, ok = s.base.get(key); ok {
+				cur = t.codec.clone(cur) // copy-on-write: the base stays frozen
+			}
 		}
+	} else if cur, ok = s.base.get(key); ok {
+		was = t.cost(cur)
 	}
 	v, keep := fn(cur, ok)
 	if !keep {
 		return
 	}
-	m[key] = v
 	s.size.Add(t.cost(v) - was)
 	if dirty {
+		s.ovl[key] = v
 		delete(s.tomb, key)
 	} else {
+		s.base.set(key, v)
 		s.delta.record(key)
 	}
 }
 
 // del removes key, reporting whether it was (logically) present.
-func (t *table[V]) del(key uint64) bool {
+func (t *table[V, B]) del(key uint64) bool {
 	s := t.stripe(key)
 	dirty := s.lockWrite()
 	defer s.unlockWrite(dirty)
 	if !dirty {
-		old, ok := s.base[key]
+		old, ok := s.base.get(key)
 		if ok {
 			s.size.Add(-t.cost(old))
-			delete(s.base, key)
+			s.base.del(key)
 			s.delta.record(key)
 		}
 		return ok
 	}
 	old, inOvl := s.ovl[key]
 	_, dead := s.tomb[key]
-	_, inBase := s.base[key]
+	_, inBase := s.base.get(key)
 	if inOvl {
 		s.size.Add(-t.cost(old))
 		delete(s.ovl, key)
@@ -269,7 +268,7 @@ func (t *table[V]) del(key uint64) bool {
 // scan visits every live entry — the overlay over the base, tombstoned
 // keys hidden — holding each stripe's locks for that stripe's whole share.
 // It stops when fn returns false.
-func (t *table[V]) scan(fn func(k uint64, v V) bool) {
+func (t *table[V, B]) scan(fn func(k uint64, v V) bool) {
 	for _, s := range t.stripes {
 		s.rlock()
 		more := s.eachLive(fn)
@@ -281,19 +280,19 @@ func (t *table[V]) scan(fn func(k uint64, v V) bool) {
 }
 
 // rlock read-locks both of the stripe's lock domains, base first.
-func (s *stripe[V]) rlock() {
+func (s *stripe[V, B]) rlock() {
 	s.mu.RLock()
 	s.dmu.RLock()
 }
 
-func (s *stripe[V]) runlock() {
+func (s *stripe[V, B]) runlock() {
 	s.dmu.RUnlock()
 	s.mu.RUnlock()
 }
 
 // eachLive is scan over one stripe held by rlock.
-func (s *stripe[V]) eachLive(fn func(k uint64, v V) bool) bool {
-	for k, v := range s.base {
+func (s *stripe[V, B]) eachLive(fn func(k uint64, v V) bool) bool {
+	for k, v := range s.base.all {
 		if _, shadowed := s.ovl[k]; shadowed {
 			continue
 		}
@@ -312,16 +311,25 @@ func (s *stripe[V]) eachLive(fn func(k uint64, v V) bool) bool {
 	return true
 }
 
+// keys yields the stripe's base keys.
+func (s *stripe[V, B]) keys(yield func(uint64) bool) {
+	for k := range s.base.all {
+		if !yield(k) {
+			return
+		}
+	}
+}
+
 // liveLen is the stripe's logical entry count, held by rlock.
-func (s *stripe[V]) liveLen() int {
-	n := len(s.base)
+func (s *stripe[V, B]) liveLen() int {
+	n := s.base.len()
 	for k := range s.ovl {
-		if _, inBase := s.base[k]; !inBase {
+		if _, inBase := s.base.get(k); !inBase {
 			n++
 		}
 	}
 	for k := range s.tomb {
-		if _, inBase := s.base[k]; inBase {
+		if _, inBase := s.base.get(k); inBase {
 			n--
 		}
 	}
@@ -329,7 +337,7 @@ func (s *stripe[V]) liveLen() int {
 }
 
 // NumEntries reports the logical number of live entries.
-func (t *table[V]) NumEntries() int {
+func (t *table[V, B]) NumEntries() int {
 	n := 0
 	for _, s := range t.stripes {
 		s.rlock()
@@ -340,7 +348,7 @@ func (t *table[V]) NumEntries() int {
 }
 
 // SizeBytes reports the approximate memory footprint.
-func (t *table[V]) SizeBytes() int64 {
+func (t *table[V, B]) SizeBytes() int64 {
 	var n int64
 	for _, s := range t.stripes {
 		n += s.size.Load()
@@ -350,7 +358,7 @@ func (t *table[V]) SizeBytes() int64 {
 
 // BeginDirty enters dirty mode (see Store). Every stripe's base lock is
 // held while the flags flip, so the snapshot cut is atomic across stripes.
-func (t *table[V]) BeginDirty() error {
+func (t *table[V, B]) BeginDirty() error {
 	t.lifecycle.Lock()
 	defer t.lifecycle.Unlock()
 	t.cutMu.Lock()
@@ -374,7 +382,7 @@ func (t *table[V]) BeginDirty() error {
 }
 
 // DirtySize reports the number of overlay entries plus tombstones.
-func (t *table[V]) DirtySize() int {
+func (t *table[V, B]) DirtySize() int {
 	n := 0
 	for _, s := range t.stripes {
 		s.dmu.RLock()
@@ -387,7 +395,7 @@ func (t *table[V]) DirtySize() int {
 // MergeDirty consolidates the overlay into the base (see Store), one
 // stripe at a time: each stripe's merge holds only that stripe's locks, so
 // the stop-the-writers window is per stripe.
-func (t *table[V]) MergeDirty() (int, error) {
+func (t *table[V, B]) MergeDirty() (int, error) {
 	t.lifecycle.Lock()
 	defer t.lifecycle.Unlock()
 	if !t.dirty.Load() {
@@ -407,23 +415,23 @@ func (t *table[V]) MergeDirty() (int, error) {
 }
 
 // merge folds a stripe's overlay into its base. Both stripe locks held.
-func (t *table[V]) merge(s *stripe[V]) int {
+func (t *table[V, B]) merge(s *stripe[V, B]) int {
 	n := len(s.ovl) + len(s.tomb)
 	// Retain the merged overlay: the window's updates and tombstones belong
 	// to the next delta epoch.
 	s.delta.note(maps.Keys(s.ovl))
 	s.delta.note(maps.Keys(s.tomb))
 	for k, v := range s.ovl {
-		if old, ok := s.base[k]; ok {
+		if old, ok := s.base.get(k); ok {
 			// Both copies were counted while dirty; drop the stale one.
 			s.size.Add(-t.cost(old))
 		}
-		s.base[k] = v
+		s.base.set(k, v)
 	}
 	for k := range s.tomb {
-		if old, ok := s.base[k]; ok {
+		if old, ok := s.base.get(k); ok {
 			s.size.Add(-t.cost(old))
-			delete(s.base, k)
+			s.base.del(k)
 		}
 	}
 	s.ovl = make(map[uint64]V)
@@ -436,7 +444,7 @@ func (t *table[V]) merge(s *stripe[V]) int {
 // pre-clear state; otherwise the bases are dropped wholesale. cutMu keeps
 // the table-wide clear on one side of any concurrent BeginDirty cut.
 // Windowed applications use it to rotate state between windows.
-func (t *table[V]) Clear() {
+func (t *table[V, B]) Clear() {
 	t.cutMu.RLock()
 	defer t.cutMu.RUnlock()
 	for _, s := range t.stripes {
@@ -444,7 +452,7 @@ func (t *table[V]) Clear() {
 	}
 }
 
-func (t *table[V]) clear(s *stripe[V]) {
+func (t *table[V, B]) clear(s *stripe[V, B]) {
 	for {
 		if s.dirty.Load() {
 			// Lock order: mu before dmu. Both locks are held together so
@@ -462,7 +470,7 @@ func (t *table[V]) clear(s *stripe[V]) {
 				s.size.Add(-t.cost(v))
 			}
 			s.ovl = make(map[uint64]V)
-			for k := range s.base {
+			for k := range s.base.all {
 				s.tomb[k] = struct{}{}
 			}
 			s.dmu.Unlock()
@@ -474,8 +482,8 @@ func (t *table[V]) clear(s *stripe[V]) {
 			s.mu.Unlock()
 			continue // lost the race with BeginDirty; take the overlay path
 		}
-		s.delta.note(maps.Keys(s.base)) // wiped keys need tombstones in the next delta
-		s.base = make(map[uint64]V)
+		s.delta.note(s.keys) // wiped keys need tombstones in the next delta
+		s.base = s.base.cleared()
 		s.size.Store(0)
 		s.mu.Unlock()
 		return
@@ -484,7 +492,7 @@ func (t *table[V]) clear(s *stripe[V]) {
 
 // Restore merges the given base chunks into the store, decoding them in
 // order.
-func (t *table[V]) Restore(chunks []Chunk) error {
+func (t *table[V, B]) Restore(chunks []Chunk) error {
 	for _, c := range chunks {
 		if c.Type != t.typ {
 			return fmt.Errorf("%w: got %v, want %v", ErrWrongChunkType, c.Type, t.typ)
@@ -500,15 +508,16 @@ func (t *table[V]) Restore(chunks []Chunk) error {
 }
 
 // apply decodes one chunk body, a base or a delta, into puts and deletes.
-func (t *table[V]) apply(data []byte, delta bool) error {
+func (t *table[V, B]) apply(data []byte, delta bool) error {
 	d := newDecoder(data)
 	readEntries(d, func(k uint64, b []byte) {
-		v, ok := t.codec.decode(b)
+		v, ok := t.codec.decode(k, b)
 		if !ok {
 			d.fail()
 			return
 		}
-		t.update(k, func(V, bool) (V, bool) { return v, true })
+		fill := !delta && t.codec.blank(v)
+		t.update(k, func(cur V, ok bool) (V, bool) { return v, !ok || !fill })
 	})
 	if delta {
 		readKeys(d, func(k uint64) { t.del(k) })

@@ -112,6 +112,78 @@ func TestVectorChainKeepsLength(t *testing.T) {
 	}
 }
 
+// TestVectorPieceRestores: one split piece of a vector's base, restored on
+// its own into an empty vector, is as long as its largest index + 1, and
+// Get, Snapshot and Dot agree on every element. Restoring every piece of
+// two vectors that each own half the indices — and hold zeros at the
+// others, as partitioned instances do — into one vector keeps every owned
+// element, whichever piece lands last.
+func TestVectorPieceRestores(t *testing.T) {
+	const dim, n = 100, 3
+	src := NewVector(dim)
+	for i := 0; i < dim; i += 7 {
+		src.Set(i, float64(i+1))
+	}
+	chunks := drainStream(t, src, 1<<20)
+	for j := 0; j < n; j++ {
+		r := NewVector(0)
+		for _, c := range chunks {
+			parts, err := SplitChunk(c, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Restore(parts[j : j+1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := 0
+		for i := 0; i < dim; i++ {
+			if PartitionKey(uint64(i), n) == j && (i%7 == 0 || i == dim-1) {
+				want = i + 1
+			}
+		}
+		snap, ones := r.Snapshot(), make([]float64, dim)
+		for i := range ones {
+			ones[i] = 1
+		}
+		if r.Len() != want || len(snap) != want {
+			t.Fatalf("piece %d: Len %d, Snapshot %d, want %d", j, r.Len(), len(snap), want)
+		}
+		sum := 0.0
+		for i := 0; i < dim; i++ {
+			x := r.Get(i)
+			if mine := PartitionKey(uint64(i), n) == j && i%7 == 0; mine && x != float64(i+1) || !mine && x != 0 {
+				t.Fatalf("piece %d: element %d = %v", j, i, x)
+			}
+			if i < want && snap[i] != x {
+				t.Fatalf("piece %d: Snapshot[%d] = %v, Get %v", j, i, snap[i], x)
+			}
+			sum += x
+		}
+		if d := r.Dot(ones); d != sum {
+			t.Fatalf("piece %d: Dot = %v, want %v", j, d, sum)
+		}
+	}
+
+	halves := [2]*Vector{NewVector(dim), NewVector(dim)}
+	for i := 0; i < dim; i++ {
+		halves[PartitionKey(uint64(i), 2)].Set(i, float64(i+1))
+	}
+	for _, order := range [][2]int{{0, 1}, {1, 0}} {
+		r := NewVector(dim)
+		for _, h := range order {
+			if err := r.Restore(drainStream(t, halves[h], 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, x := range r.Snapshot() {
+			if x != float64(i+1) {
+				t.Fatalf("order %v: element %d = %v, want %d", order, i, x, i+1)
+			}
+		}
+	}
+}
+
 // TestMatrixCopyOnWrite: a dirty-mode write to a base row edits a copy in
 // the overlay; the base row the checkpoint streams keeps its cells.
 func TestMatrixCopyOnWrite(t *testing.T) {

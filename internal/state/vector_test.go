@@ -181,8 +181,9 @@ func TestNewByType(t *testing.T) {
 // entries, never from a header field. The bytes that once carried a
 // length above what a float64 slice can address now read as an entry
 // count the chunk cannot hold: ErrBadChunk, both for Restore and for
-// SplitChunk, with nothing sized from the count. An element at a far
-// index restores as one element, so Len and Snapshot stay one long.
+// SplitChunk, with nothing sized from the count. An element at an index a
+// float64 slice cannot address is ErrBadChunk too; one at a far index it
+// can restores into a single block, the vector as long as that index + 1.
 func TestVectorRejectsHostileLength(t *testing.T) {
 	for _, length := range []uint64{1 << 62, 1<<63 + 1} {
 		e := newEncoder(16)
@@ -196,16 +197,22 @@ func TestVectorRejectsHostileLength(t *testing.T) {
 			t.Errorf("SplitChunk(length %d) = %v, want ErrBadChunk", length, err)
 		}
 	}
-	e := newEncoder(16)
-	e.uvarint(1)
-	e.uvarint(1 << 62)
-	e.buf = elemCodec{}.encode(e.buf, 7)
+	far := func(i uint64) Chunk {
+		e := newEncoder(16)
+		e.uvarint(1)
+		e.uvarint(i)
+		e.buf = elemCodec{}.encode(e.buf, 7)
+		return Chunk{Type: TypeVector, Data: e.buf}
+	}
+	if err := NewVector(0).Restore([]Chunk{far(1 << 62)}); !errors.Is(err, ErrBadChunk) {
+		t.Errorf("Restore(element at 2^62) = %v, want ErrBadChunk", err)
+	}
 	v := NewVector(0)
-	if err := v.Restore([]Chunk{{Type: TypeVector, Data: e.buf}}); err != nil {
+	if err := v.Restore([]Chunk{far(1 << 40)}); err != nil {
 		t.Fatal(err)
 	}
-	if v.Len() != 1 || len(v.Snapshot()) != 1 {
-		t.Fatalf("an element at index 2^62 gives Len %d, Snapshot %d; want 1 and 1", v.Len(), len(v.Snapshot()))
+	if v.Len() != 1<<40+1 || v.Get(1<<40) != 7 || v.SizeBytes() != 8<<40+8 {
+		t.Fatalf("an element at index 2^40 gives Len %d, element %v", v.Len(), v.Get(1<<40))
 	}
 }
 
