@@ -1,23 +1,26 @@
 // Package checkpoint implements the failure-recovery substrate of §5:
-// asynchronous local checkpoints with dirty state, synchronous
-// (stop-the-world) checkpoints for the baseline comparison, and the m-to-n
-// parallel backup/restore protocol of Fig. 4.
+// asynchronous local checkpoints with dirty state (a synchronous,
+// stop-the-world checkpoint is the same procedure run while the caller
+// holds processing paused) and the m-to-n parallel backup/restore protocol
+// of Fig. 4.
 //
 // A checkpoint of one SE instance consists of byte-bounded chunks (the
 // state package's checkpoint stream, at most ChunkBytes each and several
-// per backup node), the instance's output buffers, and the vector of input
-// watermarks at snapshot time. Chunks go to the m backup nodes round-robin and are
-// written to their simulated disks; at restore time each backup chunk is
-// split n ways by key hash so n recovering instances rebuild in parallel.
-// Dictionary chunks use one wire format whatever the store's lock-stripe
-// count, so a checkpoint restores into a store with any number of stripes.
+// per backup node) and the recovery state of the TE instances colocated
+// with it, which this package stores as an opaque object. Chunks go to the
+// m backup nodes round-robin and are written to their simulated disks; at
+// restore time each backup chunk is split n ways by key hash so n
+// recovering instances rebuild in parallel. Dictionary chunks use one wire
+// format whatever the store's lock-stripe count, so a checkpoint restores
+// into a store with any number of stripes.
 //
 // Epochs form chains: a full (base) checkpoint starts a chain, and delta
 // checkpoints — carrying only the keys changed since the previous epoch —
 // append to it. The manifest records the chain, Restore fetches base +
-// deltas and replays them per recovering instance, and a superseded chain
-// is freed only after the next base commit lands, so a crash mid-save never
-// leaves the instance without a restorable checkpoint.
+// deltas grouped per recovering instance for the caller to apply in chain
+// order, and a superseded chain is freed only after the next base commit
+// lands, so a crash mid-save never leaves the instance without a
+// restorable checkpoint.
 package checkpoint
 
 import (
@@ -28,9 +31,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/state"
-	"repro/internal/wire/flat"
 )
 
 // Mode selects the fault-tolerance strategy.
@@ -70,12 +71,7 @@ type EpochRef struct {
 	Delta  bool
 }
 
-// Meta describes one committed checkpoint of one SE instance. The
-// per-TE maps cover the TE instances colocated with the SE instance (the
-// ones whose processing mutates it): their input watermark vectors, output
-// sequence counters and output buffers all ride with the snapshot so a
-// restored node resumes log-based recovery exactly where the snapshot was
-// taken (§5).
+// Meta describes one committed checkpoint of one SE instance.
 type Meta struct {
 	SE        string          // SE instance identity, e.g. "coOcc/1"
 	Epoch     uint64          // monotonically increasing per instance
@@ -85,22 +81,26 @@ type Meta struct {
 	// Chain is the epoch chain needed to rebuild the state: the base epoch
 	// followed by the committed delta epochs in apply order. Save fills it
 	// on commit; a full checkpoint's chain is just its own epoch.
-	Chain      []EpochRef
-	Watermarks map[int]map[uint64]uint64 // TE id -> origin -> last seq
-	OutSeqs    map[int]uint64            // TE id -> output seq counter
-	Buffered   map[int][][]core.Item     // TE id -> per-out-edge buffers
+	Chain []EpochRef
+	// TE is the recovery state of the TE instances colocated with the SE
+	// instance (the ones whose processing mutates it): their input
+	// watermarks, output sequence counters and output buffers, cut with
+	// the state so a restored node resumes log-based recovery exactly
+	// where the snapshot was taken (§5). The runtime encodes it; this
+	// package stores it as one object per epoch and hands it back on
+	// Restore, but keeps no copy in the manifest.
+	TE []byte
 }
 
 // Result reports the cost of taking one checkpoint. Whether the epoch was
 // incremental is recorded in Meta.Delta.
 type Result struct {
-	Meta         Meta
-	Bytes        int64         // chunk payload written to backup disks
-	StateBytes   int64         // approximate in-memory state size at snapshot time
-	Duration     time.Duration // wall time for the whole procedure
-	LockTime     time.Duration // time the SE was locked (merge for async)
-	MergedDirty  int           // dirty entries consolidated (async only)
-	SnapshotTime time.Duration // serialisation time
+	Meta        Meta
+	Bytes       int64         // chunk payload written to backup disks
+	StateBytes  int64         // approximate in-memory state size at snapshot time
+	Duration    time.Duration // wall time for the whole procedure
+	LockTime    time.Duration // time the SE was locked (merge for async)
+	MergedDirty int           // dirty entries consolidated (async only)
 }
 
 // Backup is the checkpoint store: it spreads chunks over m backup nodes and
@@ -205,10 +205,6 @@ func (b *Backup) Save(meta Meta, chunks []state.Chunk) (int64, error) {
 			return 0, fmt.Errorf("checkpoint: delta epoch %d of %q does not extend chain tip %d", meta.Epoch, meta.SE, tip)
 		}
 	}
-	bufBytes, err := encodeBuffers(meta.Buffered)
-	if err != nil {
-		return 0, fmt.Errorf("checkpoint: encode buffers: %w", err)
-	}
 	// chunkBytes counts chunk payload bytes, which Result.Bytes and the
 	// chain's compaction rule both read.
 	var chunkBytes int64
@@ -223,17 +219,17 @@ func (b *Backup) Save(meta Meta, chunks []state.Chunk) (int64, error) {
 		b.cl.Transfer(int64(len(hdr)) + int64(len(c.Data)))
 		b.targets[i%len(b.targets)].Disk.WriteParts(chunkName(meta.SE, meta.Epoch, i), hdr[:], c.Data)
 	})
-	// Output buffers ride with the first target.
-	b.cl.Transfer(int64(len(bufBytes)))
-	b.targets[0].Disk.Write(bufName(meta.SE, meta.Epoch), bufBytes)
-	total := chunkBytes + int64(len(bufBytes))
+	// The TE state rides with the first target.
+	b.cl.Transfer(int64(len(meta.TE)))
+	b.targets[0].Disk.Write(bufName(meta.SE, meta.Epoch), meta.TE)
+	total := chunkBytes + int64(len(meta.TE))
 
 	// Commit the manifest under one critical section: the chain is rebuilt
 	// from the manifest as it is *now*, so a Save that raced another commit
 	// for the same SE cannot silently drop an epoch from the chain. (The
 	// store-level dirty flag serialises checkpoints per instance, so the
 	// race is unreachable through the runtime; Backup is a public API.)
-	meta.Chunks = len(chunks)
+	meta.Chunks, meta.TE = len(chunks), nil
 	ref := EpochRef{Epoch: meta.Epoch, Chunks: len(chunks), Bytes: chunkBytes, Delta: meta.Delta}
 	b.mu.Lock()
 	cur, curHad := b.manifests[meta.SE]
@@ -253,8 +249,8 @@ func (b *Backup) Save(meta Meta, chunks []state.Chunk) (int64, error) {
 	b.mu.Unlock()
 	if curHad {
 		if meta.Delta {
-			// The chain lives on; only the previous epoch's buffer object is
-			// superseded (restores read buffers from the chain tip).
+			// The chain lives on; only the previous epoch's TE object is
+			// superseded (restores read it from the chain tip).
 			if cur.Epoch != meta.Epoch {
 				b.targets[0].Disk.Delete(bufName(meta.SE, cur.Epoch))
 			}
@@ -274,19 +270,14 @@ func (b *Backup) deleteEpoch(se string, ref EpochRef) {
 }
 
 // gcChain deletes every chunk object of a superseded chain plus its tip
-// buffer object. Called only after the superseding manifest is committed
+// TE object. Called only after the superseding manifest is committed
 // (or the SE is forgotten), never mid-chain. An old epoch colliding with
 // keep.Epoch is mostly preserved: an instance rebuilt by scaling restarts
 // its epoch counter, so a fresh base can reuse an epoch number the old
 // chain also used — its first keep.Chunks objects were just overwritten by
 // the new epoch, and only the old epoch's excess chunks are freed.
 func (b *Backup) gcChain(old Meta, keep EpochRef) {
-	refs := old.Chain
-	if len(refs) == 0 {
-		// Pre-chain manifest (constructed by hand): fall back to the epoch.
-		refs = []EpochRef{{Epoch: old.Epoch, Chunks: old.Chunks}}
-	}
-	for _, ref := range refs {
+	for _, ref := range old.Chain {
 		if keep.Epoch != 0 && ref.Epoch == keep.Epoch {
 			for i := keep.Chunks; i < ref.Chunks; i++ {
 				b.targets[i%len(b.targets)].Disk.Delete(chunkName(old.SE, ref.Epoch, i))
@@ -351,9 +342,6 @@ func (b *Backup) Restore(se string, n int) (sets []RestoreSet, meta Meta, err er
 		return nil, Meta{}, state.ErrBadSplit
 	}
 	chain := meta.Chain
-	if len(chain) == 0 {
-		chain = []EpochRef{{Epoch: meta.Epoch, Chunks: meta.Chunks}}
-	}
 	sets = make([]RestoreSet, n)
 	for j := range sets {
 		sets[j].Deltas = make([][]state.Chunk, len(chain)-1)
@@ -403,17 +391,11 @@ func (b *Backup) Restore(se string, n int) (sets []RestoreSet, meta Meta, err er
 			return nil, Meta{}, fmt.Errorf("checkpoint: restore %q: %w", se, e)
 		}
 	}
-	// Recover buffered output items from the chain tip.
-	bufPayload, err := b.targets[0].Disk.Read(bufName(se, meta.Epoch))
-	if err != nil {
-		return nil, Meta{}, fmt.Errorf("checkpoint: restore buffers for %q: %w", se, err)
+	// The TE state comes from the chain tip.
+	if meta.TE, err = b.targets[0].Disk.Read(bufName(se, meta.Epoch)); err != nil {
+		return nil, Meta{}, fmt.Errorf("checkpoint: restore TE state for %q: %w", se, err)
 	}
-	b.cl.Transfer(int64(len(bufPayload)))
-	buffered, err := decodeBuffers(bufPayload)
-	if err != nil {
-		return nil, Meta{}, fmt.Errorf("checkpoint: decode buffers for %q: %w", se, err)
-	}
-	meta.Buffered = buffered
+	b.cl.Transfer(int64(len(meta.TE)))
 	return sets, meta, nil
 }
 
@@ -469,73 +451,4 @@ func decodeChunk(payload []byte) (state.Chunk, error) {
 		Of:    int(payload[5])<<24 | int(payload[6])<<16 | int(payload[7])<<8 | int(payload[8]),
 		Data:  payload[9:],
 	}, nil
-}
-
-// Output buffers use the flat item codec (uvarint map/slice counts, tagged
-// values); payload types outside the flat tag table must be registered
-// flat.Payload types, exactly as on the wire.
-func encodeBuffers(buffered map[int][][]core.Item) ([]byte, error) {
-	e := flat.GetEncoder()
-	defer flat.PutEncoder(e)
-	e.Uvarint(uint64(len(buffered)))
-	for id, edges := range buffered {
-		e.Varint(int64(id))
-		e.Uvarint(uint64(len(edges)))
-		for _, items := range edges {
-			e.Uvarint(uint64(len(items)))
-			for i := range items {
-				if err := e.Item(items[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out, nil
-}
-
-func decodeBuffers(payload []byte) (map[int][][]core.Item, error) {
-	// Copy-mode decode: the disk hands back its stored slice, which must
-	// survive the decoded items.
-	d := flat.NewDecoder(payload)
-	nTE := d.Uvarint()
-	// Every TE entry costs at least two bytes (id + edge count); a larger
-	// claim is hostile — reject before the map allocation sized by it.
-	if nTE > uint64(d.Remaining()) {
-		return nil, fmt.Errorf("checkpoint: buffer TE count %d exceeds payload", nTE)
-	}
-	out := make(map[int][][]core.Item, nTE)
-	for t := uint64(0); t < nTE && d.Err() == nil; t++ {
-		id := int(d.Varint())
-		nEdges := d.Uvarint()
-		// Every edge costs at least its one-byte count; a larger claim is
-		// hostile — reject before allocating.
-		if nEdges > uint64(d.Remaining()) {
-			return nil, fmt.Errorf("checkpoint: buffer edge count %d exceeds payload", nEdges)
-		}
-		edges := make([][]core.Item, nEdges)
-		for ei := uint64(0); ei < nEdges && d.Err() == nil; ei++ {
-			nItems := d.Uvarint()
-			if nItems > uint64(d.Remaining()) {
-				return nil, fmt.Errorf("checkpoint: buffer item count %d exceeds payload", nItems)
-			}
-			if nItems == 0 {
-				continue
-			}
-			items := make([]core.Item, 0, nItems)
-			for i := uint64(0); i < nItems && d.Err() == nil; i++ {
-				items = append(items, d.Item())
-			}
-			edges[ei] = items
-		}
-		out[id] = edges
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if !d.Done() {
-		return nil, fmt.Errorf("checkpoint: %d trailing buffer byte(s)", d.Remaining())
-	}
-	return out, nil
 }

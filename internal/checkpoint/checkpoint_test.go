@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/state"
 )
 
@@ -40,14 +39,30 @@ func streamed(t *testing.T, st state.Store, maxBytes int) []state.Chunk {
 	return mustDrain(t, it)
 }
 
+// async runs one whole modelled-disk checkpoint: Open, then SaveStream;
+// meta.Delta selects an incremental epoch.
+func async(st state.Store, meta Meta, b *Backup) (Result, error) {
+	s, err := b.Open(st, meta.Delta)
+	if err != nil {
+		return Result{}, err
+	}
+	return b.SaveStream(s, meta)
+}
+
 // restoreNew rebuilds a recovering instance into a fresh store of the
-// checkpoint's recorded type.
+// checkpoint's recorded type: the base group, then each delta epoch in
+// chain order.
 func restoreNew(meta Meta, set RestoreSet) (state.Store, error) {
 	st, err := state.New(meta.StoreType)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = st.Restore(set.Base)
 	}
-	return st, RestoreInstance(st, set)
+	for _, d := range set.Deltas {
+		if err == nil && len(d) > 0 {
+			err = st.ApplyDelta(d)
+		}
+	}
+	return st, err
 }
 
 func TestSaveRestoreRoundTrip(t *testing.T) {
@@ -56,7 +71,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	chunks := streamed(t, kv, 1024)
 	meta := Meta{
 		SE: "kv/0", Epoch: 1, StoreType: state.TypeKVMap,
-		Watermarks: map[int]map[uint64]uint64{3: {42: 7}},
+		TE: []byte("te state"),
 	}
 	if _, err := b.Save(meta, chunks); err != nil {
 		t.Fatal(err)
@@ -75,8 +90,8 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 		if len(sets) != n {
 			t.Fatalf("restore sets = %d, want %d", len(sets), n)
 		}
-		if meta2.Watermarks[3][42] != 7 {
-			t.Fatal("watermarks lost")
+		if string(meta2.TE) != "te state" {
+			t.Fatalf("TE state = %q", meta2.TE)
 		}
 		total := 0
 		for j, g := range sets {
@@ -147,33 +162,29 @@ func TestForget(t *testing.T) {
 	}
 }
 
+// TestBuffersRoundTrip: the buffers object, which holds the colocated TE
+// state, comes back byte for byte from the chain tip, and the manifest
+// keeps no copy of it.
 func TestBuffersRoundTrip(t *testing.T) {
 	_, b := newBackupEnv(t, 1, 0)
 	kv := populatedKV(10)
 	chunks := streamed(t, kv, 1<<20)
-	buffered := map[int][][]core.Item{
-		2: {
-			{{Origin: 1, Seq: 1, Value: []byte("x")}, {Origin: 1, Seq: 2, Value: []byte("y")}},
-			{},
-		},
+	te := []byte{0, 1, 2, 0xff}
+	for epoch := uint64(1); epoch <= 2; epoch++ {
+		meta := Meta{SE: "kv/0", Epoch: epoch, StoreType: state.TypeKVMap, TE: append(te, byte(epoch))}
+		if _, err := b.Save(meta, chunks); err != nil {
+			t.Fatal(err)
+		}
 	}
-	meta := Meta{SE: "kv/0", Epoch: 1, StoreType: state.TypeKVMap,
-		Buffered: buffered, OutSeqs: map[int]uint64{0: 3}}
-	if _, err := b.Save(meta, chunks); err != nil {
-		t.Fatal(err)
+	if m, _ := b.Latest("kv/0"); m.TE != nil {
+		t.Fatalf("manifest holds %d TE bytes", len(m.TE))
 	}
 	_, got, err := b.Restore("kv/0", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Buffered[2]) != 2 || len(got.Buffered[2][0]) != 2 {
-		t.Fatalf("buffers = %+v", got.Buffered)
-	}
-	if got.Buffered[2][0][1].Seq != 2 || string(got.Buffered[2][0][1].Value.([]byte)) != "y" {
-		t.Fatalf("buffer content = %+v", got.Buffered[2][0][1])
-	}
-	if got.OutSeqs[0] != 3 {
-		t.Fatal("out seqs lost")
+	if !slices.Equal(got.TE, append(te, 2)) {
+		t.Fatalf("TE state = %v, want the tip's", got.TE)
 	}
 }
 
@@ -199,7 +210,7 @@ func TestAsyncCheckpointAllowsWritesDuringSnapshot(t *testing.T) {
 		}
 	}()
 
-	res, err := Async(kv, Meta{SE: "kv/0", Epoch: 1}, b)
+	res, err := async(kv, Meta{SE: "kv/0", Epoch: 1}, b)
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -243,7 +254,7 @@ func TestAsyncSpreadsOverEveryTarget(t *testing.T) {
 	for _, entries := range []int{10, 3000} {
 		for _, m := range []int{2, 3} {
 			cl, b := newBackupEnv(t, m, 0)
-			if _, err := Async(populatedKV(entries), Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
+			if _, err := async(populatedKV(entries), Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
 				t.Fatal(err)
 			}
 			// Chunk i lands on target i mod m, so target i holds chunk i.
@@ -265,7 +276,7 @@ func TestAsyncCheckpointLockTimeSmall(t *testing.T) {
 	// window can cost several ms, so Duration must be well above 40ms.
 	_, b := newBackupEnv(t, 1, 2<<20) // 2 MB/s
 	kv := populatedKV(12000)          // ~160 KB of payload -> ~80ms of I/O
-	res, err := Async(kv, Meta{SE: "kv/0", Epoch: 1}, b)
+	res, err := async(kv, Meta{SE: "kv/0", Epoch: 1}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,34 +288,13 @@ func TestAsyncCheckpointLockTimeSmall(t *testing.T) {
 	}
 }
 
-func TestSyncCheckpointHoldsPause(t *testing.T) {
-	_, b := newBackupEnv(t, 1, 2<<20)
-	kv := populatedKV(3000)
-	paused := false
-	resumed := false
-	res, err := Sync(kv, Meta{SE: "kv/0", Epoch: 1}, b, func() func() {
-		paused = true
-		return func() { resumed = true }
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !paused || !resumed {
-		t.Fatal("pause/resume not driven")
-	}
-	// Sync lock time covers serialisation + backup: nearly the full run.
-	if res.LockTime < res.Duration/2 {
-		t.Fatalf("sync lock time %v should dominate duration %v", res.LockTime, res.Duration)
-	}
-}
-
 func TestAsyncFailsWhenAlreadyDirty(t *testing.T) {
 	_, b := newBackupEnv(t, 1, 0)
 	kv := populatedKV(10)
 	if err := kv.BeginDirty(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Async(kv, Meta{SE: "kv/0", Epoch: 1}, b); err == nil {
+	if _, err := async(kv, Meta{SE: "kv/0", Epoch: 1}, b); err == nil {
 		t.Fatal("Async on dirty store should fail")
 	}
 }
@@ -365,7 +355,7 @@ func TestMToNRecoveryTimeShape(t *testing.T) {
 	}
 	measure := func(m, n int) time.Duration {
 		_, b := newBackupEnv(t, m, 4<<20) // 4 MB/s disks
-		if _, err := Async(mkState(), Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
+		if _, err := async(mkState(), Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
 			t.Fatal(err)
 		}
 		start := time.Now()
@@ -404,7 +394,7 @@ func TestAsyncShardedCrossRestore(t *testing.T) {
 	for i := uint64(0); i < 500; i++ {
 		kv.Put(i, []byte(fmt.Sprintf("value-%d", i)))
 	}
-	res, err := Async(kv, Meta{SE: "kv/0", Epoch: 1}, b)
+	res, err := async(kv, Meta{SE: "kv/0", Epoch: 1}, b)
 	if err != nil {
 		t.Fatal(err)
 	}

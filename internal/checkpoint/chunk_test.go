@@ -6,7 +6,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/state"
 )
 
@@ -25,11 +24,7 @@ func TestRestoreV1Chunks(t *testing.T) {
 		}
 		cl.Node(i%2).Disk.Write(chunkName("kv/0", 1, i), append(hdr, c.Data...))
 	}
-	bufBytes, err := encodeBuffers(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.Node(0).Disk.Write(bufName("kv/0", 1), bufBytes)
+	cl.Node(0).Disk.Write(bufName("kv/0", 1), nil)
 	// Commit the manifest by hand.
 	b.mu.Lock()
 	b.manifests["kv/0"] = Meta{
@@ -77,11 +72,7 @@ func TestDecodeChunkRejectsUnknown(t *testing.T) {
 
 	cl, b := newBackupEnv(t, 1, 0)
 	cl.Node(0).Disk.Write(chunkName("kv/0", 1, 0), append(v2, fl.Bytes()...))
-	bufBytes, err := encodeBuffers(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.Node(0).Disk.Write(bufName("kv/0", 1), bufBytes)
+	cl.Node(0).Disk.Write(bufName("kv/0", 1), nil)
 	b.mu.Lock()
 	b.manifests["kv/0"] = Meta{SE: "kv/0", Epoch: 1, Chunks: 1, StoreType: state.TypeKVMap,
 		Chain: []EpochRef{{Epoch: 1, Chunks: 1}}}
@@ -89,40 +80,4 @@ func TestDecodeChunkRejectsUnknown(t *testing.T) {
 	if _, _, err := b.Restore("kv/0", 2); !errors.Is(err, state.ErrBadChunk) {
 		t.Fatalf("restore of a v2 chunk = %v, want ErrBadChunk", err)
 	}
-}
-
-// TestDecodeBuffersHostile: buffer payloads come off backup disks, but the
-// decoder still must not let a corrupt count field size an allocation or
-// panic.
-func TestDecodeBuffersHostile(t *testing.T) {
-	cases := []struct {
-		name string
-		buf  []byte
-	}{
-		{"huge TE count", []byte{0xff, 0xff, 0xff, 0xff, 0x0f}},
-		{"huge edge count", []byte{1, 0x02, 0xff, 0xff, 0xff, 0xff, 0x0f}},
-		{"huge item count", []byte{1, 0x02, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}},
-		{"truncated item", []byte{1, 0x02, 1, 1, 0x01}},
-		{"trailing bytes", append(mustEncodeBuffers(nil), 0x00)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if out, err := decodeBuffers(tc.buf); err == nil {
-				t.Fatalf("hostile buffer payload decoded to %+v", out)
-			}
-		})
-	}
-	// And the healthy empty payload still parses.
-	out, err := decodeBuffers(mustEncodeBuffers(nil))
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty buffers = %+v, %v", out, err)
-	}
-}
-
-func mustEncodeBuffers(b map[int][][]core.Item) []byte {
-	out, err := encodeBuffers(b)
-	if err != nil {
-		panic(err)
-	}
-	return out
 }

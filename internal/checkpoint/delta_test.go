@@ -9,8 +9,8 @@ import (
 )
 
 // mkTracked builds a populated, delta-tracking dictionary store.
-func mkTracked(backend string, keys int, val []byte) state.DeltaStore {
-	var st state.DeltaStore
+func mkTracked(backend string, keys int, val []byte) state.Store {
+	var st state.Store
 	if backend == "sharded" {
 		st = state.NewShardedKVMap(8)
 	} else {
@@ -49,7 +49,7 @@ func TestDeltaChainSaveRestore(t *testing.T) {
 			st := mkTracked(backend, 2000, []byte("v0"))
 			kv := st.(state.KV)
 
-			res, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, b)
+			res, err := async(st, Meta{SE: "kv/0", Epoch: 1}, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestDeltaChainSaveRestore(t *testing.T) {
 				}
 				kv.Delete(e) // keys 2,3,4 get tombstoned across the chain
 				kv.Put(100000+e, []byte("ins"))
-				res, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: e}, b)
+				res, err := async(st, Meta{SE: "kv/0", Epoch: e, Delta: true}, b)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,7 +125,7 @@ func TestDeltaBytesRatio(t *testing.T) {
 			_, b := newBackupEnv(t, 2, 0)
 			st := mkTracked(backend, keys, []byte("sixteen-byte-val"))
 			kv := st.(state.KV)
-			base, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, b)
+			base, err := async(st, Meta{SE: "kv/0", Epoch: 1}, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func TestDeltaBytesRatio(t *testing.T) {
 			for i := 0; i < keys/100; i++ {
 				kv.Put(uint64(i*97%keys), []byte("sixteen-byte-new"))
 			}
-			delta, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 2}, b)
+			delta, err := async(st, Meta{SE: "kv/0", Epoch: 2, Delta: true}, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,13 +176,13 @@ func TestChainGC(t *testing.T) {
 		m, _ := b.Latest("kv/0")
 		return m.Chunks
 	}
-	if _, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
+	if _, err := async(st, Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
 		t.Fatal(err)
 	}
 	chunks[1] = tipChunks()
 	for e := uint64(2); e <= 3; e++ {
 		kv.Put(e, []byte("x"))
-		if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: e}, b); err != nil {
+		if _, err := async(st, Meta{SE: "kv/0", Epoch: e, Delta: true}, b); err != nil {
 			t.Fatal(err)
 		}
 		chunks[e] = tipChunks()
@@ -200,7 +200,7 @@ func TestChainGC(t *testing.T) {
 
 	// A new base (compaction) supersedes the chain: only epoch 4 survives.
 	kv.Put(99, []byte("x"))
-	if _, err := Async(st, Meta{SE: "kv/0", Epoch: 4}, b); err != nil {
+	if _, err := async(st, Meta{SE: "kv/0", Epoch: 4}, b); err != nil {
 		t.Fatal(err)
 	}
 	for e := uint64(1); e <= 3; e++ {
@@ -214,7 +214,7 @@ func TestChainGC(t *testing.T) {
 
 	// Forget mid-chain frees everything.
 	kv.Put(100, []byte("x"))
-	if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 5}, b); err != nil {
+	if _, err := async(st, Meta{SE: "kv/0", Epoch: 5, Delta: true}, b); err != nil {
 		t.Fatal(err)
 	}
 	b.Forget("kv/0")
@@ -233,14 +233,14 @@ func TestDeltaSaveAbort(t *testing.T) {
 	kv := st.(state.KV)
 
 	// Delta without any base chain: validated before any disk write.
-	if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 1}, b); err == nil {
+	if _, err := async(st, Meta{SE: "kv/0", Epoch: 1, Delta: true}, b); err == nil {
 		t.Fatal("delta without base should fail")
 	}
 	if got := len(cl.Node(0).Disk.List()) + len(cl.Node(1).Disk.List()); got != 0 {
 		t.Fatalf("aborted delta left %d objects on disk", got)
 	}
 
-	if _, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
+	if _, err := async(st, Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
 		t.Fatal(err)
 	}
 	kv.Put(7, []byte("seven"))
@@ -248,7 +248,7 @@ func TestDeltaSaveAbort(t *testing.T) {
 
 	// Stale epoch (equal to the chain tip) must abort without touching disk.
 	before := append(cl.Node(0).Disk.List(), cl.Node(1).Disk.List()...)
-	if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 1}, b); err == nil {
+	if _, err := async(st, Meta{SE: "kv/0", Epoch: 1, Delta: true}, b); err == nil {
 		t.Fatal("stale delta epoch should fail")
 	}
 	after := append(cl.Node(0).Disk.List(), cl.Node(1).Disk.List()...)
@@ -262,7 +262,7 @@ func TestDeltaSaveAbort(t *testing.T) {
 
 	// The aborted cut was refolded: the retried epoch carries the changes
 	// and the restored state matches the live store.
-	if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: 2}, b); err != nil {
+	if _, err := async(st, Meta{SE: "kv/0", Epoch: 2, Delta: true}, b); err != nil {
 		t.Fatal(err)
 	}
 	sets, meta2, err := b.Restore("kv/0", 1)
@@ -325,12 +325,12 @@ func TestEpochNumberReuseAfterReset(t *testing.T) {
 	kv := st.(state.KV)
 
 	// Old incarnation: chain {1, 2, 3}.
-	if _, err := Async(st, Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
+	if _, err := async(st, Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
 		t.Fatal(err)
 	}
 	for e := uint64(2); e <= 3; e++ {
 		kv.Put(e, []byte("x"))
-		if _, err := AsyncDelta(st, Meta{SE: "kv/0", Epoch: e}, b); err != nil {
+		if _, err := async(st, Meta{SE: "kv/0", Epoch: e, Delta: true}, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -338,7 +338,7 @@ func TestEpochNumberReuseAfterReset(t *testing.T) {
 	// New incarnation (as after a repartition): fresh store, epoch restarts
 	// at 1, first checkpoint is a base with a different chunk count.
 	st2 := mkTracked("kvmap", 150, []byte("new"))
-	if _, err := Async(st2, Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
+	if _, err := async(st2, Meta{SE: "kv/0", Epoch: 1}, b); err != nil {
 		t.Fatal(err)
 	}
 

@@ -16,11 +16,11 @@ import (
 // the sink knows whether the epoch is durable (step 4 is the sink's).
 //
 // Two sinks consume the same byte-bounded chunks. The modelled-disk sink
-// (Async, AsyncDelta) drains them into Backup.Save, which spreads them over
-// the m backup nodes, and settles at once; the coordinator sink (runtime's
-// snapshot stream) serves them over the wire and settles when the next
-// SnapBegin says what was retained. Either way a restore re-splits every
-// chunk n ways by key hash.
+// (Backup.Open, Backup.SaveStream) drains them into Backup.Save, which
+// spreads them over the m backup nodes, and settles at once; the
+// coordinator sink (runtime's snapshot stream) serves them over the wire
+// and settles when the next SnapBegin says what was retained. Either way a
+// restore re-splits every chunk n ways by key hash.
 //
 // Writers divert to the overlay for the stream's whole lifetime, so the
 // caller should drain and Close promptly — but processing never stops
@@ -28,9 +28,11 @@ import (
 // frame cap leave the node chunk by chunk.
 type ChunkStream struct {
 	st     state.Store
-	cut    state.DeltaStore // non-nil while a tracker cut awaits Commit/Abort
+	delta  bool
+	cut    bool // a tracker cut awaits Commit/Abort
 	iter   state.ChunkIter
 	closed bool
+	opened time.Time
 
 	merged   int           // overlay entries Close consolidated
 	lockTime time.Duration // how long Close held the store
@@ -50,33 +52,26 @@ func StreamAsync(st state.Store, maxBytes int) (*ChunkStream, error) {
 // StreamAsyncDelta is StreamAsync for an incremental epoch: the stream
 // serves only the keys changed since the last committed cut, as delta
 // chunks of at most maxBytes. The store must track changed keys.
-func StreamAsyncDelta(st state.DeltaStore, maxBytes int) (*ChunkStream, error) {
+func StreamAsyncDelta(st state.Store, maxBytes int) (*ChunkStream, error) {
 	return openStream(st, true, func() (state.ChunkIter, error) {
 		return st.DeltaStream(maxBytes)
 	})
 }
 
-// tracked returns the store's delta tracker when changed-key tracking is
-// live, so base epochs can cut/commit it and keep the tracker bounded even
-// when they serialise the whole base.
-func tracked(st state.Store) (state.DeltaStore, bool) {
-	ds, ok := st.(state.DeltaStore)
-	return ds, ok && ds.DeltaTracking()
-}
-
 // openStream flags the store dirty, opens the tracker cut and builds the
 // chunk iterator. A delta iterator opens the cut itself (DeltaStream cuts
 // and captures the key set in one step); a base epoch of a tracked store
-// cuts here, so the chain restarts exactly at this snapshot's cut point.
+// cuts here, so the chain restarts exactly at this snapshot's cut point and
+// the tracker stays bounded even when epochs serialise the whole base.
 func openStream(st state.Store, delta bool, iter func() (state.ChunkIter, error)) (*ChunkStream, error) {
+	s := &ChunkStream{st: st, delta: delta, opened: time.Now()}
 	if err := st.BeginDirty(); err != nil {
 		return nil, fmt.Errorf("checkpoint: begin dirty: %w", err)
 	}
-	s := &ChunkStream{st: st}
-	if ds, ok := tracked(st); ok {
-		s.cut = ds
+	if st.DeltaTracking() {
+		s.cut = true
 		if !delta {
-			ds.CutDelta()
+			st.CutDelta()
 		}
 	}
 	var err error
@@ -115,9 +110,9 @@ func (s *ChunkStream) Close() error {
 // Commit drops the tracker cut: the epoch is durable, its keys are covered.
 // A no-op for untracked stores and once the cut is settled.
 func (s *ChunkStream) Commit() {
-	if s.cut != nil {
-		s.cut.CommitDelta()
-		s.cut = nil
+	if s.cut {
+		s.st.CommitDelta()
+		s.cut = false
 	}
 }
 
@@ -125,8 +120,8 @@ func (s *ChunkStream) Commit() {
 // retained, so the next one must cover the same keys. A no-op for
 // untracked stores and once the cut is settled.
 func (s *ChunkStream) Abort() {
-	if s.cut != nil {
-		s.cut.AbortDelta()
-		s.cut = nil
+	if s.cut {
+		s.st.AbortDelta()
+		s.cut = false
 	}
 }

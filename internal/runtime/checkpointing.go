@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/state"
+	"repro/internal/wire"
 )
 
 // startCheckpointLoop periodically checkpoints one SE instance (§6 uses a
@@ -55,6 +55,12 @@ func (r *Runtime) detached(si *seInstance) bool {
 // CheckpointNow takes one checkpoint of the named SE's instance idx using
 // the configured mode, then trims upstream output buffers covered by the
 // committed watermarks.
+//
+// The cut pauses the instance's node: with no batch in flight, flipping
+// the store dirty and capturing the colocated TE instances' watermarks,
+// seq counters and out-edge logs (the worker's snapshot parts) see one
+// instant. An async checkpoint resumes processing before serialising; a
+// sync one stays paused until the save returns.
 func (r *Runtime) CheckpointNow(seName string, idx int) (checkpoint.Result, error) {
 	ss, err := r.se(seName)
 	if err != nil {
@@ -76,22 +82,28 @@ func (r *Runtime) CheckpointNow(seName string, idx int) (checkpoint.Result, erro
 		return checkpoint.Result{}, fmt.Errorf("runtime: no backup store configured")
 	}
 
-	meta := r.buildMeta(si)
-	var res checkpoint.Result
-	switch r.opts.Mode {
-	case checkpoint.ModeSync:
-		pause := func() func() {
-			mu := r.pauseFor(si.node)
-			mu.Lock()
-			return mu.Unlock
-		}
-		res, err = checkpoint.Sync(si.store, meta, r.bk, pause)
-	default:
-		if ds, ok := r.deltaEligible(si); ok {
-			res, err = checkpoint.AsyncDelta(ds, meta, r.bk)
-		} else {
-			res, err = checkpoint.Async(si.store, meta, r.bk)
-		}
+	start := time.Now()
+	stopWorld := r.opts.Mode == checkpoint.ModeSync
+	pause := r.pauseFor(si.node)
+	pause.Lock()
+	paused := time.Now()
+	parts, err := r.teParts(si)
+	var s *checkpoint.ChunkStream
+	if err == nil {
+		s, err = r.bk.Open(si.store, !stopWorld && r.deltaEligible(si))
+	}
+	if !stopWorld || err != nil {
+		pause.Unlock()
+	}
+	if err != nil {
+		return checkpoint.Result{}, err
+	}
+	meta := checkpoint.Meta{SE: si.instName(), Epoch: si.epoch.Add(1), TE: encodeSnapRecords(parts)}
+	res, err := r.bk.SaveStream(s, meta)
+	if stopWorld {
+		pause.Unlock()
+		// The whole save ran inside the pause (Fig. 12).
+		res.Duration, res.LockTime = time.Since(start), time.Since(paused)
 	}
 	if err != nil {
 		return res, err
@@ -99,70 +111,64 @@ func (r *Runtime) CheckpointNow(seName string, idx int) (checkpoint.Result, erro
 	// The committed epoch anchors the chain to this instance's tracker;
 	// later epochs may now be incremental.
 	si.chained.Store(true)
-	r.recordCheckpointWM(si, meta.Watermarks)
+	r.recordCheckpointWM(si, parts)
 	r.trimUpstream(si)
 	return res, nil
+}
+
+// teParts captures the recovery state of the TE instances colocated with
+// an SE instance as snapshot parts (appendTEParts). Upstream logs stay
+// until trimUpstream, because every instance of the SE checkpoints on its
+// own, so the out-edge logs are copied whole, not trimmed to a backlog.
+// The caller holds the instance's node paused.
+func (r *Runtime) teParts(si *seInstance) ([]wire.SnapPart, error) {
+	var parts []wire.SnapPart
+	for _, teID := range r.graph.TEsAccessing(si.se.def.ID) {
+		insts := r.tes[teID].instances()
+		if si.idx >= len(insts) {
+			continue
+		}
+		ti := insts[si.idx]
+		logs := make([][]core.Item, len(ti.outBufs))
+		for i, b := range ti.outBufs {
+			logs[i] = b.Replay()
+		}
+		if err := appendTEParts(&parts, ti, logs, checkpoint.ChunkBytes); err != nil {
+			return nil, err
+		}
+	}
+	return parts, nil
 }
 
 // deltaEligible decides whether the next async epoch of the instance may be
 // incremental: delta checkpoints are enabled, the store tracks changed
 // keys, this instance has already committed an epoch (so the backup chain
 // is anchored to its tracker), and checkpoint.ShouldDelta allows it.
-func (r *Runtime) deltaEligible(si *seInstance) (state.DeltaStore, bool) {
-	if !r.opts.DeltaCheckpoints || !si.chained.Load() {
-		return nil, false
-	}
-	ds, ok := si.store.(state.DeltaStore)
-	if !ok || !ds.DeltaTracking() {
-		return nil, false
+func (r *Runtime) deltaEligible(si *seInstance) bool {
+	if !r.opts.DeltaCheckpoints || !si.chained.Load() || !si.store.DeltaTracking() {
+		return false
 	}
 	latest, _ := r.bk.Latest(si.instName())
-	if !checkpoint.ShouldDelta(latest.Chain) {
-		return nil, false
-	}
-	return ds, true
+	return checkpoint.ShouldDelta(latest.Chain)
 }
 
-// buildMeta assembles the checkpoint metadata for an SE instance: the
-// watermarks, output sequence counters and output buffers of the TE
-// instances colocated with it.
-func (r *Runtime) buildMeta(si *seInstance) checkpoint.Meta {
-	meta := checkpoint.Meta{
-		SE:         si.instName(),
-		Epoch:      si.epoch.Add(1),
-		Watermarks: make(map[int]map[uint64]uint64),
-		OutSeqs:    make(map[int]uint64),
-		Buffered:   make(map[int][][]core.Item),
-	}
-	for _, teID := range r.graph.TEsAccessing(si.se.def.ID) {
-		ts := r.tes[teID]
-		ts.mu.RLock()
-		if si.idx < len(ts.insts) {
-			ti := ts.insts[si.idx]
-			meta.Watermarks[teID] = ti.dedup.Watermarks()
-			meta.OutSeqs[teID] = ti.seqCtr.Load()
-			bufs := make([][]core.Item, len(ti.outBufs))
-			for i, b := range ti.outBufs {
-				bufs[i] = b.Replay()
-			}
-			meta.Buffered[teID] = bufs
+// recordCheckpointWM remembers, per TE, the PartTE part committed by this
+// instance's checkpoint; upstream trimming needs the minimum watermarks
+// across all instances of the TE.
+func (r *Runtime) recordCheckpointWM(si *seInstance, parts []wire.SnapPart) {
+	for _, p := range parts {
+		if p.Kind != wire.PartTE {
+			continue
 		}
-		ts.mu.RUnlock()
-	}
-	return meta
-}
-
-// recordCheckpointWM remembers, per TE, the watermarks committed by this
-// instance's checkpoint; upstream trimming needs the minimum across all
-// instances of the TE.
-func (r *Runtime) recordCheckpointWM(si *seInstance, wms map[int]map[uint64]uint64) {
-	for teID, wm := range wms {
-		ts := r.tes[teID]
+		ts, err := r.te(p.Name)
+		if err != nil {
+			continue
+		}
 		ts.mu.Lock()
 		if ts.ckptWM == nil {
-			ts.ckptWM = make(map[int]map[uint64]uint64)
+			ts.ckptWM = make(map[int]wire.SnapPart)
 		}
-		ts.ckptWM[si.idx] = wm
+		ts.ckptWM[si.idx] = p
 		ts.mu.Unlock()
 	}
 }
@@ -185,40 +191,21 @@ func (r *Runtime) trimUpstream(si *seInstance) {
 }
 
 // minCheckpointWM folds the per-instance checkpoint watermarks of a TE into
-// the per-origin minimum. It returns nil unless every live instance has
-// committed at least one checkpoint (otherwise trimming would be unsafe).
+// the per-origin minimum (minWatermarks). It returns nil unless every live
+// instance has committed at least one checkpoint (otherwise trimming would
+// be unsafe).
 func (r *Runtime) minCheckpointWM(ts *teState) map[uint64]uint64 {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
-	if ts.ckptWM == nil || len(ts.ckptWM) < len(ts.insts) {
-		return nil
-	}
-	var min map[uint64]uint64
+	parts := make([]wire.SnapPart, 0, len(ts.insts))
 	for _, ti := range ts.insts {
-		wm, ok := ts.ckptWM[ti.idx]
+		p, ok := ts.ckptWM[ti.idx]
 		if !ok {
 			return nil
 		}
-		if min == nil {
-			min = make(map[uint64]uint64, len(wm))
-			for o, s := range wm {
-				min[o] = s
-			}
-			continue
-		}
-		// Keep only origins present in every instance's map, at the lowest
-		// seq; an origin missing anywhere cannot be trimmed safely, because
-		// that instance may still need its items replayed.
-		for o := range min {
-			s, ok := wm[o]
-			if !ok {
-				delete(min, o)
-			} else if s < min[o] {
-				min[o] = s
-			}
-		}
+		parts = append(parts, p)
 	}
-	return min
+	return minWatermarks(parts, ts.def.Name)
 }
 
 // trimEdgesInto trims the output buffers of every upstream instance feeding
@@ -228,23 +215,25 @@ func (r *Runtime) trimEdgesInto(ts *teState, wm map[uint64]uint64) {
 	if ts.srcBuf != nil {
 		ts.srcBuf.Trim(wm)
 	}
-	for _, e := range r.graph.InEdges(ts.def.ID) {
-		from := r.tes[e.From]
-		// Locate the out-edge index on the upstream TE.
-		edgeIdx := -1
-		for i, oe := range from.out {
-			if oe.def == e {
-				edgeIdx = i
-				break
-			}
-		}
-		if edgeIdx < 0 {
-			continue
-		}
+	for _, from := range r.tes {
+		edges := from.edgesTo(ts)
 		from.mu.RLock()
 		for _, up := range from.insts {
-			up.outBufs[edgeIdx].Trim(wm)
+			for _, e := range edges {
+				up.outBufs[e].Trim(wm)
+			}
 		}
 		from.mu.RUnlock()
 	}
+}
+
+// edgesTo lists the indices of the TE's out-edges into dst.
+func (ts *teState) edgesTo(dst *teState) []int {
+	var edges []int
+	for i, e := range ts.out {
+		if e.to == dst {
+			edges = append(edges, i)
+		}
+	}
+	return edges
 }

@@ -730,8 +730,8 @@ func (c *Coordinator) trimCovered(fresh map[int]*retainedSnap) {
 // minWatermarks folds the PartTE parts of task te into the per-origin
 // minimum watermark — the seqs every one of those instances has snapshotted
 // past. An origin missing from any instance's map is dropped: that
-// instance may still need those items replayed, mirroring the in-process
-// trim rule.
+// instance may still need those items replayed. The coordinator's log trim
+// and the in-process upstream trim (minCheckpointWM) both fold this way.
 func minWatermarks(tes []wire.SnapPart, te string) (floor map[uint64]uint64) {
 	for _, t := range tes {
 		if t.Name != te {

@@ -2,11 +2,14 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
+	"repro/internal/state"
+	"repro/internal/wire"
 )
 
 // KillNode fails a cluster node: its TE instances stop consuming, items
@@ -19,11 +22,18 @@ func (r *Runtime) KillNode(nodeID int) {
 	for _, ts := range r.tes {
 		ts.mu.Lock()
 		for _, ti := range ts.insts {
-			if ti.node.ID == nodeID && !ti.killed.Swap(true) {
-				close(ti.dead)
+			if ti.node.ID == nodeID {
+				ti.kill()
 			}
 		}
 		ts.mu.Unlock()
+	}
+}
+
+// kill stops the instance's worker at its next chunk. Idempotent.
+func (ti *teInstance) kill() {
+	if !ti.killed.Swap(true) {
+		close(ti.dead)
 	}
 }
 
@@ -41,7 +51,9 @@ type RecoveryStats struct {
 
 // Recover restores the failed instance of the named SE onto n fresh nodes
 // using the latest checkpoint, recreates the colocated TE instances,
-// replays the logged dataflows and resumes processing.
+// replays the logged dataflows and resumes processing. It restores the
+// way a worker does: the SE chunks through applyChunks, the TE state
+// through applyTEPart, the logs through redeliverBacklog.
 //
 // Restoring one failed instance to n > 1 new instances (the paper's 1-to-n
 // pattern, Fig. 4) is supported when the SE had a single instance; an SE
@@ -84,6 +96,19 @@ func (r *Runtime) Recover(seName string, n int) (RecoveryStats, error) {
 	failed := ss.insts[failedIdx]
 	ss.mu.Unlock()
 
+	// The failed instance's TE workers stop within one chunk. Wait for
+	// them: a batch of theirs still running after the swap below would
+	// write into the restored store, and replay would apply it again.
+	accessing := r.graph.TEsAccessing(ss.def.ID)
+	for _, teID := range accessing {
+		for _, ti := range r.tes[teID].instances() {
+			if ti.idx == failedIdx {
+				ti.kill()
+				<-ti.exited
+			}
+		}
+	}
+
 	// Phase 1: m-to-n restore (Fig. 4 R1-R2), reconstruction in parallel.
 	// Each recovering instance restores its base group, then replays its
 	// delta groups in epoch-chain order.
@@ -91,6 +116,10 @@ func (r *Runtime) Recover(seName string, n int) (RecoveryStats, error) {
 	sets, meta, err := r.bk.Restore(failed.instName(), n)
 	if err != nil {
 		return RecoveryStats{}, err
+	}
+	parts, err := decodeSnapRecords(meta.TE)
+	if err != nil {
+		return RecoveryStats{}, fmt.Errorf("runtime: restore %q: %w", meta.SE, err)
 	}
 	newNodes := make([]*cluster.Node, n)
 	newInsts := make([]*seInstance, n)
@@ -110,16 +139,15 @@ func (r *Runtime) Recover(seName string, n int) (RecoveryStats, error) {
 				errs[j] = fmt.Errorf("runtime: rebuild store for %q: %w", meta.SE, err)
 				return
 			}
-			if err := checkpoint.RestoreInstance(store, sets[j]); err != nil {
-				errs[j] = fmt.Errorf("runtime: restore %q: %w", meta.SE, err)
-				return
+			for _, cks := range append([][]state.Chunk{sets[j].Base}, sets[j].Deltas...) {
+				if err := applyChunks(store, cks); err != nil {
+					errs[j] = fmt.Errorf("runtime: restore %q: %w", meta.SE, err)
+					return
+				}
 			}
-			idx := failedIdx
-			if n > 1 {
-				idx = j
-			}
+			// n > 1 only replaces a single instance 0.
 			newNodes[j] = node
-			newInsts[j] = &seInstance{se: ss, idx: idx, node: node, store: store}
+			newInsts[j] = &seInstance{se: ss, idx: failedIdx + j, node: node, store: store}
 			newInsts[j].epoch.Store(meta.Epoch)
 		}(j)
 	}
@@ -129,65 +157,55 @@ func (r *Runtime) Recover(seName string, n int) (RecoveryStats, error) {
 			return RecoveryStats{}, e
 		}
 	}
-	restoreDur := time.Since(restoreStart)
 
-	// Swap the SE instances in.
-	ss.mu.Lock()
-	if n == 1 {
-		ss.insts[failedIdx] = newInsts[0]
-	} else {
-		ss.insts = newInsts
-	}
-	ss.mu.Unlock()
-
-	// Phase 2: recreate the colocated TE instances with restored recovery
-	// state (dedup watermarks, seq counters), then start their workers.
-	accessing := r.graph.TEsAccessing(ss.def.ID)
+	// Phase 2: the colocated TE instances, n per TE, restored from the
+	// checkpoint's TE parts before anything is swapped in. The instance at
+	// the failed index inherits its origin identity: watermarks, seq
+	// counter and out-edge logs. The others take only the watermarks, so
+	// replayed duplicates the snapshot covers are filtered.
+	restored := make([]*teInstance, 0, n*len(accessing))
 	for _, teID := range accessing {
 		ts := r.tes[teID]
-		var started []*teInstance
+		ts.mu.RLock()
+		for j := 0; j < n; j++ {
+			restored = append(restored, r.newInstance(ts, newInsts[j].idx, newNodes[j]))
+		}
+		ts.mu.RUnlock()
+	}
+	for i := range parts {
+		p := &parts[i]
+		for _, ti := range restored {
+			switch {
+			case ti.te.def.Name != p.Name:
+			case ti.idx == p.Index:
+				if err := ti.applyTEPart(p); err != nil {
+					return RecoveryStats{}, err
+				}
+			case p.Kind == wire.PartTE:
+				ti.dedup.Restore(p.Watermarks)
+			}
+		}
+	}
+	restoreDur := time.Since(restoreStart)
+
+	// Swap the SE instances in, then the TE instances.
+	ss.mu.Lock()
+	ss.insts = slices.Replace(ss.insts, failedIdx, failedIdx+1, newInsts...)
+	ss.mu.Unlock()
+	for k, teID := range accessing {
+		ts := r.tes[teID]
 		ts.mu.Lock()
-		// Discarded instances take their parked overflow with them (source
-		// replay re-delivers those items); release their share of the
+		// The discarded instance takes its parked overflow with it (source
+		// replay re-delivers those items); release its share of the
 		// global parked bound so the admission fast path can go quiet
 		// again. A park racing this swap only leaves the bound high —
 		// harmless — never low.
-		if n == 1 {
-			r.parked.Add(-ts.insts[failedIdx].overflow.Items())
-			ti := r.newInstance(ts, failedIdx, newNodes[0])
-			restoreTE(ti, meta, teID, true)
-			ts.insts[failedIdx] = ti
-			started = append(started, ti)
-		} else {
-			for _, old := range ts.insts {
-				r.parked.Add(-old.overflow.Items())
-			}
-			insts := make([]*teInstance, n)
-			for j := 0; j < n; j++ {
-				ti := r.newInstance(ts, j, newNodes[j])
-				// The instance re-using the failed instance's index inherits
-				// its origin identity and must continue its seq numbering;
-				// fresh instances start clean.
-				restoreTE(ti, meta, teID, j == failedIdx)
-				insts[j] = ti
-			}
-			ts.insts = insts
-			started = append(started, insts...)
-		}
+		r.parked.Add(-ts.insts[failedIdx].overflow.Items())
+		ts.insts = slices.Replace(ts.insts, failedIdx, failedIdx+1, restored[k*n:(k+1)*n]...)
 		ts.bumpInstances()
 		// Checkpoint watermark bookkeeping restarts for the new layout.
 		ts.ckptWM = nil
 		ts.mu.Unlock()
-		for _, ti := range started {
-			r.startWorker(ti)
-		}
-	}
-
-	// Restart the checkpoint loops for the restored instances.
-	if r.opts.Mode != checkpoint.ModeOff {
-		for _, si := range newInsts {
-			r.startCheckpointLoop(si)
-		}
 	}
 
 	// Phase 3: replay. First evict permanently stuck gather waves — waves
@@ -195,27 +213,23 @@ func (r *Runtime) Recover(seName string, n int) (RecoveryStats, error) {
 	// complete. Evicting *before* replay keeps this deterministic: evicting
 	// afterwards would race the asynchronously-enqueued replayed partials,
 	// which can legitimately refill a pending wave while we scan. Then
-	// re-deliver the failed node's own logged output (recovered from the
-	// checkpoint) and the upstream replay logs; receivers dedup.
+	// re-deliver the restored out-edge logs in seq order, before the
+	// restored workers start, so no newer emission of theirs reaches a
+	// destination ahead of them; then the upstream replay logs. Receivers
+	// dedup.
 	evicted := r.evictStaleGathers()
 	replayStart := time.Now()
-	replayed := 0
-	var rs routeScratch
-	for _, teID := range accessing {
-		ts := r.tes[teID]
-		for edgeIdx, bufs := range meta.Buffered[teID] {
-			if edgeIdx >= len(ts.out) {
-				break
-			}
-			if len(bufs) == 0 {
-				continue
-			}
-			// Whole-buffer batches keep the timed replay phase off the
-			// per-item delivery cost the hot path no longer pays.
-			r.deliverBatch(ts.out[edgeIdx], bufs, &rs)
-			replayed += len(bufs)
+	replayed := r.redeliverBacklog(restored)
+	for _, ti := range restored {
+		r.startWorker(ti)
+	}
+	if r.opts.Mode != checkpoint.ModeOff {
+		for _, si := range newInsts {
+			r.startCheckpointLoop(si)
 		}
-		replayed += r.replayInto(ts)
+	}
+	for _, teID := range accessing {
+		replayed += r.replayInto(r.tes[teID])
 	}
 	replayDur := time.Since(replayStart)
 
@@ -252,40 +266,14 @@ func (r *Runtime) evictStaleGathers() int {
 	return evicted
 }
 
-// restoreTE initialises a replacement TE instance from checkpoint metadata.
-// withIdentity restores the dedup watermarks and output seq counter (for
-// the instance that inherits the failed instance's origin); other instances
-// still restore watermarks so replayed duplicates covered by the snapshot
-// are filtered.
-func restoreTE(ti *teInstance, meta checkpoint.Meta, teID int, withIdentity bool) {
-	if wm, ok := meta.Watermarks[teID]; ok {
-		ti.dedup.Restore(wm)
-	}
-	if withIdentity {
-		if seq, ok := meta.OutSeqs[teID]; ok {
-			ti.seqCtr.Store(seq)
-		}
-		if bufs, ok := meta.Buffered[teID]; ok {
-			for edgeIdx, items := range bufs {
-				if edgeIdx >= len(ti.outBufs) {
-					break
-				}
-				for _, it := range items {
-					ti.outBufs[edgeIdx].Append(it)
-				}
-			}
-		}
-	}
-}
-
 // replayInto re-delivers every upstream replay-log item on edges feeding
-// the TE. Routing recomputes with the current instance count, so items land
-// on the right (possibly re-partitioned) instances; dedup filters items the
-// restored checkpoint already covers and items surviving instances have
-// processed.
+// the TE, each live upstream instance's edges merged in seq order
+// (redeliver). Routing recomputes with the current instance count, so
+// items land on the right (possibly re-partitioned) instances; dedup
+// filters items the restored checkpoint already covers and items
+// surviving instances have processed.
 func (r *Runtime) replayInto(ts *teState) int {
 	replayed := 0
-	var rs routeScratch
 	if ts.srcBuf != nil {
 		// Entry routing is per item by design (the key or seq picks the
 		// instance), so the source log replays item by item.
@@ -294,27 +282,15 @@ func (r *Runtime) replayInto(ts *teState) int {
 			replayed++
 		}
 	}
-	for _, e := range r.graph.InEdges(ts.def.ID) {
-		from := r.tes[e.From]
-		edgeIdx := -1
-		for i, oe := range from.out {
-			if oe.def == e {
-				edgeIdx = i
-				break
-			}
-		}
-		if edgeIdx < 0 {
+	var rs routeScratch
+	for _, from := range r.tes {
+		edges := from.edgesTo(ts)
+		if len(edges) == 0 {
 			continue
 		}
 		for _, up := range from.instances() {
-			if up.killed.Load() {
-				continue
-			}
-			// Replay() returns a caller-owned copy, so the whole buffer can
-			// go through the batch path in one call.
-			if items := up.outBufs[edgeIdx].Replay(); len(items) > 0 {
-				r.deliverBatch(from.out[edgeIdx], items, &rs)
-				replayed += len(items)
+			if !up.killed.Load() {
+				replayed += r.redeliver(up, edges, &rs)
 			}
 		}
 	}

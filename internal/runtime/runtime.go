@@ -184,7 +184,7 @@ type teState struct {
 	// per-origin dedup watermark would then drop the earlier item for
 	// good. Such TEs trade the flush amortisation for seq-order delivery.
 	serialEmit bool
-	ckptWM     map[int]map[uint64]uint64 // instance idx -> last checkpointed watermarks
+	ckptWM     map[int]wire.SnapPart // instance idx -> PartTE of its last checkpoint
 	// srcBuf logs externally injected items for entry TEs so post-checkpoint
 	// inputs replay after failures; nil when fault tolerance is off.
 	srcBuf *dataflow.OutputBuffer
@@ -272,8 +272,11 @@ type teInstance struct {
 	idx  int
 	node *cluster.Node
 
-	queue   chan []core.Item // inbound micro-batches
-	dead    chan struct{}
+	queue chan []core.Item // inbound micro-batches
+	dead  chan struct{}
+	// exited closes when the worker goroutine has returned: after it, no
+	// invoke of this instance runs or starts.
+	exited  chan struct{}
 	dedup   *dataflow.Dedup
 	gather  *dataflow.Gather
 	outBufs []*dataflow.OutputBuffer
@@ -547,9 +550,7 @@ func (r *Runtime) newStore(def *core.SE) (state.Store, error) {
 	// Only track changed keys when a checkpoint loop will actually cut the
 	// tracker: with checkpointing off the set would grow without bound.
 	if r.opts.DeltaCheckpoints && r.opts.Mode != checkpoint.ModeOff {
-		if ds, ok := st.(state.DeltaStore); ok {
-			ds.EnableDeltaTracking()
-		}
+		st.EnableDeltaTracking()
 	}
 	return st, nil
 }
@@ -562,6 +563,7 @@ func (r *Runtime) newInstance(ts *teState, idx int, node *cluster.Node) *teInsta
 		node:     node,
 		queue:    make(chan []core.Item, r.opts.QueueLen),
 		dead:     make(chan struct{}),
+		exited:   make(chan struct{}),
 		dedup:    dataflow.NewDedup(),
 		outBufs:  make([]*dataflow.OutputBuffer, len(ts.out)),
 		overflow: &dataflow.Overflow{},
@@ -591,6 +593,7 @@ func (r *Runtime) startWorker(ti *teInstance) {
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
+		defer close(ti.exited)
 		pause := r.pauseFor(ti.node)
 		max := r.opts.BatchSize
 		for {
@@ -606,14 +609,6 @@ func (r *Runtime) startWorker(ti *teInstance) {
 				// final promote raced); fall through to promote it.
 			}
 			if batch != nil {
-				// A select with both ready picks at random, so a worker
-				// that reaches it only after KillNode could take an item
-				// queued after the kill: a dead instance runs nothing.
-				select {
-				case <-ti.dead:
-					return
-				default:
-				}
 				items := batch
 				if max > 1 {
 				coalesce:
@@ -639,8 +634,16 @@ func (r *Runtime) startWorker(ti *teInstance) {
 				// bookkeeping window — one pause hold, one dedup pass
 				// before any flush — must never exceed the configured
 				// batch size (at BatchSize=1 this is exactly the per-item
-				// runtime's behaviour).
+				// runtime's behaviour). A dead instance runs no further
+				// chunk: the select above picks at random when both are
+				// ready, and a kill must stop a batch within one chunk,
+				// which is all Recover waits for (exited).
 				for start := 0; start < len(items); start += max {
+					select {
+					case <-ti.dead:
+						return
+					default:
+					}
 					end := start + max
 					if end > len(items) {
 						end = len(items)

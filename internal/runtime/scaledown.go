@@ -200,8 +200,7 @@ func (r *Runtime) retireTEInstance(ts *teState) {
 	}
 	ts.retiredProcessed.Add(victim.processed.Load())
 
-	victim.killed.Store(true)
-	close(victim.dead)
+	victim.kill()
 	// Quiescence means nothing is parked; subtract defensively so a stray
 	// race can only leave the global bound high, never low.
 	if parked := victim.overflow.Items(); parked > 0 {

@@ -40,10 +40,10 @@ type seStream struct {
 
 // snapDelta decides whether the instance's next epoch is incremental. It
 // is a base when the coordinator retains no epoch of this instance (fresh
-// deploy, or just restored), when the store cannot track changed keys, and
-// when a delta would not be smaller: more than half the keys changed, so
-// tombstones and per-key overhead make the delta the larger stream and
-// every later restore the slower one. A chain that grows long is the
+// deploy, or just restored), when the store is not tracking changed keys
+// yet, and when a delta would not be smaller: more than half the keys
+// changed, so tombstones and per-key overhead make the delta the larger
+// stream and every later restore the slower one. A chain that grows long is the
 // coordinator's to compact (compactChains), never a reason to re-ship a
 // base.
 //
@@ -52,19 +52,13 @@ type seStream struct {
 // recording a preload or a restore key by key would cost time and memory
 // for nothing. The caller holds the processing pause, so tracking starts
 // exactly at the cut.
-func (si *seInstance) snapDelta() (state.DeltaStore, bool) {
-	ds, ok := si.store.(state.DeltaStore)
-	if !ok {
-		return nil, false
+func (si *seInstance) snapDelta() bool {
+	st := si.store
+	if !st.DeltaTracking() {
+		st.EnableDeltaTracking()
+		return false
 	}
-	if !ds.DeltaTracking() {
-		ds.EnableDeltaTracking()
-		return nil, false
-	}
-	if !si.chained.Load() || ds.DeltaSize()*2 > ds.NumEntries() {
-		return nil, false
-	}
-	return ds, true
+	return si.chained.Load() && st.DeltaSize()*2 <= st.NumEntries()
 }
 
 // snapCapture is an open snapshot stream over one runtime: the eagerly
@@ -96,6 +90,24 @@ func appendItemParts(dst *[]wire.SnapPart, tmpl wire.SnapPart, items []core.Item
 		p.Data = data
 		*dst = append(*dst, p)
 		items = items[took:]
+	}
+	return nil
+}
+
+// appendTEParts appends one TE instance's recovery state as snapshot parts:
+// a PartTE with its input watermarks and output seq counter, then logs[i],
+// the items of out-edge i a restore re-delivers, as bounded PartTEBuf
+// parts. The caller holds the instance's node paused, so the watermarks,
+// the counter, the logs and the state cut at one instant.
+func appendTEParts(dst *[]wire.SnapPart, ti *teInstance, logs [][]core.Item, maxBytes int) error {
+	name := ti.te.def.Name
+	*dst = append(*dst, wire.SnapPart{Kind: wire.PartTE, Name: name, Index: ti.idx,
+		Watermarks: ti.dedup.Watermarks(), OutSeq: ti.seqCtr.Load()})
+	for i, items := range logs {
+		tmpl := wire.SnapPart{Kind: wire.PartTEBuf, Name: name, Index: ti.idx, Edge: i}
+		if err := appendItemParts(dst, tmpl, items, maxBytes); err != nil {
+			return fmt.Errorf("runtime: snapshot %s/%d edge %d: %w", name, ti.idx, i, err)
+		}
 	}
 	return nil
 }
@@ -168,8 +180,8 @@ func (r *Runtime) newSnapCapture(maxBytes int) (*snapCapture, error) {
 		for _, si := range insts {
 			var cs *checkpoint.ChunkStream
 			var err error
-			if ds, ok := si.snapDelta(); ok {
-				cs, err = checkpoint.StreamAsyncDelta(ds, maxBytes)
+			if si.snapDelta() {
+				cs, err = checkpoint.StreamAsyncDelta(si.store, maxBytes)
 			} else {
 				cs, err = checkpoint.StreamAsync(si.store, maxBytes)
 			}
@@ -182,18 +194,12 @@ func (r *Runtime) newSnapCapture(maxBytes int) (*snapCapture, error) {
 	var rs routeScratch
 	for _, ts := range r.tes {
 		for _, ti := range ts.instances() {
-			c.queue = append(c.queue, wire.SnapPart{
-				Kind:       wire.PartTE,
-				Name:       ts.def.Name,
-				Index:      ti.idx,
-				Watermarks: ti.dedup.Watermarks(),
-				OutSeq:     ti.seqCtr.Load(),
-			})
+			logs := make([][]core.Item, len(ti.outBufs))
 			for i, b := range ti.outBufs {
-				tmpl := wire.SnapPart{Kind: wire.PartTEBuf, Name: ts.def.Name, Index: ti.idx, Edge: i}
-				if err := appendItemParts(&c.queue, tmpl, r.trimToBacklog(ts.out[i], b, &rs), maxBytes); err != nil {
-					return fail(fmt.Errorf("runtime: snapshot %s/%d edge %d: %w", ts.def.Name, ti.idx, i, err))
-				}
+				logs[i] = r.trimToBacklog(ts.out[i], b, &rs)
+			}
+			if err := appendTEParts(&c.queue, ti, logs, maxBytes); err != nil {
+				return fail(err)
 			}
 		}
 	}
@@ -246,14 +252,18 @@ func sePart(name string, index int, ck state.Chunk) wire.SnapPart {
 		ChunkIndex: ck.Index, ChunkOf: ck.Of, Delta: ck.Delta, Data: ck.Data}
 }
 
-// applySEPart applies one PartSE part to st: a base chunk restores, a delta
-// chunk replays onto what is restored so far.
+// applySEPart applies one PartSE part to st (applyChunks).
 func applySEPart(st state.Store, p *wire.SnapPart) error {
-	ck := []state.Chunk{{Type: p.Store, Index: p.ChunkIndex, Of: p.ChunkOf, Delta: p.Delta, Data: p.Data}}
-	if p.Delta {
-		return checkpoint.ApplyDeltas(st, [][]state.Chunk{ck})
+	return applyChunks(st, []state.Chunk{{Type: p.Store, Index: p.ChunkIndex, Of: p.ChunkOf, Delta: p.Delta, Data: p.Data}})
+}
+
+// applyChunks applies chunks of one epoch to st: base chunks restore, delta
+// chunks replay onto what is restored so far. Epochs apply in chain order.
+func applyChunks(st state.Store, cks []state.Chunk) error {
+	if len(cks) > 0 && cks[0].Delta {
+		return st.ApplyDelta(cks)
 	}
-	return st.Restore(ck)
+	return st.Restore(cks)
 }
 
 // close releases the capture: every still-open store stream merges its
@@ -322,26 +332,12 @@ func (r *Runtime) applySnapPart(p wire.SnapPart) error {
 		if err := applySEPart(si.store, &p); err != nil {
 			return fmt.Errorf("runtime: restore %s: %w", si.instName(), err)
 		}
-	case wire.PartTE:
+	case wire.PartTE, wire.PartTEBuf:
 		ti, err := r.teInstanceAt(p.Name, p.Index)
 		if err != nil {
 			return err
 		}
-		ti.dedup.Restore(p.Watermarks)
-		ti.seqCtr.Store(p.OutSeq)
-	case wire.PartTEBuf:
-		ti, err := r.teInstanceAt(p.Name, p.Index)
-		if err != nil {
-			return err
-		}
-		if p.Edge < 0 || p.Edge >= len(ti.outBufs) {
-			return fmt.Errorf("runtime: restore %s/%d: edge %d out of range (have %d)", p.Name, p.Index, p.Edge, len(ti.outBufs))
-		}
-		items, err := wire.DecodeItems(p.Data)
-		if err != nil {
-			return fmt.Errorf("runtime: restore %s/%d edge %d: %w", p.Name, p.Index, p.Edge, err)
-		}
-		ti.outBufs[p.Edge].AppendBatch(items)
+		return ti.applyTEPart(&p)
 	case wire.PartEdge:
 		if r.net == nil {
 			return fmt.Errorf("runtime: not a sharded deployment")
@@ -360,6 +356,25 @@ func (r *Runtime) applySnapPart(p wire.SnapPart) error {
 	return nil
 }
 
+// applyTEPart restores one PartTE or PartTEBuf part into ti: the input
+// watermarks and output seq counter, or a slice of out-edge Edge's log.
+func (ti *teInstance) applyTEPart(p *wire.SnapPart) error {
+	if p.Kind == wire.PartTE {
+		ti.dedup.Restore(p.Watermarks)
+		ti.seqCtr.Store(p.OutSeq)
+		return nil
+	}
+	if p.Edge < 0 || p.Edge >= len(ti.outBufs) {
+		return fmt.Errorf("runtime: restore %s/%d: edge %d out of range (have %d)", p.Name, p.Index, p.Edge, len(ti.outBufs))
+	}
+	items, err := wire.DecodeItems(p.Data)
+	if err != nil {
+		return fmt.Errorf("runtime: restore %s/%d edge %d: %w", p.Name, p.Index, p.Edge, err)
+	}
+	ti.outBufs[p.Edge].AppendBatch(items)
+	return nil
+}
+
 // finishRestoreStream completes a chunk-by-chunk restore: the restored
 // local backlog is re-delivered, peer send queues rebuild from the restored
 // edge logs, and the restore seal lifts. Nothing the cut logged is emitted
@@ -368,7 +383,11 @@ func (r *Runtime) applySnapPart(p wire.SnapPart) error {
 // nothing until RestoreEnd is acked, so the backlog reaches every
 // destination queue ahead of any newer seq.
 func (r *Runtime) finishRestoreStream() {
-	r.redeliverBacklog()
+	var insts []*teInstance
+	for _, ts := range r.tes {
+		insts = append(insts, ts.instances()...)
+	}
+	r.redeliverBacklog(insts)
 	if r.net == nil {
 		return
 	}
@@ -381,40 +400,50 @@ func (r *Runtime) finishRestoreStream() {
 	n.sealed.Store(false)
 }
 
-// redeliverBacklog routes every restored out-edge log item to the local
-// instances it is bound for; remote copies come back through the rebuilt
-// send queues. Each upstream instance's items go out in seq order across
-// its edges: two edges into one TE share that seq space, and a lower seq
-// arriving behind a higher one would be dropped as a duplicate.
-func (r *Runtime) redeliverBacklog() {
+// redeliverBacklog routes every restored out-edge log item of the given
+// instances (redeliver) and returns how many items it routed.
+func (r *Runtime) redeliverBacklog(insts []*teInstance) int {
+	var rs routeScratch
+	n := 0
+	for _, ti := range insts {
+		n += r.redeliver(ti, nil, &rs)
+	}
+	return n
+}
+
+// redeliver routes the items ti logged on the given out-edges (every edge
+// when nil) to the local instances they are bound for; remote copies come
+// back through the rebuilt send queues. The items go out in seq order
+// across the edges: two edges into one TE share the instance's seq space,
+// and a lower seq arriving behind a higher one would be dropped as a
+// duplicate.
+func (r *Runtime) redeliver(ti *teInstance, edges []int, rs *routeScratch) int {
 	type edgeItem struct {
 		edge int
 		it   core.Item
 	}
-	var rs routeScratch
-	var run []core.Item
-	for _, ts := range r.tes {
-		for _, ti := range ts.instances() {
-			var all []edgeItem
-			for e, b := range ti.outBufs {
-				for _, it := range b.Replay() {
-					all = append(all, edgeItem{e, it})
-				}
-			}
-			sort.SliceStable(all, func(i, j int) bool { return all[i].it.Seq < all[j].it.Seq })
-			for i, ei := range all {
-				if run = append(run, ei.it); i+1 < len(all) && all[i+1].edge == ei.edge {
-					continue
-				}
-				if e := ts.out[ei.edge]; e.remote != nil {
-					r.deliverRemote(e, run, &rs, nil)
-				} else {
-					r.deliverBatch(e, run, &rs)
-				}
-				run = run[:0]
+	var all []edgeItem
+	for e, b := range ti.outBufs {
+		if edges == nil || slices.Contains(edges, e) {
+			for _, it := range b.Replay() {
+				all = append(all, edgeItem{e, it})
 			}
 		}
 	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].it.Seq < all[j].it.Seq })
+	var run []core.Item
+	for i, ei := range all {
+		if run = append(run, ei.it); i+1 < len(all) && all[i+1].edge == ei.edge {
+			continue
+		}
+		if e := ti.te.out[ei.edge]; e.remote != nil {
+			r.deliverRemote(e, run, rs, nil)
+		} else {
+			r.deliverBatch(e, run, rs)
+		}
+		run = run[:0]
+	}
+	return len(all)
 }
 
 // teInstanceAt resolves one TE instance by worker-local index.

@@ -352,9 +352,12 @@ func decodeSnapRecord(rec []byte) (wire.SnapPart, error) {
 	case 0:
 		return wire.DecodeSnapPart(rec[1:])
 	case 1:
-		// Inflate into one buffer of exactly the recorded raw length.
+		// Inflate into one buffer of exactly the recorded raw length, which
+		// deflate's best ratio (258 bytes per 2 bits, about 1032:1) bounds
+		// by the record's size: a hostile length fails before it sizes
+		// the buffer.
 		n, k := binary.Uvarint(rec[1:])
-		if k <= 0 {
+		if k <= 0 || n > 1032*uint64(len(rec)) {
 			return wire.SnapPart{}, fmt.Errorf("coordinator: snapshot record: bad raw length")
 		}
 		raw := make([]byte, n)
@@ -368,6 +371,40 @@ func decodeSnapRecord(rec []byte) (wire.SnapPart, error) {
 	default:
 		return wire.SnapPart{}, fmt.Errorf("coordinator: snapshot record flag %d", rec[0])
 	}
+}
+
+// encodeSnapRecords concatenates parts as length-prefixed snapshot records
+// (encodeSnapRecord): the modelled-disk sink's form of the TE state cut
+// with an SE instance (checkpoint.Meta.TE).
+func encodeSnapRecords(parts []wire.SnapPart) []byte {
+	var out []byte
+	for i := range parts {
+		rec, _ := encodeSnapRecord(&parts[i])
+		out = binary.AppendUvarint(out, uint64(len(rec)))
+		out = append(out, rec...)
+	}
+	return out
+}
+
+// decodeSnapRecords reverses encodeSnapRecords. The object comes off a
+// backup disk: a length that overruns it fails before anything is
+// allocated for it, and each record decodes under the part decoder's own
+// guards.
+func decodeSnapRecords(b []byte) ([]wire.SnapPart, error) {
+	var parts []wire.SnapPart
+	for len(b) > 0 {
+		n, k := binary.Uvarint(b)
+		if k <= 0 || n > uint64(len(b)-k) {
+			return nil, fmt.Errorf("runtime: snapshot record overruns its object")
+		}
+		p, err := decodeSnapRecord(b[k : k+int(n)])
+		if err != nil {
+			return nil, err
+		}
+		parts = append(parts, p)
+		b = b[k+int(n):]
+	}
+	return parts, nil
 }
 
 // callRetry is call with bounded retries on transport errors. Application

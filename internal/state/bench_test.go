@@ -150,7 +150,7 @@ func BenchmarkKVMapParallelPutTracked(b *testing.B) {
 			b.Run(fmt.Sprintf("impl=%s/tracking=%v", impl.name, tracking), func(b *testing.B) {
 				m := impl.new()
 				if tracking {
-					m.(DeltaStore).EnableDeltaTracking()
+					m.EnableDeltaTracking()
 				}
 				for i := 0; i < 8192; i++ {
 					m.Put(uint64(i), val)
@@ -171,7 +171,7 @@ func TestTrackedPutAllocs(t *testing.T) {
 	val := make([]byte, 64)
 	for _, impl := range kvImpls {
 		m := impl.new()
-		m.(DeltaStore).EnableDeltaTracking()
+		m.EnableDeltaTracking()
 		for i := 0; i < 1024; i++ {
 			m.Put(uint64(i), val)
 		}

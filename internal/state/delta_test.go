@@ -8,11 +8,11 @@ import (
 
 // eachKVBackend runs a subtest per dictionary stripe count: kvmap is one
 // stripe, sharded eight.
-func eachKVBackend(t *testing.T, fn func(t *testing.T, mk func() DeltaStore)) {
+func eachKVBackend(t *testing.T, fn func(t *testing.T, mk func() Store)) {
 	t.Helper()
-	backends := map[string]func() DeltaStore{
-		"kvmap":   func() DeltaStore { return NewKVMap() },
-		"sharded": func() DeltaStore { return NewShardedKVMap(8) },
+	backends := map[string]func() Store{
+		"kvmap":   func() Store { return NewKVMap() },
+		"sharded": func() Store { return NewShardedKVMap(8) },
 	}
 	for name, mk := range backends {
 		t.Run(name, func(t *testing.T) { fn(t, mk) })
@@ -21,7 +21,7 @@ func eachKVBackend(t *testing.T, fn func(t *testing.T, mk func() DeltaStore)) {
 
 // drainDelta opens a delta stream (and with it a pending cut) and pulls
 // every chunk out of it.
-func drainDelta(t *testing.T, st DeltaStore, maxBytes int) []Chunk {
+func drainDelta(t *testing.T, st Store, maxBytes int) []Chunk {
 	t.Helper()
 	iter, err := st.DeltaStream(maxBytes)
 	if err != nil {
@@ -48,7 +48,7 @@ func kvEqual(t *testing.T, a, b KV) {
 }
 
 func TestDeltaTrackingOffByDefault(t *testing.T) {
-	eachKVBackend(t, func(t *testing.T, mk func() DeltaStore) {
+	eachKVBackend(t, func(t *testing.T, mk func() Store) {
 		st := mk()
 		if st.DeltaTracking() {
 			t.Fatal("tracking should default off")
@@ -64,7 +64,7 @@ func TestDeltaTrackingOffByDefault(t *testing.T) {
 }
 
 func TestDeltaCheckpointOnlyChangedKeys(t *testing.T) {
-	eachKVBackend(t, func(t *testing.T, mk func() DeltaStore) {
+	eachKVBackend(t, func(t *testing.T, mk func() Store) {
 		for _, maxBytes := range []int{16, 1024, 1 << 20} {
 			st := mk()
 			kv := st.(KV)
@@ -124,7 +124,7 @@ func TestDeltaCheckpointOnlyChangedKeys(t *testing.T) {
 
 			// Applying base + delta onto a fresh store reproduces the live
 			// state, at either stripe count.
-			for _, rebuild := range []DeltaStore{NewKVMap(), NewShardedKVMap(4)} {
+			for _, rebuild := range []Store{NewKVMap(), NewShardedKVMap(4)} {
 				base := rebuild.(KV)
 				for i := uint64(0); i < 1000; i++ {
 					base.Put(i, []byte(fmt.Sprintf("v%d", i)))
@@ -139,7 +139,7 @@ func TestDeltaCheckpointOnlyChangedKeys(t *testing.T) {
 }
 
 func TestDeltaDirtyWindowRetainedByMerge(t *testing.T) {
-	eachKVBackend(t, func(t *testing.T, mk func() DeltaStore) {
+	eachKVBackend(t, func(t *testing.T, mk func() Store) {
 		st := mk()
 		kv := st.(KV)
 		st.EnableDeltaTracking()
@@ -195,7 +195,7 @@ func TestDeltaDirtyWindowRetainedByMerge(t *testing.T) {
 }
 
 func TestDeltaAbortRefoldsPendingCut(t *testing.T) {
-	eachKVBackend(t, func(t *testing.T, mk func() DeltaStore) {
+	eachKVBackend(t, func(t *testing.T, mk func() Store) {
 		st := mk()
 		kv := st.(KV)
 		st.EnableDeltaTracking()
@@ -224,7 +224,7 @@ func TestDeltaAbortRefoldsPendingCut(t *testing.T) {
 }
 
 func TestDeltaClearTombstonesEverything(t *testing.T) {
-	eachKVBackend(t, func(t *testing.T, mk func() DeltaStore) {
+	eachKVBackend(t, func(t *testing.T, mk func() Store) {
 		st := mk()
 		kv := st.(KV)
 		st.EnableDeltaTracking()
@@ -310,7 +310,7 @@ func TestSplitDeltaChunk(t *testing.T) {
 }
 
 func TestRestoreRejectsDeltaChunk(t *testing.T) {
-	eachKVBackend(t, func(t *testing.T, mk func() DeltaStore) {
+	eachKVBackend(t, func(t *testing.T, mk func() Store) {
 		st := mk()
 		st.EnableDeltaTracking()
 		st.(KV).Put(1, []byte("x"))
@@ -330,7 +330,7 @@ func TestRestoreRejectsDeltaChunk(t *testing.T) {
 // TestDeltaConcurrentWriters exercises the tracked hot path under the race
 // detector: concurrent writers while delta epochs cut, serialise and merge.
 func TestDeltaConcurrentWriters(t *testing.T) {
-	eachKVBackend(t, func(t *testing.T, mk func() DeltaStore) {
+	eachKVBackend(t, func(t *testing.T, mk func() Store) {
 		st := mk()
 		kv := st.(KV)
 		st.EnableDeltaTracking()

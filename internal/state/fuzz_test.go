@@ -18,7 +18,7 @@ import (
 // both restore the same contents. A dictionary value is any bytes, so its
 // split also succeeds exactly when the whole chunk applies.
 func FuzzChunk(f *testing.F) {
-	for _, st := range []DeltaStore{NewKVMap(), NewMatrix(), NewVector(0)} {
+	for _, st := range []Store{NewKVMap(), NewMatrix(), NewVector(0)} {
 		st.EnableDeltaTracking()
 		for k := 0; k < 20; k++ {
 			fuzzChunkWrite(st, k, float64(k)+0.5)
@@ -79,17 +79,17 @@ func fuzzChunkWrite(st Store, k int, x float64) {
 
 // fuzzBase is the store every FuzzChunk input applies onto, so tombstones
 // have keys to delete.
-func fuzzBase(typ StoreType) DeltaStore {
+func fuzzBase(typ StoreType) Store {
 	st, _ := New(typ)
 	for k := 0; k < 8; k++ {
 		fuzzChunkWrite(st, k, float64(k))
 	}
-	return st.(DeltaStore)
+	return st
 }
 
 func checkChunk(t *testing.T, c Chunk, ways int) {
 	at := fmt.Sprintf("%v delta=%v", c.Type, c.Delta)
-	apply := func(st DeltaStore, chunks []Chunk) error {
+	apply := func(st Store, chunks []Chunk) error {
 		if c.Delta {
 			return st.ApplyDelta(chunks)
 		}
@@ -506,7 +506,7 @@ func runStoreOps(t *testing.T, v fuzzView, ops []byte) {
 	m := &storeModel{t: t, v: v, st: v.new(), live: v.model(), cut: v.model()}
 	// Tracking starts on the empty store, so the chain's implicit first
 	// base is empty.
-	m.st.(DeltaStore).EnableDeltaTracking()
+	m.st.EnableDeltaTracking()
 	arg := func(i *int) byte {
 		*i++
 		if *i < len(ops) {
@@ -576,14 +576,13 @@ func (m *storeModel) view() fuzzModel {
 // its cut, and on commit appends it to the chain.
 func (m *storeModel) epoch(delta bool, bound int, abort bool) {
 	t := m.t
-	ds := m.st.(DeltaStore)
 	var it ChunkIter
 	var err error
 	if delta {
-		it, err = ds.DeltaStream(bound)
+		it, err = m.st.DeltaStream(bound)
 	} else {
 		it, err = m.st.CheckpointStream(bound)
-		ds.CutDelta()
+		m.st.CutDelta()
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -598,10 +597,10 @@ func (m *storeModel) epoch(delta bool, bound int, abort bool) {
 		}
 	}
 	if abort {
-		ds.AbortDelta()
+		m.st.AbortDelta()
 		return
 	}
-	ds.CommitDelta()
+	m.st.CommitDelta()
 	if delta {
 		m.chain = append(m.chain, fuzzEpoch{delta, chunks})
 	} else {
@@ -634,7 +633,7 @@ func (m *storeModel) restoreChain(n int) {
 		for j, st := range stores {
 			var err error
 			if ep.delta {
-				err = st.(DeltaStore).ApplyDelta(groups[j])
+				err = st.ApplyDelta(groups[j])
 			} else {
 				err = st.Restore(groups[j])
 			}

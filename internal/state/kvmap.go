@@ -123,9 +123,5 @@ func (m *KVMap) ForEach(fn func(key uint64, value []byte) bool) {
 	}
 }
 
-// Compile-time interface check: the dictionary is a full KV store with
-// delta checkpoints.
-var (
-	_ KV         = (*KVMap)(nil)
-	_ DeltaStore = (*KVMap)(nil)
-)
+// Compile-time interface check: the dictionary is a full KV store.
+var _ KV = (*KVMap)(nil)

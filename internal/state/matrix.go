@@ -156,5 +156,5 @@ func (m *Matrix) NumEntries() int {
 	return n
 }
 
-// Compile-time interface check: the matrix takes delta checkpoints too.
-var _ DeltaStore = (*Matrix)(nil)
+// Compile-time interface check.
+var _ Store = (*Matrix)(nil)

@@ -112,17 +112,14 @@ type Store interface {
 	// Restore merges the given chunks into the store. It accepts any subset
 	// of a checkpoint, so partial restores build up partitioned instances.
 	Restore(chunks []Chunk) error
-}
 
-// DeltaStore is implemented by stores that support incremental (delta)
-// checkpoints: they track the keys changed since the last committed epoch
-// cut and serialise only those. The cut follows a two-phase commit so an
-// aborted backup loses nothing (see delta.go): DeltaStream or CutDelta
-// opens a pending cut between BeginDirty and MergeDirty, and exactly one of
-// CommitDelta / AbortDelta closes it once the epoch's save succeeded or
-// failed.
-type DeltaStore interface {
-	Store
+	// Incremental (delta) checkpoints: the store tracks the keys changed
+	// since the last committed epoch cut and serialises only those. The cut
+	// follows a two-phase commit so an aborted backup loses nothing (see
+	// delta.go): DeltaStream or CutDelta opens a pending cut between
+	// BeginDirty and MergeDirty, and exactly one of CommitDelta /
+	// AbortDelta closes it once the epoch's save succeeded or failed.
+
 	// EnableDeltaTracking starts recording changed keys. The first
 	// checkpoint after enabling must be a full one.
 	EnableDeltaTracking()

@@ -154,7 +154,7 @@ type stripeDeltaIter[V any, B entries[V, B]] struct {
 	tmb      *encoder // tombstone side buffer, reused by every chunk
 }
 
-// DeltaStream implements DeltaStore; same freeze contract as
+// DeltaStream implements Store; same freeze contract as
 // CheckpointStream.
 func (t *table[V, B]) DeltaStream(maxBytes int) (ChunkIter, error) {
 	if maxBytes < 1 {

@@ -211,21 +211,20 @@ func TestDeltaStreamMatchesDeltaCheckpoint(t *testing.T) {
 	for _, impl := range kvImpls {
 		t.Run(impl.name, func(t *testing.T) {
 			m := impl.new()
-			ds := m.(DeltaStore)
-			ds.EnableDeltaTracking()
+			m.EnableDeltaTracking()
 			fillStreamKV(m.Put, 400)
-			ds.CutDelta()
-			ds.CommitDelta()
+			m.CutDelta()
+			m.CommitDelta()
 
 			// Nothing changed: the stream is empty.
-			iter, err := ds.DeltaStream(budget)
+			iter, err := m.DeltaStream(budget)
 			if err != nil {
 				t.Fatalf("DeltaStream: %v", err)
 			}
 			if chunks := drainIter(t, iter); len(chunks) != 0 {
 				t.Fatalf("unchanged store streamed %d delta chunk(s)", len(chunks))
 			}
-			ds.CommitDelta()
+			m.CommitDelta()
 
 			for i := uint64(0); i < 120; i += 3 {
 				m.Put(i, []byte(fmt.Sprintf("rewritten-%d", i)))
@@ -238,7 +237,7 @@ func TestDeltaStreamMatchesDeltaCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			m.Put(2, []byte("after the cut")) // diverted: next epoch's
-			iter, err = ds.DeltaStream(budget)
+			iter, err = m.DeltaStream(budget)
 			if err != nil {
 				t.Fatalf("DeltaStream: %v", err)
 			}
@@ -257,14 +256,14 @@ func TestDeltaStreamMatchesDeltaCheckpoint(t *testing.T) {
 					t.Fatalf("chunk %d is %d bytes, budget %d + one entry", i, len(c.Data), budget)
 				}
 			}
-			if n := ds.DeltaSize(); n != 1 {
+			if n := m.DeltaSize(); n != 1 {
 				t.Fatalf("live set holds %d keys after the cut, want only the diverted write", n)
 			}
 
 			// Base at the previous cut + streamed delta == the store at this cut.
 			ref := impl.new()
 			fillStreamKV(ref.Put, 400)
-			if err := ref.(DeltaStore).ApplyDelta(chunks); err != nil {
+			if err := ref.ApplyDelta(chunks); err != nil {
 				t.Fatalf("ApplyDelta: %v", err)
 			}
 			want := impl.new()
@@ -281,15 +280,15 @@ func TestDeltaStreamMatchesDeltaCheckpoint(t *testing.T) {
 			})
 
 			// Aborting folds the cut back: the next stream covers it again.
-			ds.AbortDelta()
-			iter, err = ds.DeltaStream(1 << 20)
+			m.AbortDelta()
+			iter, err = m.DeltaStream(1 << 20)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if again := drainIter(t, iter); len(again) != 1 {
 				t.Fatalf("after abort the cut streamed as %d chunk(s), want 1", len(again))
 			}
-			ds.CommitDelta()
+			m.CommitDelta()
 		})
 	}
 }

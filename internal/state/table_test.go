@@ -8,7 +8,7 @@ import (
 
 // deltaAfterOneWrite builds a tracked store, commits a base cut, runs
 // write, and returns the delta stream of that one change.
-func deltaAfterOneWrite(t *testing.T, st DeltaStore, write func()) []Chunk {
+func deltaAfterOneWrite(t *testing.T, st Store, write func()) []Chunk {
 	t.Helper()
 	st.EnableDeltaTracking()
 	st.CutDelta()

@@ -292,5 +292,5 @@ func (v *Vector) Dot(x []float64) float64 {
 	return d
 }
 
-// Compile-time interface check: the vector takes delta checkpoints too.
-var _ DeltaStore = (*Vector)(nil)
+// Compile-time interface check.
+var _ Store = (*Vector)(nil)
