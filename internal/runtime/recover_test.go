@@ -196,8 +196,8 @@ func TestRecoverKilledBatchStaysDead(t *testing.T) {
 
 // TestRecoverRejectsBadMetadata corrupts the TE-state object of the latest
 // checkpoint: every truncated or hostile variant makes Recover fail
-// without panicking and without swapping anything in, and the intact
-// object still recovers afterwards.
+// without panicking, without swapping anything in and without adding a
+// node, and the intact object still recovers afterwards.
 func TestRecoverRejectsBadMetadata(t *testing.T) {
 	const items = 200
 	r, err := Deploy(tallyGraph(0, true), Options{Mode: checkpoint.ModeAsync, Interval: time.Hour})
@@ -269,8 +269,12 @@ func TestRecoverRejectsBadMetadata(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			disk.Write(name, tc.obj)
+			nodes := r.Cluster().Size()
 			if _, err := r.Recover("counts", 1); err == nil {
 				t.Fatal("Recover accepted a corrupt TE-state object")
+			}
+			if got := r.Cluster().Size(); got != nodes {
+				t.Fatalf("a failed Recover left the cluster at %d nodes, was %d", got, nodes)
 			}
 		})
 	}

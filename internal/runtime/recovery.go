@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/cluster"
 	"repro/internal/state"
 	"repro/internal/wire"
 )
@@ -121,7 +120,6 @@ func (r *Runtime) Recover(seName string, n int) (RecoveryStats, error) {
 	if err != nil {
 		return RecoveryStats{}, fmt.Errorf("runtime: restore %q: %w", meta.SE, err)
 	}
-	newNodes := make([]*cluster.Node, n)
 	newInsts := make([]*seInstance, n)
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -129,7 +127,6 @@ func (r *Runtime) Recover(seName string, n int) (RecoveryStats, error) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			node := r.cl.AddNode()
 			// Rebuild with the SE's own builder rather than
 			// meta.StoreType: the dictionary chunk format does not depend
 			// on the store's lock-stripe count, so a checkpoint restores
@@ -146,8 +143,7 @@ func (r *Runtime) Recover(seName string, n int) (RecoveryStats, error) {
 				}
 			}
 			// n > 1 only replaces a single instance 0.
-			newNodes[j] = node
-			newInsts[j] = &seInstance{se: ss, idx: failedIdx + j, node: node, store: store}
+			newInsts[j] = &seInstance{se: ss, idx: failedIdx + j, store: store}
 			newInsts[j].epoch.Store(meta.Epoch)
 		}(j)
 	}
@@ -167,8 +163,8 @@ func (r *Runtime) Recover(seName string, n int) (RecoveryStats, error) {
 	for _, teID := range accessing {
 		ts := r.tes[teID]
 		ts.mu.RLock()
-		for j := 0; j < n; j++ {
-			restored = append(restored, r.newInstance(ts, newInsts[j].idx, newNodes[j]))
+		for _, si := range newInsts {
+			restored = append(restored, r.newInstance(ts, si.idx, nil))
 		}
 		ts.mu.RUnlock()
 	}
@@ -185,6 +181,14 @@ func (r *Runtime) Recover(seName string, n int) (RecoveryStats, error) {
 				ti.dedup.Restore(p.Watermarks)
 			}
 		}
+	}
+	// Everything restored: only now place the instances on n fresh nodes,
+	// so a recovery that fails above leaves the cluster as it was.
+	for _, si := range newInsts {
+		si.node = r.cl.AddNode()
+	}
+	for k, ti := range restored {
+		ti.node = newInsts[k%n].node
 	}
 	restoreDur := time.Since(restoreStart)
 
